@@ -16,10 +16,10 @@ from pathlib import Path
 from . import __version__
 from .automata import build_canonical_automaton, build_shadow_automaton, minimize
 from .conjectures import check_conjecture, stats_csv, stats_row
-from .elements import from_word, reduced_word_counts
+from .elements import from_word, generator, reduced_word_counts
 from .errors import CapIndeterminate, CoxAutoError, InternalInvariant
-from .garside import (Shadow, VerdictStatus, garside_closure, low_elements,
-                      verify_shadow)
+from .garside import (Shadow, VerdictStatus, default_cap, garside_closure,
+                      low_elements, verify_shadow)
 from .render import render_rank3_svg
 from .smallroots import build_small_roots
 from .system import CoxeterSystem, parse_coxeter_system
@@ -48,7 +48,21 @@ def _default_cap(args) -> int | None:
     if getattr(args, "cap", None) is not None:
         return args.cap
     env = os.environ.get(ENV_JOIN_CAP)
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise CoxAutoError(
+            f"${ENV_JOIN_CAP} must be an integer, got {env!r}") from None
+
+
+def _closure_cap(system: CoxeterSystem, cap: int | None) -> int:
+    """The join cap garside_closure ran with: the given one, or the default
+    it derives from its seeds S and e."""
+    if cap is not None:
+        return cap
+    return default_cap(generator(system, s) for s in range(system.rank))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -67,9 +81,9 @@ def _build_automaton(system: CoxeterSystem, kind: str, level: int,
     if kind == "shadow:smallest":
         shadow = garside_closure(system, cap=cap)
         if not shadow.cap_stable:
+            cap = _closure_cap(system, cap)
             raise CapIndeterminate(
-                "smallest-shadow closure unstable at cap "
-                f"{cap if cap is not None else 'default'}", cap or -1)
+                f"smallest-shadow closure unstable at cap {cap}", cap)
         return build_shadow_automaton(shadow, assume_verified=True)
     if kind == "shadow:low":
         table = build_small_roots(system, level)
@@ -111,7 +125,7 @@ def _cmd_shadow(args) -> int:
         if verdict.witness:
             print("witness: " + " ".join(verdict.witness))
         if verdict.status is VerdictStatus.INDETERMINATE_AT_CAP:
-            raise CapIndeterminate("verification indeterminate", verdict.cap or -1)
+            raise CapIndeterminate("verification indeterminate", verdict.cap)
         return 0
     shadow = garside_closure(system, cap=cap, budget=args.budget)
     lines = [f"# smallest Garside shadow of {system.name}: {len(shadow)} elements"
@@ -119,7 +133,8 @@ def _cmd_shadow(args) -> int:
     lines.extend(shadow.words())
     _emit("\n".join(lines) + "\n", args.out)
     if not shadow.cap_stable:
-        raise CapIndeterminate("closure is not cap-stable", cap or -1)
+        raise CapIndeterminate("closure is not cap-stable",
+                               _closure_cap(system, cap))
     return 0
 
 

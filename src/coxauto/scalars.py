@@ -2,16 +2,32 @@
 
 Every bilinear-form entry arising from a Coxeter matrix with finite edge
 labels lives in Q(2cos(pi/N)) for N the lcm of the labels.  A
-:class:`FieldContext` fixes N, the minimal polynomial of c = 2cos(pi/N),
-and a ladder of shrinking rational intervals isolating c; a
-:class:`Scalar` is a polynomial in c reduced modulo the minimal
-polynomial, stored as a vector of rationals.  Equality is equality of
-canonical coefficient vectors, and sign is decided exactly by interval
-refinement.
+:class:`FieldContext` fixes N, the minimal polynomial of c = 2cos(pi/N)
+(monic, integer coefficients, degree d), and a ladder of shrinking dyadic
+intervals isolating c.
+
+A :class:`Scalar` is a polynomial in c of degree < d, stored as a tuple of
+d integer numerators over one positive integer denominator, reduced so
+that gcd(den, *num) == 1.  That form is canonical: equality is equality of
+(num, den).  Sums scale to a common denominator; products multiply the
+integer polynomials and reduce them with the integer table of c^k mod the
+minimal polynomial; a rational operand (every numerator past the constant
+zero) just scales the other one.  No arithmetic goes through ``Fraction``;
+``Scalar.coeffs`` is a read-only ``Fraction`` view for display and tests.
+
+Sign is exact and total, decided in three tiers (see :meth:`FieldContext.sign`):
+rational values by the sign of their numerator; everything else first by
+a double-precision Horner evaluation with an a-priori rounding-error bound
+(a filtered predicate in the sense of Fortune & Van Wyk and Shewchuk),
+which settles the sign whenever the value is not tiny next to the bound;
+and only when that filter cannot decide, by exact rational interval
+Horner on the ladder, refined until a norm lower bound on |value|
+guarantees the interval excludes zero.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -23,7 +39,8 @@ from .errors import InternalInvariant, InvalidLabel, OutOfField
 RationalLike = Union[int, Fraction]
 
 _INITIAL_BITS = 64
-_MAX_REFINEMENTS = 10  # hard cap: 10 doublings past the initial precision
+_MIN_NORMAL = 2.0 ** -1022     # smallest positive normal double
+_INVERSE_CACHE_MAX = 4096      # memoized inverses of irrational values per field
 
 
 def _poly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -50,11 +67,28 @@ def _poly_divmod_int(num: Sequence[int], den: Sequence[int]) -> tuple[list[int],
     return quot, list(_poly_trim(num))
 
 
-def _poly_eval_fraction(coeffs: Sequence[int], x: Fraction) -> Fraction:
+def _poly_eval_fraction(coeffs: Sequence[RationalLike], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _interval_eval(coeffs: Sequence[RationalLike], lo: Fraction,
+                   hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Horner evaluation with rational interval arithmetic."""
+    alo = ahi = Fraction(0)
+    for c in reversed(coeffs):
+        products = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(products) + c, max(products) + c
+    return alo, ahi
+
+
+def _integral(values: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of rationals."""
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def _chebyshev_like(n: int) -> list[int]:
@@ -85,11 +119,43 @@ def _euler_phi(n: int) -> int:
     return result
 
 
+def _solve_fraction_free(m: list[list[int]]) -> tuple[list[int], int]:
+    """Solve a nonsingular integer system given as augmented rows [A | b].
+
+    Bareiss elimination keeps every entry an integer (each is a minor of
+    the augmented matrix, so the divisions are exact).  Returns (y, t) with
+    the solution x = y / t, where t = +-det(A) and y = t * x is integral
+    by Cramer's rule.
+    """
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot is None:
+            raise InternalInvariant("minimal polynomial is not irreducible")
+        m[k], m[pivot] = m[pivot], m[k]
+        mkk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i, row_k = m[i], m[k]
+            for j in range(k + 1, n + 1):
+                row_i[j] = (row_i[j] * mkk - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = mkk
+    t = m[n - 1][n - 1]
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        acc = t * m[i][n] - sum(m[i][j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // m[i][i]
+    return y, t
+
+
 class FieldContext:
     """The real cyclotomic field Q(2cos(pi/N)) with decidable sign.
 
-    Construct through :func:`make_field_context`.  Immutable except for the
-    interval ladder, which only ever grows (copy-on-append refinement).
+    Construct through :func:`make_field_context`.  Immutable except for
+    three lazily grown caches: the interval ladder (copy-on-append
+    refinement), cos(pi/m) values, and inverses of irrational values.
     """
 
     def __init__(self, n: int):
@@ -97,15 +163,19 @@ class FieldContext:
             raise InvalidLabel(f"N must be >= 1, got {n}")
         self.N = n
         self.minpoly = self._build_minpoly(n)
-        self.degree = len(self.minpoly) - 1
+        self.degree = d = len(self.minpoly) - 1
         if n >= 2 and self.degree != _euler_phi(2 * n) // 2:
             raise InternalInvariant(
                 f"degree {self.degree} != phi(2N)/2 for N={n}")
-        # x^k mod minpoly for k = degree .. 2*degree-2, as Fraction vectors.
+        # x^k mod minpoly for k = degree .. 2*degree-2, as integer vectors.
         self._power_table = self._build_power_table()
         self._ladder: list[tuple[Fraction, Fraction]] = [self._initial_interval()]
         self._cos_cache: dict[int, Scalar] = {}
+        self._inverses: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
         self._c_float: float | None = None
+        # the float filter's constants; see sign()
+        self._filter_scale = (4 * d + 4) * 2.0 ** -53
+        self._filter_floor = math.ldexp(1.0, d - 960) if d <= 1983 else math.inf
 
     # -- construction -------------------------------------------------
 
@@ -141,21 +211,22 @@ class FieldContext:
                 f"candidate minimal polynomial for N={n} failed exact division")
         return coeffs
 
-    def _build_power_table(self) -> list[tuple[Fraction, ...]]:
+    def _build_power_table(self) -> list[tuple[int, ...]]:
         d = self.degree
-        table: list[tuple[Fraction, ...]] = []
         # x^d = -(a_0 + a_1 x + ... + a_{d-1} x^{d-1})
-        cur = [Fraction(-c) for c in self.minpoly[:d]]
-        table.append(tuple(cur))
+        table = [tuple(-c for c in self.minpoly[:d])]
         for _ in range(d - 2):
-            nxt = [Fraction(0)] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(d):
-                    nxt[i] -= top * self.minpoly[i]
-            cur = nxt
-            table.append(tuple(cur))
+            self._extend_power_table(table)
         return table
+
+    def _extend_power_table(self, table: list[tuple[int, ...]]) -> None:
+        cur = table[-1]
+        nxt = [0, *cur[:-1]]
+        top = cur[-1]
+        if top:
+            for i in range(self.degree):
+                nxt[i] -= top * self.minpoly[i]
+        table.append(tuple(nxt))
 
     def _initial_interval(self) -> tuple[Fraction, Fraction]:
         """Isolating interval for c = 2cos(pi/N) among the conjugates.
@@ -197,17 +268,20 @@ class FieldContext:
     # -- scalar constructors -------------------------------------------
 
     def scalar(self, coeffs: Iterable[RationalLike]) -> "Scalar":
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            vec = list(self._reduce(vec))
+        num, den = _integral(coeffs)
+        if len(num) > self.degree:
+            num = self._reduce(num)
         else:
-            vec += [Fraction(0)] * (self.degree - len(vec))
-        return Scalar(self, tuple(vec))
+            num += [0] * (self.degree - len(num))
+        return _normalized(self, num, den)
 
     def from_rational(self, q: RationalLike) -> "Scalar":
-        vec = [Fraction(0)] * self.degree
-        vec[0] = Fraction(q)
-        return Scalar(self, tuple(vec))
+        if type(q) is int:
+            num, den = q, 1
+        else:
+            q = Fraction(q)
+            num, den = q.numerator, q.denominator
+        return Scalar(self, (num,) + (0,) * (self.degree - 1), den)
 
     @property
     def zero(self) -> "Scalar":
@@ -221,9 +295,7 @@ class FieldContext:
         """The element c = 2cos(pi/N)."""
         if self.degree == 1:
             return self.from_rational(-self.minpoly[0])
-        vec = [Fraction(0)] * self.degree
-        vec[1] = Fraction(1)
-        return Scalar(self, tuple(vec))
+        return Scalar(self, (0, 1) + (0,) * (self.degree - 2))
 
     def cos_pi_over(self, m: int) -> "Scalar":
         """Exact cos(pi/m) as an element of this field.
@@ -250,33 +322,24 @@ class FieldContext:
         self._cos_cache[m] = val
         return val
 
-    # -- internals ------------------------------------------------------
+    # -- integer polynomial arithmetic ----------------------------------
 
-    def _power_row(self, k: int) -> tuple[Fraction, ...]:
-        """x^(degree + k) reduced mod minpoly, extending the table on demand."""
-        while k >= len(self._power_table):
-            cur = list(self._power_table[-1])
-            nxt = [Fraction(0)] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(self.degree):
-                    nxt[i] -= top * self.minpoly[i]
-            self._power_table.append(tuple(nxt))
-        return self._power_table[k]
-
-    def _reduce(self, vec: list[Fraction]) -> tuple[Fraction, ...]:
+    def _reduce(self, vec: list[int]) -> list[int]:
+        """An integer polynomial reduced mod the (monic) minimal polynomial."""
         d = self.degree
-        out = vec[:d] + [Fraction(0)] * (d - len(vec[:d]))
+        out = vec[:d] + [0] * (d - len(vec[:d]))
+        table = self._power_table
         for k in range(d, len(vec)):
             c = vec[k]
             if c:
-                row = self._power_row(k - d)
-                for i in range(d):
-                    out[i] += c * row[i]
-        return tuple(out)
+                while k - d >= len(table):
+                    self._extend_power_table(table)
+                for i, t in enumerate(table[k - d]):
+                    out[i] += c * t
+        return out
 
-    def _mul(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        prod = [Fraction(0)] * (2 * self.degree - 1)
+    def _mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        prod = [0] * (2 * self.degree - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -284,87 +347,120 @@ class FieldContext:
                         prod[i + j] += ai * bj
         return self._reduce(prod)
 
-    def _inverse(self, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if not any(a):
-            raise ZeroDivisionError("scalar division by zero")
-        if self.degree == 1:
-            return (Fraction(1) / a[0],)
-        # Extended Euclid in Q[x] for gcd(a, minpoly) = 1.
-        r0 = [Fraction(c) for c in self.minpoly]
-        r1 = list(a)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0: list[Fraction] = [Fraction(0)]
-        s1: list[Fraction] = [Fraction(1)]
-        while True:
-            if len(r1) == 1:
-                inv = Fraction(1) / r1[0]
-                return self._reduce([c * inv for c in s1])
-            q, r = self._poly_divmod_frac(r0, r1)
-            s_next = self._poly_sub_frac(s0, self._poly_mul_frac(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s_next
-            if not r1:
-                raise InternalInvariant("minimal polynomial is not irreducible")
-
-    @staticmethod
-    def _poly_divmod_frac(num: list[Fraction],
-                          den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-        num = list(num)
-        dden = len(den) - 1
-        lead = den[-1]
-        quot = [Fraction(0)] * max(len(num) - dden, 0)
-        for i in range(len(num) - 1, dden - 1, -1):
-            c = num[i] / lead
-            if c:
-                quot[i - dden] = c
-                for j, dj in enumerate(den):
-                    num[i - dden + j] -= c * dj
-        while num and num[-1] == 0:
-            num.pop()
-        return quot, num
-
-    @staticmethod
-    def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        if not a or not b:
-            return []
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return out
-
-    @staticmethod
-    def _poly_sub_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        out = list(a) + [Fraction(0)] * (len(b) - len(a))
-        for i, bi in enumerate(b):
-            out[i] -= bi
-        while out and out[-1] == 0:
-            out.pop()
-        return out
+    def _inverse(self, num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+        """Canonical (num, den) of the inverse of num/den."""
+        n0 = num[0]
+        if not any(num[1:]):
+            if n0 == 0:
+                raise ZeroDivisionError("scalar division by zero")
+            return (den if n0 > 0 else -den,) + num[1:], abs(n0)
+        key = (num, den)
+        hit = self._inverses.get(key)
+        if hit is None:
+            # column j of the matrix of multiplication by num is num * c^j;
+            # its solution x for the right-hand side 1 is 1 / num
+            d = self.degree
+            cols = [self._reduce([0] * j + list(num)) for j in range(d)]
+            rows = [[cols[j][i] for j in range(d)] + [int(i == 0)]
+                    for i in range(d)]
+            y, t = _solve_fraction_free(rows)
+            if t < 0:
+                y, t = [-v for v in y], -t
+            inv = _normalized(self, [v * den for v in y], t)
+            hit = (inv.num, inv.den)
+            if len(self._inverses) < _INVERSE_CACHE_MAX:
+                self._inverses[key] = hit
+        return hit
 
     # -- sign determination ----------------------------------------------
 
-    def sign(self, coeffs: Sequence[Fraction]) -> int:
-        """Exact sign of sum coeffs[i] * c^i; 0 iff the vector is zero."""
-        if not any(coeffs):
-            return 0
-        if self.degree == 1 or self._ladder[0][0] == self._ladder[0][1]:
-            v = _poly_eval_fraction_vec(coeffs, self._ladder[0][0])
-            return -1 if v < 0 else (1 if v > 0 else 0)
-        for level in range(_MAX_REFINEMENTS + 1):
-            if level >= len(self._ladder):
+    def sign(self, num: Sequence[RationalLike], den: int = 1) -> int:
+        """Exact sign of v = sum(num[i] * c^i) / den, den > 0; 0 iff num is zero.
+
+        ``num`` holds integer numerators, as in :class:`Scalar`; a vector of
+        Fractions (``Scalar.coeffs``) with den 1 is accepted too.
+
+        1. Rational values (every entry past the constant zero) take the
+           sign of num[0]; this includes zero and every degree-1 field.
+        2. A double-precision filter.  Let u = 2^-53, a_i = num[i] / den,
+           f_i = fl(a_i) (correctly rounded, so f_i = a_i(1 + e), |e| <= u)
+           and c' = generator_float() (within one ulp, |c'/c - 1| <= 2u).
+           Horner gives v' from the f_i and M' from the |f_i|.  In the
+           standard model each term a_i c^i of v' carries at most 2d - 1
+           rounding factors from Horner, one from f_i and 2(d - 1) units from
+           c'^i, so |v' - v| <= g M + E and M' >= (1 - g) M, where
+           M = sum |a_i| c^i, g = (4d - 2)u / (1 - (4d - 2)u), and E <
+           2^(d - 1075) bounds products that underflow (additions that
+           underflow are exact).  The sign of v' is therefore the sign of v
+           whenever |v'| > g M' / (1 - g) + E.  The test used is
+           |v'| > fl((4d + 4) u M') >= (4d + 4) u (1 - u) M', which exceeds
+           g M' / (1 - g) by more than 5u M' for d < 2^20.  Requiring
+           M' >= 2^(d - 960) (so d <= 1983) keeps that product normal and
+           E below 2^-115 M'.  The filter falls through to the exact path
+           when an f_i is non-finite (OverflowError), when a nonzero
+           numerator rounds to zero or to a subnormal, or when the test
+           fails.
+        3. Exact rational interval Horner on the ladder (:meth:`_sign_exact`).
+        """
+        n0 = num[0]
+        if not any(num[1:]):
+            return (n0 > 0) - (n0 < 0)
+        c = self._c_float
+        if c is None:
+            c = self.generator_float()
+        acc = mag = 0.0
+        try:
+            for n in reversed(num):
+                f = n / den
+                if n and -_MIN_NORMAL < f < _MIN_NORMAL:
+                    return self._sign_exact(num)
+                acc = acc * c + f
+                mag = mag * c + abs(f)
+        except OverflowError:
+            return self._sign_exact(num)
+        if mag >= self._filter_floor and abs(acc) > self._filter_scale * mag:
+            return 1 if acc > 0 else -1
+        return self._sign_exact(num)
+
+    def _sign_exact(self, num: Sequence[RationalLike]) -> int:
+        """Sign of a nonzero, irrational sum num[i] c^i by interval refinement.
+
+        Level k of the ladder isolates c in an interval of width
+        w <= 2^-(64 * 2^k) with |endpoints| <= 2.  Interval Horner on
+        integers n_i then returns an interval containing v of width at most
+        d S 2^d w, S = sum |n_i|.  Since v is a nonzero algebraic integer,
+        its norm is a nonzero integer, and every other conjugate is at most
+        T = sum |n_i| 2^i in absolute value (all conjugates of c lie in
+        (-2, 2)), so |v| >= T^-(d-1).  Once w < T^-(d-1) / (d S 2^d) the
+        interval excludes zero; the ladder is refined until then, so the
+        loop always ends with a sign.
+        """
+        if any(type(n) is not int for n in num):
+            num, _ = _integral(num)
+        target = None
+        level = 0
+        while True:
+            bits = _INITIAL_BITS << level
+            if level == len(self._ladder):
                 lo, hi = self._ladder[-1]
-                self._ladder.append(
-                    self._bisect_to(lo, hi, _INITIAL_BITS << level))
+                self._ladder.append(self._bisect_to(lo, hi, bits))
             lo, hi = self._ladder[level]
-            vlo, vhi = _interval_eval(coeffs, lo, hi)
+            vlo, vhi = _interval_eval(num, lo, hi)
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
-        raise InternalInvariant(
-            "sign of a nonzero canonical form not separated at the precision cap")
+            if target is None:
+                d = self.degree
+                s = sum(abs(n) for n in num)
+                t = sum(abs(n) << i for i, n in enumerate(num))
+                target = ((d - 1) * t.bit_length() + (d * s).bit_length()
+                          + d + 1)
+            if bits >= target:
+                raise InternalInvariant(
+                    "interval refinement past the separation bound did not "
+                    "exclude zero")
+            level += 1
 
     # -- float approximations ---------------------------------------------
 
@@ -378,36 +474,36 @@ class FieldContext:
         return f"FieldContext(N={self.N}, degree={self.degree})"
 
 
-def _poly_eval_fraction_vec(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _interval_eval(coeffs: Sequence[Fraction], lo: Fraction,
-                   hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Horner evaluation with rational interval arithmetic."""
-    alo = ahi = Fraction(0)
-    for c in reversed(coeffs):
-        products = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(products) + c, max(products) + c
-    return alo, ahi
+def _normalized(ctx: FieldContext, num: Sequence[int], den: int) -> "Scalar":
+    """The Scalar num/den (den > 0) with the common factor divided out."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return Scalar(ctx, tuple(n // g for n in num), den // g)
+    return Scalar(ctx, tuple(num), den)
 
 
 class Scalar:
-    """An element of Q(2cos(pi/N)) in canonical reduced form.
+    """An element of Q(2cos(pi/N)): sum(num[i] * c^i) / den in canonical form.
 
-    Immutable value type; arithmetic operators work between scalars of the
-    same context and with ints/Fractions.
+    ``num`` is a tuple of ``ctx.degree`` ints, ``den`` a positive int, and
+    gcd(den, *num) == 1.  Immutable value type; arithmetic operators work
+    between scalars of the same context and with ints/Fractions.
     """
 
-    __slots__ = ("ctx", "coeffs", "_hash")
+    __slots__ = ("ctx", "num", "den", "_hash", "_sign")
 
-    def __init__(self, ctx: FieldContext, coeffs: tuple[Fraction, ...]):
+    def __init__(self, ctx: FieldContext, num: tuple[int, ...], den: int = 1):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash: int | None = None
+        self._sign: int | None = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, c, c^2, ... as Fractions (read-only view)."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def _coerce(self, other) -> "Scalar | None":
         if isinstance(other, Scalar):
@@ -418,19 +514,31 @@ class Scalar:
             return self.ctx.from_rational(other)
         return None
 
+    def _combine(self, o: "Scalar", sign: int) -> "Scalar":
+        """self + sign * o."""
+        da, db = self.den, o.den
+        if da == db:
+            num = [a + sign * b for a, b in zip(self.num, o.num)]
+        else:
+            num = [a * db + sign * b * da for a, b in zip(self.num, o.num)]
+            da *= db
+        return _normalized(self.ctx, num, da)
+
     def __add__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is Scalar and other.ctx is self.ctx
+             else self._coerce(other))
         if o is None:
             return NotImplemented
-        return Scalar(self.ctx, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is Scalar and other.ctx is self.ctx
+             else self._coerce(other))
         if o is None:
             return NotImplemented
-        return Scalar(self.ctx, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -439,21 +547,35 @@ class Scalar:
         return o - self
 
     def __neg__(self):
-        return Scalar(self.ctx, tuple(-a for a in self.coeffs))
+        return Scalar(self.ctx, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is Scalar and other.ctx is self.ctx
+             else self._coerce(other))
         if o is None:
             return NotImplemented
-        return Scalar(self.ctx, self.ctx._mul(self.coeffs, o.coeffs))
+        a, b = self.num, o.num
+        if not any(b[1:]):
+            k = b[0]
+            num = [x * k for x in a]
+        elif not any(a[1:]):
+            k = a[0]
+            num = [k * y for y in b]
+        else:
+            num = self.ctx._mul(a, b)
+        return _normalized(self.ctx, num, self.den * o.den)
 
     __rmul__ = __mul__
+
+    def inverse(self) -> "Scalar":
+        """1 / self; raises ZeroDivisionError on zero."""
+        return Scalar(self.ctx, *self.ctx._inverse(self.num, self.den))
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.ctx, self.ctx._mul(self.coeffs, self.ctx._inverse(o.coeffs)))
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -475,25 +597,30 @@ class Scalar:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
-            return self.ctx is other.ctx and self.coeffs == other.coeffs
+            return (self.ctx is other.ctx and self.num == other.num
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            return self == self.ctx.from_rational(other)
+            return self.as_rational() == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        # rational values hash like their Fraction so == across types agrees
+        # the hash of the Fraction coefficient vector; rational values hash
+        # like their Fraction so == across types agrees
         if self._hash is None:
-            if any(self.coeffs[1:]):
-                self._hash = hash(self.coeffs)
+            num, den = self.num, self.den
+            if any(num[1:]):
+                self._hash = hash(num if den == 1 else self.coeffs)
             else:
-                self._hash = hash(self.coeffs[0])
+                self._hash = hash(num[0] if den == 1 else Fraction(num[0], den))
         return self._hash
 
     def sign(self) -> int:
-        return self.ctx.sign(self.coeffs)
+        if self._sign is None:
+            self._sign = self.ctx.sign(self.num, self.den)
+        return self._sign
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -521,22 +648,24 @@ class Scalar:
 
     def __float__(self) -> float:
         c = self.ctx.generator_float()
+        den = self.den
         acc = 0.0
-        for coeff in reversed(self.coeffs):
-            acc = acc * c + float(coeff)
+        for n in reversed(self.num):
+            acc = acc * c + n / den
         return acc
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction when it is rational, else None."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self) -> str:
-        if self.ctx.degree == 1 or not any(self.coeffs[1:]):
-            return str(self.coeffs[0])
+        coeffs = self.coeffs
+        if not any(coeffs[1:]):
+            return str(coeffs[0])
         terms = []
-        for i, a in enumerate(self.coeffs):
+        for i, a in enumerate(coeffs):
             if a == 0:
                 continue
             if i == 0:
@@ -545,7 +674,7 @@ class Scalar:
                 terms.append(f"{a}*c")
             else:
                 terms.append(f"{a}*c^{i}")
-        return " + ".join(terms) if terms else "0"
+        return " + ".join(terms)
 
 
 _context_cache: dict[int, FieldContext] = {}

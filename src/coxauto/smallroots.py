@@ -301,18 +301,19 @@ def spherical_analysis(table: SmallRootTable) -> tuple[frozenset[int], bool]:
 # Cone membership by Fourier-Motzkin elimination
 
 def _canonical_row(coeffs: list[Scalar], rhs: Scalar) -> tuple:
-    lead = None
-    for c in coeffs:
-        if not c.is_zero():
-            lead = c
-            break
-    if lead is None:
-        lead = rhs
-    if lead.is_zero():
-        return tuple(c.coeffs for c in coeffs) + (rhs.coeffs,)
-    scale = lead if lead.sign() > 0 else -lead
-    inv = scale.ctx.one / scale
-    return tuple((c * inv).coeffs for c in coeffs) + ((rhs * inv).coeffs,)
+    """Dedup key of a row: the row divided by |lead|, its first nonzero entry.
+
+    A rational lead scales every entry coefficient-wise; the inverse of an
+    irrational lead is memoized by its field.
+    """
+    row = (*coeffs, rhs)
+    lead = next((x for x in row if not x.is_zero()), None)
+    if lead is not None:
+        inv = lead.inverse()
+        if lead.sign() < 0:
+            inv = -inv
+        row = [x * inv for x in row]
+    return tuple((x.num, x.den) for x in row)
 
 
 def _fourier_motzkin_infeasible(rows: list[tuple[list[Scalar], Scalar]],
@@ -320,11 +321,12 @@ def _fourier_motzkin_infeasible(rows: list[tuple[list[Scalar], Scalar]],
     """Decide infeasibility of {y : row . y <= rhs for all rows}, exactly."""
     work = rows
     for _ in range(nvars):
+        signs = [[c.sign() for c in coeffs] for coeffs, _ in work]
         # choose the live variable minimizing the pos*neg blowup
         best_var, best_cost = None, None
         for v in range(nvars):
-            pos = sum(1 for coeffs, _ in work if coeffs[v].sign() > 0)
-            neg = sum(1 for coeffs, _ in work if coeffs[v].sign() < 0)
+            pos = sum(1 for sg in signs if sg[v] > 0)
+            neg = sum(1 for sg in signs if sg[v] < 0)
             if pos + neg == 0:
                 continue
             cost = pos * neg
@@ -334,9 +336,8 @@ def _fourier_motzkin_infeasible(rows: list[tuple[list[Scalar], Scalar]],
             break
         v = best_var
         pos, neg, zero = [], [], []
-        for coeffs, rhs in work:
-            sgn = coeffs[v].sign()
-            (pos if sgn > 0 else neg if sgn < 0 else zero).append((coeffs, rhs))
+        for row, sg in zip(work, signs):
+            (pos if sg[v] > 0 else neg if sg[v] < 0 else zero).append(row)
         seen = set()
         nxt = []
         for coeffs, rhs in zero:
@@ -345,10 +346,11 @@ def _fourier_motzkin_infeasible(rows: list[tuple[list[Scalar], Scalar]],
                 seen.add(key)
                 nxt.append((coeffs, rhs))
         for pc, pr in pos:
+            a = pc[v]
             for nc, nr in neg:
-                a, c = pc[v], nc[v]
-                coeffs = [(-c) * pa + a * na for pa, na in zip(pc, nc)]
-                rhs = (-c) * pr + a * nr
+                c = -nc[v]
+                coeffs = [c * pa + a * na for pa, na in zip(pc, nc)]
+                rhs = c * pr + a * nr
                 if all(x.is_zero() for x in coeffs):
                     if rhs.sign() < 0:
                         return True

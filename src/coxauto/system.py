@@ -259,7 +259,11 @@ _TRIANGLE_RE = re.compile(r"^triangle\(\s*(\d+|inf)\s*,\s*(\d+|inf)\s*,\s*(\d+|i
 def _label_token(tok: str) -> Label:
     if tok == "inf":
         return INFINITY
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:
+        raise InvalidGroupSpec(
+            f"edge label must be an integer or inf, got {tok!r}") from None
 
 
 def preset_matrix(name: str) -> CoxeterMatrix:
@@ -307,7 +311,10 @@ def parse_matrix_block(text: str) -> CoxeterMatrix:
                 raise InvalidGroupSpec("matrix entry before rank line")
             if len(parts) != 4:
                 raise InvalidGroupSpec(f"bad entry line {line!r}")
-            i, j = int(parts[1]) - 1, int(parts[2]) - 1
+            try:
+                i, j = int(parts[1]) - 1, int(parts[2]) - 1
+            except ValueError:
+                raise InvalidGroupSpec(f"bad entry indices in {line!r}") from None
             if not (0 <= i < rank and 0 <= j < rank) or i == j:
                 raise InvalidGroupSpec(f"entry indices out of range in {line!r}")
             v = _label_token(parts[3])
@@ -452,10 +459,13 @@ class CoxeterSystem:
         text = text.strip()
         if text in ("e", ""):
             return ()
-        if "." in text:
-            letters = [int(tok) - 1 for tok in text.split(".")]
-        else:
-            letters = [int(ch) - 1 for ch in text]
+        letters = []
+        for tok in (text.split(".") if "." in text else text):
+            try:
+                letters.append(int(tok) - 1)
+            except ValueError:
+                raise InvalidGroupSpec(
+                    f"bad letter {tok!r} in word {text!r}") from None
         for s in letters:
             if not 0 <= s < self.rank:
                 raise InvalidGroupSpec(f"letter out of range in word {text!r}")

@@ -127,3 +127,49 @@ def test_internal_invariant_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_small_roots", boom)
     assert main(["roots", "--group", "A2"]) == 3
     assert "invariant" in capsys.readouterr().err
+
+
+def test_bad_matrix_label_exits_one(tmp_path, capsys):
+    path = tmp_path / "group.txt"
+    path.write_text("rank 2\nm 1 2 x\n")
+    assert main(["roots", "--group", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'x'" in err
+
+
+def test_bad_verify_letter_exits_one(capsys):
+    assert main(["shadow", "--group", "I2(inf)", "--verify", "e,1x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'x'" in err
+
+
+def test_bad_join_cap_env_exits_one(monkeypatch, capsys):
+    monkeypatch.setenv("COXAUTO_JOIN_CAP", "abc")
+    assert main(["shadow", "--group", "I2(inf)"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'abc'" in err
+
+
+@pytest.mark.parametrize("argv, env, cap", [
+    (["shadow", "--group", "I2(inf)"], None, 10),
+    (["automaton", "--group", "I2(inf)", "--kind", "shadow:smallest"], None, 10),
+    (["shadow", "--group", "I2(inf)", "--cap", "7"], None, 7),
+    (["automaton", "--group", "I2(inf)", "--kind", "shadow:smallest"], "12", 12),
+])
+def test_unstable_closure_reports_cap_in_force(monkeypatch, capsys, argv, env, cap):
+    import coxauto.cli as cli
+    from coxauto.elements import generator, identity
+    from coxauto.garside import Shadow
+
+    def unstable(system, cap=None, budget=None):
+        els = [identity(system)] + [generator(system, s) for s in range(system.rank)]
+        return Shadow(system, els, cap_stable=False)
+
+    monkeypatch.setattr(cli, "garside_closure", unstable)
+    if env is None:
+        monkeypatch.delenv("COXAUTO_JOIN_CAP", raising=False)
+    else:
+        monkeypatch.setenv("COXAUTO_JOIN_CAP", env)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"indeterminate at cap {cap}:")
