@@ -16,10 +16,10 @@ from pathlib import Path
 from . import __version__
 from .automata import build_canonical_automaton, build_shadow_automaton, minimize
 from .conjectures import check_conjecture, stats_csv, stats_row
-from .elements import from_word, generator, reduced_word_counts
+from .elements import from_word, reduced_word_counts
 from .errors import CapIndeterminate, CoxAutoError, InternalInvariant
-from .garside import (Shadow, VerdictStatus, default_cap, garside_closure,
-                      low_elements, verify_shadow)
+from .garside import (Shadow, VerdictStatus, garside_closure, low_elements,
+                      verify_shadow)
 from .render import render_rank3_svg
 from .smallroots import build_small_roots
 from .system import CoxeterSystem, parse_coxeter_system
@@ -57,14 +57,6 @@ def _default_cap(args) -> int | None:
             f"${ENV_JOIN_CAP} must be an integer, got {env!r}") from None
 
 
-def _closure_cap(system: CoxeterSystem, cap: int | None) -> int:
-    """The join cap garside_closure ran with: the given one, or the default
-    it derives from its seeds S and e."""
-    if cap is not None:
-        return cap
-    return default_cap(generator(system, s) for s in range(system.rank))
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -81,9 +73,9 @@ def _build_automaton(system: CoxeterSystem, kind: str, level: int,
     if kind == "shadow:smallest":
         shadow = garside_closure(system, cap=cap)
         if not shadow.cap_stable:
-            cap = _closure_cap(system, cap)
             raise CapIndeterminate(
-                f"smallest-shadow closure unstable at cap {cap}", cap)
+                f"smallest-shadow closure unstable at cap {shadow.cap}",
+                shadow.cap)
         return build_shadow_automaton(shadow, assume_verified=True)
     if kind == "shadow:low":
         table = build_small_roots(system, level)
@@ -133,8 +125,7 @@ def _cmd_shadow(args) -> int:
     lines.extend(shadow.words())
     _emit("\n".join(lines) + "\n", args.out)
     if not shadow.cap_stable:
-        raise CapIndeterminate("closure is not cap-stable",
-                               _closure_cap(system, cap))
+        raise CapIndeterminate("closure is not cap-stable", shadow.cap)
     return 0
 
 

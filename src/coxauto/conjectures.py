@@ -153,7 +153,8 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
                    "shadow_size": len(shadow)}
         if not shadow.cap_stable:
             return ConjectureReport(name, which, Verdict.INDETERMINATE, numbers,
-                                    reason="closure not cap-stable", cap=cap)
+                                    reason="closure not cap-stable",
+                                    cap=shadow.cap)
         if isomorphic(auto, minimal):
             return ConjectureReport(name, which, Verdict.HOLDS, numbers)
         return ConjectureReport(
@@ -182,8 +183,7 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
         low = low_elements(sys, level, table)
         # join closure of L_n is a theorem; the open parts, suffix closure
         # and membership, stay genuinely tested by verify_shadow
-        universe = low.elements if level >= 1 else None
-        verdict = verify_shadow(low, cap=cap, universe=universe)
+        verdict = verify_shadow(low, cap=cap, universe=low)
         numbers = {"n": level, "low_size": len(low)}
         if verdict.status is VerdictStatus.SHADOW:
             return ConjectureReport(name, which, Verdict.HOLDS, numbers)

@@ -117,16 +117,6 @@ def mult_right(w: Element, s: int) -> Element:
     raise InternalInvariant("exchange letter not found on descent")
 
 
-def right_ascents(w: Element) -> list[int]:
-    sys = w.system
-    out = []
-    for s in range(sys.rank):
-        sign, _ = sys.act_word_on_root(w.word, 1, s)
-        if sign > 0:
-            out.append(s)
-    return out
-
-
 def from_word(system: CoxeterSystem, word: Iterable[int]) -> Element:
     """Product of the letters, left to right; the word need not be reduced."""
     w = identity(system)
@@ -151,10 +141,6 @@ def weak_leq(u: Element, w: Element) -> bool:
     if u.system is not w.system:
         raise ValueError("elements from different systems")
     return u.inv <= w.inv
-
-
-def inverse(w: Element) -> Element:
-    return from_word(w.system, tuple(reversed(w.word)))
 
 
 def prefixes(w: Element) -> set[Element]:

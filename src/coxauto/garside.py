@@ -1,21 +1,28 @@
 """Joins in weak order, Garside shadows, projections, and low elements.
 
-Boundedness in weak order is only semi-decidable, so the public join is a
-capped breadth-first search.  Closure and verification additionally use two
-decisive shortcuts: two positive roots with B <= -1 inside N(u) union N(v)
-certify unboundedness, and when all inputs are 0-low the search can be
-replaced by a scan of the finite set of 0-low elements, which is
-join-closed and contains every closure of the generating set.
+Every join is decided by :meth:`JoinEngine.decide`.  When the engine holds
+a universe, a finite join-closed shadow such as the 0-low elements, and
+both inputs lie in it, the join is the first element of the universe above
+both, or there is none.  Otherwise boundedness is only semi-decidable: two
+positive roots with B <= -1 inside N(u) union N(v) certify that there is no
+join, and failing that a breadth-first search runs up to a length cap.
+
+The Garside closure is a semi-naive worklist: each new element contributes
+its one-step suffixes and is joined with every earlier element exactly
+once.  With 0-low seeds every pair is decided in the 0-low universe; other
+seeds send every pair through the capped search.  Pairs whose search hit
+the cap are retried once with the cap raised by 4; the closure is
+cap-stable when that retry adds nothing.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .elements import (Element, coset_split, identity, generator, mult_left,
-                       mult_right, suffixes, support, weak_leq)
+                       mult_right, support, weak_leq)
 from .errors import BudgetExceeded, InternalInvariant, ShadowViolation
 from .smallroots import EXIT, SmallRootTable, build_small_roots, cone_member
 from .system import CoxeterSystem
@@ -27,7 +34,8 @@ class Shadow:
     """A finite set of elements, deduplicated and sorted by (length, word)."""
 
     def __init__(self, system: CoxeterSystem, elements: Iterable[Element],
-                 provenance: str = "explicit", cap_stable: bool | None = None):
+                 provenance: str = "explicit", cap_stable: bool | None = None,
+                 cap: int | None = None):
         dedup: dict[frozenset[int], Element] = {}
         for el in elements:
             if el.system is not system:
@@ -39,6 +47,7 @@ class Shadow:
         self._by_inv = {el.inv: el for el in self.elements}
         self.provenance = provenance
         self.cap_stable = cap_stable
+        self.cap = cap
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -72,21 +81,6 @@ class _Decision(enum.Enum):
     AT_CAP = "at-cap"
 
 
-def _pair_blocks(sys: CoxeterSystem, rid_a: int, rid_b: int) -> bool:
-    """B(a, b) <= -1 for distinct positive roots a, b, with caching."""
-    key = (rid_a, rid_b) if rid_a < rid_b else (rid_b, rid_a)
-    cache = getattr(sys, "_block_cache", None)
-    if cache is None:
-        cache = {}
-        sys._block_cache = cache
-    out = cache.get(key)
-    if out is None:
-        b = sys.bilinear(sys.root_coords(rid_a), sys.root_coords(rid_b))
-        out = (b + 1).sign() <= 0
-        cache[key] = out
-    return out
-
-
 def _unbounded_certificate(u: Element, v: Element) -> bool:
     """True when N(u) | N(v) certifies that {u, v} has no upper bound.
 
@@ -98,15 +92,13 @@ def _unbounded_certificate(u: Element, v: Element) -> bool:
     merged = sorted(u.inv | v.inv)
     for a in range(len(merged)):
         for b in range(a + 1, len(merged)):
-            if _pair_blocks(sys, merged[a], merged[b]):
+            if sys._pair_blocks(merged[a], merged[b]):
                 return True
     return False
 
 
 def _bfs_join(u: Element, v: Element, cap: int) -> tuple[_Decision, Element | None]:
     target = v.inv
-    if target <= u.inv:
-        return _Decision.FOUND, u
     seen = {u.inv}
     frontier = [u]
     length = u.length
@@ -136,44 +128,31 @@ def _bfs_join(u: Element, v: Element, cap: int) -> tuple[_Decision, Element | No
 def join(u: Element, v: Element, cap: int) -> JoinResult:
     """Least upper bound of u and v in right weak order, searched up to cap.
 
-    Breadth-first by length upward from u; the first element dominating v
-    is the join, since a minimal-length common upper bound is the join.
+    After the B <= -1 certificate, breadth-first by length upward from u;
+    the first element dominating v is the join, since a minimal-length
+    common upper bound is the join.
     """
     if cap < max(u.length, v.length):
         raise ValueError("cap must be at least the longer input")
-    if weak_leq(u, v):
-        return JoinResult(v, cap)
-    if weak_leq(v, u):
-        return JoinResult(u, cap)
-    if _unbounded_certificate(u, v):
-        return JoinResult(None, cap)
-    decision, el = _bfs_join(u, v, cap)
-    return JoinResult(el if decision is _Decision.FOUND else None, cap)
+    return JoinResult(JoinEngine(cap).decide(u, v)[1], cap)
 
 
 class JoinEngine:
-    """Decides joins for closure and verification, decisively when possible."""
+    """The one place joins are decided, decisively when the universe allows."""
 
-    def __init__(self, cap: int, universe: Sequence[Element] | None = None):
+    def __init__(self, cap: int, universe: Shadow | None = None):
         self.cap = cap
-        self.universe = None
-        if universe is not None:
-            self.universe = sorted(universe, key=lambda e: (e.length, e.word))
-
-    def covers(self, elements: Iterable[Element]) -> bool:
-        if self.universe is None:
-            return False
-        invs = {el.inv for el in self.universe}
-        return all(el.inv in invs for el in elements)
+        self.universe = universe
 
     def decide(self, u: Element, v: Element) -> tuple[_Decision, Element | None]:
         if weak_leq(u, v):
             return _Decision.FOUND, v
         if weak_leq(v, u):
             return _Decision.FOUND, u
-        if self.universe is not None:
+        universe = self.universe
+        if universe is not None and u in universe and v in universe:
             merged = u.inv | v.inv
-            for w in self.universe:
+            for w in universe:
                 if merged <= w.inv:
                     return _Decision.FOUND, w
             return _Decision.NO_JOIN, None
@@ -188,11 +167,9 @@ def low_universe(sys: CoxeterSystem) -> Shadow:
     They form a finite Garside shadow containing the closure of S and are
     closed under join, so joins of 0-low elements can be found by scanning.
     """
-    cached = getattr(sys, "_low0_universe", None)
-    if cached is None:
-        cached = low_elements(sys, 0, build_small_roots(sys, 0))
-        sys._low0_universe = cached
-    return cached
+    if sys._low0_universe is None:
+        sys._low0_universe = low_elements(sys, 0, build_small_roots(sys, 0))
+    return sys._low0_universe
 
 
 def default_cap(elements: Iterable[Element]) -> int:
@@ -240,36 +217,21 @@ class ShadowVerdict:
         return self.status is VerdictStatus.SHADOW
 
 
-def _make_engine(sys: CoxeterSystem, elements: Sequence[Element],
-                 cap: int | None) -> JoinEngine:
-    if cap is None:
-        cap = default_cap(elements)
-    universe = low_universe(sys)
-    engine = JoinEngine(cap, universe.elements)
-    if not engine.covers(elements):
-        engine = JoinEngine(cap)
-    return engine
-
-
 def verify_shadow(shadow: Shadow, cap: int | None = None,
-                  engine: JoinEngine | None = None,
-                  universe: Sequence[Element] | None = None) -> ShadowVerdict:
+                  universe: Shadow | None = None) -> ShadowVerdict:
     """Check S and e membership, suffix closure, and pairwise join closure.
 
     Pairwise joins suffice: finite bounded joins fold from pairwise ones.
     Join searches that hit the cap leave the verdict indeterminate unless
-    the set is refuted outright.  A caller may supply a join-closed
-    ``universe`` containing the shadow (such as L_n, whose join closure is
-    a theorem) to make every join decision decisive; only suffix closure
-    and membership remain genuinely tested then.
+    the set is refuted outright.  Joins of 0-low elements are decided in the
+    0-low universe.  A caller may supply another join-closed ``universe``
+    containing the shadow (such as L_n, whose join closure is a theorem) to
+    make every join decision decisive; only suffix closure and membership
+    remain genuinely tested then.
     """
     sys = shadow.system
-    if engine is None:
-        if universe is not None:
-            engine = JoinEngine(cap if cap is not None else
-                                default_cap(universe), universe)
-        else:
-            engine = _make_engine(sys, shadow.elements, cap)
+    engine = JoinEngine(cap if cap is not None else default_cap(shadow),
+                        universe if universe is not None else low_universe(sys))
     for s in range(sys.rank):
         if generator(sys, s) not in shadow:
             return ShadowVerdict(VerdictStatus.NOT_SHADOW,
@@ -307,20 +269,23 @@ def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
                     budget: int = DEFAULT_BUDGET) -> Shadow:
     """Smallest Garside shadow containing the seeds (and always S and e).
 
-    Fixpoint iteration alternating suffix closure with pairwise joins.  The
-    result carries a cap-stability flag; with the 0-low universe engine the
-    joins are decided outright and the flag is True.
+    A worklist in insertion order: each element adds its one-step suffixes
+    and is then joined with every earlier element, so each pair is decided
+    once.  Joins that hit the cap are retried once with the cap raised by 4,
+    and the closure is cap-stable when the retry adds nothing.  The result
+    records the cap it ran with.
     """
-    current: dict[frozenset[int], Element] = {}
+    order: list[Element] = []
+    invs: set[frozenset[int]] = set()
 
-    def add(el: Element) -> bool:
-        if el.inv in current:
-            return False
-        if len(current) >= budget:
+    def add(el: Element) -> None:
+        if el.inv in invs:
+            return
+        if len(order) >= budget:
             raise BudgetExceeded(
                 f"Garside closure outgrew the budget of {budget} elements")
-        current[el.inv] = el
-        return True
+        invs.add(el.inv)
+        order.append(el)
 
     add(identity(sys))
     for s in range(sys.rank):
@@ -328,51 +293,44 @@ def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
     for el in seeds:
         add(el)
 
-    base_cap = cap
-    engine = _make_engine(sys, list(current.values()), base_cap)
-    decided: dict[frozenset[frozenset[int]], _Decision] = {}
-    saw_cap = False
+    done = 0
 
-    def run_to_fixpoint(active_engine: JoinEngine) -> bool:
-        nonlocal saw_cap
-        grew = False
-        changed = True
-        while changed:
-            changed = False
-            for el in list(current.values()):
-                for suf in suffixes(el):
-                    if add(suf):
-                        changed = True
-            els = list(current.values())
-            for i in range(len(els)):
-                for j in range(i + 1, len(els)):
-                    key = frozenset((els[i].inv, els[j].inv))
-                    if decided.get(key) in (_Decision.FOUND, _Decision.NO_JOIN):
-                        continue
-                    decision, w = active_engine.decide(els[i], els[j])
-                    decided[key] = decision
-                    if decision is _Decision.FOUND:
-                        if add(w):
-                            changed = True
-                    elif decision is _Decision.AT_CAP:
-                        saw_cap = True
-            grew = grew or changed
-        return grew
+    def drain(engine: JoinEngine) -> list[tuple[Element, Element]]:
+        """Process the worklist; returns the pairs whose search hit the cap."""
+        nonlocal done
+        at_cap = []
+        while done < len(order):
+            x = order[done]
+            for s in x.descents_left:
+                add(mult_left(s, x))
+            for y in order[:done]:
+                decision, w = engine.decide(y, x)
+                if decision is _Decision.FOUND:
+                    add(w)
+                elif decision is _Decision.AT_CAP:
+                    at_cap.append((y, x))
+            done += 1
+        return at_cap
 
-    run_to_fixpoint(engine)
-    if engine.universe is not None:
-        cap_stable = True
-    elif not saw_cap:
-        cap_stable = True
-    else:
-        # re-run the undecided joins with cap + 4; stable if nothing new
-        wider = JoinEngine(engine.cap + 4)
-        saw_cap = False
-        for key in [k for k, d in decided.items() if d is _Decision.AT_CAP]:
-            del decided[key]
-        cap_stable = not run_to_fixpoint(wider)
-    return Shadow(sys, current.values(), provenance="closure-of-S",
-                  cap_stable=cap_stable)
+    # Joins and suffixes of 0-low elements are 0-low, so with 0-low seeds
+    # every pair is decided in the universe.  Other seeds send every pair
+    # through the capped search: a result that is not cap-stable is then the
+    # closure under the joins found within the cap.
+    universe = low_universe(sys)
+    if not all(el in universe for el in order):
+        universe = None
+    base_cap = cap if cap is not None else default_cap(order)
+    undecided = drain(JoinEngine(base_cap, universe))
+    size = len(order)
+    if undecided:  # only the capped search leaves pairs undecided
+        wider = JoinEngine(base_cap + 4)
+        for y, x in undecided:
+            decision, w = wider.decide(y, x)
+            if decision is _Decision.FOUND:
+                add(w)
+        drain(wider)
+    return Shadow(sys, order, provenance="closure-of-S",
+                  cap_stable=len(order) == size, cap=base_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -158,12 +158,12 @@ def test_bad_join_cap_env_exits_one(monkeypatch, capsys):
 ])
 def test_unstable_closure_reports_cap_in_force(monkeypatch, capsys, argv, env, cap):
     import coxauto.cli as cli
-    from coxauto.elements import generator, identity
-    from coxauto.garside import Shadow
+    from coxauto.garside import garside_closure
 
-    def unstable(system, cap=None, budget=None):
-        els = [identity(system)] + [generator(system, s) for s in range(system.rank)]
-        return Shadow(system, els, cap_stable=False)
+    def unstable(system, **kwargs):
+        shadow = garside_closure(system, **kwargs)
+        shadow.cap_stable = False
+        return shadow
 
     monkeypatch.setattr(cli, "garside_closure", unstable)
     if env is None:

@@ -8,9 +8,9 @@ from coxauto import parse_coxeter_system
 from coxauto.elements import (ball, from_word, identity, mult_left, mult_right,
                               weak_leq)
 from coxauto.errors import ShadowViolation
-from coxauto.garside import (Shadow, VerdictStatus, garside_closure, join,
-                             low_elements, low_universe, intersect_parabolic,
-                             parabolic_image, project,
+from coxauto.garside import (JoinEngine, Shadow, VerdictStatus, _Decision,
+                             garside_closure, join, low_elements, low_universe,
+                             intersect_parabolic, parabolic_image, project,
                              restriction_compatibility_check, verify_shadow)
 from coxauto.smallroots import build_small_roots, cone_member
 
@@ -124,6 +124,43 @@ def test_closure_contains_seeds_and_reports_shadow(aff_a2):
     closure = garside_closure(aff_a2, seeds=[seed])
     assert seed in closure
     assert verify_shadow(closure).status is VerdictStatus.SHADOW
+
+
+@pytest.mark.parametrize("spec", ["~A2", "~C2", "~G2", "triangle(3,3,4)"])
+def test_join_decision_branches_agree(spec):
+    # the universe scan and the certificate-plus-search branch of decide
+    sys = parse_coxeter_system(spec)
+    low = low_universe(sys)
+    cap = max(el.length for el in low)
+    scan, search = JoinEngine(cap, low), JoinEngine(cap)
+    for u, v in itertools.combinations(low, 2):
+        by_scan, by_search = scan.decide(u, v), search.decide(u, v)
+        if by_scan[0] is _Decision.FOUND:
+            assert by_search == by_scan
+        else:
+            assert by_scan == (_Decision.NO_JOIN, None)
+            assert by_search[0] is not _Decision.FOUND
+
+
+@pytest.mark.parametrize("spec, word, cap, size, cap_stable", [
+    ("~A2", (0, 1, 2, 0, 1, 2), None, 40, True),
+    ("~A2", (0, 1, 2, 0, 1, 2), 6, 40, False),
+    ("~C2", (0, 1, 2, 1, 0, 1, 2), None, 61, True),
+    ("~C2", (0, 1, 2, 1, 0, 1, 2), 7, 58, False),
+    ("~G2", (0, 1, 2, 1, 2, 1, 0, 1, 2), 9, 71, False),
+    ("triangle(3,3,4)", (0, 1, 2, 0, 1, 2, 0), None, 27, True),
+])
+def test_seeded_closure_by_search(spec, word, cap, size, cap_stable):
+    # seeds outside L_0 send every join through the capped search, and the
+    # small caps exercise the cap + 4 retry
+    sys = parse_coxeter_system(spec)
+    seed = from_word(sys, word)
+    assert seed not in low_universe(sys)
+    closure = garside_closure(sys, seeds=[seed], cap=cap)
+    assert seed in closure
+    assert (len(closure), closure.cap_stable) == (size, cap_stable)
+    if cap_stable:
+        assert verify_shadow(closure).status is VerdictStatus.SHADOW
 
 
 def test_low_elements_examples(i2inf, aff_a2, a2):
