@@ -9,7 +9,7 @@ stored word is *a* reduced word, not a canonical one.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalInvariant
 from .system import CoxeterSystem
@@ -218,24 +218,30 @@ def ball(system: CoxeterSystem, radius: int) -> list[Element]:
     return out
 
 
-def reduced_word_counts(system: CoxeterSystem, max_length: int) -> list[int]:
-    """Number of reduced words per length 0..max_length, by brute force.
+def reduced_words(system: CoxeterSystem,
+                  max_length: int) -> Iterator[list[Element]]:
+    """Reduced words of each length 0..max_length as Elements, by brute force.
 
     Walks the tree of reduced words directly (reduced words are closed
-    under prefixes), independent of any automaton.
+    under prefixes), independent of any automaton; one word per Element,
+    so equal elements with different words each appear.
     """
-    counts = [1] + [0] * max_length
-    frontier = [identity(system)]
-    for k in range(1, max_length + 1):
+    level = [identity(system)]
+    yield level
+    for _ in range(max_length):
         nxt = []
-        for w in frontier:
+        for w in level:
             for s in range(system.rank):
                 sign, rid = system.act_word_on_root(w.word, 1, s)
                 if sign > 0:
                     nxt.append(Element(system, w.word + (s,), w.inv | {rid}))
-        counts[k] = len(nxt)
-        frontier = nxt
-    return counts
+        level = nxt
+        yield level
+
+
+def reduced_word_counts(system: CoxeterSystem, max_length: int) -> list[int]:
+    """Number of reduced words per length 0..max_length, by brute force."""
+    return [len(level) for level in reduced_words(system, max_length)]
 
 
 def recompute_inversions(w: Element) -> frozenset[int]:

@@ -31,75 +31,48 @@ class Classification(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra on Scalar matrices
+# Type classification by one exact elimination
+#
+# Gauss-Jordan on a symmetric matrix without row exchanges meets, as its k-th
+# pivot, the ratio d_k / d_{k-1} of consecutive leading principal minors.  By
+# Sylvester's criterion the matrix is positive definite iff every pivot is
+# positive.  A connected Gram matrix is affine iff it is singular and every
+# proper principal submatrix is positive definite (Kac, *Infinite-dimensional
+# Lie algebras*, Thm 4.3 and Lemma 4.5); by Cauchy interlacing it is enough
+# that one proper principal submatrix, the leading one, is.  The reduced rows
+# of an affine matrix then hold its radical.
 
-def _determinant(mat: list[list[Scalar]]) -> Scalar:
-    n = len(mat)
-    if n == 0:
-        raise InvalidGroupSpec("empty subset")
-    ctx = mat[0][0].ctx
-    m = [row[:] for row in mat]
-    det = ctx.one
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not m[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return ctx.zero
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = ctx.one / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] = m[r][c] - factor * m[col][c]
-    return det
+def _leading_pivots(mat: Sequence[Sequence[Scalar]]
+                    ) -> tuple[list[Scalar], list[list[Scalar]]]:
+    """Pivots and reduced rows of Gauss-Jordan without row exchanges.
 
-
-def _matrix_rank(mat: list[list[Scalar]]) -> int:
-    if not mat:
-        return 0
-    ctx = mat[0][0].ctx
-    m = [row[:] for row in mat]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if not m[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = ctx.one / m[rank][col]
-        for r in range(rank + 1, rows):
-            if not m[r][col].is_zero():
-                factor = m[r][col] * inv
-                for c in range(col, cols):
-                    m[r][c] = m[r][c] - factor * m[rank][c]
-        rank += 1
-        if rank == rows:
+    Stops right after the first pivot that is <= 0, leaving its column
+    uneliminated; the rows are not normalized, so m[r][r] is the r-th pivot.
+    """
+    m = [list(row) for row in mat]
+    n = len(m)
+    pivots: list[Scalar] = []
+    for k in range(n):
+        pivot = m[k][k]
+        pivots.append(pivot)
+        if pivot.sign() <= 0:
             break
-    return rank
-
-
-def _gram_submatrix(sys: CoxeterSystem, subset: Sequence[int]) -> list[list[Scalar]]:
-    return [[sys.gram[i][j] for j in subset] for i in subset]
+        inv = pivot.inverse()
+        for r in range(n):
+            if r != k and not m[r][k].is_zero():
+                factor = m[r][k] * inv
+                for c in range(k, n):
+                    m[r][c] = m[r][c] - factor * m[k][c]
+    return pivots, m
 
 
 def classify_type(sys: CoxeterSystem, subset: Iterable[int]) -> Classification:
     """Finite / affine / indefinite type of the standard parabolic on subset.
 
-    Finite iff the Gram submatrix is positive definite; affine is reported
-    only for irreducible subsets (positive semidefinite, radical of
-    dimension one); everything else is indefinite.
+    A reducible subset is finite iff every component is.  A connected subset
+    of size k is FINITE iff all k pivots of its Gram submatrix are positive
+    (Sylvester), AFFINE iff the first k-1 are positive and the k-th is
+    exactly zero (Kac), and INDEFINITE otherwise.
     """
     nodes = sorted(set(subset))
     if not nodes:
@@ -109,23 +82,11 @@ def classify_type(sys: CoxeterSystem, subset: Iterable[int]) -> Classification:
         if all(classify_type(sys, comp) is Classification.FINITE for comp in comps):
             return Classification.FINITE
         return Classification.INDEFINITE
-    mat = _gram_submatrix(sys, nodes)
-    k = len(nodes)
-    definite = True
-    for lead in range(1, k + 1):
-        minor = [row[:lead] for row in mat[:lead]]
-        if _determinant(minor).sign() <= 0:
-            definite = False
-            break
-    if definite:
+    pivots, _ = _leading_pivots([[sys.gram[i][j] for j in nodes] for i in nodes])
+    last = pivots[-1].sign()
+    if last > 0:
         return Classification.FINITE
-    # positive semidefinite <=> every principal minor is >= 0
-    for mask in range(1, 1 << k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        minor = [[mat[r][c] for c in idx] for r in idx]
-        if _determinant(minor).sign() < 0:
-            return Classification.INDEFINITE
-    if _matrix_rank(mat) == k - 1:
+    if last == 0 and len(pivots) == len(nodes):
         return Classification.AFFINE
     return Classification.INDEFINITE
 
@@ -403,8 +364,12 @@ class AffineStructure:
 def affine_structure(sys: CoxeterSystem) -> AffineStructure:
     """Radical generator and Coxeter-number data of an affine system.
 
-    The Coxeter number of the underlying finite Weyl group is recovered by
-    matching the Coxeter graph against the catalog of affine diagrams.
+    The radical delta is read off the elimination that classified the
+    system: the first n-1 pivots are positive and the n-th is zero, so
+    delta_r = -m[r][n-1] / m[r][r] for r < n-1 and delta_{n-1} = 1, then
+    scaled to delta_0 = 1 (positive by Kac, Thm 4.3).  The Coxeter number of
+    the underlying finite Weyl group is recovered by matching the Coxeter
+    graph against the catalog of affine diagrams.
     """
     if classify_type(sys, range(sys.rank)) is not Classification.AFFINE:
         raise InvalidGroupSpec("system is not of irreducible affine type")
@@ -417,39 +382,12 @@ def affine_structure(sys: CoxeterSystem) -> AffineStructure:
         raise InternalInvariant("affine system missing from the type catalog")
     name, h, finite_rank = match
 
-    # Solve gram . x = 0; the radical is one-dimensional.
-    ctx = sys.ctx
-    n = sys.rank
-    m = [[sys.gram[i][j] for j in range(n)] for i in range(n)]
-    # forward elimination
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if not m[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = ctx.one / m[row][col]
-        for r in range(n):
-            if r != row and not m[r][col].is_zero():
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] = m[r][c] - factor * m[row][c]
-        pivots.append((row, col))
-        row += 1
-    free_cols = [c for c in range(n) if c not in {c for _, c in pivots}]
-    if len(free_cols) != 1:
-        raise InternalInvariant("affine radical is not one-dimensional")
-    free = free_cols[0]
-    delta = [ctx.zero] * n
-    delta[free] = ctx.one
-    for r, c in pivots:
-        delta[c] = -m[r][free] / m[r][c]
-    scale = ctx.one / delta[0]
+    # The last pivot is zero, so each reduced row r < n-1 reads
+    # pivot_r * x_r + m[r][n-1] * x_{n-1} = 0.
+    _, m = _leading_pivots(sys.gram)
+    last = sys.rank - 1
+    delta = [-m[r][last] / m[r][r] for r in range(last)] + [sys.ctx.one]
+    scale = delta[0].inverse()
     delta = tuple(d * scale for d in delta)
     for d in delta:
         if d.sign() <= 0:

@@ -3,25 +3,7 @@ from __future__ import annotations
 import pytest
 
 from coxauto import parse_coxeter_system
-from coxauto.elements import Element, identity
 from coxauto.garside import project
-
-
-def reduced_words_up_to(system, max_length):
-    """All reduced words of length <= max_length, by direct tree walk."""
-    out = {()}
-    frontier = [identity(system)]
-    for _ in range(max_length):
-        nxt = []
-        for w in frontier:
-            for s in range(system.rank):
-                sign, rid = system.act_word_on_root(w.word, 1, s)
-                if sign > 0:
-                    ws = Element(system, w.word + (s,), w.inv | {rid})
-                    out.add(ws.word)
-                    nxt.append(ws)
-        frontier = nxt
-    return out
 
 
 def projection_state_map(source_payload_elements, target_shadow, target_auto):

@@ -4,13 +4,13 @@ import itertools
 
 import pytest
 
-from conftest import projection_state_map, reduced_words_up_to
+from conftest import projection_state_map
 from coxauto import parse_coxeter_system
 from coxauto.automata import (MorphismVerdict, build_canonical_automaton,
                               build_shadow_automaton, check_morphism,
                               isomorphic, minimize, restrict_letters,
                               shortest_words)
-from coxauto.elements import from_word, is_reduced_word
+from coxauto.elements import from_word, is_reduced_word, reduced_words
 from coxauto.errors import ShadowViolation
 from coxauto.garside import (Shadow, garside_closure, intersect_parabolic,
                              low_universe, parabolic_image, project,
@@ -148,7 +148,7 @@ def test_counting(a2, i2inf):
 @pytest.mark.parametrize("group", ["a2", "b2", "i2inf", "aff_a2"])
 def test_language_matches_reduced_words(group, request):
     sys = request.getfixturevalue(group)
-    oracle = reduced_words_up_to(sys, 6)
+    oracle = {w.word for level in reduced_words(sys, 6) for w in level}
     table = build_small_roots(sys, 0)
     canonical, _ = build_canonical_automaton(sys, table)
     shadow = garside_closure(sys)
@@ -162,7 +162,7 @@ def test_reading_ends_at_projection_of_reversed_word(aff_a2):
     auto = build_shadow_automaton(shadow, assume_verified=True)
     table = build_small_roots(aff_a2, 0)
     canonical, _ = build_canonical_automaton(aff_a2, table)
-    for word in reduced_words_up_to(aff_a2, 5):
+    for word in {w.word for level in reduced_words(aff_a2, 5) for w in level}:
         element = from_word(aff_a2, tuple(reversed(word)))
         state = auto.read(word)
         assert auto.payloads[state] == project(shadow, element)

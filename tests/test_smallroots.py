@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
 
+import mpmath
 import pytest
 
 from coxauto import parse_coxeter_system
@@ -12,6 +15,7 @@ from coxauto.smallroots import (EXIT, Classification, affine_dominance_oracle,
                                 classify_type, cone_member, depth_of_root,
                                 dominates, small_inversion_set,
                                 spherical_analysis)
+from coxauto.system import CoxeterMatrix, CoxeterSystem, affine_candidates
 
 
 def test_classify_examples(a2, tri33inf):
@@ -34,6 +38,81 @@ def test_classify_reducible_with_affine_component():
     sys = parse_coxeter_system("rank 4\nm 1 2 3\nm 2 3 3\nm 1 3 3\n")
     # an affine triangle plus a detached generator: not finite, not irreducible
     assert classify_type(sys, range(4)) is Classification.INDEFINITE
+
+
+def _reference_class(sys, subset):
+    """Type from 50-digit eigenvalues of a Gram matrix built from cos(pi/m).
+
+    Independent of the field: finite iff the least eigenvalue is positive,
+    affine iff the subset is connected and the matrix is positive
+    semidefinite with exactly one zero eigenvalue.
+    """
+    def entry(i, j):
+        if i == j:
+            return mpmath.mpf(1)
+        m = sys.matrix.m(i, j)
+        return mpmath.mpf(-1) if math.isinf(m) else -mpmath.cos(mpmath.pi / m)
+
+    with mpmath.workdps(50):
+        gram = mpmath.matrix([[entry(i, j) for j in subset] for i in subset])
+        eigs = mpmath.eigsy(gram, eigvals_only=True)
+        tol = mpmath.mpf(10) ** -30
+        for lam in eigs:
+            assert abs(lam) <= tol or abs(lam) > 1e-6, (subset, lam)
+        zeros = sum(1 for lam in eigs if abs(lam) <= tol)
+        least = min(eigs)
+    reached, todo = {subset[0]}, [subset[0]]
+    while todo:
+        i = todo.pop()
+        for j in subset:
+            if j not in reached and sys.matrix.m(i, j) != 2:
+                reached.add(j)
+                todo.append(j)
+    if least > tol:
+        return Classification.FINITE
+    if len(reached) == len(subset) and zeros == 1 and least >= -tol:
+        return Classification.AFFINE
+    return Classification.INDEFINITE
+
+
+def _random_system(seed):
+    rng = random.Random(seed)
+    rank = rng.randint(3, 5)
+    labels = (2, 3, 4, 5, 6, math.inf)
+    return CoxeterSystem(CoxeterMatrix.from_entries(
+        rank, {(i, j): rng.choice(labels)
+               for i in range(rank) for j in range(i + 1, rank)}))
+
+
+@pytest.mark.parametrize("system", [
+    "H4", "F4", "E6", "~D5", "~E6", "~A4", "triangle(2,3,7)",
+    "triangle(inf,2,inf)", *(f"seed{seed}" for seed in range(30))])
+def test_classify_matches_eigenvalue_reference(system):
+    if system.startswith("seed"):
+        sys = _random_system(int(system[4:]))
+    else:
+        sys = parse_coxeter_system(system)
+    for k in range(1, sys.rank + 1):
+        for subset in itertools.combinations(range(sys.rank), k):
+            assert classify_type(sys, subset) is _reference_class(sys, subset), \
+                (system, subset)
+
+
+def test_affine_structure_on_every_catalog_entry():
+    count = 0
+    for rank in range(2, 10):
+        for name, mat, h, finite_rank in affine_candidates(rank):
+            sys = CoxeterSystem(mat)
+            st = affine_structure(sys)
+            assert (st.family, st.coxeter_number, st.finite_rank) == \
+                (name, h, finite_rank)
+            assert st.delta[0] == 1
+            assert all(d.sign() > 0 for d in st.delta), name
+            assert all(sys.bilinear_simple(s, st.delta).is_zero()
+                       for s in range(rank)), name
+            count += 1
+    assert count == 31
+    assert affine_structure(parse_coxeter_system("~E8")).coxeter_number == 30
 
 
 def test_small_roots_infinite_dihedral(i2inf):
