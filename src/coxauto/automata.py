@@ -2,16 +2,18 @@
 
 Shadow automata have elements as states, with transitions through the
 shadow projection; canonical automata have n-small inversion sets as
-states.  Minimization completes with a sink, runs Moore partition
-refinement, and reports sizes on the trim partial automaton (the sink is
+states.  Minimization runs Hopcroft partition refinement with an implicit
+sink, and reports sizes on the trim partial automaton (the sink is
 excluded, matching how state counts are quoted for these languages).
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 from .elements import Element, identity, mult_left
@@ -166,62 +168,50 @@ def build_canonical_automaton(sys: CoxeterSystem, table: SmallRootTable,
     """
     if table.system is not sys:
         raise ValueError("table from a different system")
-    nodes = table.nodes
     rank = sys.rank
-    # per-letter images of each node as bitmasks; None for exits
-    image_bit: list[list[int | None]] = []
-    for node in nodes:
-        row: list[int | None] = []
-        for s in range(rank):
-            th = node.theta[s]
-            row.append(1 << th if th >= 0 else None)
-        image_bit.append(row)
+    # images[s][nid]: the bit of s(node nid) in the table, or 0 when it exits
+    images = [[1 << node.theta[s] if node.theta[s] >= 0 else 0
+               for node in table.nodes] for s in range(rank)]
 
     state_ids: dict[int, int] = {0: 0}
     masks: list[int] = [0]
     witnesses: list[Element] | None = [identity(sys)] if with_witness else None
-    delta_rows: list[list[int]] = [[-1] * rank]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            mask = masks[q]
-            members = _mask_bits(mask)
-            for s in range(rank):
-                if mask >> s & 1:
-                    continue
-                new_mask = 1 << s
-                ok = True
-                for nid in members:
-                    img = image_bit[nid][s]
-                    if img is not None:
-                        new_mask |= img
-                target = state_ids.get(new_mask)
-                if target is None:
-                    target = len(masks)
-                    state_ids[new_mask] = target
-                    masks.append(new_mask)
-                    delta_rows.append([-1] * rank)
-                    if witnesses is not None:
-                        witnesses.append(mult_left(s, witnesses[q]))
-                    nxt.append(target)
-                delta_rows[q][s] = target
-        frontier = nxt
-    payloads = [tuple(_mask_bits(m)) for m in masks]
+    payloads: list[tuple[int, ...]] = []
+    delta: list[tuple[int, ...]] = []
+    # states are numbered as they are found, so a scan of the growing
+    # list of masks expands them in BFS order
+    for q, mask in enumerate(masks):
+        members = _mask_bits(mask)
+        payloads.append(tuple(members))
+        row = [-1] * rank
+        for s in range(rank):
+            if mask >> s & 1:
+                continue
+            image = images[s]
+            new_mask = 1 << s
+            for nid in members:
+                new_mask |= image[nid]
+            target = state_ids.get(new_mask)
+            if target is None:
+                target = len(masks)
+                state_ids[new_mask] = target
+                masks.append(new_mask)
+                if witnesses is not None:
+                    witnesses.append(mult_left(s, witnesses[q]))
+            row[s] = target
+        delta.append(tuple(row))
     auto = Automaton(letter_labels=_default_labels(sys), payloads=payloads,
-                     initial=0, delta=[tuple(r) for r in delta_rows],
-                     kind=f"canonical-{table.level}")
+                     initial=0, delta=delta, kind=f"canonical-{table.level}")
     return auto, witnesses
 
 
 def _mask_bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, in increasing order."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -229,61 +219,130 @@ def _mask_bits(mask: int) -> list[int]:
 # Minimization
 
 def minimize(auto: Automaton) -> Automaton:
-    """Moore partition refinement over the sink-completed automaton.
+    """Hopcroft partition refinement with an implicit sink.
 
-    The returned automaton is trim and excludes the sink; its ``state_map``
-    attribute sends each original state to its class in the result.
+    A missing transition counts as a move to a non-accepting sink, so the
+    first splitter, the block of all states, separates states by the
+    letters they can read, and no completed copy of ``delta`` is built.
+    Each split puts its smaller half on the worklist (Hopcroft 1971; the
+    partial-DFA form of Valmari & Lehtinen 2008).
+
+    The returned automaton is trim and excludes the sink.  Its classes are
+    numbered by a BFS from the initial class, letters in order.  Its
+    ``state_map`` sends each original state to its class, or to -1 when
+    the state is equivalent to no state reachable from the initial one.
     """
     n = auto.num_states
-    k = auto.alphabet_size
-    sink = n
-    delta = [tuple(q2 if q2 >= 0 else sink for q2 in row) for row in auto.delta]
-    delta.append(tuple(sink for _ in range(k)))
-    # all real states are final, the sink is not
-    cls = [0] * n + [1]
-    num_classes = 2
-    while True:
-        signatures: dict[tuple, int] = {}
-        new_cls = [0] * (n + 1)
-        for q in range(n + 1):
-            sig = (cls[q],) + tuple(cls[t] for t in delta[q])
-            nid = signatures.get(sig)
-            if nid is None:
-                nid = len(signatures)
-                signatures[sig] = nid
-            new_cls[q] = nid
-        if len(signatures) == num_classes:
-            cls = new_cls
-            break
-        num_classes = len(signatures)
-        cls = new_cls
+    delta = auto.delta
+    start, pred = _predecessor_index(delta, auto.alphabet_size)
+    # Refinable partition: block b is elems[first[b]:end[b]], and the states
+    # of b marked by the current letter are elems[first[b]:mid[b]].
+    elems = list(range(n))
+    loc = elems[:]
+    blk = [0] * n
+    first, end, mid = [0], [n], [0]
+    pending = [0]
 
-    sink_cls = cls[sink]
+    def split(touched: list[int]) -> None:
+        for c in touched:
+            lo, m, hi = first[c], mid[c], end[c]
+            mid[c] = lo
+            if m == hi:
+                continue
+            # The smaller part becomes the new block, which is pending
+            # whether or not c still is.
+            nb = len(first)
+            if m - lo <= hi - m:
+                first.append(lo)
+                end.append(m)
+                first[c] = mid[c] = m
+                part = elems[lo:m]
+            else:
+                first.append(m)
+                end.append(hi)
+                end[c] = m
+                part = elems[m:hi]
+            mid.append(first[nb])
+            for p in part:
+                blk[p] = nb
+            pending.append(nb)
+
+    while pending:
+        b = pending.pop()
+        # predecessors of the whole splitter, read before it can split,
+        # as codes a * n + p sorted by letter
+        xs = []
+        for q in elems[first[b]:end[b]]:
+            xs += pred[start[q]:start[q + 1]]
+        xs.sort()
+        touched: list[int] = []
+        base = limit = 0
+        for x in xs:
+            if x >= limit:  # the first transition by the next letter
+                if touched:
+                    split(touched)
+                    touched = []
+                base = x - x % n
+                limit = base + n
+            p = x - base
+            c = blk[p]
+            j = mid[c]
+            if j == first[c]:
+                touched.append(c)
+            i = loc[p]
+            r = elems[j]
+            elems[j] = p
+            loc[p] = j
+            elems[i] = r
+            loc[r] = i
+            mid[c] = j + 1
+        if touched:
+            split(touched)
+    del start, pred, elems, loc, first, end, mid
+
     # deterministic numbering: BFS over classes from the initial class
-    class_delta: dict[int, list[int]] = {}
-    for q in range(n):
-        c = cls[q]
-        if c not in class_delta:
-            class_delta[c] = [cls[t] for t in delta[q]]
-    order: dict[int, int] = {}
-    queue = deque([cls[auto.initial]])
-    order[cls[auto.initial]] = 0
-    while queue:
-        c = queue.popleft()
-        for t in class_delta[c]:
-            if t != sink_cls and t not in order:
-                order[t] = len(order)
-                queue.append(t)
+    order = [-1] * (max(blk) + 1)
+    order[blk[auto.initial]] = 0
+    reps = [auto.initial]
     new_delta = []
-    for c, pos in sorted(order.items(), key=lambda kv: kv[1]):
-        row = [order[t] if t != sink_cls else -1 for t in class_delta[c]]
+    for q in reps:
+        row = []
+        for t in delta[q]:
+            if t >= 0:
+                c = blk[t]
+                if order[c] < 0:
+                    order[c] = len(reps)
+                    reps.append(t)
+                t = order[c]
+            row.append(t)
         new_delta.append(tuple(row))
-    state_map = tuple(order[cls[q]] for q in range(n))
-    result = Automaton(letter_labels=auto.letter_labels,
-                       payloads=[None] * len(order), initial=0,
-                       delta=new_delta, kind="minimal",
-                       state_map=state_map)
-    return result
+    return Automaton(letter_labels=auto.letter_labels,
+                     payloads=[None] * len(reps), initial=0,
+                     delta=new_delta, kind="minimal",
+                     state_map=tuple(order[c] for c in blk))
+
+
+def _predecessor_index(delta: Sequence[Sequence[int]], k: int
+                       ) -> tuple[array, array]:
+    """Predecessor lists in CSR form, stored compactly.
+
+    The transitions into state t are ``pred[start[t]:start[t + 1]]``, each
+    coded as a * n + p for the move from p by letter a.  They are sorted,
+    so the predecessors of t by one letter form a contiguous run.
+    """
+    n = len(delta)
+    kn = k * n
+    codes = []
+    for a, column in enumerate(zip(*delta)):
+        an = a * n
+        codes += [t * kn + an + p for p, t in enumerate(column) if t >= 0]
+    codes.sort()
+    pred = array("l", [c % kn for c in codes])
+    del codes
+    into = Counter(chain.from_iterable(delta))
+    start = array("l", accumulate(map(into.get, range(n), repeat(0)),
+                                  initial=0))
+    return start, pred
 
 
 # ---------------------------------------------------------------------------

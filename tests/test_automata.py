@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import projection_state_map
 from coxauto import parse_coxeter_system
-from coxauto.automata import (MorphismVerdict, build_canonical_automaton,
+from coxauto.automata import (Automaton, MorphismVerdict,
+                              build_canonical_automaton,
                               build_shadow_automaton, check_morphism,
                               isomorphic, minimize, restrict_letters,
                               shortest_words)
@@ -73,6 +77,116 @@ def test_minimize_is_idempotent_and_language_preserving(aff_c2):
     assert m1.num_states == m2.num_states <= auto.num_states
     assert isomorphic(m1, m2)
     assert auto.accepted_words(6) == m1.accepted_words(6)
+
+
+def _moore_minimize(auto):
+    """Moore partition refinement over the sink-completed automaton, with
+    classes numbered by a BFS from the initial class: the reference for
+    ``minimize``."""
+    n = auto.num_states
+    k = auto.alphabet_size
+    sink = n
+    delta = [tuple(q2 if q2 >= 0 else sink for q2 in row) for row in auto.delta]
+    delta.append(tuple(sink for _ in range(k)))
+    cls = [0] * n + [1]
+    num_classes = 2
+    while True:
+        signatures = {}
+        new_cls = [0] * (n + 1)
+        for q in range(n + 1):
+            sig = (cls[q],) + tuple(cls[t] for t in delta[q])
+            new_cls[q] = signatures.setdefault(sig, len(signatures))
+        cls = new_cls
+        if len(signatures) == num_classes:
+            break
+        num_classes = len(signatures)
+    sink_cls = cls[sink]
+    class_delta = {}
+    for q in range(n):
+        class_delta.setdefault(cls[q], [cls[t] for t in delta[q]])
+    order = {cls[auto.initial]: 0}
+    queue = deque([cls[auto.initial]])
+    while queue:
+        for t in class_delta[queue.popleft()]:
+            if t != sink_cls and t not in order:
+                order[t] = len(order)
+                queue.append(t)
+    new_delta = [None] * len(order)
+    for c, pos in order.items():
+        new_delta[pos] = tuple(order[t] if t != sink_cls else -1
+                               for t in class_delta[c])
+    return Automaton(letter_labels=auto.letter_labels,
+                     payloads=[None] * len(order), initial=0,
+                     delta=new_delta, kind="minimal",
+                     state_map=tuple(order.get(cls[q], -1) for q in range(n)))
+
+
+@st.composite
+def partial_dfas(draw):
+    """Random partial DFAs with 1-4 letters and 1-60 states, not always trim.
+
+    States are dealt into m planted classes, and by each letter every state
+    of a class moves into the same class or has no move.  The planted
+    partition is then a congruence, so its classes merge under minimization.
+    """
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, n))
+    planted = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    moves = draw(st.lists(st.lists(st.integers(-1, m - 1), min_size=k,
+                                   max_size=k), min_size=m, max_size=m))
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=n * k,
+                          max_size=n * k))
+    members = [[q for q in range(n) if planted[q] == c] for c in range(m)]
+    delta = []
+    for q in range(n):
+        row = []
+        for a, c in enumerate(moves[planted[q]]):
+            if c < 0 or not members[c]:
+                row.append(-1)
+            else:
+                row.append(members[c][picks[q * k + a] % len(members[c])])
+        delta.append(tuple(row))
+    labels = tuple(str(a + 1) for a in range(k))
+    return Automaton(labels, [None] * n, draw(st.integers(0, n - 1)), delta)
+
+
+def _assert_minimal_form(auto):
+    got = minimize(auto)
+    ref = _moore_minimize(auto)
+    assert got.delta == ref.delta
+    assert got.state_map == ref.state_map
+    assert isomorphic(minimize(got), got)
+    assert got.counts_by_length(8) == auto.counts_by_length(8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(partial_dfas())
+def test_minimize_matches_moore_reference(auto):
+    _assert_minimal_form(auto)
+
+
+@pytest.mark.parametrize("group, kind", [
+    ("~C4", "canonical"), ("~B4", "canonical"),
+    ("~A2", "shadow"), ("~C2", "shadow"), ("~G2", "shadow"),
+    ("A3", "shadow"), ("B3", "shadow"), ("H3", "shadow"),
+])
+def test_minimize_matches_moore_reference_on_groups(group, kind):
+    sys = parse_coxeter_system(group)
+    if kind == "canonical":
+        auto, _ = build_canonical_automaton(sys, build_small_roots(sys, 0))
+    else:
+        auto = build_shadow_automaton(garside_closure(sys),
+                                      assume_verified=True)
+    _assert_minimal_form(auto)
+
+
+def test_minimize_maps_unreachable_inequivalent_state_to_minus_one():
+    # state 1 is unreachable and reads "1", which the initial state cannot
+    auto = Automaton(("1", "2"), [None, None], 0, [(-1, -1), (1, -1)])
+    result = minimize(auto)
+    assert result.delta == [(-1, -1)]
+    assert result.state_map == (0, -1)
 
 
 def test_identity_map_is_totally_surjective(a2):

@@ -150,6 +150,14 @@ def test_bad_join_cap_env_exits_one(monkeypatch, capsys):
     assert err.startswith("error: ") and "'abc'" in err
 
 
+def test_field_degree_over_budget_exits_one(capsys):
+    from coxauto.scalars import MAX_FIELD_DEGREE
+    assert main(["roots", "--group", "I2(3000)"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "degree 800" in err
+    assert f"budget of {MAX_FIELD_DEGREE}" in err
+
+
 @pytest.mark.parametrize("argv, env, cap", [
     (["shadow", "--group", "I2(inf)"], None, 10),
     (["automaton", "--group", "I2(inf)", "--kind", "shadow:smallest"], None, 10),

@@ -117,3 +117,12 @@ def test_affine_and_finite_presets_disagree():
 
 def test_affine_prefix_spellings_agree():
     assert parse_coxeter_system("affine:C2").matrix == preset_matrix("~C2")
+
+
+def test_field_degree_budget():
+    from coxauto.scalars import MAX_FIELD_DEGREE
+    with pytest.raises(InvalidGroupSpec,
+                       match=f"degree 800, over the field-degree budget "
+                             f"of {MAX_FIELD_DEGREE}"):
+        parse_coxeter_system("I2(3000)")
+    assert parse_coxeter_system("triangle(5,6,7)").ctx.degree == 48
