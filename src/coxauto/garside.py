@@ -1,11 +1,18 @@
 """Joins in weak order, Garside shadows, projections, and low elements.
 
+A shadow indexes its elements by root: for each root, one int bitset marks
+the elements whose inversion set contains it, bit i standing for the i-th
+element in (length, word) order.  The elements above x are the AND of the
+bitsets of the roots of N(x), and the prefixes of w are the elements
+outside every bitset of a root not in N(w).
+
 Every join is decided by :meth:`JoinEngine.decide`.  When the engine holds
 a universe, a finite join-closed shadow such as the 0-low elements, and
-both inputs lie in it, the join is the first element of the universe above
-both, or there is none.  Otherwise boundedness is only semi-decidable: two
-positive roots with B <= -1 inside N(u) union N(v) certify that there is no
-join, and failing that a breadth-first search runs up to a length cap.
+both inputs lie in it, the join is the lowest set bit of the AND of their
+up-sets, and there is none when the AND is empty.  Otherwise boundedness is
+only semi-decidable: two positive roots with B <= -1 inside N(u) union N(v)
+certify that there is no join, and failing that a breadth-first search runs
+up to a length cap.
 
 The Garside closure is a semi-naive worklist: each new element contributes
 its one-step suffixes and is joined with every earlier element exactly
@@ -13,6 +20,10 @@ once.  With 0-low seeds every pair is decided in the 0-low universe; other
 seeds send every pair through the capped search.  Pairs whose search hit
 the cap are retried once with the cap raised by 4; the closure is
 cap-stable when that retry adds nothing.
+
+An element is n-low iff its right-descent roots are n-small, so the n-low
+elements are found by a breadth-first search with rank-many lookups in the
+table of n-small roots per candidate.
 """
 
 from __future__ import annotations
@@ -23,11 +34,15 @@ from typing import Iterable, NamedTuple
 
 from .elements import (Element, coset_split, identity, generator, mult_left,
                        mult_right, support, weak_leq)
-from .errors import BudgetExceeded, InternalInvariant, ShadowViolation
-from .smallroots import EXIT, SmallRootTable, build_small_roots, cone_member
+from .errors import BudgetExceeded, ShadowViolation
+from .smallroots import (Classification, SmallRootTable, affine_structure,
+                         build_small_roots, classify_type)
 from .system import CoxeterSystem
 
 DEFAULT_BUDGET = 200_000
+# States of one enumeration: on ~D5, a 0-low element holds about 1.8 kB
+# while low_elements runs and a canonical state about 0.4 kB.
+STATE_BUDGET = 500_000
 
 
 class Shadow:
@@ -44,10 +59,12 @@ class Shadow:
         self.system = system
         self.elements: tuple[Element, ...] = tuple(
             sorted(dedup.values(), key=lambda e: (e.length, e.word)))
-        self._by_inv = {el.inv: el for el in self.elements}
+        self._pos = {el.inv: i for i, el in enumerate(self.elements)}
         self.provenance = provenance
         self.cap_stable = cap_stable
         self.cap = cap
+        self._index: dict[int, int] | None = None  # see _root_index
+        self._up: dict[int, int] = {}  # position -> _up_set, as queried
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -56,10 +73,34 @@ class Shadow:
         return iter(self.elements)
 
     def __contains__(self, el: Element) -> bool:
-        return el.inv in self._by_inv
+        return el.inv in self._pos
 
-    def canonical(self, el: Element) -> Element | None:
-        return self._by_inv.get(el.inv)
+    def _root_index(self) -> dict[int, int]:
+        """Root id -> bitset of the elements whose inversion set holds it."""
+        if self._index is None:
+            size = (len(self.elements) + 7) >> 3
+            rows: dict[int, bytearray] = {}
+            for i, el in enumerate(self.elements):
+                byte, bit = i >> 3, 1 << (i & 7)
+                for rid in el.inv:
+                    row = rows.get(rid)
+                    if row is None:
+                        row = rows[rid] = bytearray(size)
+                    row[byte] |= bit
+            self._index = {rid: int.from_bytes(row, "little")
+                           for rid, row in rows.items()}
+        return self._index
+
+    def _up_set(self, i: int) -> int:
+        """The elements whose inversion set contains that of element i."""
+        up = self._up.get(i)
+        if up is None:
+            index = self._root_index()
+            up = (1 << len(self.elements)) - 1
+            for rid in self.elements[i].inv:
+                up &= index[rid]
+            self._up[i] = up
+        return up
 
     def words(self) -> list[str]:
         return [str(el) for el in self.elements]
@@ -138,24 +179,32 @@ def join(u: Element, v: Element, cap: int) -> JoinResult:
 
 
 class JoinEngine:
-    """The one place joins are decided, decisively when the universe allows."""
+    """The one place joins are decided, decisively when the universe allows.
+
+    In a join-closed universe the common upper bounds of u and v are the AND
+    of their up-sets; the lowest set bit is the shortest of them, which is
+    the join, and an empty AND means there is none.  This also covers
+    comparable inputs, whose join is the larger one.
+    """
 
     def __init__(self, cap: int, universe: Shadow | None = None):
         self.cap = cap
         self.universe = universe
 
     def decide(self, u: Element, v: Element) -> tuple[_Decision, Element | None]:
+        universe = self.universe
+        if universe is not None:
+            i, j = universe._pos.get(u.inv), universe._pos.get(v.inv)
+            if i is not None and j is not None:
+                common = universe._up_set(i) & universe._up_set(j)
+                if not common:
+                    return _Decision.NO_JOIN, None
+                return (_Decision.FOUND,
+                        universe.elements[(common & -common).bit_length() - 1])
         if weak_leq(u, v):
             return _Decision.FOUND, v
         if weak_leq(v, u):
             return _Decision.FOUND, u
-        universe = self.universe
-        if universe is not None and u in universe and v in universe:
-            merged = u.inv | v.inv
-            for w in universe:
-                if merged <= w.inv:
-                    return _Decision.FOUND, w
-            return _Decision.NO_JOIN, None
         if _unbounded_certificate(u, v):
             return _Decision.NO_JOIN, None
         return _bfs_join(u, v, self.cap)
@@ -165,7 +214,7 @@ def low_universe(sys: CoxeterSystem) -> Shadow:
     """The 0-low elements, cached on the system.
 
     They form a finite Garside shadow containing the closure of S and are
-    closed under join, so joins of 0-low elements can be found by scanning.
+    closed under join, so joins of 0-low elements are decided in its index.
     """
     if sys._low0_universe is None:
         sys._low0_universe = low_elements(sys, 0, build_small_roots(sys, 0))
@@ -180,18 +229,22 @@ def default_cap(elements: Iterable[Element]) -> int:
 # Projection
 
 def project(shadow: Shadow, w: Element) -> Element:
-    """pi_B(w): the unique longest prefix of w lying in the shadow."""
-    best: Element | None = None
-    tied = False
-    for b in shadow:
-        if b.inv <= w.inv:
-            if best is None or b.length > best.length:
-                best, tied = b, False
-            elif b.length == best.length and b.inv != best.inv:
-                tied = True
-    if best is None:
+    """pi_B(w): the unique longest prefix of w lying in the shadow.
+
+    The prefixes of w in B are the elements outside the bitset of every root
+    of B that is not in N(w); the highest set bit is the longest of them.
+    """
+    index = shadow._root_index()
+    outside = 0
+    for rid in index.keys() - w.inv:
+        outside |= index[rid]
+    prefixes = ((1 << len(shadow)) - 1) & ~outside
+    if not prefixes:
         raise ShadowViolation("shadow contains no prefix of the element")
-    if tied:
+    top = prefixes.bit_length() - 1
+    best = shadow.elements[top]
+    rest = prefixes ^ (1 << top)
+    if rest and shadow.elements[rest.bit_length() - 1].length == best.length:
         raise ShadowViolation(
             f"projection of {w} is not unique; the set is not join-closed")
     return best
@@ -336,50 +389,74 @@ def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
 # ---------------------------------------------------------------------------
 # Low elements
 
+def check_state_budget(sys: CoxeterSystem, level: int, budget: int) -> None:
+    """Refuse at once a level-0 affine enumeration predicted to pass budget.
+
+    An affine group of finite rank r and Coxeter number h has (h+1)^r
+    regions in its Shi arrangement (Shi 1987), in bijection with its 0-low
+    elements and with the states of its 0-canonical automaton (Dyer,
+    Fishel, Hohlweg & Mark, *Shi arrangements and low elements in affine
+    Coxeter groups*).
+    """
+    if (level != 0 or classify_type(sys, range(sys.rank))
+            is not Classification.AFFINE):
+        return
+    structure = affine_structure(sys)
+    h, r = structure.coxeter_number, structure.finite_rank
+    predicted = (h + 1) ** r
+    if predicted > budget:
+        raise BudgetExceeded(
+            f"{structure.family} has (h+1)^r = {h + 1}^{r} = {predicted:,} "
+            f"states at level 0, over the state budget of {budget:,}")
+
+
 def low_elements(sys: CoxeterSystem, level: int,
-                 table: SmallRootTable | None = None) -> Shadow:
+                 table: SmallRootTable | None = None,
+                 budget: int = STATE_BUDGET) -> Shadow:
     """The n-low elements, by BFS over left multiplications.
 
     Pruning non-low branches is sound because the set is closed under
-    taking suffixes.  For an extension s*w of a low element w, lowness
-    reduces to the reflected small roots that left the table: every other
-    inversion outside the table is a reflected combination of reflected
-    small roots, hence stays inside the cone once those exits are covered.
+    taking suffixes.  w is n-low iff N^1(w) lies in the n-small roots, where
+    the roots N^1(w) = {-w(a_t) : t a right descent of w} span the extreme
+    rays of the cone over N(w) (Dyer & Hohlweg, *Small roots, low elements,
+    and the weak order in Coxeter groups*, Adv. Math. 2016).  So a candidate
+    s*w is tested by looking up its rank-many right-descent roots in the
+    table.  The search carries the signed roots w(a_t) along, since
+    sw(a_t) = s(w(a_t)) costs one reflection per letter.  More than
+    ``budget`` elements raise ``BudgetExceeded``.
     """
     if table is None:
         table = build_small_roots(sys, level)
     if table.system is not sys or table.level != level:
         raise ValueError("table does not match the system and level")
-    nodes = table.nodes
+    check_state_budget(sys, level, budget)
+    small = table.node_by_rid
+    letters = range(sys.rank)
     e = identity(sys)
     low: dict[frozenset[int], Element] = {e.inv: e}
-    rejected: set[frozenset[int]] = set()
-    frontier = [e]
+    frontier = [(e, [(1, t) for t in letters])]
     while frontier:
         nxt = []
-        for w in frontier:
-            w_nodes = table.small_part(w.inv)
-            for s in range(sys.rank):
+        # candidates of one length meet again only within this round
+        rejected: set[frozenset[int]] = set()
+        for w, images in frontier:
+            for s in letters:
                 if s in w.inv:
                     continue
                 sw = mult_left(s, w)
                 if sw.inv in low or sw.inv in rejected:
                     continue
-                exited: list[int] = []
-                gens: list[int] = [s]
-                for nid in w_nodes:
-                    th = nodes[nid].theta[s]
-                    if th == EXIT:
-                        _, img = sys.reflect_id(s, nodes[nid].rid)
-                        exited.append(img)
-                    elif th >= 0:
-                        gens.append(nodes[th].rid)
-                    else:
-                        raise InternalInvariant(
-                            "negative reflection inside an ascent step")
-                if all(cone_member(sys, g, gens) for g in exited):
+                sw_images = []
+                for sign, rid in images:
+                    sg, rid = sys.reflect_id(s, rid)
+                    sw_images.append((sign * sg, rid))
+                if all(rid in small for sign, rid in sw_images if sign < 0):
+                    if len(low) >= budget:
+                        raise BudgetExceeded(
+                            f"{level}-low elements outgrew the state budget "
+                            f"of {budget:,}")
                     low[sw.inv] = sw
-                    nxt.append(sw)
+                    nxt.append((sw, sw_images))
                 else:
                     rejected.add(sw.inv)
         frontier = nxt

@@ -1,4 +1,4 @@
-"""n-small roots, dominance bookkeeping, and cone membership.
+"""n-small roots, dominance bookkeeping, and type classification.
 
 The table of n-small roots is grown breadth-first from the simple roots.
 A depth-increasing reflection step s(beta) (one with B(a_s, beta) < 0)
@@ -256,98 +256,6 @@ def spherical_analysis(table: SmallRootTable) -> tuple[frozenset[int], bool]:
     """
     sph = frozenset(i for i, node in enumerate(table.nodes) if node.spherical)
     return sph, len(sph) == len(table.nodes)
-
-
-# ---------------------------------------------------------------------------
-# Cone membership by Fourier-Motzkin elimination
-
-def _canonical_row(coeffs: list[Scalar], rhs: Scalar) -> tuple:
-    """Dedup key of a row: the row divided by |lead|, its first nonzero entry.
-
-    A rational lead scales every entry coefficient-wise; the inverse of an
-    irrational lead is memoized by its field.
-    """
-    row = (*coeffs, rhs)
-    lead = next((x for x in row if not x.is_zero()), None)
-    if lead is not None:
-        inv = lead.inverse()
-        if lead.sign() < 0:
-            inv = -inv
-        row = [x * inv for x in row]
-    return tuple((x.num, x.den) for x in row)
-
-
-def _fourier_motzkin_infeasible(rows: list[tuple[list[Scalar], Scalar]],
-                                nvars: int) -> bool:
-    """Decide infeasibility of {y : row . y <= rhs for all rows}, exactly."""
-    work = rows
-    for _ in range(nvars):
-        signs = [[c.sign() for c in coeffs] for coeffs, _ in work]
-        # choose the live variable minimizing the pos*neg blowup
-        best_var, best_cost = None, None
-        for v in range(nvars):
-            pos = sum(1 for sg in signs if sg[v] > 0)
-            neg = sum(1 for sg in signs if sg[v] < 0)
-            if pos + neg == 0:
-                continue
-            cost = pos * neg
-            if best_cost is None or cost < best_cost:
-                best_var, best_cost = v, cost
-        if best_var is None:
-            break
-        v = best_var
-        pos, neg, zero = [], [], []
-        for row, sg in zip(work, signs):
-            (pos if sg[v] > 0 else neg if sg[v] < 0 else zero).append(row)
-        seen = set()
-        nxt = []
-        for coeffs, rhs in zero:
-            key = _canonical_row(coeffs, rhs)
-            if key not in seen:
-                seen.add(key)
-                nxt.append((coeffs, rhs))
-        for pc, pr in pos:
-            a = pc[v]
-            for nc, nr in neg:
-                c = -nc[v]
-                coeffs = [c * pa + a * na for pa, na in zip(pc, nc)]
-                rhs = c * pr + a * nr
-                if all(x.is_zero() for x in coeffs):
-                    if rhs.sign() < 0:
-                        return True
-                    continue
-                key = _canonical_row(coeffs, rhs)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append((coeffs, rhs))
-        work = nxt
-    for coeffs, rhs in work:
-        if all(c.is_zero() for c in coeffs) and rhs.sign() < 0:
-            return True
-    return False
-
-
-def cone_member(sys: CoxeterSystem, gamma, gens) -> bool:
-    """Is gamma a nonnegative combination of the generators?
-
-    Arguments may be interned root ids or coordinate tuples.  Decided by
-    Farkas duality: gamma is in the cone iff the system
-    {y : g.y >= 0 for all generators, gamma.y <= -1} is infeasible, which
-    Fourier-Motzkin elimination settles exactly in rank-many variables.
-    """
-    gcoords = sys.root_coords(gamma) if isinstance(gamma, int) else tuple(gamma)
-    gen_coords = [sys.root_coords(g) if isinstance(g, int) else tuple(g)
-                  for g in gens]
-    if all(c.is_zero() for c in gcoords):
-        return True
-    if not gen_coords:
-        return False
-    ctx = sys.ctx
-    rows: list[tuple[list[Scalar], Scalar]] = []
-    for g in gen_coords:
-        rows.append(([-c for c in g], ctx.zero))
-    rows.append((list(gcoords), ctx.from_rational(-1)))
-    return _fourier_motzkin_infeasible(rows, sys.rank)
 
 
 # ---------------------------------------------------------------------------

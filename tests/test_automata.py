@@ -15,11 +15,12 @@ from coxauto.automata import (Automaton, MorphismVerdict,
                               isomorphic, minimize, restrict_letters,
                               shortest_words)
 from coxauto.elements import from_word, is_reduced_word, reduced_words
-from coxauto.errors import ShadowViolation
+from coxauto.errors import BudgetExceeded, ShadowViolation
 from coxauto.garside import (Shadow, garside_closure, intersect_parabolic,
                              low_universe, parabolic_image, project,
                              shadow_in_subsystem)
 from coxauto.smallroots import build_small_roots, small_inversion_set
+from coxauto.system import affine_candidates
 
 
 def test_shadow_automaton_infinite_dihedral(i2inf):
@@ -59,6 +60,29 @@ def test_canonical_automaton_counts(aff_a2, aff_g2, i2inf):
     auto, _ = build_canonical_automaton(i2inf, build_small_roots(i2inf, 0))
     assert auto.num_states == 3
     assert sorted(auto.payloads) == [(), (0,), (1,)]
+
+
+@pytest.mark.parametrize("name, h, r", [
+    (name, h, r) for rank in range(2, 10)
+    for name, _, h, r in affine_candidates(rank) if (h + 1) ** r <= 10 ** 4])
+def test_canonical_states_count_shi_regions(name, h, r):
+    # (h+1)^r regions of the Shi arrangement (Shi 1987), independent of the
+    # reduced-word walk
+    sys = parse_coxeter_system(name)
+    auto, _ = build_canonical_automaton(sys, build_small_roots(sys, 0))
+    assert auto.num_states == (h + 1) ** r
+
+
+def test_canonical_state_budget():
+    # hyperbolic, so the budget is met during the enumeration
+    sys = parse_coxeter_system("triangle(2,3,7)")
+    table = build_small_roots(sys, 0)
+    full, _ = build_canonical_automaton(sys, table)
+    assert build_canonical_automaton(
+        sys, table, budget=full.num_states)[0].num_states == full.num_states
+    with pytest.raises(BudgetExceeded, match="^canonical automaton outgrew "
+                       f"the state budget of {full.num_states - 1}$"):
+        build_canonical_automaton(sys, table, budget=full.num_states - 1)
 
 
 def test_minimize_sizes(aff_c2, aff_g2, a2):

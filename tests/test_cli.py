@@ -38,6 +38,14 @@ def test_table_csv(capsys):
     assert lines[2] == "~C2,25,24,24,8,7,True"
 
 
+def test_table_row_of_d4(capsys):
+    # a0 = (h+1)^r = 7^4; the other values were confirmed by minimizing both
+    # automata to isomorphic 2400-state automata and verifying the closure
+    assert main(["table", "--groups", "~D4"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1] == "~D4,2401,2400,2400,24,23,True"
+
+
 def test_roots_dump(capsys):
     assert main(["roots", "--group", "I2(inf)"]) == 0
     out = capsys.readouterr().out
@@ -156,6 +164,19 @@ def test_field_degree_over_budget_exits_one(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "degree 800" in err
     assert f"budget of {MAX_FIELD_DEGREE}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["automaton", "--group", "~E6", "--kind", "canonical"],
+    ["low", "--group", "~E6"],
+])
+def test_predicted_state_count_over_budget_exits_one(capsys, argv):
+    # 13^6 Shi regions, refused before the enumeration starts
+    from coxauto.garside import STATE_BUDGET
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ~E6 ") and "4,826,809" in err
+    assert f"state budget of {STATE_BUDGET:,}" in err
 
 
 @pytest.mark.parametrize("argv, env, cap", [

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cone_member
 from coxauto import parse_coxeter_system
+from coxauto.automata import build_shadow_automaton
 from coxauto.elements import (ball, from_word, identity, mult_left, mult_right,
                               weak_leq)
-from coxauto.errors import ShadowViolation
+from coxauto.errors import BudgetExceeded, ShadowViolation
 from coxauto.garside import (JoinEngine, Shadow, VerdictStatus, _Decision,
                              garside_closure, join, low_elements, low_universe,
                              intersect_parabolic, parabolic_image, project,
                              restriction_compatibility_check, verify_shadow)
-from coxauto.smallroots import build_small_roots, cone_member
+from coxauto.smallroots import EXIT, build_small_roots
+from coxauto.system import CoxeterMatrix, CoxeterSystem
 
 
 def _brute_force_join(sys, u, v, radius):
@@ -68,6 +74,27 @@ def test_project_examples(right_angled, gprime_shadow):
         assert project(gprime_shadow, b) == b
     ts = from_word(right_angled, (1, 0))
     assert str(project(gprime_shadow, ts)) == "2"
+
+
+def _project_by_scan(shadow, w):
+    """The longest element of the shadow below w, by a linear scan."""
+    below = [b for b in shadow if b.inv <= w.inv]
+    longest = max(b.length for b in below)
+    (best,) = [b for b in below if b.length == longest]
+    return best
+
+
+@pytest.mark.parametrize("spec",
+                         ["~A2", "~C2", "~G2", "~C3", "A3", "B3", "H3"])
+def test_shadow_automaton_projections_match_scan(spec):
+    sys = parse_coxeter_system(spec)
+    shadow = garside_closure(sys)
+    auto = build_shadow_automaton(shadow, assume_verified=True)
+    for q, el in enumerate(auto.payloads):
+        for s in range(sys.rank):
+            if s not in el.inv:
+                expected = _project_by_scan(shadow, mult_left(s, el))
+                assert auto.payloads[auto.delta[q][s]] is expected
 
 
 def test_project_rejects_non_join_closed_set(a2):
@@ -142,6 +169,27 @@ def test_join_decision_branches_agree(spec):
             assert by_search[0] is not _Decision.FOUND
 
 
+def _join_by_scan(universe, u, v):
+    """The first element of the universe above u and v, or None."""
+    merged = u.inv | v.inv
+    return next((w for w in universe if merged <= w.inv), None)
+
+
+@pytest.mark.parametrize("spec", ["~A2", "~C2", "~G2", "~A3", "~C3", "~B3",
+                                  "triangle(3,3,4)"])
+def test_universe_join_matches_scan(spec):
+    sys = parse_coxeter_system(spec)
+    low = low_universe(sys)
+    engine = JoinEngine(0, low)
+    for u, v in itertools.combinations_with_replacement(low, 2):
+        decision, w = engine.decide(u, v)
+        expected = _join_by_scan(low, u, v)
+        if expected is None:
+            assert (decision, w) == (_Decision.NO_JOIN, None)
+        else:
+            assert decision is _Decision.FOUND and w is expected
+
+
 @pytest.mark.parametrize("spec, word, cap, size, cap_stable", [
     ("~A2", (0, 1, 2, 0, 1, 2), None, 40, True),
     ("~A2", (0, 1, 2, 0, 1, 2), 6, 40, False),
@@ -173,6 +221,86 @@ def test_low_elements_examples(i2inf, aff_a2, a2):
     big = next(rid for rid in st_el.inv if rid > 1)
     assert not cone_member(i2inf, big, [0])
     assert st_el not in low_universe(i2inf)
+
+
+def _low_elements_by_cones(sys, level):
+    """Inversion sets of the n-low elements, by Fourier-Motzkin cone tests.
+
+    The same breadth-first search, but s*w is accepted iff every n-small
+    root of w that s reflects out of the table lands in the cone over a_s
+    and the reflected small roots that stay: every other root of N(s*w)
+    outside the table is a combination of those.
+    """
+    table = build_small_roots(sys, level)
+    nodes = table.nodes
+    e = identity(sys)
+    low, rejected = {e.inv}, set()
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            w_nodes = table.small_part(w.inv)
+            for s in range(sys.rank):
+                if s in w.inv:
+                    continue
+                sw = mult_left(s, w)
+                if sw.inv in low or sw.inv in rejected:
+                    continue
+                exited, gens = [], [s]
+                for nid in w_nodes:
+                    target = nodes[nid].theta[s]
+                    if target == EXIT:
+                        exited.append(sys.reflect_id(s, nodes[nid].rid)[1])
+                    else:
+                        assert target >= 0
+                        gens.append(nodes[target].rid)
+                if all(cone_member(sys, g, gens) for g in exited):
+                    low.add(sw.inv)
+                    nxt.append(sw)
+                else:
+                    rejected.add(sw.inv)
+        frontier = nxt
+    return low
+
+
+def _assert_low_matches_cones(sys, level):
+    low = low_elements(sys, level)
+    assert {el.inv for el in low} == _low_elements_by_cones(sys, level)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("spec", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4",
+    "G2", "H3", "H4", "I2(5)", "I2(inf)", "~A1", "~A2", "~A3", "~B3", "~C2",
+    "~C3", "~G2", "triangle(2,3,7)", "triangle(3,3,4)", "triangle(4,4,4)",
+    "triangle(3,3,inf)", "triangle(inf,2,inf)"])
+def test_low_elements_match_cone_reference_on_presets(spec, level):
+    _assert_low_matches_cones(parse_coxeter_system(spec), level)
+
+
+@st.composite
+def coxeter_systems(draw):
+    """Rank 3-4 Coxeter matrices with labels in {2, 3, 4, 5, 6, inf}."""
+    rank = draw(st.integers(3, 4))
+    pairs = list(itertools.combinations(range(rank), 2))
+    labels = draw(st.lists(st.sampled_from((2, 3, 4, 5, 6, math.inf)),
+                           min_size=len(pairs), max_size=len(pairs)))
+    return CoxeterSystem(
+        CoxeterMatrix.from_entries(rank, dict(zip(pairs, labels))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coxeter_systems(), st.integers(0, 1))
+def test_low_elements_match_cone_reference(sys, level):
+    _assert_low_matches_cones(sys, level)
+
+
+def test_low_element_budget(tri33inf):
+    size = len(low_elements(tri33inf, 1))
+    assert len(low_elements(tri33inf, 1, budget=size)) == size
+    with pytest.raises(BudgetExceeded, match="^1-low elements outgrew the "
+                       f"state budget of {size - 1}$"):
+        low_elements(tri33inf, 1, budget=size - 1)
 
 
 @pytest.mark.parametrize("group", ["a2", "i2inf", "aff_a2", "aff_c2",

@@ -7,14 +7,14 @@ import random
 import mpmath
 import pytest
 
+from conftest import cone_member
 from coxauto import parse_coxeter_system
 from coxauto.elements import from_word, identity
 from coxauto.errors import InvalidGroupSpec
 from coxauto.smallroots import (EXIT, Classification, affine_dominance_oracle,
                                 affine_structure, build_small_roots,
-                                classify_type, cone_member, depth_of_root,
-                                dominates, small_inversion_set,
-                                spherical_analysis)
+                                classify_type, depth_of_root, dominates,
+                                small_inversion_set, spherical_analysis)
 from coxauto.system import CoxeterMatrix, CoxeterSystem, affine_candidates
 
 
