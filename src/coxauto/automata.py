@@ -17,9 +17,10 @@ from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 from .elements import Element, identity, mult_left
+from . import garside
 from .errors import BudgetExceeded, InternalInvariant
-from .garside import (STATE_BUDGET, Shadow, VerdictStatus, check_state_budget,
-                      project, verify_shadow)
+from .garside import (Shadow, VerdictStatus, check_state_budget, project,
+                      verify_shadow)
 from .smallroots import SmallRootTable
 from .system import CoxeterSystem
 
@@ -159,20 +160,20 @@ def build_shadow_automaton(shadow: Shadow, *, assume_verified: bool = False,
 
 
 def build_canonical_automaton(sys: CoxeterSystem, table: SmallRootTable,
-                              *, with_witness: bool = False,
-                              budget: int = STATE_BUDGET
+                              *, with_witness: bool = False
                               ) -> tuple[Automaton, list[Element] | None]:
     """The n-canonical automaton: states are reachable n-small inversion sets.
 
     Transition by s is defined iff a_s is not in the state, and sends A to
     {a_s} union (s(A) restricted to the table).  States are explored from
     the empty set; optionally a witness element reaching each state is kept.
-    More than ``budget`` states raise ``BudgetExceeded``, at once when the
-    system is affine at level 0 and (h+1)^r states are predicted.
+    More than ``garside.STATE_BUDGET`` states raise ``BudgetExceeded``, at
+    once when the system is affine at level 0 and more are predicted.
     """
     if table.system is not sys:
         raise ValueError("table from a different system")
-    check_state_budget(sys, table.level, budget)
+    check_state_budget(sys, table.level)
+    budget = garside.STATE_BUDGET
     rank = sys.rank
     # images[s][nid]: the bit of s(node nid) in the table, or 0 when it exits
     images = [[1 << node.theta[s] if node.theta[s] >= 0 else 0

@@ -40,9 +40,10 @@ from .smallroots import (Classification, SmallRootTable, affine_structure,
 from .system import CoxeterSystem
 
 DEFAULT_BUDGET = 200_000
-# States of one enumeration: on ~D5, a 0-low element holds about 1.8 kB
-# while low_elements runs and a canonical state about 0.4 kB.
-STATE_BUDGET = 500_000
+# Elements of low_elements and states of build_canonical_automaton.  The
+# low elements are the larger: ~F4 L_1 stopped at this budget peaks at
+# 456 MB RSS (about 2.2 kB per element), its canonical automaton at 119 MB.
+STATE_BUDGET = 200_000
 
 
 class Shadow:
@@ -389,7 +390,7 @@ def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
 # ---------------------------------------------------------------------------
 # Low elements
 
-def check_state_budget(sys: CoxeterSystem, level: int, budget: int) -> None:
+def check_state_budget(sys: CoxeterSystem, level: int) -> None:
     """Refuse at once a level-0 affine enumeration predicted to pass budget.
 
     An affine group of finite rank r and Coxeter number h has (h+1)^r
@@ -404,15 +405,14 @@ def check_state_budget(sys: CoxeterSystem, level: int, budget: int) -> None:
     structure = affine_structure(sys)
     h, r = structure.coxeter_number, structure.finite_rank
     predicted = (h + 1) ** r
-    if predicted > budget:
+    if predicted > STATE_BUDGET:
         raise BudgetExceeded(
             f"{structure.family} has (h+1)^r = {h + 1}^{r} = {predicted:,} "
-            f"states at level 0, over the state budget of {budget:,}")
+            f"states at level 0, over the state budget of {STATE_BUDGET:,}")
 
 
 def low_elements(sys: CoxeterSystem, level: int,
-                 table: SmallRootTable | None = None,
-                 budget: int = STATE_BUDGET) -> Shadow:
+                 table: SmallRootTable | None = None) -> Shadow:
     """The n-low elements, by BFS over left multiplications.
 
     Pruning non-low branches is sound because the set is closed under
@@ -423,13 +423,13 @@ def low_elements(sys: CoxeterSystem, level: int,
     s*w is tested by looking up its rank-many right-descent roots in the
     table.  The search carries the signed roots w(a_t) along, since
     sw(a_t) = s(w(a_t)) costs one reflection per letter.  More than
-    ``budget`` elements raise ``BudgetExceeded``.
+    ``STATE_BUDGET`` elements raise ``BudgetExceeded``.
     """
     if table is None:
         table = build_small_roots(sys, level)
     if table.system is not sys or table.level != level:
         raise ValueError("table does not match the system and level")
-    check_state_budget(sys, level, budget)
+    check_state_budget(sys, level)
     small = table.node_by_rid
     letters = range(sys.rank)
     e = identity(sys)
@@ -451,10 +451,10 @@ def low_elements(sys: CoxeterSystem, level: int,
                     sg, rid = sys.reflect_id(s, rid)
                     sw_images.append((sign * sg, rid))
                 if all(rid in small for sign, rid in sw_images if sign < 0):
-                    if len(low) >= budget:
+                    if len(low) >= STATE_BUDGET:
                         raise BudgetExceeded(
                             f"{level}-low elements outgrew the state budget "
-                            f"of {budget:,}")
+                            f"of {STATE_BUDGET:,}")
                     low[sw.inv] = sw
                     nxt.append((sw, sw_images))
                 else:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import projection_state_map
-from coxauto import parse_coxeter_system
+from coxauto import garside, parse_coxeter_system
 from coxauto.automata import (Automaton, MorphismVerdict,
                               build_canonical_automaton,
                               build_shadow_automaton, check_morphism,
@@ -73,16 +73,18 @@ def test_canonical_states_count_shi_regions(name, h, r):
     assert auto.num_states == (h + 1) ** r
 
 
-def test_canonical_state_budget():
+def test_canonical_state_budget(monkeypatch):
     # hyperbolic, so the budget is met during the enumeration
     sys = parse_coxeter_system("triangle(2,3,7)")
     table = build_small_roots(sys, 0)
     full, _ = build_canonical_automaton(sys, table)
+    monkeypatch.setattr(garside, "STATE_BUDGET", full.num_states)
     assert build_canonical_automaton(
-        sys, table, budget=full.num_states)[0].num_states == full.num_states
+        sys, table)[0].num_states == full.num_states
+    monkeypatch.setattr(garside, "STATE_BUDGET", full.num_states - 1)
     with pytest.raises(BudgetExceeded, match="^canonical automaton outgrew "
                        f"the state budget of {full.num_states - 1}$"):
-        build_canonical_automaton(sys, table, budget=full.num_states - 1)
+        build_canonical_automaton(sys, table)
 
 
 def test_minimize_sizes(aff_c2, aff_g2, a2):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cone_member
-from coxauto import parse_coxeter_system
+from coxauto import garside, parse_coxeter_system
 from coxauto.automata import build_shadow_automaton
 from coxauto.elements import (ball, from_word, identity, mult_left, mult_right,
                               weak_leq)
@@ -295,12 +295,14 @@ def test_low_elements_match_cone_reference(sys, level):
     _assert_low_matches_cones(sys, level)
 
 
-def test_low_element_budget(tri33inf):
+def test_low_element_budget(tri33inf, monkeypatch):
     size = len(low_elements(tri33inf, 1))
-    assert len(low_elements(tri33inf, 1, budget=size)) == size
+    monkeypatch.setattr(garside, "STATE_BUDGET", size)
+    assert len(low_elements(tri33inf, 1)) == size
+    monkeypatch.setattr(garside, "STATE_BUDGET", size - 1)
     with pytest.raises(BudgetExceeded, match="^1-low elements outgrew the "
                        f"state budget of {size - 1}$"):
-        low_elements(tri33inf, 1, budget=size - 1)
+        low_elements(tri33inf, 1)
 
 
 @pytest.mark.parametrize("group", ["a2", "i2inf", "aff_a2", "aff_c2",
