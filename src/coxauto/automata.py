@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
-from .elements import Element, identity, mult_left
+from .elements import Element, _mask_bits, identity, mult_left
 from . import garside
-from .errors import BudgetExceeded, InternalInvariant
+from .errors import (BudgetExceeded, CapIndeterminate, InternalInvariant,
+                     ShadowViolation)
 from .garside import (Shadow, VerdictStatus, check_state_budget, project,
                       verify_shadow)
 from .smallroots import SmallRootTable
@@ -53,9 +54,6 @@ class Automaton:
     def num_transitions(self) -> int:
         return sum(1 for _ in self.transitions())
 
-    def step(self, state: int, letter: int) -> int:
-        return self.delta[state][letter]
-
     def read(self, word: Iterable[int]) -> int | None:
         q = self.initial
         for a in word:
@@ -63,9 +61,6 @@ class Automaton:
             if q < 0:
                 return None
         return q
-
-    def accepts(self, word: Iterable[int]) -> bool:
-        return self.read(word) is not None
 
     def count_accepted(self, length: int) -> int:
         return self.counts_by_length(length)[length]
@@ -136,24 +131,22 @@ def build_shadow_automaton(shadow: Shadow, *, assume_verified: bool = False,
     if not assume_verified:
         verdict = verify_shadow(shadow, cap=cap)
         if verdict.status is VerdictStatus.NOT_SHADOW:
-            from .errors import ShadowViolation
             raise ShadowViolation(f"not a Garside shadow: {verdict.reason}")
         if verdict.status is VerdictStatus.INDETERMINATE_AT_CAP:
-            from .errors import CapIndeterminate
             raise CapIndeterminate(
                 "shadow could not be verified within the join cap", verdict.cap)
     sys = shadow.system
-    index = {el.inv: i for i, el in enumerate(shadow.elements)}
+    index = shadow._pos
     delta = []
     for el in shadow.elements:
         row = [-1] * sys.rank
         for s in range(sys.rank):
-            if s in el.inv:
+            if el.inv >> s & 1:
                 continue
             target = project(shadow, mult_left(s, el))
             row[s] = index[target.inv]
         delta.append(tuple(row))
-    initial = index[frozenset()]
+    initial = index[0]
     return Automaton(letter_labels=_default_labels(sys),
                      payloads=list(shadow.elements), initial=initial,
                      delta=delta, kind="shadow")
@@ -213,16 +206,6 @@ def build_canonical_automaton(sys: CoxeterSystem, table: SmallRootTable,
     auto = Automaton(letter_labels=_default_labels(sys), payloads=payloads,
                      initial=0, delta=delta, kind=f"canonical-{table.level}")
     return auto, witnesses
-
-
-def _mask_bits(mask: int) -> list[int]:
-    """The positions of the set bits of mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def _cmd_shadow(args) -> int:
         if verdict.status is VerdictStatus.INDETERMINATE_AT_CAP:
             raise CapIndeterminate("verification indeterminate", verdict.cap)
         return 0
-    shadow = garside_closure(system, cap=cap, budget=args.budget)
+    shadow = garside_closure(system, cap=cap)
     lines = [f"# smallest Garside shadow of {system.name}: {len(shadow)} elements"
              f" (cap_stable={shadow.cap_stable})"]
     lines.extend(shadow.words())
@@ -205,13 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_default=0):
+    def common(p, joins=False):
+        """--group, --n and --out; --cap too where a join can be searched."""
         p.add_argument("--group", required=True,
                        help="preset name, inline spec, or matrix file path")
-        p.add_argument("--n", type=int, default=n_default,
-                       help="small-root level n")
-        p.add_argument("--cap", type=int, default=None,
-                       help=f"join search cap (default from ${ENV_JOIN_CAP})")
+        p.add_argument("--n", type=int, default=0, help="small-root level n")
+        if joins:
+            p.add_argument("--cap", type=int, default=None,
+                           help=f"join search cap (default from ${ENV_JOIN_CAP})")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("roots", help="dump the n-small root table")
@@ -220,10 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shadow",
                        help="compute the smallest Garside shadow, or verify a list")
-    common(p)
+    common(p, joins=True)
     p.add_argument("--verify", default=None,
                    help="comma-separated words to verify as a shadow")
-    p.add_argument("--budget", type=int, default=200_000)
     p.set_defaults(func=_cmd_shadow)
 
     p = sub.add_parser("low", help="dump the n-low elements")
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_low)
 
     p = sub.add_parser("automaton", help="build an automaton")
-    common(p)
+    common(p, joins=True)
     p.add_argument("--kind", default="canonical",
                    choices=["canonical", "shadow:smallest", "shadow:low"])
     p.add_argument("--minimize", action="store_true")
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_automaton)
 
     p = sub.add_parser("count", help="count accepted words per length")
-    common(p)
+    common(p, joins=True)
     p.add_argument("--kind", default="canonical",
                    choices=["canonical", "shadow:smallest", "shadow:low"])
     p.add_argument("--max-len", type=int, required=True)
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("check", help="check a conjecture instance")
-    common(p)
+    common(p, joins=True)
     p.add_argument("--conjecture", required=True,
                    choices=["1", "2", "conj1", "conj2", "dyho1", "dyho2"])
     p.set_defaults(func=_cmd_check)

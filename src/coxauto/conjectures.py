@@ -19,7 +19,7 @@ from typing import Sequence
 from .automata import (Automaton, build_canonical_automaton,
                        build_shadow_automaton, isomorphic, minimize,
                        shortest_words)
-from .errors import InvalidGroupSpec
+from .errors import InternalInvariant, InvalidGroupSpec
 from .garside import (VerdictStatus, garside_closure, low_elements,
                       verify_shadow)
 from .smallroots import (build_small_roots, small_inversion_set,
@@ -199,7 +199,6 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
         auto, _ = build_canonical_automaton(sys, table)
         images = {small_inversion_set(table, w) for w in low}
         if len(images) != len(low):
-            from .errors import InternalInvariant
             raise InternalInvariant(
                 "small inversion sets are not injective on low elements")
         numbers = {"n": level, "low_size": len(low), "lambda": auto.num_states}

@@ -1,9 +1,14 @@
 """Group elements as reduced words with left inversion sets.
 
 An :class:`Element` stores one reduced word together with the left inversion
-set N(w) as a frozenset of interned root ids.  Two elements are equal iff
-their inversion sets are equal, which is representation independent; the
-stored word is *a* reduced word, not a canonical one.
+set N(w).  This is the one place the format of N(w) is defined, and every
+module uses it: N(w) is an int bitmask over interned root ids, whose bit
+``rid`` is set iff root ``rid`` lies in N(w).  Simple root ids equal
+generator ids, so the low ``rank`` bits hold the left descents.  Union is
+``|``, difference ``& ~``, inclusion ``not a & ~b`` and the length is
+``bit_count()``.  Two elements are equal iff their inversion sets are
+equal, which is representation independent; the stored word is *a* reduced
+word, not a canonical one.
 """
 
 from __future__ import annotations
@@ -15,40 +20,46 @@ from .errors import InternalInvariant
 from .system import CoxeterSystem
 
 
+def _mask_bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Element:
-    """An element of a Coxeter group, keyed by its left inversion set."""
+    """An element of a Coxeter group, keyed by its left inversion set.
 
-    __slots__ = ("system", "word", "inv", "_hash")
+    ``inv`` is N(w) as a bitmask of root ids, in the format of this module.
+    """
 
-    def __init__(self, system: CoxeterSystem, word: tuple[int, ...],
-                 inv: frozenset[int]):
-        if len(word) != len(inv):
+    __slots__ = ("system", "word", "inv")
+
+    def __init__(self, system: CoxeterSystem, word: tuple[int, ...], inv: int):
+        if len(word) != inv.bit_count():
             raise InternalInvariant("word length differs from inversion count")
         self.system = system
         self.word = word
         self.inv = inv
-        self._hash: int | None = None
 
     @property
     def length(self) -> int:
         return len(self.word)
 
     @property
-    def descents_left(self) -> frozenset[int]:
-        """D_L(w) = {s : a_s in N(w)}; simple root ids equal generator ids."""
-        return self.inv & self.system.simple_ids
-
-    def is_identity(self) -> bool:
-        return not self.word
+    def descents_left(self) -> list[int]:
+        """D_L(w) = {s : a_s in N(w)} in increasing order: the low rank bits."""
+        return _mask_bits(self.inv & ((1 << self.system.rank) - 1))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Element)
                 and self.system is other.system and self.inv == other.inv)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.inv)
-        return self._hash
+        return hash(self.inv)
 
     def __repr__(self) -> str:
         return f"<{self.system.word_to_string(self.word)}>"
@@ -58,11 +69,11 @@ class Element:
 
 
 def identity(system: CoxeterSystem) -> Element:
-    return Element(system, (), frozenset())
+    return Element(system, (), 0)
 
 
 def generator(system: CoxeterSystem, s: int) -> Element:
-    return Element(system, (s,), frozenset((s,)))
+    return Element(system, (s,), 1 << s)
 
 
 def mult_left(s: int, w: Element) -> Element:
@@ -72,27 +83,27 @@ def mult_left(s: int, w: Element) -> Element:
     and the word loses its unique exchange-located letter.
     """
     sys = w.system
-    if s not in w.inv:
-        new_inv = {s}
-        for rid in w.inv:
+    bit = 1 << s
+    if not w.inv & bit:
+        new_inv = bit
+        for rid in _mask_bits(w.inv):
             sg, rid2 = sys.reflect_id(s, rid)
             if sg < 0:
                 raise InternalInvariant("unexpected sign flip on ascent")
-            new_inv.add(rid2)
-        return Element(sys, (s,) + w.word, frozenset(new_inv))
-    new_inv = set()
-    for rid in w.inv:
-        if rid != s:
-            sg, rid2 = sys.reflect_id(s, rid)
-            if sg < 0:
-                raise InternalInvariant("unexpected sign flip on descent")
-            new_inv.add(rid2)
+            new_inv |= 1 << rid2
+        return Element(sys, (s,) + w.word, new_inv)
+    new_inv = 0
+    for rid in _mask_bits(w.inv ^ bit):
+        sg, rid2 = sys.reflect_id(s, rid)
+        if sg < 0:
+            raise InternalInvariant("unexpected sign flip on descent")
+        new_inv |= 1 << rid2
     # Exchange: drop letter j with r_1...r_{j-1}(a_{r_j}) = a_s, i.e. the
     # first j where the backward-transported a_s meets the letter's root.
     v = s
     for j, letter in enumerate(w.word):
         if v == letter:
-            return Element(sys, w.word[:j] + w.word[j + 1:], frozenset(new_inv))
+            return Element(sys, w.word[:j] + w.word[j + 1:], new_inv)
         sg, v = sys.reflect_id(letter, v)
         if sg < 0:
             raise InternalInvariant("transported root went negative early")
@@ -104,8 +115,8 @@ def mult_right(w: Element, s: int) -> Element:
     sys = w.system
     sign, rid = sys.act_word_on_root(w.word, 1, s)
     if sign > 0:
-        return Element(sys, w.word + (s,), w.inv | {rid})
-    new_inv = w.inv - {rid}
+        return Element(sys, w.word + (s,), w.inv | 1 << rid)
+    new_inv = w.inv & ~(1 << rid)
     v = s
     for j in range(len(w.word) - 1, -1, -1):
         letter = w.word[j]
@@ -132,7 +143,7 @@ def is_reduced_word(system: CoxeterSystem, word: Sequence[int]) -> bool:
         sign, rid = system.act_word_on_root(w.word, 1, s)
         if sign < 0:
             return False
-        w = Element(system, w.word + (s,), w.inv | {rid})
+        w = Element(system, w.word + (s,), w.inv | 1 << rid)
     return True
 
 
@@ -140,12 +151,12 @@ def weak_leq(u: Element, w: Element) -> bool:
     """u <=_R w, decided by inclusion of inversion sets."""
     if u.system is not w.system:
         raise ValueError("elements from different systems")
-    return u.inv <= w.inv
+    return not u.inv & ~w.inv
 
 
 def prefixes(w: Element) -> set[Element]:
     """All p <=_R w: the downward closure under removing a right descent."""
-    seen: dict[frozenset[int], Element] = {w.inv: w}
+    seen: dict[int, Element] = {w.inv: w}
     queue = deque([w])
     while queue:
         x = queue.popleft()
@@ -161,7 +172,7 @@ def prefixes(w: Element) -> set[Element]:
 
 def suffixes(w: Element) -> set[Element]:
     """All suffixes: the closure of {w} under w -> sw for s in D_L(w)."""
-    seen: dict[frozenset[int], Element] = {w.inv: w}
+    seen: dict[int, Element] = {w.inv: w}
     queue = deque([w])
     while queue:
         x = queue.popleft()
@@ -179,10 +190,9 @@ def coset_split(w: Element, subset: Iterable[int]) -> tuple[Element, Element]:
     rest = w
     left = identity(w.system)
     while True:
-        ds = rest.descents_left & members
-        if not ds:
+        s = next((t for t in rest.descents_left if t in members), None)
+        if s is None:
             return left, rest
-        s = min(ds)
         rest = mult_left(s, rest)
         nxt = mult_right(left, s)
         if nxt.length != left.length + 1:
@@ -198,7 +208,7 @@ def support(w: Element) -> frozenset[int]:
 def ball(system: CoxeterSystem, radius: int) -> list[Element]:
     """All elements of length <= radius, BFS by length, deduplicated."""
     out = [identity(system)]
-    seen = {frozenset()}
+    seen = {0}
     frontier = [out[0]]
     for _ in range(radius):
         nxt = []
@@ -206,7 +216,7 @@ def ball(system: CoxeterSystem, radius: int) -> list[Element]:
             for s in range(system.rank):
                 sign, rid = system.act_word_on_root(w.word, 1, s)
                 if sign > 0:
-                    inv = w.inv | {rid}
+                    inv = w.inv | 1 << rid
                     if inv not in seen:
                         seen.add(inv)
                         ws = Element(system, w.word + (s,), inv)
@@ -234,7 +244,7 @@ def reduced_words(system: CoxeterSystem,
             for s in range(system.rank):
                 sign, rid = system.act_word_on_root(w.word, 1, s)
                 if sign > 0:
-                    nxt.append(Element(system, w.word + (s,), w.inv | {rid}))
+                    nxt.append(Element(system, w.word + (s,), w.inv | 1 << rid))
         level = nxt
         yield level
 
@@ -244,16 +254,16 @@ def reduced_word_counts(system: CoxeterSystem, max_length: int) -> list[int]:
     return [len(level) for level in reduced_words(system, max_length)]
 
 
-def recompute_inversions(w: Element) -> frozenset[int]:
+def recompute_inversions(w: Element) -> int:
     """N(w) from scratch by transporting each letter's root to the front.
 
     Independent of the incremental updates; used as a cross-check.
     """
     sys = w.system
-    roots = set()
+    roots = 0
     for j, letter in enumerate(w.word):
         sign, rid = sys.act_word_on_root(w.word[:j], 1, letter)
         if sign < 0:
             raise InternalInvariant("word is not reduced")
-        roots.add(rid)
-    return frozenset(roots)
+        roots |= 1 << rid
+    return roots

@@ -32,17 +32,17 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .elements import (Element, coset_split, identity, generator, mult_left,
-                       mult_right, support, weak_leq)
+from .elements import (Element, _mask_bits, coset_split, identity, generator,
+                       mult_left, mult_right, support, weak_leq)
 from .errors import BudgetExceeded, ShadowViolation
 from .smallroots import (Classification, SmallRootTable, affine_structure,
                          build_small_roots, classify_type)
 from .system import CoxeterSystem
 
-DEFAULT_BUDGET = 200_000
-# Elements of low_elements and states of build_canonical_automaton.  The
-# low elements are the larger: ~F4 L_1 stopped at this budget peaks at
-# 456 MB RSS (about 2.2 kB per element), its canonical automaton at 119 MB.
+# Elements of low_elements and garside_closure, and states of
+# build_canonical_automaton.  Stopped at this budget, ~F4 L_1 peaks at
+# 117 MB RSS for its low elements (0.50 kB per element; ~D5 L_0 takes
+# 0.55 kB) and at 119 MB for its canonical automaton (Python 3.11).
 STATE_BUDGET = 200_000
 
 
@@ -52,7 +52,7 @@ class Shadow:
     def __init__(self, system: CoxeterSystem, elements: Iterable[Element],
                  provenance: str = "explicit", cap_stable: bool | None = None,
                  cap: int | None = None):
-        dedup: dict[frozenset[int], Element] = {}
+        dedup: dict[int, Element] = {}
         for el in elements:
             if el.system is not system:
                 raise ValueError("element from a different system")
@@ -83,7 +83,7 @@ class Shadow:
             rows: dict[int, bytearray] = {}
             for i, el in enumerate(self.elements):
                 byte, bit = i >> 3, 1 << (i & 7)
-                for rid in el.inv:
+                for rid in _mask_bits(el.inv):
                     row = rows.get(rid)
                     if row is None:
                         row = rows[rid] = bytearray(size)
@@ -98,7 +98,7 @@ class Shadow:
         if up is None:
             index = self._root_index()
             up = (1 << len(self.elements)) - 1
-            for rid in self.elements[i].inv:
+            for rid in _mask_bits(self.elements[i].inv):
                 up &= index[rid]
             self._up[i] = up
         return up
@@ -131,7 +131,7 @@ def _unbounded_certificate(u: Element, v: Element) -> bool:
     both; a common upper bound would have to.
     """
     sys = u.system
-    merged = sorted(u.inv | v.inv)
+    merged = _mask_bits(u.inv | v.inv)
     for a in range(len(merged)):
         for b in range(a + 1, len(merged)):
             if sys._pair_blocks(merged[a], merged[b]):
@@ -153,12 +153,12 @@ def _bfs_join(u: Element, v: Element, cap: int) -> tuple[_Decision, Element | No
                 sign, rid = sys.act_word_on_root(w.word, 1, s)
                 if sign < 0:
                     continue
-                inv = w.inv | {rid}
+                inv = w.inv | 1 << rid
                 if inv in seen:
                     continue
                 seen.add(inv)
                 ws = Element(sys, w.word + (s,), inv)
-                if target <= inv:
+                if not target & ~inv:
                     return _Decision.FOUND, ws
                 nxt.append(ws)
         frontier = nxt
@@ -235,10 +235,11 @@ def project(shadow: Shadow, w: Element) -> Element:
     The prefixes of w in B are the elements outside the bitset of every root
     of B that is not in N(w); the highest set bit is the longest of them.
     """
-    index = shadow._root_index()
+    inv = w.inv
     outside = 0
-    for rid in index.keys() - w.inv:
-        outside |= index[rid]
+    for rid, column in shadow._root_index().items():
+        if not inv >> rid & 1:
+            outside |= column
     prefixes = ((1 << len(shadow)) - 1) & ~outside
     if not prefixes:
         raise ShadowViolation("shadow contains no prefix of the element")
@@ -319,25 +320,25 @@ def verify_shadow(shadow: Shadow, cap: int | None = None,
 # Closure
 
 def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
-                    cap: int | None = None,
-                    budget: int = DEFAULT_BUDGET) -> Shadow:
+                    cap: int | None = None) -> Shadow:
     """Smallest Garside shadow containing the seeds (and always S and e).
 
     A worklist in insertion order: each element adds its one-step suffixes
     and is then joined with every earlier element, so each pair is decided
     once.  Joins that hit the cap are retried once with the cap raised by 4,
     and the closure is cap-stable when the retry adds nothing.  The result
-    records the cap it ran with.
+    records the cap it ran with.  More than ``STATE_BUDGET`` elements raise
+    ``BudgetExceeded``.
     """
     order: list[Element] = []
-    invs: set[frozenset[int]] = set()
+    invs: set[int] = set()
 
     def add(el: Element) -> None:
         if el.inv in invs:
             return
-        if len(order) >= budget:
+        if len(order) >= STATE_BUDGET:
             raise BudgetExceeded(
-                f"Garside closure outgrew the budget of {budget} elements")
+                f"Garside closure outgrew the state budget of {STATE_BUDGET:,}")
         invs.add(el.inv)
         order.append(el)
 
@@ -433,15 +434,15 @@ def low_elements(sys: CoxeterSystem, level: int,
     small = table.node_by_rid
     letters = range(sys.rank)
     e = identity(sys)
-    low: dict[frozenset[int], Element] = {e.inv: e}
+    low: dict[int, Element] = {e.inv: e}
     frontier = [(e, [(1, t) for t in letters])]
     while frontier:
         nxt = []
         # candidates of one length meet again only within this round
-        rejected: set[frozenset[int]] = set()
+        rejected: set[int] = set()
         for w, images in frontier:
             for s in letters:
-                if s in w.inv:
+                if w.inv >> s & 1:
                     continue
                 sw = mult_left(s, w)
                 if sw.inv in low or sw.inv in rejected:

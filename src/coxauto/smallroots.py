@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .elements import _mask_bits
 from .errors import InternalInvariant, InvalidGroupSpec
 from .scalars import Scalar
 from .system import CoxeterSystem, affine_candidates, matrices_isomorphic
@@ -155,11 +156,11 @@ class SmallRootTable:
     def root_ids(self) -> frozenset[int]:
         return frozenset(node.rid for node in self.nodes)
 
-    def small_part(self, rids: Iterable[int]) -> frozenset[int]:
-        """Node ids of the given interned roots that are in the table."""
+    def small_part(self, mask: int) -> frozenset[int]:
+        """Node ids of the table's roots among those set in a root-id mask."""
         get = self.node_by_rid.get
         return frozenset(
-            nid for nid in (get(rid) for rid in rids) if nid is not None)
+            nid for nid in map(get, _mask_bits(mask)) if nid is not None)
 
 
 def build_small_roots(sys: CoxeterSystem, level: int) -> SmallRootTable:

@@ -379,7 +379,6 @@ class CoxeterSystem:
         self._block_cache: dict[tuple[int, int], bool] = {}
         # the 0-low elements as a garside.Shadow, filled by garside.low_universe
         self._low0_universe = None
-        self.simple_ids = frozenset(range(self.rank))
         self._subsystems: dict[tuple[int, ...], "CoxeterSystem"] = {}
 
     # -- roots ---------------------------------------------------------
@@ -455,9 +454,6 @@ class CoxeterSystem:
     def root_support(self, rid: int) -> frozenset[int]:
         return frozenset(
             s for s, c in enumerate(self._roots[rid]) if c.sign() > 0)
-
-    def root_float(self, rid: int) -> tuple[float, ...]:
-        return tuple(float(c) for c in self._roots[rid])
 
     # -- words -----------------------------------------------------------
 

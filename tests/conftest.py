@@ -1,11 +1,26 @@
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
+from hypothesis import strategies as st
 
 from coxauto import parse_coxeter_system
 from coxauto.garside import project
 from coxauto.scalars import Scalar
-from coxauto.system import CoxeterSystem
+from coxauto.system import CoxeterMatrix, CoxeterSystem
+
+
+@st.composite
+def coxeter_systems(draw):
+    """Rank 3-4 Coxeter matrices with labels in {2, 3, 4, 5, 6, inf}."""
+    rank = draw(st.integers(3, 4))
+    pairs = list(itertools.combinations(range(rank), 2))
+    labels = draw(st.lists(st.sampled_from((2, 3, 4, 5, 6, math.inf)),
+                           min_size=len(pairs), max_size=len(pairs)))
+    return CoxeterSystem(
+        CoxeterMatrix.from_entries(rank, dict(zip(pairs, labels))))
 
 
 def projection_state_map(source_payload_elements, target_shadow, target_auto):

@@ -108,6 +108,14 @@ def test_usage_error_exits_one(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["low", "roots"])
+def test_cap_without_joins_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--group", "~A2", "--cap", "3"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
+
+
 def test_unknown_group_exits_one(capsys):
     assert main(["roots", "--group", "Zork"]) == 1
     assert "error" in capsys.readouterr().err
