@@ -57,6 +57,25 @@ def _default_cap(args) -> int | None:
             f"${ENV_JOIN_CAP} must be an integer, got {env!r}") from None
 
 
+def _level(text: str) -> int:
+    """--n: a small-root level, a non-negative integer."""
+    try:
+        level = int(text)
+    except ValueError:
+        level = -1
+    if level < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return level
+
+
+def _no_level(level: int, where: str) -> None:
+    """Refuse an --n that the computation would not read."""
+    if level != 0:
+        raise CoxAutoError(f"--n {level} does not apply to {where}, "
+                           "which is defined at level 0 only")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -71,6 +90,7 @@ def _build_automaton(system: CoxeterSystem, kind: str, level: int,
         auto, _ = build_canonical_automaton(system, table)
         return auto
     if kind == "shadow:smallest":
+        _no_level(level, "--kind shadow:smallest")
         shadow = garside_closure(system, cap=cap)
         if not shadow.cap_stable:
             raise CapIndeterminate(
@@ -176,6 +196,8 @@ def _cmd_count(args) -> int:
 def _cmd_check(args) -> int:
     system = _load_system(args.group)
     which = {"1": "conj1", "2": "conj2"}.get(args.conjecture, args.conjecture)
+    if which in ("conj1", "conj2"):
+        _no_level(args.n, f"--conjecture {args.conjecture}")
     report = check_conjecture(system, which, level=args.n, cap=_default_cap(args))
     _emit(report.to_json() + "\n", args.out)
     return 0
@@ -205,11 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, joins=False):
-        """--group, --n and --out; --cap too where a join can be searched."""
+    def common(p, joins=False, level=True):
+        """--group and --out; --n where a level is read, --cap where a join
+        can be searched."""
         p.add_argument("--group", required=True,
                        help="preset name, inline spec, or matrix file path")
-        p.add_argument("--n", type=int, default=0, help="small-root level n")
+        if level:
+            p.add_argument("--n", type=_level, default=0,
+                           help="small-root level n >= 0")
         if joins:
             p.add_argument("--cap", type=int, default=None,
                            help=f"join search cap (default from ${ENV_JOIN_CAP})")
@@ -221,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shadow",
                        help="compute the smallest Garside shadow, or verify a list")
-    common(p, joins=True)
+    common(p, joins=True, level=False)
     p.add_argument("--verify", default=None,
                    help="comma-separated words to verify as a shadow")
     p.set_defaults(func=_cmd_shadow)

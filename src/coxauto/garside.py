@@ -14,12 +14,14 @@ only semi-decidable: two positive roots with B <= -1 inside N(u) union N(v)
 certify that there is no join, and failing that a breadth-first search runs
 up to a length cap.
 
-The Garside closure is a semi-naive worklist: each new element contributes
-its one-step suffixes and is joined with every earlier element exactly
-once.  With 0-low seeds every pair is decided in the 0-low universe; other
-seeds send every pair through the capped search.  Pairs whose search hit
-the cap are retried once with the cap raised by 4; the closure is
-cap-stable when that retry adds nothing.
+With 0-low seeds the Garside closure is read off the index of the 0-low
+elements: in a finite join-closed set, x is in the join closure of X iff x
+is the join of the elements of X below it, so passes over the index in
+(length, word) order, alternating with suffix passes, close X without
+deciding a single pair.  Other seeds go through a semi-naive worklist that
+joins each new element with every earlier one by the capped search; pairs
+whose search hit the cap are retried once with the cap raised by 4, and the
+closure is cap-stable when that retry adds nothing.
 
 An element is n-low iff its right-descent roots are n-small, so the n-low
 elements are found by a breadth-first search with rank-many lookups in the
@@ -102,6 +104,17 @@ class Shadow:
                 up &= index[rid]
             self._up[i] = up
         return up
+
+    def _below(self, inv: int) -> int:
+        """The elements whose inversion set lies inside the root mask inv.
+
+        They are the elements outside the bitset of every root not in inv.
+        """
+        outside = 0
+        for rid, column in self._root_index().items():
+            if not inv >> rid & 1:
+                outside |= column
+        return ((1 << len(self.elements)) - 1) & ~outside
 
     def words(self) -> list[str]:
         return [str(el) for el in self.elements]
@@ -232,15 +245,10 @@ def default_cap(elements: Iterable[Element]) -> int:
 def project(shadow: Shadow, w: Element) -> Element:
     """pi_B(w): the unique longest prefix of w lying in the shadow.
 
-    The prefixes of w in B are the elements outside the bitset of every root
-    of B that is not in N(w); the highest set bit is the longest of them.
+    The prefixes of w in B are the elements whose inversion set lies inside
+    N(w); the highest set bit is the longest of them.
     """
-    inv = w.inv
-    outside = 0
-    for rid, column in shadow._root_index().items():
-        if not inv >> rid & 1:
-            outside |= column
-    prefixes = ((1 << len(shadow)) - 1) & ~outside
+    prefixes = shadow._below(w.inv)
     if not prefixes:
         raise ShadowViolation("shadow contains no prefix of the element")
     top = prefixes.bit_length() - 1
@@ -323,13 +331,38 @@ def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
                     cap: int | None = None) -> Shadow:
     """Smallest Garside shadow containing the seeds (and always S and e).
 
-    A worklist in insertion order: each element adds its one-step suffixes
-    and is then joined with every earlier element, so each pair is decided
-    once.  Joins that hit the cap are retried once with the cap raised by 4,
-    and the closure is cap-stable when the retry adds nothing.  The result
-    records the cap it ran with.  More than ``STATE_BUDGET`` elements raise
-    ``BudgetExceeded``.
+    When every seed is 0-low, the closure lies in the 0-low elements U, a
+    finite Garside shadow, and is read off U's root index with no join
+    decisions.  In a finite join-closed U holding X, an element x of U is in
+    the join closure of X iff x is the join of the elements of X below it.
+    So one walk of U in (length, word) order, counting the elements it
+    admits, closes X under joins; a suffix pass then adds the one-step
+    suffixes of what was admitted, and the two alternate until nothing
+    changes.  The result is cap-stable.
+
+    Other seeds go through a worklist in insertion order: each element adds
+    its one-step suffixes and is then joined with every earlier element by
+    the capped search, so each pair is decided once.  Joins that hit the cap
+    are retried once with the cap raised by 4, and the closure is cap-stable
+    when the retry adds nothing.
+
+    The result records the cap the search would run with.  More than
+    ``STATE_BUDGET`` elements raise ``BudgetExceeded``.
     """
+    start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
+             *seeds]
+    if any(el.system is not sys for el in start):
+        raise ValueError("element from a different system")
+    base_cap = cap if cap is not None else default_cap(start)
+    universe = low_universe(sys)
+    if all(el in universe for el in start):
+        members = _close_in_universe(universe, start)
+        if len(members) > STATE_BUDGET:
+            raise BudgetExceeded(
+                f"Garside closure outgrew the state budget of {STATE_BUDGET:,}")
+        return Shadow(sys, members, provenance="closure-of-S",
+                      cap_stable=True, cap=base_cap)
+
     order: list[Element] = []
     invs: set[int] = set()
 
@@ -342,12 +375,8 @@ def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
         invs.add(el.inv)
         order.append(el)
 
-    add(identity(sys))
-    for s in range(sys.rank):
-        add(generator(sys, s))
-    for el in seeds:
+    for el in start:
         add(el)
-
     done = 0
 
     def drain(engine: JoinEngine) -> list[tuple[Element, Element]]:
@@ -367,17 +396,11 @@ def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
             done += 1
         return at_cap
 
-    # Joins and suffixes of 0-low elements are 0-low, so with 0-low seeds
-    # every pair is decided in the universe.  Other seeds send every pair
-    # through the capped search: a result that is not cap-stable is then the
-    # closure under the joins found within the cap.
-    universe = low_universe(sys)
-    if not all(el in universe for el in order):
-        universe = None
-    base_cap = cap if cap is not None else default_cap(order)
-    undecided = drain(JoinEngine(base_cap, universe))
+    # A result that is not cap-stable is the closure under the joins found
+    # within the cap.
+    undecided = drain(JoinEngine(base_cap))
     size = len(order)
-    if undecided:  # only the capped search leaves pairs undecided
+    if undecided:
         wider = JoinEngine(base_cap + 4)
         for y, x in undecided:
             decision, w = wider.decide(y, x)
@@ -386,6 +409,64 @@ def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
         drain(wider)
     return Shadow(sys, order, provenance="closure-of-S",
                   cap_stable=len(order) == size, cap=base_cap)
+
+
+def _close_in_universe(universe: Shadow,
+                       seeds: Iterable[Element]) -> list[Element]:
+    """The closure of the seeds under joins and suffixes, by bitset passes.
+
+    The universe must be finite and closed under joins and suffixes.  The
+    join of the members below x is the lowest bit of the AND of the bitsets
+    of the roots of their inversion sets, the roots of N(x) whose bitset
+    meets them; x is admitted when that bit is its own.
+    """
+    els, pos = universe.elements, universe._pos
+    index = universe._root_index()
+    full = (1 << len(els)) - 1
+    closed = 0  # the members, as a bitset over the universe
+    inside = bytearray(len(els))  # the same, for constant-time lookups
+
+    def admit(i: int) -> None:
+        nonlocal closed
+        inside[i] = 1
+        closed |= 1 << i
+
+    def admit_suffixes(todo: list[int]) -> bool:
+        """Admit the suffixes of the members at todo, recursively."""
+        grew = False
+        while todo:
+            x = els[todo.pop()]
+            for s in x.descents_left:
+                j = pos[mult_left(s, x).inv]
+                if not inside[j]:
+                    admit(j)
+                    todo.append(j)
+                    grew = True
+        return grew
+
+    todo = sorted({pos[el.inv] for el in seeds})
+    for i in todo:
+        admit(i)
+    admit_suffixes(todo)
+    while True:
+        admitted = []
+        for i, x in enumerate(els):
+            if inside[i]:
+                continue
+            below = closed & universe._below(x.inv)
+            if not below & (below - 1):  # fewer than two members below x
+                continue
+            up = full
+            for rid in _mask_bits(x.inv):
+                column = index[rid]
+                if column & below:
+                    up &= column
+            if (up & -up).bit_length() - 1 == i:
+                admit(i)
+                admitted.append(i)
+        if not admitted or not admit_suffixes(admitted):
+            break
+    return [el for el, member in zip(els, inside) if member]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import strategies as st
 
 from coxauto import parse_coxeter_system
-from coxauto.garside import project
+from coxauto.elements import generator, identity, mult_left
+from coxauto.garside import (JoinEngine, Shadow, _Decision, default_cap,
+                             low_universe, project)
 from coxauto.scalars import Scalar
 from coxauto.system import CoxeterMatrix, CoxeterSystem
 
@@ -121,6 +123,49 @@ def cone_member(sys: CoxeterSystem, gamma, gens) -> bool:
         rows.append(([-c for c in g], ctx.zero))
     rows.append((list(gcoords), ctx.from_rational(-1)))
     return _fourier_motzkin_infeasible(rows, sys.rank)
+
+
+# ---------------------------------------------------------------------------
+# The Garside closure of 0-low seeds by pairwise joins in the 0-low universe:
+# the reference that the bitset passes of garside.garside_closure are checked
+# against.
+
+def pairwise_closure(sys: CoxeterSystem, seeds=(), cap: int | None = None):
+    """Smallest Garside shadow containing S, e and the 0-low seeds.
+
+    A worklist in insertion order: each element adds its one-step suffixes
+    and is then joined in the universe with every earlier element, so each
+    pair is decided once, and decisively.
+    """
+    universe = low_universe(sys)
+    start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
+             *seeds]
+    assert all(el in universe for el in start), "seeds must be 0-low"
+    base_cap = cap if cap is not None else default_cap(start)
+    engine = JoinEngine(base_cap, universe)
+    order: list = []
+    invs: set[int] = set()
+
+    def add(el):
+        if el.inv not in invs:
+            invs.add(el.inv)
+            order.append(el)
+
+    for el in start:
+        add(el)
+    done = 0
+    while done < len(order):
+        x = order[done]
+        for s in x.descents_left:
+            add(mult_left(s, x))
+        for y in order[:done]:
+            decision, w = engine.decide(y, x)
+            assert decision is not _Decision.AT_CAP
+            if decision is _Decision.FOUND:
+                add(w)
+        done += 1
+    return Shadow(sys, order, provenance="closure-of-S", cap_stable=True,
+                  cap=base_cap)
 
 
 @pytest.fixture(scope="session")

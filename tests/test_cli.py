@@ -116,6 +116,44 @@ def test_cap_without_joins_is_a_usage_error(capsys, command):
     assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
 
 
+def test_shadow_takes_no_level(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["shadow", "--group", "~A2", "--n", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --n 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--group", "~A2"],
+    ["low", "--group", "~A2"],
+    ["automaton", "--group", "~A2"],
+    ["count", "--group", "~A2", "--max-len", "3"],
+    ["check", "--group", "~A2", "--conjecture", "dyho1"],
+    ["render", "--group", "~A2", "--svg", "out.svg"],
+])
+def test_negative_level_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n", "-3"])
+    assert exc.value.code == 1
+    assert ("argument --n: must be a non-negative integer, got '-3'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["check", "--conjecture", "1"], "--conjecture 1"),
+    (["check", "--conjecture", "2"], "--conjecture 2"),
+    (["check", "--conjecture", "conj2"], "--conjecture conj2"),
+    (["automaton", "--kind", "shadow:smallest"], "--kind shadow:smallest"),
+    (["count", "--kind", "shadow:smallest", "--max-len", "3"],
+     "--kind shadow:smallest"),
+])
+def test_level_that_would_be_ignored_exits_one(capsys, argv, where):
+    assert main(argv + ["--group", "~A2", "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --n 1 does not apply to {where}")
+
+
 def test_unknown_group_exits_one(capsys):
     assert main(["roots", "--group", "Zork"]) == 1
     assert "error" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cone_member, coxeter_systems
+from conftest import cone_member, coxeter_systems, pairwise_closure
 from coxauto import garside, parse_coxeter_system
 from coxauto.automata import build_shadow_automaton
 from coxauto.elements import (_mask_bits, ball, from_word, identity, mult_left,
@@ -151,6 +151,12 @@ def test_closure_contains_seeds_and_reports_shadow(aff_a2):
     assert verify_shadow(closure).status is VerdictStatus.SHADOW
 
 
+def test_closure_rejects_foreign_seeds(aff_a2):
+    other = parse_coxeter_system("~A2")
+    with pytest.raises(ValueError, match="different system"):
+        garside_closure(aff_a2, seeds=[from_word(other, (0, 1))])
+
+
 @pytest.mark.parametrize("spec", ["~A2", "~C2", "~G2", "triangle(3,3,4)"])
 def test_join_decision_branches_agree(spec):
     # the universe scan and the certificate-plus-search branch of decide
@@ -207,6 +213,39 @@ def test_seeded_closure_by_search(spec, word, cap, size, cap_stable):
     assert (len(closure), closure.cap_stable) == (size, cap_stable)
     if cap_stable:
         assert verify_shadow(closure).status is VerdictStatus.SHADOW
+
+
+def _assert_closure_matches_pairwise(sys, seeds=(), cap=None):
+    closure = garside_closure(sys, seeds=seeds, cap=cap)
+    reference = pairwise_closure(sys, seeds=seeds, cap=cap)
+    assert closure.words() == reference.words()
+    assert (closure.cap_stable, closure.cap) == (reference.cap_stable,
+                                                 reference.cap)
+
+
+@pytest.mark.parametrize("spec", [
+    "~A2", "~C2", "~G2", "~A3", "~C3", "~B3", "~D4", "H3", "A4", "B4",
+    "triangle(2,3,7)", "triangle(4,4,4)"])
+def test_closure_matches_pairwise_reference_on_presets(spec):
+    _assert_closure_matches_pairwise(parse_coxeter_system(spec))
+
+
+def test_seeded_closure_matches_pairwise_reference(aff_g2):
+    low = low_universe(aff_g2).elements
+    seeds = [low[-1], low[len(low) // 2]]
+    _assert_closure_matches_pairwise(aff_g2, seeds=seeds, cap=5)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems(), st.data())
+def test_closure_matches_pairwise_reference(sys, data):
+    # seeds come from the 0-low elements outside the closure of S, if any
+    low = low_universe(sys)
+    plain = pairwise_closure(sys)
+    pool = [el for el in low if el not in plain] or low.elements
+    picks = [data.draw(st.integers(0, len(pool) - 1))
+             for _ in range(data.draw(st.integers(0, 2)))]
+    _assert_closure_matches_pairwise(sys, seeds=[pool[i] for i in picks])
 
 
 def test_low_elements_examples(i2inf, aff_a2, a2):

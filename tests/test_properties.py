@@ -1,4 +1,5 @@
-"""Properties of inversion masks and automata over random Coxeter systems.
+"""Properties of inversion masks, automata and Conjecture 2 over random
+Coxeter systems.
 
 The systems are drawn by ``conftest.coxeter_systems`` (rank 3-4, labels in
 {2, 3, 4, 5, 6, inf}); every test is derandomized, so a run is repeatable.
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import coxeter_systems
 from coxauto.automata import (build_canonical_automaton,
                               build_shadow_automaton, minimize)
+from coxauto.conjectures import Verdict, check_conjecture
 from coxauto.elements import (from_word, mult_left, mult_right,
                               recompute_inversions, reduced_word_counts)
 from coxauto.garside import garside_closure
@@ -47,3 +49,13 @@ def test_automata_count_reduced_words(sys):
         twice = minimize(once)
         assert twice.delta == once.delta
         assert twice.state_map == tuple(range(once.num_states))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems())
+def test_conjecture_two_proven_direction(sys):
+    # all small roots spherical => the 0-canonical automaton is minimal
+    report = check_conjecture(sys, "conj2")
+    if report.numbers["sigma_eq_sph"]:
+        assert report.numbers["minimal"]
+        assert report.verdict is not Verdict.FAILS
