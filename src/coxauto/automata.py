@@ -18,8 +18,7 @@ from typing import Iterable, Sequence
 
 from .elements import Element, _mask_bits, identity, mult_left
 from . import garside
-from .errors import (BudgetExceeded, CapIndeterminate, InternalInvariant,
-                     ShadowViolation)
+from .errors import BudgetExceeded, CapIndeterminate, ShadowViolation
 from .garside import (Shadow, VerdictStatus, check_state_budget, project,
                       verify_shadow)
 from .smallroots import SmallRootTable
@@ -31,7 +30,7 @@ class Automaton:
     """Trim deterministic partial automaton; every state is accepting."""
 
     letter_labels: tuple[str, ...]
-    payloads: list
+    payloads: Sequence
     initial: int
     delta: list[tuple[int, ...]]  # -1 marks a missing transition
     kind: str = "automaton"
@@ -162,34 +161,37 @@ def build_canonical_automaton(sys: CoxeterSystem, table: SmallRootTable,
     the empty set; optionally a witness element reaching each state is kept.
     More than ``garside.STATE_BUDGET`` states raise ``BudgetExceeded``, at
     once when the system is affine at level 0 and more are predicted.
+
+    A state is an int mask over the table's node ids.  s(A) is read off
+    byte by byte: ``slices[s][j][b]`` is the mask of the images under s of
+    the bits of byte value b in byte j of a state, so a transition costs
+    one lookup per byte of the mask.
     """
     if table.system is not sys:
         raise ValueError("table from a different system")
     check_state_budget(sys, table.level)
     budget = garside.STATE_BUDGET
     rank = sys.rank
-    # images[s][nid]: the bit of s(node nid) in the table, or 0 when it exits
-    images = [[1 << node.theta[s] if node.theta[s] >= 0 else 0
-               for node in table.nodes] for s in range(rank)]
+    nbytes = (len(table) + 7) // 8
+    slices = [_byte_slices([1 << node.theta[s] if node.theta[s] >= 0 else 0
+                            for node in table.nodes])
+              for s in range(rank)]
 
     state_ids: dict[int, int] = {0: 0}
     masks: list[int] = [0]
     witnesses: list[Element] | None = [identity(sys)] if with_witness else None
-    payloads: list[tuple[int, ...]] = []
     delta: list[tuple[int, ...]] = []
     # states are numbered as they are found, so a scan of the growing
     # list of masks expands them in BFS order
     for q, mask in enumerate(masks):
-        members = _mask_bits(mask)
-        payloads.append(tuple(members))
+        mask_bytes = mask.to_bytes(nbytes, "little")
         row = [-1] * rank
         for s in range(rank):
             if mask >> s & 1:
                 continue
-            image = images[s]
             new_mask = 1 << s
-            for nid in members:
-                new_mask |= image[nid]
+            for images, b in zip(slices[s], mask_bytes):
+                new_mask |= images[b]
             target = state_ids.get(new_mask)
             if target is None:
                 target = len(masks)
@@ -203,9 +205,45 @@ def build_canonical_automaton(sys: CoxeterSystem, table: SmallRootTable,
                     witnesses.append(mult_left(s, witnesses[q]))
             row[s] = target
         delta.append(tuple(row))
-    auto = Automaton(letter_labels=_default_labels(sys), payloads=payloads,
-                     initial=0, delta=delta, kind=f"canonical-{table.level}")
+    auto = Automaton(letter_labels=_default_labels(sys),
+                     payloads=_MaskPayloads(masks), initial=0, delta=delta,
+                     kind=f"canonical-{table.level}")
     return auto, witnesses
+
+
+def _byte_slices(image: list[int]) -> list[list[int]]:
+    """Per byte j of a mask, the table whose entry b is the OR of
+    image[8j + i] over the bits i of b.
+
+    Each table is built by doubling: the entries with bit i set are those
+    without it, ORed with the image of bit i.  The last table only covers
+    the bits that a mask can hold.
+    """
+    slices = []
+    for j in range(0, len(image), 8):
+        row = [0]
+        for bit in image[j:j + 8]:
+            row += [m | bit for m in row]
+        slices.append(row)
+    return slices
+
+
+class _MaskPayloads(Sequence):
+    """Read-only payloads over int state masks: item q is the tuple of the
+    set bits of mask q, decoded when it is read."""
+
+    __slots__ = ("_masks",)
+
+    def __init__(self, masks: list[int]):
+        self._masks = masks
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, q):
+        if isinstance(q, slice):
+            return [tuple(_mask_bits(mask)) for mask in self._masks[q]]
+        return tuple(_mask_bits(self._masks[q]))
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +446,6 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
     if len(mapping) != a.num_states or len(set(mapping.values())) != b.num_states:
         return False
     return True
-
-
-def shortest_words(auto: Automaton) -> list[tuple[int, ...]]:
-    """A shortest reading word per state, BFS with letters in order."""
-    words: list[tuple[int, ...] | None] = [None] * auto.num_states
-    words[auto.initial] = ()
-    queue = deque([auto.initial])
-    while queue:
-        q = queue.popleft()
-        for a in range(auto.alphabet_size):
-            t = auto.delta[q][a]
-            if t >= 0 and words[t] is None:
-                words[t] = words[q] + (a,)
-                queue.append(t)
-    if any(w is None for w in words):
-        raise InternalInvariant("automaton is not trim")
-    return words  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -57,16 +57,16 @@ def _default_cap(args) -> int | None:
             f"${ENV_JOIN_CAP} must be an integer, got {env!r}") from None
 
 
-def _level(text: str) -> int:
-    """--n: a small-root level, a non-negative integer."""
+def _non_negative(text: str) -> int:
+    """Argument type of --n and --max-len: a non-negative integer."""
     try:
-        level = int(text)
+        value = int(text)
     except ValueError:
-        level = -1
-    if level < 0:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")
-    return level
+    return value
 
 
 def _no_level(level: int, where: str) -> None:
@@ -76,9 +76,18 @@ def _no_level(level: int, where: str) -> None:
                            "which is defined at level 0 only")
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written exits 1."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CoxAutoError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         _sys.stdout.write(text)
 
@@ -164,13 +173,14 @@ def _cmd_automaton(args) -> int:
     auto = _build_automaton(system, args.kind, args.n, _default_cap(args))
     if args.minimize:
         auto = minimize(auto)
+    lines = []
+    if args.stats or not args.dot:
+        lines.append(f"states: {auto.num_states}")
     if args.stats:
-        print(f"states: {auto.num_states}")
-        print(f"transitions: {auto.num_transitions()}")
+        lines.append(f"transitions: {auto.num_transitions()}")
+    _emit("".join(line + "\n" for line in lines), args.out)
     if args.dot:
-        Path(args.dot).write_text(auto.to_dot())
-    if not args.stats and not args.dot:
-        print(f"states: {auto.num_states}")
+        _write(args.dot, auto.to_dot())
     return 0
 
 
@@ -216,8 +226,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_render(args) -> int:
     system = _load_system(args.group)
-    svg = render_rank3_svg(system, args.n)
-    Path(args.svg).write_text(svg)
+    _write(args.svg, render_rank3_svg(system, args.n))
     return 0
 
 
@@ -233,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True,
                        help="preset name, inline spec, or matrix file path")
         if level:
-            p.add_argument("--n", type=_level, default=0,
+            p.add_argument("--n", type=_non_negative, default=0,
                            help="small-root level n >= 0")
         if joins:
             p.add_argument("--cap", type=int, default=None,
@@ -268,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, joins=True)
     p.add_argument("--kind", default="canonical",
                    choices=["canonical", "shadow:smallest", "shadow:low"])
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_non_negative, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="add a brute-force reduced-word column and cross-check")
     p.set_defaults(func=_cmd_count)

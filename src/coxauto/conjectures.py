@@ -13,12 +13,12 @@ import enum
 import io
 import itertools
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 from .automata import (Automaton, build_canonical_automaton,
-                       build_shadow_automaton, isomorphic, minimize,
-                       shortest_words)
+                       build_shadow_automaton, isomorphic, minimize)
 from .errors import InternalInvariant, InvalidGroupSpec
 from .garside import (VerdictStatus, garside_closure, low_elements,
                       verify_shadow)
@@ -121,14 +121,48 @@ def _merged_state_witness(auto: Automaton, minimized: Automaton,
                     and minimized.state_map[q1] == minimized.state_map[q2]):
                 words = ((s, u), (t, s, u))
                 return (tuple(sys.word_to_string(w) for w in words),)
-    words = shortest_words(auto)
     seen: dict[int, int] = {}
     for q, cls in enumerate(minimized.state_map):
         if cls in seen:
-            pair = (words[seen[cls]], words[q])
+            pair = _shortest_words_to(auto, (seen[cls], q))
             return (tuple(sys.word_to_string(w) for w in pair),)
         seen[cls] = q
     return ()
+
+
+def _shortest_words_to(auto: Automaton, targets: Sequence[int]
+                       ) -> list[tuple[int, ...]]:
+    """A shortest reading word for each target state: the word a BFS from
+    the initial state, letters in order, finds first.
+
+    The BFS keeps one parent pointer per state and stops once every target
+    is found; the order in which a BFS tree finds states does not depend on
+    when it stops.
+    """
+    start, k = auto.initial, auto.alphabet_size
+    # via[t] = q * k + a: t was found from q by letter a; the start is
+    # marked found, and is never read as a move
+    via = [-1] * auto.num_states
+    via[start] = 0
+    missing = set(targets) - {start}
+    queue = deque([start])
+    while missing and queue:
+        q = queue.popleft()
+        for a, t in enumerate(auto.delta[q]):
+            if t >= 0 and via[t] < 0:
+                via[t] = q * k + a
+                missing.discard(t)
+                queue.append(t)
+    if missing:
+        raise InternalInvariant("automaton is not trim")
+    words = []
+    for q in targets:
+        word = []
+        while q != start:
+            q, a = divmod(via[q], k)
+            word.append(a)
+        words.append(tuple(reversed(word)))
+    return words
 
 
 def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import pytest
 from hypothesis import strategies as st
 
 from coxauto import parse_coxeter_system
-from coxauto.elements import generator, identity, mult_left
+from coxauto.automata import Automaton
+from coxauto.elements import _mask_bits, generator, identity, mult_left
+from coxauto.errors import InternalInvariant
 from coxauto.garside import (JoinEngine, Shadow, _Decision, default_cap,
                              low_universe, project)
 from coxauto.scalars import Scalar
@@ -166,6 +169,86 @@ def pairwise_closure(sys: CoxeterSystem, seeds=(), cap: int | None = None):
         done += 1
     return Shadow(sys, order, provenance="closure-of-S", cap_stable=True,
                   cap=base_cap)
+
+
+# ---------------------------------------------------------------------------
+# The canonical automaton by one OR per member bit and letter, with a payload
+# tuple per state: the reference that the byte-sliced image tables of
+# automata.build_canonical_automaton are checked against.
+
+def per_bit_canonical_automaton(sys: CoxeterSystem, table):
+    """States are reachable n-small inversion sets, as tuples of node ids."""
+    rank = sys.rank
+    # images[s][nid]: the bit of s(node nid) in the table, or 0 when it exits
+    images = [[1 << node.theta[s] if node.theta[s] >= 0 else 0
+               for node in table.nodes] for s in range(rank)]
+    state_ids: dict[int, int] = {0: 0}
+    masks: list[int] = [0]
+    payloads: list[tuple[int, ...]] = []
+    delta: list[tuple[int, ...]] = []
+    for mask in masks:
+        members = _mask_bits(mask)
+        payloads.append(tuple(members))
+        row = [-1] * rank
+        for s in range(rank):
+            if mask >> s & 1:
+                continue
+            image = images[s]
+            new_mask = 1 << s
+            for nid in members:
+                new_mask |= image[nid]
+            target = state_ids.get(new_mask)
+            if target is None:
+                target = len(masks)
+                state_ids[new_mask] = target
+                masks.append(new_mask)
+            row[s] = target
+        delta.append(tuple(row))
+    return Automaton(letter_labels=tuple(str(s + 1) for s in range(rank)),
+                     payloads=payloads, initial=0, delta=delta,
+                     kind=f"canonical-{table.level}")
+
+
+def shortest_words(auto: Automaton) -> list[tuple[int, ...]]:
+    """A shortest reading word per state, BFS with letters in order: the
+    reference for the merged-state witnesses of conjectures."""
+    words: list[tuple[int, ...] | None] = [None] * auto.num_states
+    words[auto.initial] = ()
+    queue = deque([auto.initial])
+    while queue:
+        q = queue.popleft()
+        for a in range(auto.alphabet_size):
+            t = auto.delta[q][a]
+            if t >= 0 and words[t] is None:
+                words[t] = words[q] + (a,)
+                queue.append(t)
+    if any(w is None for w in words):
+        raise InternalInvariant("automaton is not trim")
+    return words  # type: ignore[return-value]
+
+
+def reference_merged_state_witness(auto: Automaton, minimized: Automaton,
+                                   sys: CoxeterSystem):
+    """The witness of conjectures._merged_state_witness, with the words of
+    the first merged pair taken from shortest_words."""
+    if sys.rank == 3:
+        for s, t, u in itertools.permutations(range(3)):
+            if sys.matrix.m(s, u) != 2:
+                continue
+            q1 = auto.read((s, u))
+            q2 = auto.read((t, s, u))
+            if (q1 is not None and q2 is not None and q1 != q2
+                    and minimized.state_map[q1] == minimized.state_map[q2]):
+                words = ((s, u), (t, s, u))
+                return (tuple(sys.word_to_string(w) for w in words),)
+    words = shortest_words(auto)
+    seen: dict[int, int] = {}
+    for q, cls in enumerate(minimized.state_map):
+        if cls in seen:
+            pair = (words[seen[cls]], words[q])
+            return (tuple(sys.word_to_string(w) for w in pair),)
+        seen[cls] = q
+    return ()
 
 
 @pytest.fixture(scope="session")

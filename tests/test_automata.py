@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import projection_state_map
+from conftest import (per_bit_canonical_automaton, projection_state_map,
+                      shortest_words)
 from coxauto import garside, parse_coxeter_system
 from coxauto.automata import (Automaton, MorphismVerdict,
                               build_canonical_automaton,
                               build_shadow_automaton, check_morphism,
-                              isomorphic, minimize, restrict_letters,
-                              shortest_words)
+                              isomorphic, minimize, restrict_letters)
 from coxauto.elements import from_word, is_reduced_word, reduced_words
 from coxauto.errors import BudgetExceeded, ShadowViolation
 from coxauto.garside import (Shadow, garside_closure, intersect_parabolic,
@@ -71,6 +71,19 @@ def test_canonical_states_count_shi_regions(name, h, r):
     sys = parse_coxeter_system(name)
     auto, _ = build_canonical_automaton(sys, build_small_roots(sys, 0))
     assert auto.num_states == (h + 1) ** r
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("name", ["~A2", "~C2", "~G2", "~A3", "~C3", "~B3",
+                                  "H3", "triangle(2,3,7)", "triangle(4,4,4)"])
+def test_canonical_automaton_matches_per_bit_reference(name, level):
+    sys = parse_coxeter_system(name)
+    table = build_small_roots(sys, level)
+    auto, _ = build_canonical_automaton(sys, table)
+    reference = per_bit_canonical_automaton(sys, table)
+    assert auto.num_states == reference.num_states
+    assert auto.delta == reference.delta
+    assert list(auto.payloads) == reference.payloads
 
 
 def test_canonical_state_budget(monkeypatch):

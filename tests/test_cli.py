@@ -82,6 +82,34 @@ def test_render_and_dot_outputs(tmp_path, capsys):
     assert "states: 6" in capsys.readouterr().out
 
 
+def test_automaton_out_file_holds_the_stats(tmp_path, capsys):
+    out = tmp_path / "stats.txt"
+    assert main(["automaton", "--group", "~A2", "--out", str(out)]) == 0
+    assert out.read_text() == "states: 16\n"
+    assert main(["automaton", "--group", "~A2", "--stats",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == "states: 16\ntransitions: 30\n"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["roots", "--group", "~A2"], "--out"),
+    (["automaton", "--group", "~A2"], "--dot"),
+    (["render", "--group", "triangle(3,3,3)"], "--svg"),
+])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/out.txt", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_output_exits_one(tmp_path, capsys, argv, flag, target,
+                                     reason):
+    path = str(tmp_path / target)
+    assert main(argv + [flag, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: {reason}\n"
+
+
 def test_matrix_file_input(tmp_path, capsys):
     path = tmp_path / "group.txt"
     path.write_text("rank 2\nm 1 2 inf\n")
@@ -137,6 +165,16 @@ def test_negative_level_is_a_usage_error(capsys, argv):
     assert exc.value.code == 1
     assert ("argument --n: must be a non-negative integer, got '-3'"
             in capsys.readouterr().err)
+
+
+def test_negative_max_len_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--group", "~A2", "--max-len", "-1"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("argument --max-len: must be a non-negative integer, got '-1'"
+            in captured.err)
 
 
 @pytest.mark.parametrize("argv, where", [

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from conftest import reference_merged_state_witness
 from coxauto import parse_coxeter_system
+from coxauto.automata import build_canonical_automaton, minimize
 from coxauto.conjectures import (StatsRow, Verdict, check_conjecture, stats_csv,
                                  stats_row)
-from coxauto.smallroots import affine_structure
+from coxauto.smallroots import affine_structure, build_small_roots
 
 
 def test_stats_row_aff_a2(aff_a2):
@@ -57,6 +61,18 @@ def test_conjecture_two_positive_case(aff_a2):
     assert report.verdict is Verdict.HOLDS
     assert report.numbers["minimal"] is True
     assert report.numbers["sigma_eq_sph"] is True
+
+
+@pytest.mark.parametrize("name", ["~C2", "~G2", "~C4", "~B4", "~F4"])
+def test_conjecture_two_witness_matches_reference(name):
+    # rank 3 takes the non-minimality recipe; rank 4 reads the words of the
+    # first merged pair off a BFS
+    sys = parse_coxeter_system(name)
+    auto, _ = build_canonical_automaton(sys, build_small_roots(sys, 0))
+    report = check_conjecture(sys, "conj2")
+    assert report.witnesses
+    assert report.witnesses == reference_merged_state_witness(
+        auto, minimize(auto), sys)
 
 
 def test_spherical_hypothesis_forces_minimality():

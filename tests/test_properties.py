@@ -10,7 +10,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coxeter_systems
+from conftest import (coxeter_systems, per_bit_canonical_automaton,
+                      reference_merged_state_witness)
 from coxauto.automata import (build_canonical_automaton,
                               build_shadow_automaton, minimize)
 from coxauto.conjectures import Verdict, check_conjecture
@@ -59,3 +60,18 @@ def test_conjecture_two_proven_direction(sys):
     if report.numbers["sigma_eq_sph"]:
         assert report.numbers["minimal"]
         assert report.verdict is not Verdict.FAILS
+    if not report.numbers["minimal"]:
+        auto, _ = build_canonical_automaton(sys, build_small_roots(sys, 0))
+        assert report.witnesses == reference_merged_state_witness(
+            auto, minimize(auto), sys)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems())
+def test_canonical_automaton_matches_per_bit_reference(sys):
+    table = build_small_roots(sys, 0)
+    auto, _ = build_canonical_automaton(sys, table)
+    reference = per_bit_canonical_automaton(sys, table)
+    assert auto.num_states == reference.num_states
+    assert auto.delta == reference.delta
+    assert list(auto.payloads) == reference.payloads
