@@ -124,11 +124,11 @@ def _default_labels(sys: CoxeterSystem) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Builders
 
-def build_shadow_automaton(shadow: Shadow, *, assume_verified: bool = False,
-                           cap: int | None = None) -> Automaton:
+def build_shadow_automaton(shadow: Shadow, *,
+                           assume_verified: bool = False) -> Automaton:
     """States are the shadow's elements; x goes via s to pi_B(s x)."""
     if not assume_verified:
-        verdict = verify_shadow(shadow, cap=cap)
+        verdict = verify_shadow(shadow)
         if verdict.status is VerdictStatus.NOT_SHADOW:
             raise ShadowViolation(f"not a Garside shadow: {verdict.reason}")
         if verdict.status is VerdictStatus.INDETERMINATE_AT_CAP:

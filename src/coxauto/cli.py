@@ -36,7 +36,12 @@ class _Parser(argparse.ArgumentParser):
 def _load_system(spec: str) -> CoxeterSystem:
     path = Path(spec)
     if path.exists() and path.is_file():
-        system = parse_coxeter_system(path.read_text())
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise CoxAutoError(f"cannot read {spec}: {reason}") from None
+        system = parse_coxeter_system(text)
         system.name = path.stem
         return system
     system = parse_coxeter_system(spec)
@@ -44,21 +49,8 @@ def _load_system(spec: str) -> CoxeterSystem:
     return system
 
 
-def _default_cap(args) -> int | None:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get(ENV_JOIN_CAP)
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise CoxAutoError(
-            f"${ENV_JOIN_CAP} must be an integer, got {env!r}") from None
-
-
 def _non_negative(text: str) -> int:
-    """Argument type of --n and --max-len: a non-negative integer."""
+    """Argument type of --n, --max-len and --cap: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -67,6 +59,19 @@ def _non_negative(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")
     return value
+
+
+def _join_cap(args) -> int | None:
+    """The join cap of shadow --verify: --cap, else $COXAUTO_JOIN_CAP."""
+    if args.cap is not None:
+        return args.cap
+    env = os.environ.get(ENV_JOIN_CAP)
+    if not env:
+        return None
+    try:
+        return _non_negative(env)
+    except argparse.ArgumentTypeError as exc:
+        raise CoxAutoError(f"${ENV_JOIN_CAP} {exc}") from None
 
 
 def _no_level(level: int, where: str) -> None:
@@ -92,20 +97,15 @@ def _emit(text: str, out: str | None) -> None:
         _sys.stdout.write(text)
 
 
-def _build_automaton(system: CoxeterSystem, kind: str, level: int,
-                     cap: int | None):
+def _build_automaton(system: CoxeterSystem, kind: str, level: int):
     if kind == "canonical":
         table = build_small_roots(system, level)
         auto, _ = build_canonical_automaton(system, table)
         return auto
     if kind == "shadow:smallest":
         _no_level(level, "--kind shadow:smallest")
-        shadow = garside_closure(system, cap=cap)
-        if not shadow.cap_stable:
-            raise CapIndeterminate(
-                f"smallest-shadow closure unstable at cap {shadow.cap}",
-                shadow.cap)
-        return build_shadow_automaton(shadow, assume_verified=True)
+        return build_shadow_automaton(garside_closure(system),
+                                      assume_verified=True)
     if kind == "shadow:low":
         table = build_small_roots(system, level)
         low = low_elements(system, level, table)
@@ -134,7 +134,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_shadow(args) -> int:
     system = _load_system(args.group)
-    cap = _default_cap(args)
+    cap = _join_cap(args)  # checked on both paths; only --verify searches
     if args.verify:
         words = [w for w in args.verify.split(",") if w.strip()]
         elements = [from_word(system, system.word_from_string(w)) for w in words]
@@ -148,13 +148,11 @@ def _cmd_shadow(args) -> int:
         if verdict.status is VerdictStatus.INDETERMINATE_AT_CAP:
             raise CapIndeterminate("verification indeterminate", verdict.cap)
         return 0
-    shadow = garside_closure(system, cap=cap)
+    shadow = garside_closure(system)
     lines = [f"# smallest Garside shadow of {system.name}: {len(shadow)} elements"
              f" (cap_stable={shadow.cap_stable})"]
     lines.extend(shadow.words())
     _emit("\n".join(lines) + "\n", args.out)
-    if not shadow.cap_stable:
-        raise CapIndeterminate("closure is not cap-stable", shadow.cap)
     return 0
 
 
@@ -170,7 +168,7 @@ def _cmd_low(args) -> int:
 
 def _cmd_automaton(args) -> int:
     system = _load_system(args.group)
-    auto = _build_automaton(system, args.kind, args.n, _default_cap(args))
+    auto = _build_automaton(system, args.kind, args.n)
     if args.minimize:
         auto = minimize(auto)
     lines = []
@@ -186,7 +184,7 @@ def _cmd_automaton(args) -> int:
 
 def _cmd_count(args) -> int:
     system = _load_system(args.group)
-    auto = _build_automaton(system, args.kind, args.n, _default_cap(args))
+    auto = _build_automaton(system, args.kind, args.n)
     counts = auto.counts_by_length(args.max_len)
     oracle = reduced_word_counts(system, args.max_len) if args.oracle else None
     header = "length,count" + (",oracle" if oracle else "")
@@ -208,7 +206,7 @@ def _cmd_check(args) -> int:
     which = {"1": "conj1", "2": "conj2"}.get(args.conjecture, args.conjecture)
     if which in ("conj1", "conj2"):
         _no_level(args.n, f"--conjecture {args.conjecture}")
-    report = check_conjecture(system, which, level=args.n, cap=_default_cap(args))
+    report = check_conjecture(system, which, level=args.n)
     _emit(report.to_json() + "\n", args.out)
     return 0
 
@@ -218,8 +216,7 @@ def _cmd_table(args) -> int:
     for spec in args.groups.split(","):
         spec = spec.strip()
         if spec:
-            rows.append(stats_row(_load_system(spec), group_name=spec,
-                                  cap=_default_cap(args)))
+            rows.append(stats_row(_load_system(spec), group_name=spec))
     _emit(stats_csv(rows), args.out)
     return 0
 
@@ -236,17 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, joins=False, level=True):
-        """--group and --out; --n where a level is read, --cap where a join
-        can be searched."""
+    def common(p, level=True):
+        """--group and --out; --n where a level is read."""
         p.add_argument("--group", required=True,
                        help="preset name, inline spec, or matrix file path")
         if level:
             p.add_argument("--n", type=_non_negative, default=0,
                            help="small-root level n >= 0")
-        if joins:
-            p.add_argument("--cap", type=int, default=None,
-                           help=f"join search cap (default from ${ENV_JOIN_CAP})")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("roots", help="dump the n-small root table")
@@ -255,9 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shadow",
                        help="compute the smallest Garside shadow, or verify a list")
-    common(p, joins=True, level=False)
+    common(p, level=False)
     p.add_argument("--verify", default=None,
                    help="comma-separated words to verify as a shadow")
+    p.add_argument("--cap", type=_non_negative, default=None,
+                   help="join search cap of --verify "
+                        f"(default from ${ENV_JOIN_CAP})")
     p.set_defaults(func=_cmd_shadow)
 
     p = sub.add_parser("low", help="dump the n-low elements")
@@ -265,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_low)
 
     p = sub.add_parser("automaton", help="build an automaton")
-    common(p, joins=True)
+    common(p)
     p.add_argument("--kind", default="canonical",
                    choices=["canonical", "shadow:smallest", "shadow:low"])
     p.add_argument("--minimize", action="store_true")
@@ -274,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_automaton)
 
     p = sub.add_parser("count", help="count accepted words per length")
-    common(p, joins=True)
+    common(p)
     p.add_argument("--kind", default="canonical",
                    choices=["canonical", "shadow:smallest", "shadow:low"])
     p.add_argument("--max-len", type=_non_negative, required=True)
@@ -283,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("check", help="check a conjecture instance")
-    common(p, joins=True)
+    common(p)
     p.add_argument("--conjecture", required=True,
                    choices=["1", "2", "conj1", "conj2", "dyho1", "dyho2"])
     p.set_defaults(func=_cmd_check)
@@ -291,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="stats rows for a list of groups, CSV")
     p.add_argument("--groups", required=True,
                    help="comma-separated group specs")
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_table)
 

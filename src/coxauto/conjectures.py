@@ -1,9 +1,10 @@
 """Reproducible statistics rows and conjecture reports.
 
-Every verdict is per-instance evidence, never a universal claim; reports
-embed the caps and budgets that produced them, and failures carry
-machine-replayable witnesses (reading words for a merged state pair, or
-the offending join pair for a non-shadow).
+Every verdict is per-instance evidence, never a universal claim.  No
+check here searches for a join, so every verdict is exact; a report keeps
+its ``cap`` key, always null, so that the JSON layout stays fixed.
+Failures carry machine-replayable witnesses (reading words for a merged
+state pair, or an element and its missing suffix for a non-shadow).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Sequence
 from .automata import (Automaton, build_canonical_automaton,
                        build_shadow_automaton, isomorphic, minimize)
 from .errors import InternalInvariant, InvalidGroupSpec
-from .garside import (VerdictStatus, garside_closure, low_elements,
-                      verify_shadow)
+from .garside import (check_generated_and_suffix_closed, garside_closure,
+                      low_elements)
 from .smallroots import (build_small_roots, small_inversion_set,
                          spherical_analysis)
 from .system import CoxeterSystem
@@ -46,13 +47,12 @@ class StatsRow:
                 self.spherical_small_roots, self.cap_stable)
 
 
-def stats_row(sys: CoxeterSystem, group_name: str | None = None,
-              cap: int | None = None) -> StatsRow:
+def stats_row(sys: CoxeterSystem, group_name: str | None = None) -> StatsRow:
     """One row of the numeric table: automaton sizes and small-root counts."""
     table = build_small_roots(sys, 0)
     sph, _ = spherical_analysis(table)
     canonical, _ = build_canonical_automaton(sys, table)
-    shadow = garside_closure(sys, cap=cap)
+    shadow = garside_closure(sys)
     shadow_auto = build_shadow_automaton(shadow, assume_verified=True)
     minimal = minimize(canonical)
     name = group_name or sys.name or f"rank-{sys.rank}"
@@ -77,7 +77,6 @@ def stats_csv(rows: Sequence[StatsRow]) -> str:
 class Verdict(enum.Enum):
     HOLDS = "holds"
     FAILS = "fails"
-    INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,6 @@ def _shortest_words_to(auto: Automaton, targets: Sequence[int]
 
 
 def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
-                     cap: int | None = None,
                      group_name: str | None = None) -> ConjectureReport:
     """Evaluate one conjecture instance.
 
@@ -174,21 +172,19 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
     conj2: the canonical automaton is minimal iff all small roots are
     spherical (the forward implication is a theorem; the report compares
     both sides).
-    dyho1(n): the n-low elements form a Garside shadow.
+    dyho1(n): the n-low elements form a Garside shadow.  Their join
+    closure is a theorem, so only S and e membership and suffix closure
+    are tested, with the reasons and witnesses of ``verify_shadow``.
     dyho2(n): w -> Sigma_n(w) is a bijection from the n-low elements onto
     the canonical automaton's states.
     """
     name = group_name or sys.name or f"rank-{sys.rank}"
     if which == "conj1":
-        shadow = garside_closure(sys, cap=cap)
+        shadow = garside_closure(sys)
         auto = build_shadow_automaton(shadow, assume_verified=True)
         minimal = minimize(auto)
         numbers = {"a_shadow": auto.num_states, "a_min": minimal.num_states,
                    "shadow_size": len(shadow)}
-        if not shadow.cap_stable:
-            return ConjectureReport(name, which, Verdict.INDETERMINATE, numbers,
-                                    reason="closure not cap-stable",
-                                    cap=shadow.cap)
         if isomorphic(auto, minimal):
             return ConjectureReport(name, which, Verdict.HOLDS, numbers)
         return ConjectureReport(
@@ -215,18 +211,13 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
     if which == "dyho1":
         table = build_small_roots(sys, level)
         low = low_elements(sys, level, table)
-        # join closure of L_n is a theorem; the open parts, suffix closure
-        # and membership, stay genuinely tested by verify_shadow
-        verdict = verify_shadow(low, cap=cap, universe=low)
+        failure = check_generated_and_suffix_closed(low)
         numbers = {"n": level, "low_size": len(low)}
-        if verdict.status is VerdictStatus.SHADOW:
+        if failure is None:
             return ConjectureReport(name, which, Verdict.HOLDS, numbers)
-        if verdict.status is VerdictStatus.NOT_SHADOW:
-            return ConjectureReport(name, which, Verdict.FAILS, numbers,
-                                    witnesses=(verdict.witness,),
-                                    reason=verdict.reason)
-        return ConjectureReport(name, which, Verdict.INDETERMINATE, numbers,
-                                reason=verdict.reason, cap=verdict.cap)
+        return ConjectureReport(name, which, Verdict.FAILS, numbers,
+                                witnesses=(failure.witness,),
+                                reason=failure.reason)
     if which == "dyho2":
         table = build_small_roots(sys, level)
         low = low_elements(sys, level, table)

@@ -6,13 +6,17 @@ element in (length, word) order.  The elements above x are the AND of the
 bitsets of the roots of N(x), and the prefixes of w are the elements
 outside every bitset of a root not in N(w).
 
-Every join is decided by :meth:`JoinEngine.decide`.  When the engine holds
-a universe, a finite join-closed shadow such as the 0-low elements, and
+Every join is decided by :func:`decide_join`.  When it is given a
+universe, a finite join-closed shadow such as the 0-low elements, and
 both inputs lie in it, the join is the lowest set bit of the AND of their
 up-sets, and there is none when the AND is empty.  Otherwise boundedness is
 only semi-decidable: two positive roots with B <= -1 inside N(u) union N(v)
 certify that there is no join, and failing that a breadth-first search runs
 up to a length cap.
+
+A shadow is verified by S and e membership, suffix closure and pairwise
+joins.  The first two are :func:`check_generated_and_suffix_closed`, which
+is all a set already known to be join-closed, such as L_n, needs.
 
 With 0-low seeds the Garside closure is read off the index of the 0-low
 elements: in a finite join-closed set, x is in the join closure of X iff x
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .elements import (Element, _mask_bits, coset_split, identity, generator,
                        mult_left, mult_right, support, weak_leq)
@@ -123,13 +127,6 @@ class Shadow:
         return f"Shadow({self.provenance}, {len(self.elements)} elements)"
 
 
-class JoinResult(NamedTuple):
-    """Outcome of a capped join search; element is None when not found."""
-
-    element: Element | None
-    cap: int
-
-
 class _Decision(enum.Enum):
     FOUND = "found"
     NO_JOIN = "no-join"
@@ -180,48 +177,33 @@ def _bfs_join(u: Element, v: Element, cap: int) -> tuple[_Decision, Element | No
     return _Decision.AT_CAP, None
 
 
-def join(u: Element, v: Element, cap: int) -> JoinResult:
-    """Least upper bound of u and v in right weak order, searched up to cap.
+def decide_join(u: Element, v: Element, cap: int, universe: Shadow | None = None
+                ) -> tuple[_Decision, Element | None]:
+    """The join of u and v in right weak order, or why there is none.
 
-    After the B <= -1 certificate, breadth-first by length upward from u;
-    the first element dominating v is the join, since a minimal-length
-    common upper bound is the join.
+    In a join-closed universe holding both inputs, the common upper bounds
+    are the AND of their up-sets; the lowest set bit is the shortest of
+    them, which is the join, and an empty AND means there is none.  This
+    also covers comparable inputs, whose join is the larger one.  Otherwise,
+    after the B <= -1 certificate, the search runs breadth-first by length
+    upward from u up to the cap; the first element dominating v is the
+    join, since a minimal-length common upper bound is the join.
     """
-    if cap < max(u.length, v.length):
-        raise ValueError("cap must be at least the longer input")
-    return JoinResult(JoinEngine(cap).decide(u, v)[1], cap)
-
-
-class JoinEngine:
-    """The one place joins are decided, decisively when the universe allows.
-
-    In a join-closed universe the common upper bounds of u and v are the AND
-    of their up-sets; the lowest set bit is the shortest of them, which is
-    the join, and an empty AND means there is none.  This also covers
-    comparable inputs, whose join is the larger one.
-    """
-
-    def __init__(self, cap: int, universe: Shadow | None = None):
-        self.cap = cap
-        self.universe = universe
-
-    def decide(self, u: Element, v: Element) -> tuple[_Decision, Element | None]:
-        universe = self.universe
-        if universe is not None:
-            i, j = universe._pos.get(u.inv), universe._pos.get(v.inv)
-            if i is not None and j is not None:
-                common = universe._up_set(i) & universe._up_set(j)
-                if not common:
-                    return _Decision.NO_JOIN, None
-                return (_Decision.FOUND,
-                        universe.elements[(common & -common).bit_length() - 1])
-        if weak_leq(u, v):
-            return _Decision.FOUND, v
-        if weak_leq(v, u):
-            return _Decision.FOUND, u
-        if _unbounded_certificate(u, v):
-            return _Decision.NO_JOIN, None
-        return _bfs_join(u, v, self.cap)
+    if universe is not None:
+        i, j = universe._pos.get(u.inv), universe._pos.get(v.inv)
+        if i is not None and j is not None:
+            common = universe._up_set(i) & universe._up_set(j)
+            if not common:
+                return _Decision.NO_JOIN, None
+            return (_Decision.FOUND,
+                    universe.elements[(common & -common).bit_length() - 1])
+    if weak_leq(u, v):
+        return _Decision.FOUND, v
+    if weak_leq(v, u):
+        return _Decision.FOUND, u
+    if _unbounded_certificate(u, v):
+        return _Decision.NO_JOIN, None
+    return _bfs_join(u, v, cap)
 
 
 def low_universe(sys: CoxeterSystem) -> Shadow:
@@ -280,21 +262,12 @@ class ShadowVerdict:
         return self.status is VerdictStatus.SHADOW
 
 
-def verify_shadow(shadow: Shadow, cap: int | None = None,
-                  universe: Shadow | None = None) -> ShadowVerdict:
-    """Check S and e membership, suffix closure, and pairwise join closure.
+def check_generated_and_suffix_closed(shadow: Shadow) -> ShadowVerdict | None:
+    """The first failure among S and e membership and suffix closure.
 
-    Pairwise joins suffice: finite bounded joins fold from pairwise ones.
-    Join searches that hit the cap leave the verdict indeterminate unless
-    the set is refuted outright.  Joins of 0-low elements are decided in the
-    0-low universe.  A caller may supply another join-closed ``universe``
-    containing the shadow (such as L_n, whose join closure is a theorem) to
-    make every join decision decisive; only suffix closure and membership
-    remain genuinely tested then.
+    None when the set holds S and e and is closed under suffixes.
     """
     sys = shadow.system
-    engine = JoinEngine(cap if cap is not None else default_cap(shadow),
-                        universe if universe is not None else low_universe(sys))
     for s in range(sys.rank):
         if generator(sys, s) not in shadow:
             return ShadowVerdict(VerdictStatus.NOT_SHADOW,
@@ -307,11 +280,27 @@ def verify_shadow(shadow: Shadow, cap: int | None = None,
                 return ShadowVerdict(
                     VerdictStatus.NOT_SHADOW, reason="not closed under suffixes",
                     witness=(str(b), str(mult_left(s, b))))
+    return None
+
+
+def verify_shadow(shadow: Shadow, cap: int | None = None) -> ShadowVerdict:
+    """Check S and e membership, suffix closure, and pairwise join closure.
+
+    Pairwise joins suffice: finite bounded joins fold from pairwise ones.
+    Joins of 0-low elements are decided in the 0-low universe, the others
+    by the capped search.  Join searches that hit the cap leave the verdict
+    indeterminate unless the set is refuted outright.
+    """
+    failure = check_generated_and_suffix_closed(shadow)
+    if failure is not None:
+        return failure
+    cap = cap if cap is not None else default_cap(shadow)
+    universe = low_universe(shadow.system)
     hit_cap = False
     els = shadow.elements
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
-            decision, w = engine.decide(els[i], els[j])
+            decision, w = decide_join(els[i], els[j], cap, universe)
             if decision is _Decision.FOUND and w not in shadow:
                 return ShadowVerdict(
                     VerdictStatus.NOT_SHADOW, reason="not closed under joins",
@@ -320,7 +309,7 @@ def verify_shadow(shadow: Shadow, cap: int | None = None,
                 hit_cap = True
     if hit_cap:
         return ShadowVerdict(VerdictStatus.INDETERMINATE_AT_CAP,
-                             reason="join searches hit the cap", cap=engine.cap)
+                             reason="join searches hit the cap", cap=cap)
     return ShadowVerdict(VerdictStatus.SHADOW)
 
 
@@ -379,7 +368,7 @@ def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
         add(el)
     done = 0
 
-    def drain(engine: JoinEngine) -> list[tuple[Element, Element]]:
+    def drain(cap: int) -> list[tuple[Element, Element]]:
         """Process the worklist; returns the pairs whose search hit the cap."""
         nonlocal done
         at_cap = []
@@ -388,7 +377,7 @@ def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
             for s in x.descents_left:
                 add(mult_left(s, x))
             for y in order[:done]:
-                decision, w = engine.decide(y, x)
+                decision, w = decide_join(y, x, cap)
                 if decision is _Decision.FOUND:
                     add(w)
                 elif decision is _Decision.AT_CAP:
@@ -398,15 +387,14 @@ def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
 
     # A result that is not cap-stable is the closure under the joins found
     # within the cap.
-    undecided = drain(JoinEngine(base_cap))
+    undecided = drain(base_cap)
     size = len(order)
     if undecided:
-        wider = JoinEngine(base_cap + 4)
         for y, x in undecided:
-            decision, w = wider.decide(y, x)
+            decision, w = decide_join(y, x, base_cap + 4)
             if decision is _Decision.FOUND:
                 add(w)
-        drain(wider)
+        drain(base_cap + 4)
     return Shadow(sys, order, provenance="closure-of-S",
                   cap_stable=len(order) == size, cap=base_cap)
 

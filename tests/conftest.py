@@ -11,7 +11,7 @@ from coxauto import parse_coxeter_system
 from coxauto.automata import Automaton
 from coxauto.elements import _mask_bits, generator, identity, mult_left
 from coxauto.errors import InternalInvariant
-from coxauto.garside import (JoinEngine, Shadow, _Decision, default_cap,
+from coxauto.garside import (Shadow, _Decision, decide_join, default_cap,
                              low_universe, project)
 from coxauto.scalars import Scalar
 from coxauto.system import CoxeterMatrix, CoxeterSystem
@@ -145,7 +145,6 @@ def pairwise_closure(sys: CoxeterSystem, seeds=(), cap: int | None = None):
              *seeds]
     assert all(el in universe for el in start), "seeds must be 0-low"
     base_cap = cap if cap is not None else default_cap(start)
-    engine = JoinEngine(base_cap, universe)
     order: list = []
     invs: set[int] = set()
 
@@ -162,7 +161,7 @@ def pairwise_closure(sys: CoxeterSystem, seeds=(), cap: int | None = None):
         for s in x.descents_left:
             add(mult_left(s, x))
         for y in order[:done]:
-            decision, w = engine.decide(y, x)
+            decision, w = decide_join(y, x, base_cap, universe)
             assert decision is not _Decision.AT_CAP
             if decision is _Decision.FOUND:
                 add(w)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -134,12 +135,25 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["automaton", "--group", "A2", "--kind", "bogus"])
     assert exc.value.code == 1
+    for cap in ("-1", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["shadow", "--group", "~A2", "--verify", "e,1,2,3",
+                  "--cap", cap])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"argument --cap: must be a non-negative integer, got '{cap}'"
+                in captured.err)
 
 
-@pytest.mark.parametrize("command", ["low", "roots"])
+@pytest.mark.parametrize("command", ["low", "roots", "automaton", "count",
+                                     "check", "table"])
 def test_cap_without_joins_is_a_usage_error(capsys, command):
+    required = {"count": ["--max-len", "3"], "check": ["--conjecture", "1"],
+                "table": ["--groups", "~A2"]}
+    group = [] if command == "table" else ["--group", "~A2"]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--group", "~A2", "--cap", "3"])
+        main([command, *group, *required.get(command, []), "--cap", "3"])
     assert exc.value.code == 1
     assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
 
@@ -236,10 +250,15 @@ def test_bad_verify_letter_exits_one(capsys):
 
 
 def test_bad_join_cap_env_exits_one(monkeypatch, capsys):
-    monkeypatch.setenv("COXAUTO_JOIN_CAP", "abc")
-    assert main(["shadow", "--group", "I2(inf)"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "'abc'" in err
+    for value in ("abc", "-1", "-3"):
+        monkeypatch.setenv("COXAUTO_JOIN_CAP", value)
+        assert main(["shadow", "--group", "I2(inf)"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{value}'" in err
+        assert main(["shadow", "--group", "I2(inf)", "--verify", "e,1,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
 
 
 def test_field_degree_over_budget_exits_one(capsys):
@@ -263,26 +282,59 @@ def test_predicted_state_count_over_budget_exits_one(capsys, argv):
     assert f"state budget of {STATE_BUDGET:,}" in err
 
 
-@pytest.mark.parametrize("argv, env, cap", [
-    (["shadow", "--group", "I2(inf)"], None, 10),
-    (["automaton", "--group", "I2(inf)", "--kind", "shadow:smallest"], None, 10),
-    (["shadow", "--group", "I2(inf)", "--cap", "7"], None, 7),
-    (["automaton", "--group", "I2(inf)", "--kind", "shadow:smallest"], "12", 12),
-])
-def test_unstable_closure_reports_cap_in_force(monkeypatch, capsys, argv, env, cap):
-    import coxauto.cli as cli
+@pytest.fixture(scope="module")
+def seeded_g2_closure():
+    """The 84 elements of the closure of ~G2 seeded with 123121012, as words.
+
+    Verifying them decides some join only by a search that hits the cap.
+    """
+    from coxauto import parse_coxeter_system
+    from coxauto.elements import from_word
     from coxauto.garside import garside_closure
+    sys = parse_coxeter_system("~G2")
+    seed = from_word(sys, (0, 1, 2, 1, 2, 1, 0, 1, 2))
+    closure = garside_closure(sys, seeds=[seed])
+    assert len(closure) == 84
+    return ",".join(closure.words())
 
-    def unstable(system, **kwargs):
-        shadow = garside_closure(system, **kwargs)
-        shadow.cap_stable = False
-        return shadow
 
-    monkeypatch.setattr(cli, "garside_closure", unstable)
+@pytest.mark.parametrize("flags, env, cap", [
+    ([], None, 52),
+    (["--cap", "12"], None, 12),
+    ([], "12", 12),
+    (["--cap", "12"], "40", 12),
+])
+def test_indeterminate_verify_reports_cap_in_force(monkeypatch, capsys,
+                                                   seeded_g2_closure, flags,
+                                                   env, cap):
     if env is None:
         monkeypatch.delenv("COXAUTO_JOIN_CAP", raising=False)
     else:
         monkeypatch.setenv("COXAUTO_JOIN_CAP", env)
+    argv = ["shadow", "--group", "~G2", "--verify", seeded_g2_closure, *flags]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"indeterminate at cap {cap}:")
+    captured = capsys.readouterr()
+    assert captured.out == ("verdict: indeterminate-at-cap\n"
+                            "reason: join searches hit the cap\n")
+    assert captured.err == (f"indeterminate at cap {cap}: "
+                            "verification indeterminate\n")
+
+
+def test_unreadable_group_file_exits_one(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "group.txt"
+    path.write_bytes(bytes(range(128, 256)))  # not UTF-8
+    assert main(["roots", "--group", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec "
+                                   "can't decode byte 0x80")
+    assert captured.err.count("\n") == 1
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    assert main(["roots", "--group", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {path}: Permission denied\n"

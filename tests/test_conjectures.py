@@ -7,8 +7,11 @@ import pytest
 from conftest import reference_merged_state_witness
 from coxauto import parse_coxeter_system
 from coxauto.automata import build_canonical_automaton, minimize
+from coxauto import conjectures
 from coxauto.conjectures import (StatsRow, Verdict, check_conjecture, stats_csv,
                                  stats_row)
+from coxauto.elements import generator, mult_left
+from coxauto.garside import Shadow, VerdictStatus, low_elements, verify_shadow
 from coxauto.smallroots import affine_structure, build_small_roots
 
 
@@ -120,3 +123,34 @@ def test_affine_low_element_count_convention(aff_a2, aff_c2):
     for sys in (aff_a2, aff_c2):
         st = affine_structure(sys)
         assert len(low_universe(sys)) == (st.coxeter_number + 1) ** st.finite_rank
+
+
+def _one_step_suffixes(shadow):
+    return [mult_left(s, el) for el in shadow for s in el.descents_left]
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("drop", ["generator", "suffix"])
+def test_dyho1_reports_the_failure_of_verify_shadow(monkeypatch, aff_c2, drop,
+                                                    level):
+    # L_n with one element taken out: a generator, or a suffix of another
+    low = low_elements(aff_c2, level)
+    if drop == "generator":
+        victim, reason = generator(aff_c2, 1), "missing generator 2"
+    else:
+        victim = next(el for el in _one_step_suffixes(low) if el.length >= 2)
+        reason = "not closed under suffixes"
+    broken = Shadow(aff_c2, [el for el in low if el != victim])
+    assert len(broken) == len(low) - 1
+    monkeypatch.setattr(conjectures, "low_elements",
+                        lambda *args, **kwargs: broken)
+    report = check_conjecture(aff_c2, "dyho1", level=level)
+    expected = verify_shadow(broken)
+    assert expected.status is VerdictStatus.NOT_SHADOW
+    assert expected.reason == reason
+    assert report.verdict is Verdict.FAILS
+    assert (report.reason, report.witnesses) == (expected.reason,
+                                                 (expected.witness,))
+    assert report.numbers == {"n": level, "low_size": len(broken)}
+    if drop == "suffix":
+        assert expected.witness[1] == str(victim)

@@ -12,8 +12,8 @@ from coxauto.automata import build_shadow_automaton
 from coxauto.elements import (_mask_bits, ball, from_word, identity, mult_left,
                               mult_right, weak_leq)
 from coxauto.errors import BudgetExceeded, ShadowViolation
-from coxauto.garside import (JoinEngine, Shadow, VerdictStatus, _Decision,
-                             garside_closure, join, low_elements, low_universe,
+from coxauto.garside import (Shadow, VerdictStatus, _Decision, decide_join,
+                             garside_closure, low_elements, low_universe,
                              intersect_parabolic, parabolic_image, project,
                              restriction_compatibility_check, verify_shadow)
 from coxauto.smallroots import EXIT, build_small_roots
@@ -29,33 +29,31 @@ def _brute_force_join(sys, u, v, radius):
     return best
 
 
+def _join(u, v, cap):
+    """The join found by the capped search, or None."""
+    return decide_join(u, v, cap)[1]
+
+
 def test_join_examples(a2, i2inf):
     e = identity(a2)
     u = from_word(a2, (0, 1))
-    assert join(u, e, 4).element == u
+    assert _join(u, e, 4) == u
     s, t = from_word(a2, (0,)), from_word(a2, (1,))
     expected = _brute_force_join(a2, s, t, 3)
-    got = join(s, t, 3).element
+    got = _join(s, t, 3)
     assert got == expected and got.length == 3  # the long element sts
     si, ti = from_word(i2inf, (0,)), from_word(i2inf, (1,))
-    result = join(si, ti, 12)
-    assert result.element is None and result.cap == 12
+    assert decide_join(si, ti, 12) == (_Decision.NO_JOIN, None)
 
 
 def test_join_result_is_least_upper_bound(aff_a2):
     elements = ball(aff_a2, 3)
     for u, v in itertools.combinations(elements, 2):
-        result = join(u, v, 10)
+        w = _join(u, v, 10)
         brute = _brute_force_join(aff_a2, u, v, 10)
-        assert result.element == brute
-        if result.element is not None:
-            w = result.element
+        assert w == brute
+        if w is not None:
             assert weak_leq(u, w) and weak_leq(v, w)
-
-
-def test_join_requires_reasonable_cap(a2):
-    with pytest.raises(ValueError):
-        join(from_word(a2, (0, 1)), identity(a2), 1)
 
 
 @pytest.fixture(scope="module")
@@ -159,13 +157,13 @@ def test_closure_rejects_foreign_seeds(aff_a2):
 
 @pytest.mark.parametrize("spec", ["~A2", "~C2", "~G2", "triangle(3,3,4)"])
 def test_join_decision_branches_agree(spec):
-    # the universe scan and the certificate-plus-search branch of decide
+    # the universe scan and the certificate-plus-search branch of decide_join
     sys = parse_coxeter_system(spec)
     low = low_universe(sys)
     cap = max(el.length for el in low)
-    scan, search = JoinEngine(cap, low), JoinEngine(cap)
     for u, v in itertools.combinations(low, 2):
-        by_scan, by_search = scan.decide(u, v), search.decide(u, v)
+        by_scan = decide_join(u, v, cap, low)
+        by_search = decide_join(u, v, cap)
         if by_scan[0] is _Decision.FOUND:
             assert by_search == by_scan
         else:
@@ -184,9 +182,8 @@ def _join_by_scan(universe, u, v):
 def test_universe_join_matches_scan(spec):
     sys = parse_coxeter_system(spec)
     low = low_universe(sys)
-    engine = JoinEngine(0, low)
     for u, v in itertools.combinations_with_replacement(low, 2):
-        decision, w = engine.decide(u, v)
+        decision, w = decide_join(u, v, 0, low)
         expected = _join_by_scan(low, u, v)
         if expected is None:
             assert (decision, w) == (_Decision.NO_JOIN, None)
@@ -354,26 +351,26 @@ def test_join_inversions_lie_in_cone_of_union(aff_a2):
     # N(u v-join) is contained in the cone over N(u) | N(v)
     elements = ball(aff_a2, 3)
     for u, v in itertools.combinations(elements, 2):
-        result = join(u, v, 10)
-        if result.element is None:
+        w = _join(u, v, 10)
+        if w is None:
             continue
         union = [aff_a2.root_coords(r) for r in _mask_bits(u.inv | v.inv)]
-        for rid in _mask_bits(result.element.inv):
+        for rid in _mask_bits(w.inv):
             assert cone_member(aff_a2, rid, union)
-        assert not (u.inv | v.inv) & ~result.element.inv
+        assert not (u.inv | v.inv) & ~w.inv
 
 
 def test_join_is_commutative_and_idempotent(a3):
     elements = ball(a3, 3)
     for u, v in itertools.combinations(elements, 2):
-        j1 = join(u, v, 8).element
-        j2 = join(v, u, 8).element
+        j1 = _join(u, v, 8)
+        j2 = _join(v, u, 8)
         assert j1 == j2
-        assert join(u, u, 8).element == u
+        assert _join(u, u, 8) == u
     # associativity on bounded triples
     for u, v, w in itertools.combinations(elements[:12], 3):
-        left = join(join(u, v, 8).element, w, 8).element
-        right = join(u, join(v, w, 8).element, 8).element
+        left = _join(_join(u, v, 8), w, 8)
+        right = _join(u, _join(v, w, 8), 8)
         assert left == right
 
 
