@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .elements import Element, _mask_bits, identity, mult_left
 from . import garside
-from .errors import BudgetExceeded, CapIndeterminate, ShadowViolation
+from .errors import BudgetExceeded, ShadowViolation
 from .garside import (Shadow, VerdictStatus, check_state_budget, project,
                       verify_shadow)
 from .smallroots import SmallRootTable
@@ -131,9 +131,6 @@ def build_shadow_automaton(shadow: Shadow, *,
         verdict = verify_shadow(shadow)
         if verdict.status is VerdictStatus.NOT_SHADOW:
             raise ShadowViolation(f"not a Garside shadow: {verdict.reason}")
-        if verdict.status is VerdictStatus.INDETERMINATE_AT_CAP:
-            raise CapIndeterminate(
-                "shadow could not be verified within the join cap", verdict.cap)
     sys = shadow.system
     index = shadow._pos
     delta = []

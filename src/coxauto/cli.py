@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Subcommands: roots, shadow, low, automaton, count, check, table, render.
-Exit codes: 0 success, 1 usage or input error, 2 computation indeterminate
-at a cap (the message names the cap), 3 internal invariant violation
-(including an --oracle mismatch, which Theorem-level guarantees forbid).
+Every join is decided exactly, so no answer is indeterminate.  Exit codes:
+0 success, 1 usage or input error, an exceeded budget, or n-low elements
+that are not a Garside shadow, 3 internal invariant violation (including an
+--oracle mismatch, which Theorem-level guarantees forbid).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys as _sys
 from pathlib import Path
 
@@ -17,14 +17,11 @@ from . import __version__
 from .automata import build_canonical_automaton, build_shadow_automaton, minimize
 from .conjectures import check_conjecture, stats_csv, stats_row
 from .elements import from_word, reduced_word_counts
-from .errors import CapIndeterminate, CoxAutoError, InternalInvariant
-from .garside import (Shadow, VerdictStatus, garside_closure, low_elements,
-                      verify_shadow)
+from .errors import CoxAutoError, InternalInvariant
+from .garside import Shadow, garside_closure, low_elements, verify_shadow
 from .render import render_rank3_svg
 from .smallroots import build_small_roots
 from .system import CoxeterSystem, parse_coxeter_system
-
-ENV_JOIN_CAP = "COXAUTO_JOIN_CAP"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +47,7 @@ def _load_system(spec: str) -> CoxeterSystem:
 
 
 def _non_negative(text: str) -> int:
-    """Argument type of --n, --max-len and --cap: a non-negative integer."""
+    """Argument type of --n and --max-len: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -59,19 +56,6 @@ def _non_negative(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")
     return value
-
-
-def _join_cap(args) -> int | None:
-    """The join cap of shadow --verify: --cap, else $COXAUTO_JOIN_CAP."""
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get(ENV_JOIN_CAP)
-    if not env:
-        return None
-    try:
-        return _non_negative(env)
-    except argparse.ArgumentTypeError as exc:
-        raise CoxAutoError(f"${ENV_JOIN_CAP} {exc}") from None
 
 
 def _no_level(level: int, where: str) -> None:
@@ -134,23 +118,19 @@ def _cmd_roots(args) -> int:
 
 def _cmd_shadow(args) -> int:
     system = _load_system(args.group)
-    cap = _join_cap(args)  # checked on both paths; only --verify searches
     if args.verify:
         words = [w for w in args.verify.split(",") if w.strip()]
         elements = [from_word(system, system.word_from_string(w)) for w in words]
         shadow = Shadow(system, elements)
-        verdict = verify_shadow(shadow, cap=cap)
+        verdict = verify_shadow(shadow)
         print(f"verdict: {verdict.status.value}")
         if verdict.reason:
             print(f"reason: {verdict.reason}")
         if verdict.witness:
             print("witness: " + " ".join(verdict.witness))
-        if verdict.status is VerdictStatus.INDETERMINATE_AT_CAP:
-            raise CapIndeterminate("verification indeterminate", verdict.cap)
         return 0
     shadow = garside_closure(system)
-    lines = [f"# smallest Garside shadow of {system.name}: {len(shadow)} elements"
-             f" (cap_stable={shadow.cap_stable})"]
+    lines = [f"# smallest Garside shadow of {system.name}: {len(shadow)} elements"]
     lines.extend(shadow.words())
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -251,9 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, level=False)
     p.add_argument("--verify", default=None,
                    help="comma-separated words to verify as a shadow")
-    p.add_argument("--cap", type=_non_negative, default=None,
-                   help="join search cap of --verify "
-                        f"(default from ${ENV_JOIN_CAP})")
     p.set_defaults(func=_cmd_shadow)
 
     p = sub.add_parser("low", help="dump the n-low elements")
@@ -302,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapIndeterminate as exc:
-        print(f"indeterminate at cap {exc.cap}: {exc}", file=_sys.stderr)
-        return 2
     except InternalInvariant as exc:
         print(f"internal invariant violation: {exc}", file=_sys.stderr)
         return 3

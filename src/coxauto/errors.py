@@ -25,12 +25,19 @@ class BudgetExceeded(CoxAutoError, RuntimeError):
     """An enumeration outgrew its configured element budget."""
 
 
-class CapIndeterminate(CoxAutoError, RuntimeError):
-    """A join/closure question could not be settled within the length cap."""
+class LowElementsNotShadow(CoxAutoError, RuntimeError):
+    """The n-low elements, for some n > 0, are not a Garside shadow.
 
-    def __init__(self, message: str, cap: int):
-        super().__init__(message)
-        self.cap = cap
+    Their join closure is a theorem and their suffix closure the dyho1
+    conjecture, so a failure is a counterexample to it; no join is decided
+    in such a set.
+    """
+
+    def __init__(self, level: int, reason: str, witness: tuple[str, ...]):
+        detail = f": {' '.join(witness)}" if witness else ""
+        super().__init__(f"{level}-low elements are not a Garside shadow "
+                         f"({reason}{detail})")
+        self.level = level
 
 
 class UnsupportedRank(CoxAutoError, ValueError):

@@ -6,26 +6,25 @@ element in (length, word) order.  The elements above x are the AND of the
 bitsets of the roots of N(x), and the prefixes of w are the elements
 outside every bitset of a root not in N(w).
 
-Every join is decided by :func:`decide_join`.  When it is given a
-universe, a finite join-closed shadow such as the 0-low elements, and
-both inputs lie in it, the join is the lowest set bit of the AND of their
-up-sets, and there is none when the AND is empty.  Otherwise boundedness is
-only semi-decidable: two positive roots with B <= -1 inside N(u) union N(v)
-certify that there is no join, and failing that a breadth-first search runs
-up to a length cap.
+Every join is decided in the n-low elements L_n.  Every element is n-low
+for some n, and L_n is finite and closed under joins (Dyer & Hohlweg,
+*Small roots, low elements, and the weak order in Coxeter groups*, Adv.
+Math. 2016).  So two elements of L_n have a join iff they have a common
+upper bound in L_n, and the join is then the lowest set bit of the AND of
+their up-sets there.  :func:`join` decides it in the smallest L_n holding
+both inputs, exactly and with no length cap.  L_0 is closed under suffixes
+too; for n > 0 that is the dyho1 conjecture, which :func:`low_universe`
+checks before L_n is used.
 
 A shadow is verified by S and e membership, suffix closure and pairwise
 joins.  The first two are :func:`check_generated_and_suffix_closed`, which
 is all a set already known to be join-closed, such as L_n, needs.
 
-With 0-low seeds the Garside closure is read off the index of the 0-low
-elements: in a finite join-closed set, x is in the join closure of X iff x
-is the join of the elements of X below it, so passes over the index in
-(length, word) order, alternating with suffix passes, close X without
-deciding a single pair.  Other seeds go through a semi-naive worklist that
-joins each new element with every earlier one by the capped search; pairs
-whose search hit the cap are retried once with the cap raised by 4, and the
-closure is cap-stable when that retry adds nothing.
+The Garside closure of X lies in the smallest L_n holding X, a finite
+Garside shadow, and is read off its index: in a finite join-closed set,
+x is in the join closure of X iff x is the join of the elements of X below
+it, so passes over the index in (length, word) order, alternating with
+suffix passes, close X without deciding a single pair.
 
 An element is n-low iff its right-descent roots are n-small, so the n-low
 elements are found by a breadth-first search with rank-many lookups in the
@@ -39,14 +38,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .elements import (Element, _mask_bits, coset_split, identity, generator,
-                       mult_left, mult_right, support, weak_leq)
-from .errors import BudgetExceeded, ShadowViolation
+                       mult_left, mult_right, support)
+from .errors import BudgetExceeded, LowElementsNotShadow, ShadowViolation
 from .smallroots import (Classification, SmallRootTable, affine_structure,
                          build_small_roots, classify_type)
 from .system import CoxeterSystem
 
-# Elements of low_elements and garside_closure, and states of
-# build_canonical_automaton.  Stopped at this budget, ~F4 L_1 peaks at
+# Elements of low_elements, so of every L_n universe and every closure, and
+# states of build_canonical_automaton.  Stopped at this budget, ~F4 L_1 peaks at
 # 117 MB RSS for its low elements (0.50 kB per element; ~D5 L_0 takes
 # 0.55 kB) and at 119 MB for its canonical automaton (Python 3.11).
 STATE_BUDGET = 200_000
@@ -56,8 +55,7 @@ class Shadow:
     """A finite set of elements, deduplicated and sorted by (length, word)."""
 
     def __init__(self, system: CoxeterSystem, elements: Iterable[Element],
-                 provenance: str = "explicit", cap_stable: bool | None = None,
-                 cap: int | None = None):
+                 provenance: str = "explicit"):
         dedup: dict[int, Element] = {}
         for el in elements:
             if el.system is not system:
@@ -68,8 +66,6 @@ class Shadow:
             sorted(dedup.values(), key=lambda e: (e.length, e.word)))
         self._pos = {el.inv: i for i, el in enumerate(self.elements)}
         self.provenance = provenance
-        self.cap_stable = cap_stable
-        self.cap = cap
         self._index: dict[int, int] | None = None  # see _root_index
         self._up: dict[int, int] = {}  # position -> _up_set, as queried
 
@@ -127,98 +123,61 @@ class Shadow:
         return f"Shadow({self.provenance}, {len(self.elements)} elements)"
 
 
-class _Decision(enum.Enum):
-    FOUND = "found"
-    NO_JOIN = "no-join"
-    AT_CAP = "at-cap"
+def low_universe(sys: CoxeterSystem, level: int = 0) -> Shadow:
+    """The n-low elements L_n, a finite Garside shadow, cached on the system.
 
-
-def _unbounded_certificate(u: Element, v: Element) -> bool:
-    """True when N(u) | N(v) certifies that {u, v} has no upper bound.
-
-    Two positive roots with B <= -1 are the canonical simple system of an
-    infinite dihedral reflection subgroup, so no inversion set contains
-    both; a common upper bound would have to.
+    L_n is closed under joins, and L_0 under suffixes, by theorem.  For
+    n > 0, suffix closure is the dyho1 conjecture: it is checked once,
+    before L_n is used, and a failure raises ``LowElementsNotShadow``.
     """
-    sys = u.system
-    merged = _mask_bits(u.inv | v.inv)
-    for a in range(len(merged)):
-        for b in range(a + 1, len(merged)):
-            if sys._pair_blocks(merged[a], merged[b]):
-                return True
-    return False
+    low = sys._low_universes.get(level)
+    if low is None:
+        low = low_elements(sys, level)
+        if level:
+            failure = check_generated_and_suffix_closed(low)
+            if failure is not None:
+                raise LowElementsNotShadow(level, failure.reason,
+                                           failure.witness)
+        sys._low_universes[level] = low
+    return low
 
 
-def _bfs_join(u: Element, v: Element, cap: int) -> tuple[_Decision, Element | None]:
-    target = v.inv
-    seen = {u.inv}
-    frontier = [u]
-    length = u.length
-    while frontier and length < cap:
-        length += 1
-        nxt = []
-        for w in frontier:
-            sys = w.system
-            for s in range(sys.rank):
-                sign, rid = sys.act_word_on_root(w.word, 1, s)
-                if sign < 0:
-                    continue
-                inv = w.inv | 1 << rid
-                if inv in seen:
-                    continue
-                seen.add(inv)
-                ws = Element(sys, w.word + (s,), inv)
-                if not target & ~inv:
-                    return _Decision.FOUND, ws
-                nxt.append(ws)
-        frontier = nxt
-    if not frontier:
-        return _Decision.NO_JOIN, None
-    return _Decision.AT_CAP, None
+def smallest_low_universe(sys: CoxeterSystem,
+                          elements: Iterable[Element]) -> Shadow:
+    """The smallest L_n holding every given element.
 
-
-def decide_join(u: Element, v: Element, cap: int, universe: Shadow | None = None
-                ) -> tuple[_Decision, Element | None]:
-    """The join of u and v in right weak order, or why there is none.
-
-    In a join-closed universe holding both inputs, the common upper bounds
-    are the AND of their up-sets; the lowest set bit is the shortest of
-    them, which is the join, and an empty AND means there is none.  This
-    also covers comparable inputs, whose join is the larger one.  Otherwise,
-    after the B <= -1 certificate, the search runs breadth-first by length
-    upward from u up to the cap; the first element dominating v is the
-    join, since a minimal-length common upper bound is the join.
+    Every element is n-low for some n, and L_n grows with n, so the ladder
+    ends; a rung over ``STATE_BUDGET`` raises ``BudgetExceeded``.
     """
-    if universe is not None:
-        i, j = universe._pos.get(u.inv), universe._pos.get(v.inv)
-        if i is not None and j is not None:
-            common = universe._up_set(i) & universe._up_set(j)
-            if not common:
-                return _Decision.NO_JOIN, None
-            return (_Decision.FOUND,
-                    universe.elements[(common & -common).bit_length() - 1])
-    if weak_leq(u, v):
-        return _Decision.FOUND, v
-    if weak_leq(v, u):
-        return _Decision.FOUND, u
-    if _unbounded_certificate(u, v):
-        return _Decision.NO_JOIN, None
-    return _bfs_join(u, v, cap)
+    elements = list(elements)
+    level = 0
+    while True:
+        universe = low_universe(sys, level)
+        if all(el in universe for el in elements):
+            return universe
+        level += 1
 
 
-def low_universe(sys: CoxeterSystem) -> Shadow:
-    """The 0-low elements, cached on the system.
+def _join_in(universe: Shadow, i: int, j: int) -> Element | None:
+    """The join of elements i and j of a join-closed universe, or None.
 
-    They form a finite Garside shadow containing the closure of S and are
-    closed under join, so joins of 0-low elements are decided in its index.
+    Their common upper bounds in it are the AND of their up-sets; the lowest
+    set bit is the shortest of them, which is the join.  An empty AND means
+    there is no join, since the universe would hold it.
     """
-    if sys._low0_universe is None:
-        sys._low0_universe = low_elements(sys, 0, build_small_roots(sys, 0))
-    return sys._low0_universe
+    common = universe._up_set(i) & universe._up_set(j)
+    if not common:
+        return None
+    return universe.elements[(common & -common).bit_length() - 1]
 
 
-def default_cap(elements: Iterable[Element]) -> int:
-    return 2 * max((el.length for el in elements), default=0) + 8
+def join(u: Element, v: Element) -> Element | None:
+    """The join of u and v in right weak order, or None when there is none.
+
+    Decided exactly in the smallest L_n holding both.
+    """
+    universe = smallest_low_universe(u.system, (u, v))
+    return _join_in(universe, universe._pos[u.inv], universe._pos[v.inv])
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +207,6 @@ def project(shadow: Shadow, w: Element) -> Element:
 class VerdictStatus(enum.Enum):
     SHADOW = "shadow"
     NOT_SHADOW = "not-shadow"
-    INDETERMINATE_AT_CAP = "indeterminate-at-cap"
 
 
 @dataclass(frozen=True)
@@ -256,7 +214,6 @@ class ShadowVerdict:
     status: VerdictStatus
     reason: str = ""
     witness: tuple[str, ...] = ()
-    cap: int | None = None
 
     def __bool__(self) -> bool:
         return self.status is VerdictStatus.SHADOW
@@ -283,120 +240,50 @@ def check_generated_and_suffix_closed(shadow: Shadow) -> ShadowVerdict | None:
     return None
 
 
-def verify_shadow(shadow: Shadow, cap: int | None = None) -> ShadowVerdict:
+def verify_shadow(shadow: Shadow) -> ShadowVerdict:
     """Check S and e membership, suffix closure, and pairwise join closure.
 
     Pairwise joins suffice: finite bounded joins fold from pairwise ones.
-    Joins of 0-low elements are decided in the 0-low universe, the others
-    by the capped search.  Join searches that hit the cap leave the verdict
-    indeterminate unless the set is refuted outright.
+    They are decided in one universe, the smallest L_n holding the set.
     """
     failure = check_generated_and_suffix_closed(shadow)
     if failure is not None:
         return failure
-    cap = cap if cap is not None else default_cap(shadow)
-    universe = low_universe(shadow.system)
-    hit_cap = False
+    universe = smallest_low_universe(shadow.system, shadow)
     els = shadow.elements
+    pos = [universe._pos[el.inv] for el in els]
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
-            decision, w = decide_join(els[i], els[j], cap, universe)
-            if decision is _Decision.FOUND and w not in shadow:
+            w = _join_in(universe, pos[i], pos[j])
+            if w is not None and w not in shadow:
                 return ShadowVerdict(
                     VerdictStatus.NOT_SHADOW, reason="not closed under joins",
                     witness=(str(els[i]), str(els[j]), str(w)))
-            if decision is _Decision.AT_CAP:
-                hit_cap = True
-    if hit_cap:
-        return ShadowVerdict(VerdictStatus.INDETERMINATE_AT_CAP,
-                             reason="join searches hit the cap", cap=cap)
     return ShadowVerdict(VerdictStatus.SHADOW)
 
 
 # ---------------------------------------------------------------------------
 # Closure
 
-def garside_closure(sys: CoxeterSystem, seeds: Iterable[Element] = (),
-                    cap: int | None = None) -> Shadow:
+def garside_closure(sys: CoxeterSystem,
+                    seeds: Iterable[Element] = ()) -> Shadow:
     """Smallest Garside shadow containing the seeds (and always S and e).
 
-    When every seed is 0-low, the closure lies in the 0-low elements U, a
-    finite Garside shadow, and is read off U's root index with no join
-    decisions.  In a finite join-closed U holding X, an element x of U is in
-    the join closure of X iff x is the join of the elements of X below it.
-    So one walk of U in (length, word) order, counting the elements it
-    admits, closes X under joins; a suffix pass then adds the one-step
-    suffixes of what was admitted, and the two alternate until nothing
-    changes.  The result is cap-stable.
-
-    Other seeds go through a worklist in insertion order: each element adds
-    its one-step suffixes and is then joined with every earlier element by
-    the capped search, so each pair is decided once.  Joins that hit the cap
-    are retried once with the cap raised by 4, and the closure is cap-stable
-    when the retry adds nothing.
-
-    The result records the cap the search would run with.  More than
-    ``STATE_BUDGET`` elements raise ``BudgetExceeded``.
+    The closure lies in U, the smallest L_n holding the seeds, a finite
+    Garside shadow, and is read off U's root index with no join decisions.
+    In a finite join-closed U holding X, an element x of U is in the join
+    closure of X iff x is the join of the elements of X below it.  So one
+    walk of U in (length, word) order, counting the elements it admits,
+    closes X under joins; a suffix pass then adds the one-step suffixes of
+    what was admitted, and the two alternate until nothing changes.
     """
     start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
              *seeds]
     if any(el.system is not sys for el in start):
         raise ValueError("element from a different system")
-    base_cap = cap if cap is not None else default_cap(start)
-    universe = low_universe(sys)
-    if all(el in universe for el in start):
-        members = _close_in_universe(universe, start)
-        if len(members) > STATE_BUDGET:
-            raise BudgetExceeded(
-                f"Garside closure outgrew the state budget of {STATE_BUDGET:,}")
-        return Shadow(sys, members, provenance="closure-of-S",
-                      cap_stable=True, cap=base_cap)
-
-    order: list[Element] = []
-    invs: set[int] = set()
-
-    def add(el: Element) -> None:
-        if el.inv in invs:
-            return
-        if len(order) >= STATE_BUDGET:
-            raise BudgetExceeded(
-                f"Garside closure outgrew the state budget of {STATE_BUDGET:,}")
-        invs.add(el.inv)
-        order.append(el)
-
-    for el in start:
-        add(el)
-    done = 0
-
-    def drain(cap: int) -> list[tuple[Element, Element]]:
-        """Process the worklist; returns the pairs whose search hit the cap."""
-        nonlocal done
-        at_cap = []
-        while done < len(order):
-            x = order[done]
-            for s in x.descents_left:
-                add(mult_left(s, x))
-            for y in order[:done]:
-                decision, w = decide_join(y, x, cap)
-                if decision is _Decision.FOUND:
-                    add(w)
-                elif decision is _Decision.AT_CAP:
-                    at_cap.append((y, x))
-            done += 1
-        return at_cap
-
-    # A result that is not cap-stable is the closure under the joins found
-    # within the cap.
-    undecided = drain(base_cap)
-    size = len(order)
-    if undecided:
-        for y, x in undecided:
-            decision, w = decide_join(y, x, base_cap + 4)
-            if decision is _Decision.FOUND:
-                add(w)
-        drain(base_cap + 4)
-    return Shadow(sys, order, provenance="closure-of-S",
-                  cap_stable=len(order) == size, cap=base_cap)
+    universe = smallest_low_universe(sys, start)
+    return Shadow(sys, _close_in_universe(universe, start),
+                  provenance="closure-of-S")
 
 
 def _close_in_universe(universe: Shadow,
@@ -486,10 +373,14 @@ def low_elements(sys: CoxeterSystem, level: int,
     """The n-low elements, by BFS over left multiplications.
 
     Pruning non-low branches is sound because the set is closed under
-    taking suffixes.  w is n-low iff N^1(w) lies in the n-small roots, where
-    the roots N^1(w) = {-w(a_t) : t a right descent of w} span the extreme
-    rays of the cone over N(w) (Dyer & Hohlweg, *Small roots, low elements,
-    and the weak order in Coxeter groups*, Adv. Math. 2016).  So a candidate
+    taking suffixes.  w is n-low when N(w) is the set of positive roots in
+    the cone over its n-small inversions.  Dyer & Hohlweg (*Small roots, low
+    elements, and the weak order in Coxeter groups*, Adv. Math. 2016) show
+    that w is n-low iff N^1(w) consists of n-small roots, where
+    N^1(w) = {-w(a_t) : t a right descent of w} are the roots b of N(w) with
+    N(w) minus b an inversion set, that of w*t.  They need not span the
+    extreme rays of the cone over N(w): in A2, N(s1*s2) = {a1, a1+a2} has
+    both roots as extreme rays, but N^1(s1*s2) = {a1+a2}.  So a candidate
     s*w is tested by looking up its rank-many right-descent roots in the
     table.  The search carries the signed roots w(a_t) along, since
     sw(a_t) = s(w(a_t)) costs one reflection per letter.  More than
@@ -551,15 +442,14 @@ def intersect_parabolic(shadow: Shadow, subset: Iterable[int]) -> Shadow:
 
 
 def restriction_compatibility_check(sys: CoxeterSystem, subset: Iterable[int],
-                                    parabolic_shadow: Shadow,
-                                    cap: int | None = None) -> bool:
+                                    parabolic_shadow: Shadow) -> bool:
     """Does Gar_S(B) meet W_I exactly in B, for a shadow B of (W_I, I)?
 
     Whether this always holds is open; this checker decides single
     instances and assumes nothing.
     """
     members = sorted(set(subset))
-    closure = garside_closure(sys, seeds=parabolic_shadow.elements, cap=cap)
+    closure = garside_closure(sys, seeds=parabolic_shadow.elements)
     restricted = intersect_parabolic(closure, members)
     return ({el.inv for el in restricted}
             == {el.inv for el in parabolic_shadow.elements})

@@ -376,9 +376,9 @@ class CoxeterSystem:
             self._root_ids[coords] = s
             self._roots.append(coords)
         self._refl_cache: list[dict[int, int]] = [dict() for _ in range(self.rank)]
-        self._block_cache: dict[tuple[int, int], bool] = {}
-        # the 0-low elements as a garside.Shadow, filled by garside.low_universe
-        self._low0_universe = None
+        # level n -> the n-low elements as a garside.Shadow, filled by
+        # garside.low_universe
+        self._low_universes: dict[int, object] = {}
         self._subsystems: dict[tuple[int, ...], "CoxeterSystem"] = {}
 
     # -- roots ---------------------------------------------------------
@@ -433,16 +433,6 @@ class CoxeterSystem:
             out = self.intern_root(self.reflect_coords(s, self._roots[rid]))
             cache[rid] = out
         return (1, out)
-
-    def _pair_blocks(self, rid_a: int, rid_b: int) -> bool:
-        """B(a, b) <= -1 for distinct positive interned roots a, b."""
-        key = (rid_a, rid_b) if rid_a < rid_b else (rid_b, rid_a)
-        out = self._block_cache.get(key)
-        if out is None:
-            b = self.bilinear(self._roots[rid_a], self._roots[rid_b])
-            out = (b + 1).sign() <= 0
-            self._block_cache[key] = out
-        return out
 
     def act_word_on_root(self, word: Sequence[int], sign: int, rid: int) -> tuple[int, int]:
         """Apply r_1 ... r_k to a signed root, rightmost letter first."""

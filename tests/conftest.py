@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from coxauto import parse_coxeter_system
 from coxauto.automata import Automaton
-from coxauto.elements import _mask_bits, generator, identity, mult_left
+from coxauto.elements import (Element, _mask_bits, generator, identity,
+                              mult_left, weak_leq)
 from coxauto.errors import InternalInvariant
-from coxauto.garside import (Shadow, _Decision, decide_join, default_cap,
-                             low_universe, project)
+from coxauto.garside import Shadow, project, smallest_low_universe
 from coxauto.scalars import Scalar
 from coxauto.system import CoxeterMatrix, CoxeterSystem
 
@@ -129,22 +129,87 @@ def cone_member(sys: CoxeterSystem, gamma, gens) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The Garside closure of 0-low seeds by pairwise joins in the 0-low universe:
-# the reference that the bitset passes of garside.garside_closure are checked
+# Joins by a breadth-first search up to a length cap, after a certificate of
+# unboundedness: the reference that the exact joins of garside.join, decided
+# in the smallest n-low universe, are checked against.
+
+def _unbounded_certificate(u: Element, v: Element) -> bool:
+    """True when N(u) | N(v) certifies that {u, v} has no upper bound.
+
+    Two positive roots with B <= -1 are the canonical simple system of an
+    infinite dihedral reflection subgroup, so no inversion set contains
+    both; a common upper bound would have to.
+    """
+    sys = u.system
+    merged = [sys.root_coords(rid) for rid in _mask_bits(u.inv | v.inv)]
+    for a, b in itertools.combinations(merged, 2):
+        if (sys.bilinear(a, b) + 1).sign() <= 0:
+            return True
+    return False
+
+
+def _bfs_join(u: Element, v: Element, cap: int):
+    """Search upward from u by length, up to the cap, for an element above v.
+
+    The first one found is the join, since a minimal-length common upper
+    bound is the join.
+    """
+    target = v.inv
+    seen = {u.inv}
+    frontier = [u]
+    length = u.length
+    while frontier and length < cap:
+        length += 1
+        nxt = []
+        for w in frontier:
+            sys = w.system
+            for s in range(sys.rank):
+                sign, rid = sys.act_word_on_root(w.word, 1, s)
+                if sign < 0:
+                    continue
+                inv = w.inv | 1 << rid
+                if inv in seen:
+                    continue
+                seen.add(inv)
+                ws = Element(sys, w.word + (s,), inv)
+                if not target & ~inv:
+                    return True, ws
+                nxt.append(ws)
+        frontier = nxt
+    return not frontier, None
+
+
+def search_join(u: Element, v: Element, cap: int):
+    """(decided, join or None): the join of u and v by the capped search.
+
+    Not decided when the search hits the cap: boundedness is only
+    semi-decidable this way.
+    """
+    if weak_leq(u, v):
+        return True, v
+    if weak_leq(v, u):
+        return True, u
+    if _unbounded_certificate(u, v):
+        return True, None
+    return _bfs_join(u, v, cap)
+
+
+# ---------------------------------------------------------------------------
+# The Garside closure by pairwise joins in the smallest n-low universe: the
+# reference that the bitset passes of garside.garside_closure are checked
 # against.
 
-def pairwise_closure(sys: CoxeterSystem, seeds=(), cap: int | None = None):
-    """Smallest Garside shadow containing S, e and the 0-low seeds.
+def pairwise_closure(sys: CoxeterSystem, seeds=()):
+    """Smallest Garside shadow containing S, e and the seeds.
 
     A worklist in insertion order: each element adds its one-step suffixes
-    and is then joined in the universe with every earlier element, so each
-    pair is decided once, and decisively.
+    and is then joined with every earlier element, so each pair is decided
+    once.  The join is the lowest bit of the AND of the two up-sets in the
+    smallest L_n holding the seeds, or none when the AND is empty.
     """
-    universe = low_universe(sys)
     start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
              *seeds]
-    assert all(el in universe for el in start), "seeds must be 0-low"
-    base_cap = cap if cap is not None else default_cap(start)
+    universe = smallest_low_universe(sys, start)
     order: list = []
     invs: set[int] = set()
 
@@ -160,14 +225,13 @@ def pairwise_closure(sys: CoxeterSystem, seeds=(), cap: int | None = None):
         x = order[done]
         for s in x.descents_left:
             add(mult_left(s, x))
+        up_x = universe._up_set(universe._pos[x.inv])
         for y in order[:done]:
-            decision, w = decide_join(y, x, base_cap, universe)
-            assert decision is not _Decision.AT_CAP
-            if decision is _Decision.FOUND:
-                add(w)
+            common = up_x & universe._up_set(universe._pos[y.inv])
+            if common:
+                add(universe.elements[(common & -common).bit_length() - 1])
         done += 1
-    return Shadow(sys, order, provenance="closure-of-S", cap_stable=True,
-                  cap=base_cap)
+    return Shadow(sys, order, provenance="closure-of-S")
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +312,24 @@ def reference_merged_state_witness(auto: Automaton, minimized: Automaton,
             return (tuple(sys.word_to_string(w) for w in pair),)
         seen[cls] = q
     return ()
+
+
+@pytest.fixture
+def low_elements_without_a_suffix(monkeypatch):
+    """garside.low_elements with a one-step suffix of the last element taken
+    out of L_n for n > 0, so that L_n is not closed under suffixes."""
+    from coxauto import garside
+    real = garside.low_elements
+
+    def without_a_suffix(sys, level, table=None):
+        low = real(sys, level, table)
+        if level == 0:
+            return low
+        top = low.elements[-1]
+        gone = mult_left(top.descents_left[0], top)
+        return Shadow(sys, [el for el in low if el != gone])
+
+    monkeypatch.setattr(garside, "low_elements", without_a_suffix)
 
 
 @pytest.fixture(scope="session")

@@ -126,28 +126,22 @@ def test_minimize_flag(capsys):
 
 
 def test_join_cap_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("COXAUTO_JOIN_CAP", "16")
+    # no join has a cap, so the variable is not read, even when malformed
+    monkeypatch.setenv("COXAUTO_JOIN_CAP", "abc")
     assert main(["shadow", "--group", "I2(inf)"]) == 0
     assert "3 elements" in capsys.readouterr().out
+    assert main(["shadow", "--group", "I2(inf)", "--verify", "e,1,2"]) == 0
+    assert capsys.readouterr().out == "verdict: shadow\n"
 
 
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["automaton", "--group", "A2", "--kind", "bogus"])
     assert exc.value.code == 1
-    for cap in ("-1", "-3"):
-        with pytest.raises(SystemExit) as exc:
-            main(["shadow", "--group", "~A2", "--verify", "e,1,2,3",
-                  "--cap", cap])
-        assert exc.value.code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert (f"argument --cap: must be a non-negative integer, got '{cap}'"
-                in captured.err)
 
 
-@pytest.mark.parametrize("command", ["low", "roots", "automaton", "count",
-                                     "check", "table"])
+@pytest.mark.parametrize("command", ["low", "roots", "shadow", "automaton",
+                                     "count", "check", "table"])
 def test_cap_without_joins_is_a_usage_error(capsys, command):
     required = {"count": ["--max-len", "3"], "check": ["--conjecture", "1"],
                 "table": ["--groups", "~A2"]}
@@ -211,18 +205,6 @@ def test_unknown_group_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_indeterminate_exits_two(monkeypatch, capsys):
-    import coxauto.cli as cli
-    from coxauto.errors import CapIndeterminate
-
-    def boom(*args, **kwargs):
-        raise CapIndeterminate("join search exhausted", 24)
-
-    monkeypatch.setattr(cli, "garside_closure", boom)
-    assert main(["shadow", "--group", "I2(inf)"]) == 2
-    assert "cap 24" in capsys.readouterr().err
-
-
 def test_internal_invariant_exits_three(monkeypatch, capsys):
     import coxauto.cli as cli
     from coxauto.errors import InternalInvariant
@@ -247,18 +229,6 @@ def test_bad_verify_letter_exits_one(capsys):
     assert main(["shadow", "--group", "I2(inf)", "--verify", "e,1x"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'x'" in err
-
-
-def test_bad_join_cap_env_exits_one(monkeypatch, capsys):
-    for value in ("abc", "-1", "-3"):
-        monkeypatch.setenv("COXAUTO_JOIN_CAP", value)
-        assert main(["shadow", "--group", "I2(inf)"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"'{value}'" in err
-        assert main(["shadow", "--group", "I2(inf)", "--verify", "e,1,2"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == err
 
 
 def test_field_degree_over_budget_exits_one(capsys):
@@ -286,7 +256,7 @@ def test_predicted_state_count_over_budget_exits_one(capsys, argv):
 def seeded_g2_closure():
     """The 84 elements of the closure of ~G2 seeded with 123121012, as words.
 
-    Verifying them decides some join only by a search that hits the cap.
+    The seed is 1-low but not 0-low, so verifying them decides joins in L_1.
     """
     from coxauto import parse_coxeter_system
     from coxauto.elements import from_word
@@ -298,26 +268,36 @@ def seeded_g2_closure():
     return ",".join(closure.words())
 
 
-@pytest.mark.parametrize("flags, env, cap", [
-    ([], None, 52),
-    (["--cap", "12"], None, 12),
-    ([], "12", 12),
-    (["--cap", "12"], "40", 12),
-])
-def test_indeterminate_verify_reports_cap_in_force(monkeypatch, capsys,
-                                                   seeded_g2_closure, flags,
-                                                   env, cap):
-    if env is None:
-        monkeypatch.delenv("COXAUTO_JOIN_CAP", raising=False)
-    else:
-        monkeypatch.setenv("COXAUTO_JOIN_CAP", env)
-    argv = ["shadow", "--group", "~G2", "--verify", seeded_g2_closure, *flags]
-    assert main(argv) == 2
+def test_seeded_closure_verifies_as_shadow(capsys, seeded_g2_closure):
+    assert main(["shadow", "--group", "~G2", "--verify",
+                 seeded_g2_closure]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ("verdict: indeterminate-at-cap\n"
-                            "reason: join searches hit the cap\n")
-    assert captured.err == (f"indeterminate at cap {cap}: "
-                            "verification indeterminate\n")
+    assert captured.out == "verdict: shadow\n"
+    assert captured.err == ""
+
+
+def test_low_universe_over_budget_exits_one(monkeypatch, capsys,
+                                            seeded_g2_closure):
+    # |L_0| = 49 fits, |L_1| = 169 does not
+    from coxauto import garside
+    monkeypatch.setattr(garside, "STATE_BUDGET", 100)
+    assert main(["shadow", "--group", "~G2", "--verify",
+                 seeded_g2_closure]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 1-low elements outgrew the state budget "
+                            "of 100\n")
+
+
+def test_low_universe_not_suffix_closed_exits_one(
+        capsys, seeded_g2_closure, low_elements_without_a_suffix):
+    assert main(["shadow", "--group", "~G2", "--verify",
+                 seeded_g2_closure]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: 1-low elements are not a Garside shadow (not closed under "
+        "suffixes: ")
 
 
 def test_unreadable_group_file_exits_one(tmp_path, monkeypatch, capsys):

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cone_member, coxeter_systems, pairwise_closure
+from conftest import cone_member, coxeter_systems, pairwise_closure, search_join
 from coxauto import garside, parse_coxeter_system
 from coxauto.automata import build_shadow_automaton
 from coxauto.elements import (_mask_bits, ball, from_word, identity, mult_left,
                               mult_right, weak_leq)
-from coxauto.errors import BudgetExceeded, ShadowViolation
-from coxauto.garside import (Shadow, VerdictStatus, _Decision, decide_join,
-                             garside_closure, low_elements, low_universe,
-                             intersect_parabolic, parabolic_image, project,
-                             restriction_compatibility_check, verify_shadow)
+from coxauto.errors import (BudgetExceeded, LowElementsNotShadow,
+                            ShadowViolation)
+from coxauto.garside import (Shadow, VerdictStatus, garside_closure, join,
+                             low_elements, low_universe, intersect_parabolic,
+                             parabolic_image, project,
+                             restriction_compatibility_check,
+                             smallest_low_universe, verify_shadow)
 from coxauto.smallroots import EXIT, build_small_roots
 
 
@@ -29,27 +31,22 @@ def _brute_force_join(sys, u, v, radius):
     return best
 
 
-def _join(u, v, cap):
-    """The join found by the capped search, or None."""
-    return decide_join(u, v, cap)[1]
-
-
 def test_join_examples(a2, i2inf):
     e = identity(a2)
     u = from_word(a2, (0, 1))
-    assert _join(u, e, 4) == u
+    assert join(u, e) == u
     s, t = from_word(a2, (0,)), from_word(a2, (1,))
     expected = _brute_force_join(a2, s, t, 3)
-    got = _join(s, t, 3)
+    got = join(s, t)
     assert got == expected and got.length == 3  # the long element sts
     si, ti = from_word(i2inf, (0,)), from_word(i2inf, (1,))
-    assert decide_join(si, ti, 12) == (_Decision.NO_JOIN, None)
+    assert join(si, ti) is None
 
 
 def test_join_result_is_least_upper_bound(aff_a2):
     elements = ball(aff_a2, 3)
     for u, v in itertools.combinations(elements, 2):
-        w = _join(u, v, 10)
+        w = join(u, v)
         brute = _brute_force_join(aff_a2, u, v, 10)
         assert w == brute
         if w is not None:
@@ -130,16 +127,16 @@ def test_verify_shadow_catches_missing_join(a2):
 def test_closure_examples(i2inf, a2, aff_c2):
     st = garside_closure(i2inf)
     assert sorted(st.words()) == ["1", "2", "e"]
-    assert st.cap_stable
     assert len(garside_closure(a2)) == 6
-    c2_shadow = garside_closure(aff_c2)
-    assert len(c2_shadow) == 24 and c2_shadow.cap_stable
+    assert len(garside_closure(aff_c2)) == 24
 
 
-def test_closure_budget_is_enforced(i2inf, monkeypatch):
+def test_closure_budget_is_enforced(monkeypatch):
+    # the closure lies in L_0, which meets the budget when it is built, so
+    # the system must be fresh: the session fixture caches its L_0
     monkeypatch.setattr(garside, "STATE_BUDGET", 2)
-    with pytest.raises(BudgetExceeded):
-        garside_closure(i2inf)
+    with pytest.raises(BudgetExceeded, match="state budget of 2$"):
+        garside_closure(parse_coxeter_system("I2(inf)"))
 
 
 def test_closure_contains_seeds_and_reports_shadow(aff_a2):
@@ -157,18 +154,43 @@ def test_closure_rejects_foreign_seeds(aff_a2):
 
 @pytest.mark.parametrize("spec", ["~A2", "~C2", "~G2", "triangle(3,3,4)"])
 def test_join_decision_branches_agree(spec):
-    # the universe scan and the certificate-plus-search branch of decide_join
+    # the join in L_0 and the certificate-plus-search reference
     sys = parse_coxeter_system(spec)
     low = low_universe(sys)
     cap = max(el.length for el in low)
     for u, v in itertools.combinations(low, 2):
-        by_scan = decide_join(u, v, cap, low)
-        by_search = decide_join(u, v, cap)
-        if by_scan[0] is _Decision.FOUND:
-            assert by_search == by_scan
+        w = join(u, v)
+        decided, by_search = search_join(u, v, cap)
+        if w is not None:
+            assert (decided, by_search) == (True, w)
         else:
-            assert by_scan == (_Decision.NO_JOIN, None)
-            assert by_search[0] is not _Decision.FOUND
+            assert by_search is None
+
+
+def _assert_join_matches_search(elements, cap):
+    """Where the search decides a pair, the join agrees; where it hits the
+    cap, a join found is an upper bound of both inputs."""
+    for u, v in itertools.combinations(elements, 2):
+        w = join(u, v)
+        decided, by_search = search_join(u, v, cap)
+        if decided:
+            assert w == by_search
+        elif w is not None:
+            assert weak_leq(u, w) and weak_leq(v, w)
+
+
+@pytest.mark.parametrize("spec, radius", [
+    ("~A2", 4), ("~C2", 4), ("~G2", 4), ("triangle(2,3,7)", 4),
+    ("triangle(4,4,4)", 4), ("I2(inf)", 4), ("~A3", 3)])
+def test_join_matches_search_reference_on_balls(spec, radius):
+    sys = parse_coxeter_system(spec)
+    _assert_join_matches_search(ball(sys, radius), 2 * radius + 8)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(coxeter_systems())
+def test_join_matches_search_reference(sys):
+    _assert_join_matches_search(ball(sys, 2), 8)
 
 
 def _join_by_scan(universe, u, v):
@@ -183,41 +205,35 @@ def test_universe_join_matches_scan(spec):
     sys = parse_coxeter_system(spec)
     low = low_universe(sys)
     for u, v in itertools.combinations_with_replacement(low, 2):
-        decision, w = decide_join(u, v, 0, low)
+        w = join(u, v)
         expected = _join_by_scan(low, u, v)
         if expected is None:
-            assert (decision, w) == (_Decision.NO_JOIN, None)
+            assert w is None
         else:
-            assert decision is _Decision.FOUND and w is expected
+            assert w is expected
 
 
-@pytest.mark.parametrize("spec, word, cap, size, cap_stable", [
-    ("~A2", (0, 1, 2, 0, 1, 2), None, 40, True),
-    ("~A2", (0, 1, 2, 0, 1, 2), 6, 40, False),
-    ("~C2", (0, 1, 2, 1, 0, 1, 2), None, 61, True),
-    ("~C2", (0, 1, 2, 1, 0, 1, 2), 7, 58, False),
-    ("~G2", (0, 1, 2, 1, 2, 1, 0, 1, 2), 9, 71, False),
-    ("triangle(3,3,4)", (0, 1, 2, 0, 1, 2, 0), None, 27, True),
+@pytest.mark.parametrize("spec, word, level, size", [
+    ("~A2", (0, 1, 2, 0, 1, 2), 2, 40),
+    ("~C2", (0, 1, 2, 1, 0, 1, 2), 3, 61),
+    ("~G2", (0, 1, 2, 1, 2, 1, 0, 1, 2), 1, 84),
+    ("triangle(3,3,4)", (0, 1, 2, 0, 1, 2, 0), 4, 27),
 ])
-def test_seeded_closure_by_search(spec, word, cap, size, cap_stable):
-    # seeds outside L_0 send every join through the capped search, and the
-    # small caps exercise the cap + 4 retry
+def test_seeded_closure_in_smallest_low_universe(spec, word, level, size):
+    # a seed outside L_0 is closed in the smallest L_n that holds it
     sys = parse_coxeter_system(spec)
     seed = from_word(sys, word)
-    assert seed not in low_universe(sys)
-    closure = garside_closure(sys, seeds=[seed], cap=cap)
-    assert seed in closure
-    assert (len(closure), closure.cap_stable) == (size, cap_stable)
-    if cap_stable:
-        assert verify_shadow(closure).status is VerdictStatus.SHADOW
+    assert seed not in low_universe(sys, level - 1)
+    assert smallest_low_universe(sys, [seed]) is low_universe(sys, level)
+    closure = garside_closure(sys, seeds=[seed])
+    assert seed in closure and len(closure) == size
+    assert verify_shadow(closure).status is VerdictStatus.SHADOW
 
 
-def _assert_closure_matches_pairwise(sys, seeds=(), cap=None):
-    closure = garside_closure(sys, seeds=seeds, cap=cap)
-    reference = pairwise_closure(sys, seeds=seeds, cap=cap)
+def _assert_closure_matches_pairwise(sys, seeds=()):
+    closure = garside_closure(sys, seeds=seeds)
+    reference = pairwise_closure(sys, seeds=seeds)
     assert closure.words() == reference.words()
-    assert (closure.cap_stable, closure.cap) == (reference.cap_stable,
-                                                 reference.cap)
 
 
 @pytest.mark.parametrize("spec", [
@@ -230,19 +246,24 @@ def test_closure_matches_pairwise_reference_on_presets(spec):
 def test_seeded_closure_matches_pairwise_reference(aff_g2):
     low = low_universe(aff_g2).elements
     seeds = [low[-1], low[len(low) // 2]]
-    _assert_closure_matches_pairwise(aff_g2, seeds=seeds, cap=5)
+    _assert_closure_matches_pairwise(aff_g2, seeds=seeds)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(coxeter_systems(), st.data())
 def test_closure_matches_pairwise_reference(sys, data):
-    # seeds come from the 0-low elements outside the closure of S, if any
+    # seeds come from the 0-low elements outside the closure of S, if any,
+    # and from the 1-low elements outside L_0, if any
     low = low_universe(sys)
     plain = pairwise_closure(sys)
     pool = [el for el in low if el not in plain] or low.elements
     picks = [data.draw(st.integers(0, len(pool) - 1))
              for _ in range(data.draw(st.integers(0, 2)))]
-    _assert_closure_matches_pairwise(sys, seeds=[pool[i] for i in picks])
+    seeds = [pool[i] for i in picks]
+    outside = [el for el in low_universe(sys, 1) if el not in low]
+    if outside and data.draw(st.booleans()):
+        seeds.append(outside[data.draw(st.integers(0, len(outside) - 1))])
+    _assert_closure_matches_pairwise(sys, seeds=seeds)
 
 
 def test_low_elements_examples(i2inf, aff_a2, a2):
@@ -328,6 +349,17 @@ def test_low_element_budget(tri33inf, monkeypatch):
         low_elements(tri33inf, 1)
 
 
+def test_low_universe_checks_suffix_closure(low_elements_without_a_suffix):
+    sys = parse_coxeter_system("~G2")
+    with pytest.raises(LowElementsNotShadow,
+                       match=r"^1-low elements are not a Garside shadow "
+                             r"\(not closed under suffixes: ") as exc:
+        low_universe(sys, 1)
+    assert exc.value.level == 1
+    with pytest.raises(LowElementsNotShadow):  # nothing was cached
+        join(from_word(sys, (0, 1, 2, 1, 2, 1, 0, 1, 2)), identity(sys))
+
+
 @pytest.mark.parametrize("group", ["a2", "i2inf", "aff_a2", "aff_c2",
                                    "right_angled", "tri33inf"])
 def test_low_elements_form_a_shadow(group, request):
@@ -351,7 +383,7 @@ def test_join_inversions_lie_in_cone_of_union(aff_a2):
     # N(u v-join) is contained in the cone over N(u) | N(v)
     elements = ball(aff_a2, 3)
     for u, v in itertools.combinations(elements, 2):
-        w = _join(u, v, 10)
+        w = join(u, v)
         if w is None:
             continue
         union = [aff_a2.root_coords(r) for r in _mask_bits(u.inv | v.inv)]
@@ -363,14 +395,14 @@ def test_join_inversions_lie_in_cone_of_union(aff_a2):
 def test_join_is_commutative_and_idempotent(a3):
     elements = ball(a3, 3)
     for u, v in itertools.combinations(elements, 2):
-        j1 = _join(u, v, 8)
-        j2 = _join(v, u, 8)
+        j1 = join(u, v)
+        j2 = join(v, u)
         assert j1 == j2
-        assert _join(u, u, 8) == u
+        assert join(u, u) == u
     # associativity on bounded triples
     for u, v, w in itertools.combinations(elements[:12], 3):
-        left = _join(_join(u, v, 8), w, 8)
-        right = _join(u, _join(v, w, 8), 8)
+        left = join(join(u, v), w)
+        right = join(u, join(v, w))
         assert left == right
 
 
