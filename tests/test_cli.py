@@ -268,9 +268,33 @@ def seeded_g2_closure():
     return ",".join(closure.words())
 
 
-def test_seeded_closure_verifies_as_shadow(capsys, seeded_g2_closure):
-    assert main(["shadow", "--group", "~G2", "--verify",
-                 seeded_g2_closure]) == 0
+@pytest.mark.parametrize("flags, env, cap", [
+    ([], None, 52),
+    (["--cap", "12"], None, 12),
+    ([], "12", 12),
+    (["--cap", "12"], "40", 12),
+])
+def test_indeterminate_verify_reports_cap_in_force(monkeypatch, capsys,
+                                                   seeded_g2_closure, flags,
+                                                   env, cap):
+    """Each way a join cap was once put in force no longer sets one.
+
+    `cap` is the cap each case used to report. With no --cap the closure
+    verifies as shadow whatever COXAUTO_JOIN_CAP holds; --cap is refused.
+    """
+    if env is None:
+        monkeypatch.delenv("COXAUTO_JOIN_CAP", raising=False)
+    else:
+        monkeypatch.setenv("COXAUTO_JOIN_CAP", env)
+    argv = ["shadow", "--group", "~G2", "--verify", seeded_g2_closure, *flags]
+    if flags:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --cap {cap}" in err
+        return
+    assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out == "verdict: shadow\n"
     assert captured.err == ""
