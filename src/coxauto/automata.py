@@ -21,7 +21,7 @@ from . import garside
 from .errors import BudgetExceeded, ShadowViolation
 from .garside import (Shadow, VerdictStatus, check_state_budget, project,
                       verify_shadow)
-from .smallroots import SmallRootTable
+from .smallroots import build_small_roots
 from .system import CoxeterSystem
 
 
@@ -124,13 +124,14 @@ def _default_labels(sys: CoxeterSystem) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Builders
 
-def build_shadow_automaton(shadow: Shadow, *,
-                           assume_verified: bool = False) -> Automaton:
-    """States are the shadow's elements; x goes via s to pi_B(s x)."""
-    if not assume_verified:
-        verdict = verify_shadow(shadow)
-        if verdict.status is VerdictStatus.NOT_SHADOW:
-            raise ShadowViolation(f"not a Garside shadow: {verdict.reason}")
+def build_shadow_automaton(shadow: Shadow) -> Automaton:
+    """States are the shadow's elements; x goes via s to pi_B(s x).
+
+    A set that :func:`verify_shadow` refuses raises ``ShadowViolation``.
+    """
+    verdict = verify_shadow(shadow)
+    if verdict.status is VerdictStatus.NOT_SHADOW:
+        raise ShadowViolation(f"not a Garside shadow: {verdict.reason}")
     sys = shadow.system
     index = shadow._pos
     delta = []
@@ -148,14 +149,15 @@ def build_shadow_automaton(shadow: Shadow, *,
                      delta=delta, kind="shadow")
 
 
-def build_canonical_automaton(sys: CoxeterSystem, table: SmallRootTable,
+def build_canonical_automaton(sys: CoxeterSystem, level: int,
                               *, with_witness: bool = False
                               ) -> tuple[Automaton, list[Element] | None]:
     """The n-canonical automaton: states are reachable n-small inversion sets.
 
     Transition by s is defined iff a_s is not in the state, and sends A to
-    {a_s} union (s(A) restricted to the table).  States are explored from
-    the empty set; optionally a witness element reaching each state is kept.
+    {a_s} union (s(A) restricted to the system's cached n-small roots).
+    States are explored from the empty set; optionally a witness element
+    reaching each state is kept.
     More than ``garside.STATE_BUDGET`` states raise ``BudgetExceeded``, at
     once when the system is affine at level 0 and more are predicted.
 
@@ -164,9 +166,8 @@ def build_canonical_automaton(sys: CoxeterSystem, table: SmallRootTable,
     the bits of byte value b in byte j of a state, so a transition costs
     one lookup per byte of the mask.
     """
-    if table.system is not sys:
-        raise ValueError("table from a different system")
-    check_state_budget(sys, table.level)
+    check_state_budget(sys, level)
+    table = build_small_roots(sys, level)
     budget = garside.STATE_BUDGET
     rank = sys.rank
     nbytes = (len(table) + 7) // 8
@@ -204,7 +205,7 @@ def build_canonical_automaton(sys: CoxeterSystem, table: SmallRootTable,
         delta.append(tuple(row))
     auto = Automaton(letter_labels=_default_labels(sys),
                      payloads=_MaskPayloads(masks), initial=0, delta=delta,
-                     kind=f"canonical-{table.level}")
+                     kind=f"canonical-{level}")
     return auto, witnesses
 
 

@@ -18,7 +18,8 @@ from .automata import build_canonical_automaton, build_shadow_automaton, minimiz
 from .conjectures import check_conjecture, stats_csv, stats_row
 from .elements import from_word, reduced_word_counts
 from .errors import CoxAutoError, InternalInvariant
-from .garside import Shadow, garside_closure, low_elements, verify_shadow
+from .garside import (Shadow, garside_closure, low_elements, low_universe,
+                      verify_shadow)
 from .render import render_rank3_svg
 from .smallroots import build_small_roots
 from .system import CoxeterSystem, parse_coxeter_system
@@ -83,17 +84,13 @@ def _emit(text: str, out: str | None) -> None:
 
 def _build_automaton(system: CoxeterSystem, kind: str, level: int):
     if kind == "canonical":
-        table = build_small_roots(system, level)
-        auto, _ = build_canonical_automaton(system, table)
+        auto, _ = build_canonical_automaton(system, level)
         return auto
     if kind == "shadow:smallest":
         _no_level(level, "--kind shadow:smallest")
-        return build_shadow_automaton(garside_closure(system),
-                                      assume_verified=True)
+        return build_shadow_automaton(garside_closure(system))
     if kind == "shadow:low":
-        table = build_small_roots(system, level)
-        low = low_elements(system, level, table)
-        return build_shadow_automaton(low, assume_verified=True)
+        return build_shadow_automaton(low_universe(system, level))
     raise CoxAutoError(f"unknown automaton kind {kind!r}")
 
 
@@ -138,8 +135,7 @@ def _cmd_shadow(args) -> int:
 
 def _cmd_low(args) -> int:
     system = _load_system(args.group)
-    table = build_small_roots(system, args.n)
-    low = low_elements(system, args.n, table)
+    low = low_elements(system, args.n)
     lines = [f"# {args.n}-low elements of {system.name}: {len(low)}"]
     lines.extend(low.words())
     _emit("\n".join(lines) + "\n", args.out)

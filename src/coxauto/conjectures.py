@@ -51,9 +51,8 @@ def stats_row(sys: CoxeterSystem, group_name: str | None = None) -> StatsRow:
     """One row of the numeric table: automaton sizes and small-root counts."""
     table = build_small_roots(sys, 0)
     sph, _ = spherical_analysis(table)
-    canonical, _ = build_canonical_automaton(sys, table)
-    shadow = garside_closure(sys)
-    shadow_auto = build_shadow_automaton(shadow, assume_verified=True)
+    canonical, _ = build_canonical_automaton(sys, 0)
+    shadow_auto = build_shadow_automaton(garside_closure(sys))
     minimal = minimize(canonical)
     name = group_name or sys.name or f"rank-{sys.rank}"
     return StatsRow(group=name,
@@ -178,7 +177,7 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
     name = group_name or sys.name or f"rank-{sys.rank}"
     if which == "conj1":
         shadow = garside_closure(sys)
-        auto = build_shadow_automaton(shadow, assume_verified=True)
+        auto = build_shadow_automaton(shadow)
         minimal = minimize(auto)
         numbers = {"a_shadow": auto.num_states, "a_min": minimal.num_states,
                    "shadow_size": len(shadow)}
@@ -190,7 +189,7 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
     if which == "conj2":
         table = build_small_roots(sys, 0)
         _, sigma_eq_sph = spherical_analysis(table)
-        auto, _ = build_canonical_automaton(sys, table)
+        auto, _ = build_canonical_automaton(sys, 0)
         minimal = minimize(auto)
         is_minimal = minimal.num_states == auto.num_states
         numbers = {"a0": auto.num_states, "a_min": minimal.num_states,
@@ -206,8 +205,7 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
                                 witnesses=_merged_state_witness(auto, minimal, sys)
                                 if not is_minimal else ())
     if which == "dyho1":
-        table = build_small_roots(sys, level)
-        low = low_elements(sys, level, table)
+        low = low_elements(sys, level)
         failure = check_generated_and_suffix_closed(low)
         numbers = {"n": level, "low_size": len(low)}
         if failure is None:
@@ -216,10 +214,9 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
                                 witnesses=(failure.witness,),
                                 reason=failure.reason)
     if which == "dyho2":
-        table = build_small_roots(sys, level)
-        low = low_elements(sys, level, table)
-        auto, _ = build_canonical_automaton(sys, table)
-        images = {small_inversion_set(table, w) for w in low}
+        low = low_elements(sys, level)
+        auto, _ = build_canonical_automaton(sys, level)
+        images = {small_inversion_set(w, level) for w in low}
         if len(images) != len(low):
             raise InternalInvariant(
                 "small inversion sets are not injective on low elements")

@@ -18,7 +18,8 @@ checks before L_n is used.
 
 A shadow is verified by S and e membership, suffix closure and pairwise
 joins.  The first two are :func:`check_generated_and_suffix_closed`, which
-is all a set already known to be join-closed, such as L_n, needs.
+is all a set already known to be join-closed, such as L_n, needs.  A closure
+and an L_n carry the verdict SHADOW, which :func:`verify_shadow` returns.
 
 The Garside closure of X lies in the smallest L_n holding X, a finite
 Garside shadow, and is read off its index: in a finite join-closed set,
@@ -40,8 +41,8 @@ from typing import Iterable
 from .elements import (Element, _mask_bits, coset_split, identity, generator,
                        mult_left, mult_right, support)
 from .errors import BudgetExceeded, LowElementsNotShadow, ShadowViolation
-from .smallroots import (Classification, SmallRootTable, affine_structure,
-                         build_small_roots, classify_type)
+from .smallroots import (Classification, affine_structure, build_small_roots,
+                         classify_type)
 from .system import CoxeterSystem
 
 # Elements of low_elements, so of every L_n universe and every closure, and
@@ -68,6 +69,8 @@ class Shadow:
         self.provenance = provenance
         self._index: dict[int, int] | None = None  # see _root_index
         self._up: dict[int, int] = {}  # position -> _up_set, as queried
+        # SHADOW for a closure or an L_n; returned by verify_shadow
+        self.verdict: ShadowVerdict | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -138,6 +141,7 @@ def low_universe(sys: CoxeterSystem, level: int = 0) -> Shadow:
             if failure is not None:
                 raise LowElementsNotShadow(level, failure.reason,
                                            failure.witness)
+        low.verdict = ShadowVerdict(VerdictStatus.SHADOW)
         sys._low_universes[level] = low
     return low
 
@@ -150,6 +154,8 @@ def smallest_low_universe(sys: CoxeterSystem,
     ends; a rung over ``STATE_BUDGET`` raises ``BudgetExceeded``.
     """
     elements = list(elements)
+    if any(el.system is not sys for el in elements):
+        raise ValueError("element from a different system")
     level = 0
     while True:
         universe = low_universe(sys, level)
@@ -189,6 +195,8 @@ def project(shadow: Shadow, w: Element) -> Element:
     The prefixes of w in B are the elements whose inversion set lies inside
     N(w); the highest set bit is the longest of them.
     """
+    if w.system is not shadow.system:
+        raise ValueError("element from a different system")
     prefixes = shadow._below(w.inv)
     if not prefixes:
         raise ShadowViolation("shadow contains no prefix of the element")
@@ -243,9 +251,12 @@ def check_generated_and_suffix_closed(shadow: Shadow) -> ShadowVerdict | None:
 def verify_shadow(shadow: Shadow) -> ShadowVerdict:
     """Check S and e membership, suffix closure, and pairwise join closure.
 
-    Pairwise joins suffice: finite bounded joins fold from pairwise ones.
+    A verdict recorded on the shadow is returned as it is.  Otherwise
+    pairwise joins suffice: finite bounded joins fold from pairwise ones.
     They are decided in one universe, the smallest L_n holding the set.
     """
+    if shadow.verdict is not None:
+        return shadow.verdict
     failure = check_generated_and_suffix_closed(shadow)
     if failure is not None:
         return failure
@@ -279,11 +290,11 @@ def garside_closure(sys: CoxeterSystem,
     """
     start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
              *seeds]
-    if any(el.system is not sys for el in start):
-        raise ValueError("element from a different system")
     universe = smallest_low_universe(sys, start)
-    return Shadow(sys, _close_in_universe(universe, start),
-                  provenance="closure-of-S")
+    closure = Shadow(sys, _close_in_universe(universe, start),
+                     provenance="closure-of-S")
+    closure.verdict = ShadowVerdict(VerdictStatus.SHADOW)
+    return closure
 
 
 def _close_in_universe(universe: Shadow,
@@ -368,8 +379,7 @@ def check_state_budget(sys: CoxeterSystem, level: int) -> None:
             f"states at level 0, over the state budget of {STATE_BUDGET:,}")
 
 
-def low_elements(sys: CoxeterSystem, level: int,
-                 table: SmallRootTable | None = None) -> Shadow:
+def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
     """The n-low elements, by BFS over left multiplications.
 
     Pruning non-low branches is sound because the set is closed under
@@ -382,16 +392,13 @@ def low_elements(sys: CoxeterSystem, level: int,
     extreme rays of the cone over N(w): in A2, N(s1*s2) = {a1, a1+a2} has
     both roots as extreme rays, but N^1(s1*s2) = {a1+a2}.  So a candidate
     s*w is tested by looking up its rank-many right-descent roots in the
-    table.  The search carries the signed roots w(a_t) along, since
-    sw(a_t) = s(w(a_t)) costs one reflection per letter.  More than
-    ``STATE_BUDGET`` elements raise ``BudgetExceeded``.
+    system's cached table of n-small roots.  The search carries the signed
+    roots w(a_t) along, since sw(a_t) = s(w(a_t)) costs one reflection per
+    letter.  More than ``STATE_BUDGET`` elements raise ``BudgetExceeded``.
+    Unlike :func:`low_universe`, this caches nothing and records no verdict.
     """
-    if table is None:
-        table = build_small_roots(sys, level)
-    if table.system is not sys or table.level != level:
-        raise ValueError("table does not match the system and level")
     check_state_budget(sys, level)
-    small = table.node_by_rid
+    small = build_small_roots(sys, level).node_by_rid
     letters = range(sys.rank)
     e = identity(sys)
     low: dict[int, Element] = {e.inv: e}

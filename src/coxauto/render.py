@@ -14,7 +14,7 @@ import math
 
 from .errors import InternalInvariant, UnsupportedRank
 from .scalars import Scalar
-from .smallroots import SmallRootTable, build_small_roots
+from .smallroots import build_small_roots
 from .system import CoxeterSystem
 
 CANVAS_W = 800
@@ -91,15 +91,12 @@ def _hyperplane_trace(sys: CoxeterSystem, rid: int
     return unique
 
 
-def render_rank3_svg(sys: CoxeterSystem, level: int,
-                     table: SmallRootTable | None = None) -> str:
-    """Deterministic SVG of the n-small roots and their hyperplane traces."""
+def render_rank3_svg(sys: CoxeterSystem, level: int) -> str:
+    """Deterministic SVG of the n-small roots (the system's cached table)
+    and their hyperplane traces."""
     if sys.rank != 3:
         raise UnsupportedRank("projective pictures support rank 3 only")
-    if table is None:
-        table = build_small_roots(sys, level)
-    if table.level != level or table.system is not sys:
-        raise ValueError("table does not match the system and level")
+    table = build_small_roots(sys, level)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_W}" '

@@ -166,6 +166,11 @@ class FieldContext:
     def __init__(self, n: int):
         if n < 1:
             raise InvalidLabel(f"N must be >= 1, got {n}")
+        # phi(m) >= sqrt(m/2): refuse N past 4 * budget^2 before factoring
+        if n > 4 * MAX_FIELD_DEGREE ** 2:
+            raise InvalidGroupSpec(
+                f"the field Q(2cos(pi/{n})) has degree at least sqrt({n})/2, "
+                f"over the field-degree budget of {MAX_FIELD_DEGREE}")
         expected = _euler_phi(2 * n) // 2 if n >= 2 else 1
         if expected > MAX_FIELD_DEGREE:
             raise InvalidGroupSpec(

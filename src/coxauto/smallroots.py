@@ -143,10 +143,7 @@ class SmallRootNode:
 class SmallRootTable:
     """All n-small roots of a system with their reflection transitions."""
 
-    def __init__(self, sys: CoxeterSystem, level: int,
-                 nodes: list[SmallRootNode], node_by_rid: dict[int, int]):
-        self.system = sys
-        self.level = level
+    def __init__(self, nodes: list[SmallRootNode], node_by_rid: dict[int, int]):
         self.nodes = nodes
         self.node_by_rid = node_by_rid
 
@@ -164,8 +161,12 @@ class SmallRootTable:
 
 
 def build_small_roots(sys: CoxeterSystem, level: int) -> SmallRootTable:
+    """The n-small roots of the system, built once per level and cached."""
     if level < 0:
         raise InvalidGroupSpec("level must be a natural number")
+    tables = sys._small_root_tables
+    if level in tables:
+        return tables[level]
     rank = sys.rank
     dominated_rids: list[frozenset[int]] = []  # by rids during construction
     dps: list[int] = []
@@ -239,14 +240,13 @@ def build_small_roots(sys: CoxeterSystem, level: int) -> SmallRootTable:
         nodes.append(SmallRootNode(
             rid=rid, dp=dps[i], dominated=dom_nodes, support=supp,
             spherical=spherical, theta=tuple(thetas[i])))
-    return SmallRootTable(sys, level, nodes, node_by_rid)
+    table = tables[level] = SmallRootTable(nodes, node_by_rid)
+    return table
 
 
-def small_inversion_set(table: SmallRootTable, w) -> frozenset[int]:
-    """Sigma_n(w) = N(w) intersected with the table, as node ids."""
-    if w.system is not table.system:
-        raise ValueError("element from a different system")
-    return table.small_part(w.inv)
+def small_inversion_set(w, level: int) -> frozenset[int]:
+    """Sigma_n(w) = N(w) intersected with the n-small roots, as node ids."""
+    return build_small_roots(w.system, level).small_part(w.inv)
 
 
 def spherical_analysis(table: SmallRootTable) -> tuple[frozenset[int], bool]:

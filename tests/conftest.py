@@ -14,6 +14,7 @@ from coxauto.elements import (Element, _mask_bits, generator, identity,
 from coxauto.errors import InternalInvariant
 from coxauto.garside import Shadow, project, smallest_low_universe
 from coxauto.scalars import Scalar
+from coxauto.smallroots import build_small_roots
 from coxauto.system import CoxeterMatrix, CoxeterSystem
 
 
@@ -239,8 +240,9 @@ def pairwise_closure(sys: CoxeterSystem, seeds=()):
 # tuple per state: the reference that the byte-sliced image tables of
 # automata.build_canonical_automaton are checked against.
 
-def per_bit_canonical_automaton(sys: CoxeterSystem, table):
+def per_bit_canonical_automaton(sys: CoxeterSystem, level: int):
     """States are reachable n-small inversion sets, as tuples of node ids."""
+    table = build_small_roots(sys, level)
     rank = sys.rank
     # images[s][nid]: the bit of s(node nid) in the table, or 0 when it exits
     images = [[1 << node.theta[s] if node.theta[s] >= 0 else 0
@@ -269,7 +271,7 @@ def per_bit_canonical_automaton(sys: CoxeterSystem, table):
         delta.append(tuple(row))
     return Automaton(letter_labels=tuple(str(s + 1) for s in range(rank)),
                      payloads=payloads, initial=0, delta=delta,
-                     kind=f"canonical-{table.level}")
+                     kind=f"canonical-{level}")
 
 
 def shortest_words(auto: Automaton) -> list[tuple[int, ...]]:
@@ -321,8 +323,8 @@ def low_elements_without_a_suffix(monkeypatch):
     from coxauto import garside
     real = garside.low_elements
 
-    def without_a_suffix(sys, level, table=None):
-        low = real(sys, level, table)
+    def without_a_suffix(sys, level):
+        low = real(sys, level)
         if level == 0:
             return low
         top = low.elements[-1]

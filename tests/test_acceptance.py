@@ -52,34 +52,28 @@ class Bundle:
         return build_small_roots(self.system, 0)
 
     @functools.cached_property
-    def table1(self):
-        return build_small_roots(self.system, 1)
-
-    @functools.cached_property
     def smallest(self):
         return garside_closure(self.system)
 
     @functools.cached_property
     def low0(self):
-        return low_elements(self.system, 0, self.table0)
+        return low_elements(self.system, 0)
 
     @functools.cached_property
     def auto_smallest(self):
-        return build_shadow_automaton(self.smallest, assume_verified=True)
+        return build_shadow_automaton(self.smallest)
 
     @functools.cached_property
     def auto_low(self):
-        return build_shadow_automaton(self.low0, assume_verified=True)
+        return build_shadow_automaton(self.low0)
 
     @functools.cached_property
     def canonical0(self):
-        return build_canonical_automaton(self.system, self.table0,
-                                         with_witness=True)
+        return build_canonical_automaton(self.system, 0, with_witness=True)
 
     @functools.cached_property
     def canonical1(self):
-        return build_canonical_automaton(self.system, self.table1,
-                                         with_witness=True)
+        return build_canonical_automaton(self.system, 1, with_witness=True)
 
     def all_automata(self):
         a0, _ = self.canonical0
@@ -145,8 +139,7 @@ def test_criterion_3_stretch():
     sys = parse_coxeter_system("~D5")
     st = affine_structure(sys)
     assert (st.coxeter_number, st.finite_rank) == (8, 5)
-    table = build_small_roots(sys, 0)
-    auto, _ = build_canonical_automaton(sys, table)
+    auto, _ = build_canonical_automaton(sys, 0)
     assert auto.num_states == 9 ** 5 == 59049
     assert minimize(auto).num_states == 58965
     assert time.monotonic() - start < 600
@@ -179,7 +172,7 @@ def test_criterion_4_rank3_witness(tri36):
     assert talpha != (alpha[0], alpha[1] + off_by_one, alpha[2])
     assert tri36.intern_root(talpha) not in table.root_ids()
     # the two states read by su and tsu are distinct and merged by minimize
-    auto, _ = build_canonical_automaton(tri36, table)
+    auto, _ = build_canonical_automaton(tri36, 0)
     amin = minimize(auto)
     assert amin.num_states < auto.num_states
     q1, q2 = auto.read((0, 2)), auto.read((1, 0, 2))
@@ -209,7 +202,7 @@ def test_criterion_6_morphisms(bundles):
     big = Shadow(i2.system, [from_word(i2.system, w)
                              for w in [(), (0,), (1,), (0, 1), (1, 0)]])
     assert verify_shadow(big).status is VerdictStatus.SHADOW
-    a_big = build_shadow_automaton(big, assume_verified=True)
+    a_big = build_shadow_automaton(big)
     f = projection_state_map(a_big.payloads, i2.smallest, i2.auto_smallest)
     assert (check_morphism(f, a_big, i2.auto_smallest).verdict
             is MorphismVerdict.TOTALLY_SURJECTIVE)
@@ -250,19 +243,19 @@ def test_criterion_6_morphisms(bundles):
         subsets = [tuple(sub) for r in range(1, rank)
                    for sub in itertools.combinations(range(rank), r)]
         for shadow in shadows:
-            auto = build_shadow_automaton(shadow, assume_verified=True)
+            auto = build_shadow_automaton(shadow)
             for subset in subsets:
                 # restriction agrees with the intersected shadow's automaton
                 restricted = restrict_letters(auto, subset, trim=True)
                 inner = shadow_in_subsystem(
                     intersect_parabolic(shadow, subset), subset)
-                inner_auto = build_shadow_automaton(inner, assume_verified=True)
+                inner_auto = build_shadow_automaton(inner)
                 assert isomorphic(restricted, inner_auto), (spec, subset)
                 # p_I induces a total surjection onto the image's automaton
                 source = restrict_letters(auto, subset, trim=False)
                 image = shadow_in_subsystem(
                     parabolic_image(shadow, subset), subset)
-                target = build_shadow_automaton(image, assume_verified=True)
+                target = build_shadow_automaton(image)
                 sub, letter_map = b.system.subsystem(subset)
                 index = {el.inv: i for i, el in enumerate(target.payloads)}
                 f = []

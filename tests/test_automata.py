@@ -19,7 +19,7 @@ from coxauto.errors import BudgetExceeded, ShadowViolation
 from coxauto.garside import (Shadow, garside_closure, intersect_parabolic,
                              low_universe, parabolic_image, project,
                              shadow_in_subsystem)
-from coxauto.smallroots import build_small_roots, small_inversion_set
+from coxauto.smallroots import small_inversion_set
 from coxauto.system import affine_candidates
 
 
@@ -38,7 +38,7 @@ def test_shadow_automaton_infinite_dihedral(i2inf):
 
 def test_shadow_automaton_finite_group_moves_by_left_multiplication(a2):
     shadow = garside_closure(a2)
-    auto = build_shadow_automaton(shadow, assume_verified=True)
+    auto = build_shadow_automaton(shadow)
     assert auto.num_states == 6
     for q, a, q2 in auto.transitions():
         source, target = auto.payloads[q], auto.payloads[q2]
@@ -53,11 +53,11 @@ def test_shadow_automaton_requires_shadow(a2):
 
 
 def test_canonical_automaton_counts(aff_a2, aff_g2, i2inf):
-    auto, _ = build_canonical_automaton(aff_a2, build_small_roots(aff_a2, 0))
+    auto, _ = build_canonical_automaton(aff_a2, 0)
     assert auto.num_states == 16
-    auto, _ = build_canonical_automaton(aff_g2, build_small_roots(aff_g2, 0))
+    auto, _ = build_canonical_automaton(aff_g2, 0)
     assert auto.num_states == 49
-    auto, _ = build_canonical_automaton(i2inf, build_small_roots(i2inf, 0))
+    auto, _ = build_canonical_automaton(i2inf, 0)
     assert auto.num_states == 3
     assert sorted(auto.payloads) == [(), (0,), (1,)]
 
@@ -69,7 +69,7 @@ def test_canonical_states_count_shi_regions(name, h, r):
     # (h+1)^r regions of the Shi arrangement (Shi 1987), independent of the
     # reduced-word walk
     sys = parse_coxeter_system(name)
-    auto, _ = build_canonical_automaton(sys, build_small_roots(sys, 0))
+    auto, _ = build_canonical_automaton(sys, 0)
     assert auto.num_states == (h + 1) ** r
 
 
@@ -78,9 +78,8 @@ def test_canonical_states_count_shi_regions(name, h, r):
                                   "H3", "triangle(2,3,7)", "triangle(4,4,4)"])
 def test_canonical_automaton_matches_per_bit_reference(name, level):
     sys = parse_coxeter_system(name)
-    table = build_small_roots(sys, level)
-    auto, _ = build_canonical_automaton(sys, table)
-    reference = per_bit_canonical_automaton(sys, table)
+    auto, _ = build_canonical_automaton(sys, level)
+    reference = per_bit_canonical_automaton(sys, level)
     assert auto.num_states == reference.num_states
     assert auto.delta == reference.delta
     assert list(auto.payloads) == reference.payloads
@@ -89,28 +88,26 @@ def test_canonical_automaton_matches_per_bit_reference(name, level):
 def test_canonical_state_budget(monkeypatch):
     # hyperbolic, so the budget is met during the enumeration
     sys = parse_coxeter_system("triangle(2,3,7)")
-    table = build_small_roots(sys, 0)
-    full, _ = build_canonical_automaton(sys, table)
+    full, _ = build_canonical_automaton(sys, 0)
     monkeypatch.setattr(garside, "STATE_BUDGET", full.num_states)
-    assert build_canonical_automaton(
-        sys, table)[0].num_states == full.num_states
+    assert build_canonical_automaton(sys, 0)[0].num_states == full.num_states
     monkeypatch.setattr(garside, "STATE_BUDGET", full.num_states - 1)
     with pytest.raises(BudgetExceeded, match="^canonical automaton outgrew "
                        f"the state budget of {full.num_states - 1}$"):
-        build_canonical_automaton(sys, table)
+        build_canonical_automaton(sys, 0)
 
 
 def test_minimize_sizes(aff_c2, aff_g2, a2):
-    c2_auto, _ = build_canonical_automaton(aff_c2, build_small_roots(aff_c2, 0))
+    c2_auto, _ = build_canonical_automaton(aff_c2, 0)
     assert minimize(c2_auto).num_states == 24
-    g2_auto, _ = build_canonical_automaton(aff_g2, build_small_roots(aff_g2, 0))
+    g2_auto, _ = build_canonical_automaton(aff_g2, 0)
     assert minimize(g2_auto).num_states == 41
-    a2_auto, _ = build_canonical_automaton(a2, build_small_roots(a2, 0))
+    a2_auto, _ = build_canonical_automaton(a2, 0)
     assert minimize(a2_auto).num_states == 6
 
 
 def test_minimize_is_idempotent_and_language_preserving(aff_c2):
-    auto, _ = build_canonical_automaton(aff_c2, build_small_roots(aff_c2, 0))
+    auto, _ = build_canonical_automaton(aff_c2, 0)
     m1 = minimize(auto)
     m2 = minimize(m1)
     assert m1.num_states == m2.num_states <= auto.num_states
@@ -213,10 +210,9 @@ def test_minimize_matches_moore_reference(auto):
 def test_minimize_matches_moore_reference_on_groups(group, kind):
     sys = parse_coxeter_system(group)
     if kind == "canonical":
-        auto, _ = build_canonical_automaton(sys, build_small_roots(sys, 0))
+        auto, _ = build_canonical_automaton(sys, 0)
     else:
-        auto = build_shadow_automaton(garside_closure(sys),
-                                      assume_verified=True)
+        auto = build_shadow_automaton(garside_closure(sys))
     _assert_minimal_form(auto)
 
 
@@ -229,7 +225,7 @@ def test_minimize_maps_unreachable_inequivalent_state_to_minus_one():
 
 
 def test_identity_map_is_totally_surjective(a2):
-    auto, _ = build_canonical_automaton(a2, build_small_roots(a2, 0))
+    auto, _ = build_canonical_automaton(a2, 0)
     report = check_morphism(list(range(auto.num_states)), auto, auto)
     assert report.verdict is MorphismVerdict.TOTALLY_SURJECTIVE
 
@@ -239,18 +235,16 @@ def test_shadow_inclusion_induces_total_surjection(i2inf):
                          for w in [(), (0,), (1,), (0, 1), (1, 0)]])
     small = garside_closure(i2inf)
     a_big = build_shadow_automaton(big)
-    a_small = build_shadow_automaton(small, assume_verified=True)
+    a_small = build_shadow_automaton(small)
     f = projection_state_map(a_big.payloads, small, a_small)
     report = check_morphism(f, a_big, a_small)
     assert report.verdict is MorphismVerdict.TOTALLY_SURJECTIVE
 
 
 def test_canonical_to_low_morphism(aff_a2):
-    table = build_small_roots(aff_a2, 0)
-    auto, witnesses = build_canonical_automaton(aff_a2, table,
-                                                with_witness=True)
+    auto, witnesses = build_canonical_automaton(aff_a2, 0, with_witness=True)
     low = low_universe(aff_a2)
-    low_auto = build_shadow_automaton(low, assume_verified=True)
+    low_auto = build_shadow_automaton(low)
     f = projection_state_map(witnesses, low, low_auto)
     report = check_morphism(f, auto, low_auto)
     assert report.verdict is MorphismVerdict.TOTALLY_SURJECTIVE
@@ -258,43 +252,40 @@ def test_canonical_to_low_morphism(aff_a2):
 
 @pytest.mark.parametrize("level", [0, 1])
 def test_canonical_to_smallest_shadow_morphism(aff_c2, level):
-    table = build_small_roots(aff_c2, level)
-    auto, witnesses = build_canonical_automaton(aff_c2, table,
+    auto, witnesses = build_canonical_automaton(aff_c2, level,
                                                 with_witness=True)
     smallest = garside_closure(aff_c2)
-    target = build_shadow_automaton(smallest, assume_verified=True)
+    target = build_shadow_automaton(smallest)
     f = projection_state_map(witnesses, smallest, target)
     report = check_morphism(f, auto, target)
     assert report.verdict is MorphismVerdict.TOTALLY_SURJECTIVE
 
 
 def test_not_morphism_reports_witness(a2, i2inf):
-    auto_a, _ = build_canonical_automaton(a2, build_small_roots(a2, 0))
-    auto_b, _ = build_canonical_automaton(i2inf, build_small_roots(i2inf, 0))
+    auto_a, _ = build_canonical_automaton(a2, 0)
+    auto_b, _ = build_canonical_automaton(i2inf, 0)
     report = check_morphism([0] * auto_a.num_states, auto_a, auto_b)
     assert report.verdict is MorphismVerdict.NOT_MORPHISM
     assert report.witness is not None
 
 
 def test_isomorphic_examples(a2, aff_a2):
-    a0, _ = build_canonical_automaton(a2, build_small_roots(a2, 0))
+    a0, _ = build_canonical_automaton(a2, 0)
     assert isomorphic(a0, a0)
-    shadow_auto = build_shadow_automaton(garside_closure(a2),
-                                         assume_verified=True)
+    shadow_auto = build_shadow_automaton(garside_closure(a2))
     assert isomorphic(a0, shadow_auto)
-    a0_aff, _ = build_canonical_automaton(aff_a2, build_small_roots(aff_a2, 0))
+    a0_aff, _ = build_canonical_automaton(aff_a2, 0)
     assert isomorphic(a0_aff, minimize(a0_aff))
     assert not isomorphic(a0, a0_aff)
 
 
 def test_counting(a2, i2inf):
-    a0, _ = build_canonical_automaton(a2, build_small_roots(a2, 0))
+    a0, _ = build_canonical_automaton(a2, 0)
     assert a0.count_accepted(0) == 1
     words3 = [w for w in itertools.product(range(2), repeat=3)
               if is_reduced_word(a2, w)]
     assert a0.count_accepted(3) == len(words3) == 2
-    smallest = build_shadow_automaton(garside_closure(i2inf),
-                                      assume_verified=True)
+    smallest = build_shadow_automaton(garside_closure(i2inf))
     assert smallest.count_accepted(5) == 2
 
 
@@ -302,25 +293,23 @@ def test_counting(a2, i2inf):
 def test_language_matches_reduced_words(group, request):
     sys = request.getfixturevalue(group)
     oracle = {w.word for level in reduced_words(sys, 6) for w in level}
-    table = build_small_roots(sys, 0)
-    canonical, _ = build_canonical_automaton(sys, table)
+    canonical, _ = build_canonical_automaton(sys, 0)
     shadow = garside_closure(sys)
-    shadow_auto = build_shadow_automaton(shadow, assume_verified=True)
+    shadow_auto = build_shadow_automaton(shadow)
     assert canonical.accepted_words(6) == oracle
     assert shadow_auto.accepted_words(6) == oracle
 
 
 def test_reading_ends_at_projection_of_reversed_word(aff_a2):
     shadow = garside_closure(aff_a2)
-    auto = build_shadow_automaton(shadow, assume_verified=True)
-    table = build_small_roots(aff_a2, 0)
-    canonical, _ = build_canonical_automaton(aff_a2, table)
+    auto = build_shadow_automaton(shadow)
+    canonical, _ = build_canonical_automaton(aff_a2, 0)
     for word in {w.word for level in reduced_words(aff_a2, 5) for w in level}:
         element = from_word(aff_a2, tuple(reversed(word)))
         state = auto.read(word)
         assert auto.payloads[state] == project(shadow, element)
         cstate = canonical.read(word)
-        expected = tuple(sorted(small_inversion_set(table, element)))
+        expected = tuple(sorted(small_inversion_set(element, 0)))
         assert canonical.payloads[cstate] == expected
 
 
@@ -335,17 +324,17 @@ def test_restrict_to_parabolic(right_angled, gprime_words=((), (0,), (1,), (2,),
     sub = restrict_letters(auto, (0, 2))
     assert sub.num_states == 4  # {e, s, u, su} = the finite group W_{s,u}
     inner = shadow_in_subsystem(intersect_parabolic(shadow, (0, 2)), (0, 2))
-    inner_auto = build_shadow_automaton(inner, assume_verified=True)
+    inner_auto = build_shadow_automaton(inner)
     assert isomorphic(sub, inner_auto)
 
 
 @pytest.mark.parametrize("subset", [(0,), (1,), (0, 1), (0, 2), (1, 2)])
 def test_parabolic_restriction_is_intersection_automaton(a3, subset):
     shadow = garside_closure(a3)
-    auto = build_shadow_automaton(shadow, assume_verified=True)
+    auto = build_shadow_automaton(shadow)
     restricted = restrict_letters(auto, subset)
     inner = shadow_in_subsystem(intersect_parabolic(shadow, subset), subset)
-    inner_auto = build_shadow_automaton(inner, assume_verified=True)
+    inner_auto = build_shadow_automaton(inner)
     assert isomorphic(restricted, inner_auto)
 
 
@@ -353,11 +342,11 @@ def test_parabolic_projection_morphism(a3):
     from coxauto.elements import coset_split
     subset = (0, 1)
     shadow = garside_closure(a3)
-    auto = build_shadow_automaton(shadow, assume_verified=True)
+    auto = build_shadow_automaton(shadow)
     source = restrict_letters(auto, subset, trim=False)
     image = parabolic_image(shadow, subset)
     target_shadow = shadow_in_subsystem(image, subset)
-    target = build_shadow_automaton(target_shadow, assume_verified=True)
+    target = build_shadow_automaton(target_shadow)
     sub, letter_map = a3.subsystem(subset)
     index = {el.inv: i for i, el in enumerate(target.payloads)}
     f = []
@@ -370,7 +359,7 @@ def test_parabolic_projection_morphism(a3):
 
 
 def test_shortest_words_reaches_every_state(aff_a2):
-    auto, _ = build_canonical_automaton(aff_a2, build_small_roots(aff_a2, 0))
+    auto, _ = build_canonical_automaton(aff_a2, 0)
     words = shortest_words(auto)
     assert len(words) == auto.num_states
     for q, w in enumerate(words):
@@ -379,17 +368,16 @@ def test_shortest_words_reaches_every_state(aff_a2):
 
 def test_rank_one_group_degenerates_cleanly():
     sys = parse_coxeter_system("A1")
-    auto, _ = build_canonical_automaton(sys, build_small_roots(sys, 0))
+    auto, _ = build_canonical_automaton(sys, 0)
     assert auto.num_states == 2 and auto.num_transitions() == 1
     assert minimize(auto).num_states == 2
     assert auto.counts_by_length(3) == [1, 1, 0, 0]
-    shadow_auto = build_shadow_automaton(garside_closure(sys),
-                                         assume_verified=True)
+    shadow_auto = build_shadow_automaton(garside_closure(sys))
     assert isomorphic(auto, shadow_auto)
 
 
 def test_dot_export_is_deterministic(i2inf):
-    auto = build_shadow_automaton(garside_closure(i2inf), assume_verified=True)
+    auto = build_shadow_automaton(garside_closure(i2inf))
     dot1, dot2 = auto.to_dot(), auto.to_dot()
     assert dot1 == dot2
     assert dot1.startswith("digraph")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,21 @@ def test_field_degree_over_budget_exits_one(capsys):
     assert f"budget of {MAX_FIELD_DEGREE}" in err
 
 
+@pytest.mark.parametrize("group, n", [
+    ("I2(10000000000000061)", 10000000000000061),
+    ("triangle(1000003,1000033,1000037)", 1000003 * 1000033 * 1000037),
+])
+def test_huge_field_label_is_refused_at_once(capsys, group, n):
+    # refused by size, before 2N is factored
+    from coxauto.scalars import MAX_FIELD_DEGREE
+    start = time.perf_counter()
+    assert main(["roots", "--group", group]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the field Q(2cos(pi/{n})) has degree ")
+    assert f"budget of {MAX_FIELD_DEGREE}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["automaton", "--group", "~E6", "--kind", "canonical"],
     ["low", "--group", "~E6"],
@@ -317,6 +333,22 @@ def test_low_universe_not_suffix_closed_exits_one(
         capsys, seeded_g2_closure, low_elements_without_a_suffix):
     assert main(["shadow", "--group", "~G2", "--verify",
                  seeded_g2_closure]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: 1-low elements are not a Garside shadow (not closed under "
+        "suffixes: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["automaton", "--stats"],
+    ["count", "--max-len", "4"],
+])
+def test_shadow_low_not_suffix_closed_exits_one(
+        capsys, argv, low_elements_without_a_suffix):
+    # shadow:low is built over L_n only after its suffix check
+    assert main([*argv, "--group", "~G2", "--kind", "shadow:low",
+                 "--n", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(

@@ -12,7 +12,9 @@ from coxauto.conjectures import (StatsRow, Verdict, check_conjecture, stats_csv,
                                  stats_row)
 from coxauto.elements import generator, mult_left
 from coxauto.garside import Shadow, VerdictStatus, low_elements, verify_shadow
-from coxauto.smallroots import affine_structure, build_small_roots
+from coxauto.errors import InvalidGroupSpec
+from coxauto.smallroots import (SmallRootTable, affine_structure,
+                                build_small_roots)
 
 
 def test_stats_row_aff_a2(aff_a2):
@@ -20,6 +22,24 @@ def test_stats_row_aff_a2(aff_a2):
     assert (row.canonical_states, row.shadow_states, row.minimal_states,
             row.small_roots, row.spherical_small_roots) == (16, 16, 16, 6, 6)
     assert row.cap_stable
+
+
+def test_stats_row_builds_each_table_once(monkeypatch):
+    built = []
+    real_init = SmallRootTable.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(SmallRootTable, "__init__", counting_init)
+    sys = parse_coxeter_system("~C2")
+    stats_row(sys, group_name="~C2")
+    assert len(built) == 1
+    assert build_small_roots(sys, 0) is build_small_roots(sys, 0) is built[0]
+    assert len(built) == 1
+    with pytest.raises(InvalidGroupSpec, match="natural number"):
+        build_small_roots(sys, -1)
 
 
 def test_stats_row_aff_g2(aff_g2):
@@ -71,7 +91,7 @@ def test_conjecture_two_witness_matches_reference(name):
     # rank 3 takes the non-minimality recipe; rank 4 reads the words of the
     # first merged pair off a BFS
     sys = parse_coxeter_system(name)
-    auto, _ = build_canonical_automaton(sys, build_small_roots(sys, 0))
+    auto, _ = build_canonical_automaton(sys, 0)
     report = check_conjecture(sys, "conj2")
     assert report.witnesses
     assert report.witnesses == reference_merged_state_witness(

@@ -82,7 +82,7 @@ def _project_by_scan(shadow, w):
 def test_shadow_automaton_projections_match_scan(spec):
     sys = parse_coxeter_system(spec)
     shadow = garside_closure(sys)
-    auto = build_shadow_automaton(shadow, assume_verified=True)
+    auto = build_shadow_automaton(shadow)
     for q, el in enumerate(auto.payloads):
         for s in range(sys.rank):
             if not el.inv >> s & 1:
@@ -146,10 +146,16 @@ def test_closure_contains_seeds_and_reports_shadow(aff_a2):
     assert verify_shadow(closure).status is VerdictStatus.SHADOW
 
 
-def test_closure_rejects_foreign_seeds(aff_a2):
+@pytest.mark.parametrize("call", ["closure", "join", "project"])
+def test_foreign_elements_are_rejected(aff_a2, a2, call):
     other = parse_coxeter_system("~A2")
     with pytest.raises(ValueError, match="different system"):
-        garside_closure(aff_a2, seeds=[from_word(other, (0, 1))])
+        if call == "closure":
+            garside_closure(aff_a2, seeds=[from_word(other, (0, 1))])
+        elif call == "join":  # would read 121 in A2
+            join(from_word(a2, (0,)), from_word(other, (1,)))
+        else:  # would read e
+            project(garside_closure(a2), from_word(other, (2, 1)))
 
 
 @pytest.mark.parametrize("spec", ["~A2", "~C2", "~G2", "triangle(3,3,4)"])
@@ -347,6 +353,31 @@ def test_low_element_budget(tri33inf, monkeypatch):
     with pytest.raises(BudgetExceeded, match="^1-low elements outgrew the "
                        f"state budget of {size - 1}$"):
         low_elements(tri33inf, 1)
+
+
+class _JoinDecided(Exception):
+    pass
+
+
+@pytest.mark.parametrize("spec", ["~C2", "~G2", "triangle(2,3,7)"])
+def test_recorded_verdict_decides_no_join(monkeypatch, spec):
+    # the closure is a shadow by construction and L_n by theorem (and, for
+    # n > 0, its suffix check); a copy of either as an explicit set is not
+    sys = parse_coxeter_system(spec)
+    closure = garside_closure(sys)
+    low0, low1 = low_universe(sys, 0), low_universe(sys, 1)
+
+    def refuse(*args):
+        raise _JoinDecided
+
+    monkeypatch.setattr(garside, "_join_in", refuse)
+    for shadow in (closure, low0, low1):
+        assert verify_shadow(shadow).status is VerdictStatus.SHADOW
+        assert build_shadow_automaton(shadow).num_states == len(shadow)
+    with pytest.raises(_JoinDecided):
+        verify_shadow(Shadow(sys, closure.elements))
+    with pytest.raises(_JoinDecided):
+        build_shadow_automaton(Shadow(sys, low0.elements))
 
 
 def test_low_universe_checks_suffix_closure(low_elements_without_a_suffix):

@@ -18,7 +18,6 @@ from coxauto.conjectures import Verdict, check_conjecture
 from coxauto.elements import (from_word, mult_left, mult_right,
                               recompute_inversions, reduced_word_counts)
 from coxauto.garside import garside_closure
-from coxauto.smallroots import build_small_roots
 
 LENGTH = 6
 
@@ -40,10 +39,9 @@ def test_incremental_masks_match_recomputation(sys, letters):
 @given(coxeter_systems())
 def test_automata_count_reduced_words(sys):
     oracle = reduced_word_counts(sys, LENGTH)
-    canonical, _ = build_canonical_automaton(sys, build_small_roots(sys, 0))
+    canonical, _ = build_canonical_automaton(sys, 0)
     assert canonical.counts_by_length(LENGTH) == oracle
-    shadow = build_shadow_automaton(garside_closure(sys),
-                                    assume_verified=True)
+    shadow = build_shadow_automaton(garside_closure(sys))
     assert shadow.counts_by_length(LENGTH) == oracle
     for auto in (canonical, shadow):
         once = minimize(auto)
@@ -61,7 +59,7 @@ def test_conjecture_two_proven_direction(sys):
         assert report.numbers["minimal"]
         assert report.verdict is not Verdict.FAILS
     if not report.numbers["minimal"]:
-        auto, _ = build_canonical_automaton(sys, build_small_roots(sys, 0))
+        auto, _ = build_canonical_automaton(sys, 0)
         assert report.witnesses == reference_merged_state_witness(
             auto, minimize(auto), sys)
 
@@ -69,9 +67,8 @@ def test_conjecture_two_proven_direction(sys):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(coxeter_systems())
 def test_canonical_automaton_matches_per_bit_reference(sys):
-    table = build_small_roots(sys, 0)
-    auto, _ = build_canonical_automaton(sys, table)
-    reference = per_bit_canonical_automaton(sys, table)
+    auto, _ = build_canonical_automaton(sys, 0)
+    reference = per_bit_canonical_automaton(sys, 0)
     assert auto.num_states == reference.num_states
     assert auto.delta == reference.delta
     assert list(auto.payloads) == reference.payloads
