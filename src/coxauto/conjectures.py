@@ -21,8 +21,7 @@ from .automata import (Automaton, build_canonical_automaton,
 from .errors import InternalInvariant, InvalidGroupSpec
 from .garside import (check_generated_and_suffix_closed, garside_closure,
                       low_elements)
-from .smallroots import (build_small_roots, small_inversion_set,
-                         spherical_analysis)
+from .smallroots import build_small_roots, spherical_analysis
 from .system import CoxeterSystem
 
 
@@ -216,7 +215,8 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
     if which == "dyho2":
         low = low_elements(sys, level)
         auto, _ = build_canonical_automaton(sys, level)
-        images = {small_inversion_set(w, level) for w in low}
+        table = build_small_roots(sys, level)
+        images = {table.small_part(w.inv) for w in low}
         if len(images) != len(low):
             raise InternalInvariant(
                 "small inversion sets are not injective on low elements")

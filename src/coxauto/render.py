@@ -92,8 +92,7 @@ def _hyperplane_trace(sys: CoxeterSystem, rid: int
 
 
 def render_rank3_svg(sys: CoxeterSystem, level: int) -> str:
-    """Deterministic SVG of the n-small roots (the system's cached table)
-    and their hyperplane traces."""
+    """Deterministic SVG of the system's n-small roots and hyperplane traces."""
     if sys.rank != 3:
         raise UnsupportedRank("projective pictures support rank 3 only")
     table = build_small_roots(sys, level)

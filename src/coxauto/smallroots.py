@@ -244,11 +244,6 @@ def build_small_roots(sys: CoxeterSystem, level: int) -> SmallRootTable:
     return table
 
 
-def small_inversion_set(w, level: int) -> frozenset[int]:
-    """Sigma_n(w) = N(w) intersected with the n-small roots, as node ids."""
-    return build_small_roots(w.system, level).small_part(w.inv)
-
-
 def spherical_analysis(table: SmallRootTable) -> tuple[frozenset[int], bool]:
     """Spherical node ids and whether every root in the table is spherical.
 

@@ -16,14 +16,14 @@ from coxauto import parse_coxeter_system
 from coxauto.automata import (MorphismVerdict, build_canonical_automaton,
                               build_shadow_automaton, check_morphism,
                               isomorphic, minimize, restrict_letters)
-from coxauto.elements import (ball, coset_split, from_word, identity, mult_left,
+from coxauto.elements import (ball, coset_split, from_word, mult_left,
                               reduced_words, weak_leq)
 from coxauto.garside import (Shadow, VerdictStatus, garside_closure,
                              intersect_parabolic, low_elements, parabolic_image,
                              project, shadow_in_subsystem, verify_shadow)
 from coxauto.smallroots import (affine_dominance_oracle, affine_structure,
                                 build_small_roots, dominates,
-                                small_inversion_set, spherical_analysis)
+                                spherical_analysis)
 
 
 def criterion(number, description):
@@ -287,8 +287,9 @@ def test_criterion_7_projection_identities(bundles):
         b = bundles(spec)
         sys = b.system
         shadows = [b.smallest, b.low0] + extra.get(spec, [])
-        for shadow in shadows:
-            assert verify_shadow(shadow).status is VerdictStatus.SHADOW, spec
+        for shadow in shadows:  # explicit copies: no recorded verdict
+            copy = Shadow(sys, shadow.elements)
+            assert verify_shadow(copy).status is VerdictStatus.SHADOW, spec
         elements = ball(sys, 6)
         for shadow in shadows:
             proj = {w.inv: project(shadow, w) for w in elements}

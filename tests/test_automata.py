@@ -19,12 +19,14 @@ from coxauto.errors import BudgetExceeded, ShadowViolation
 from coxauto.garside import (Shadow, garside_closure, intersect_parabolic,
                              low_universe, parabolic_image, project,
                              shadow_in_subsystem)
-from coxauto.smallroots import small_inversion_set
+from coxauto.smallroots import build_small_roots
 from coxauto.system import affine_candidates
 
 
 def test_shadow_automaton_infinite_dihedral(i2inf):
-    auto = build_shadow_automaton(garside_closure(i2inf))
+    # an explicit copy of the closure, so the automaton verifies it in full
+    auto = build_shadow_automaton(Shadow(i2inf,
+                                         garside_closure(i2inf).elements))
     assert auto.num_states == 3
     assert auto.num_transitions() == 4
     by_word = {str(el): i for i, el in enumerate(auto.payloads)}
@@ -309,7 +311,8 @@ def test_reading_ends_at_projection_of_reversed_word(aff_a2):
         state = auto.read(word)
         assert auto.payloads[state] == project(shadow, element)
         cstate = canonical.read(word)
-        expected = tuple(sorted(small_inversion_set(element, 0)))
+        expected = tuple(sorted(
+            build_small_roots(aff_a2, 0).small_part(element.inv)))
         assert canonical.payloads[cstate] == expected
 
 

@@ -8,7 +8,7 @@ from conftest import reference_merged_state_witness
 from coxauto import parse_coxeter_system
 from coxauto.automata import build_canonical_automaton, minimize
 from coxauto import conjectures
-from coxauto.conjectures import (StatsRow, Verdict, check_conjecture, stats_csv,
+from coxauto.conjectures import (Verdict, check_conjecture, stats_csv,
                                  stats_row)
 from coxauto.elements import generator, mult_left
 from coxauto.garside import Shadow, VerdictStatus, low_elements, verify_shadow

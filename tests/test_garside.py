@@ -10,7 +10,7 @@ from conftest import cone_member, coxeter_systems, pairwise_closure, search_join
 from coxauto import garside, parse_coxeter_system
 from coxauto.automata import build_shadow_automaton
 from coxauto.elements import (_mask_bits, ball, from_word, identity, mult_left,
-                              mult_right, weak_leq)
+                              weak_leq)
 from coxauto.errors import (BudgetExceeded, LowElementsNotShadow,
                             ShadowViolation)
 from coxauto.garside import (Shadow, VerdictStatus, garside_closure, join,
@@ -144,6 +144,9 @@ def test_closure_contains_seeds_and_reports_shadow(aff_a2):
     closure = garside_closure(aff_a2, seeds=[seed])
     assert seed in closure
     assert verify_shadow(closure).status is VerdictStatus.SHADOW
+    # the recorded verdict is not evidence: check an explicit copy in full
+    copy = Shadow(aff_a2, closure.elements)
+    assert verify_shadow(copy).status is VerdictStatus.SHADOW
 
 
 @pytest.mark.parametrize("call", ["closure", "join", "project"])
@@ -233,7 +236,8 @@ def test_seeded_closure_in_smallest_low_universe(spec, word, level, size):
     assert smallest_low_universe(sys, [seed]) is low_universe(sys, level)
     closure = garside_closure(sys, seeds=[seed])
     assert seed in closure and len(closure) == size
-    assert verify_shadow(closure).status is VerdictStatus.SHADOW
+    copy = Shadow(sys, closure.elements)
+    assert verify_shadow(copy).status is VerdictStatus.SHADOW
 
 
 def _assert_closure_matches_pairwise(sys, seeds=()):
@@ -395,7 +399,8 @@ def test_low_universe_checks_suffix_closure(low_elements_without_a_suffix):
                                    "right_angled", "tri33inf"])
 def test_low_elements_form_a_shadow(group, request):
     sys = request.getfixturevalue(group)
-    low = low_universe(sys)
+    low = low_elements(sys, 0)  # records no verdict: verified in full
+    assert low.verdict is None
     assert verify_shadow(low).status is VerdictStatus.SHADOW
 
 

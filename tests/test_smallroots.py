@@ -14,7 +14,7 @@ from coxauto.errors import InvalidGroupSpec
 from coxauto.smallroots import (EXIT, Classification, affine_dominance_oracle,
                                 affine_structure, build_small_roots,
                                 classify_type, depth_of_root, dominates,
-                                small_inversion_set, spherical_analysis)
+                                spherical_analysis)
 from coxauto.system import CoxeterMatrix, CoxeterSystem, affine_candidates
 
 
@@ -144,12 +144,14 @@ def test_dominance_examples(aff_a2, i2inf):
 
 
 def test_small_inversion_sets(i2inf, tri36):
-    assert small_inversion_set(identity(i2inf), 0) == frozenset()
+    # Sigma_0(w) = N(w) intersected with the 0-small roots, as node ids
+    i2_table = build_small_roots(i2inf, 0)
+    assert i2_table.small_part(identity(i2inf).inv) == frozenset()
     st_el = from_word(i2inf, (0, 1))
-    assert small_inversion_set(st_el, 0) == {0}
+    assert i2_table.small_part(st_el.inv) == {0}
     # triangle(m_st=3, m_su=2, m_tu=6): Sigma(su) = {a_s, a_u}
     su = from_word(tri36, (0, 2))
-    assert small_inversion_set(su, 0) == {0, 2}
+    assert build_small_roots(tri36, 0).small_part(su.inv) == {0, 2}
 
 
 def test_spherical_analysis_examples(aff_g2, i2inf):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from coxauto import INFINITY, parse_coxeter_system
+from coxauto import parse_coxeter_system
 from coxauto.errors import InvalidGroupSpec, InvalidLabel
 from coxauto.system import (CoxeterMatrix, affine_candidates,
                             matrices_isomorphic, preset_matrix)
