@@ -19,8 +19,7 @@ from typing import Iterable, Sequence
 from .elements import Element, _mask_bits, identity, mult_left
 from . import garside
 from .errors import BudgetExceeded, ShadowViolation
-from .garside import (Shadow, VerdictStatus, check_state_budget, project,
-                      verify_shadow)
+from .garside import Shadow, VerdictStatus, check_state_budget, verify_shadow
 from .smallroots import build_small_roots
 from .system import CoxeterSystem
 
@@ -128,22 +127,39 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
     """States are the shadow's elements; x goes via s to pi_B(s x).
 
     A set that :func:`verify_shadow` refuses raises ``ShadowViolation``.
+
+    The shadow lies in L_n, so pi_B(s x) depends only on Sigma_n(s x)
+    (see :func:`garside.project`), which is {a_s} union (s(Sigma_n(x))
+    restricted to the n-small roots), as in the n-canonical automaton.
+    It is read off the table's byte slices, and the target is the highest
+    set bit of the shadow's ``_below`` on it, found once per mask.
     """
     verdict = verify_shadow(shadow)
     if verdict.status is VerdictStatus.NOT_SHADOW:
         raise ShadowViolation(f"not a Garside shadow: {verdict.reason}")
     sys = shadow.system
-    index = shadow._pos
+    table = shadow._small_table()
+    _, small = shadow._root_index()
+    slices = table.image_slices()
+    nbytes = (len(table) + 7) // 8
+    targets: dict[int, int] = {}  # Sigma_n(s x) -> pi_B(s x), by position
     delta = []
-    for el in shadow.elements:
+    for mask in small:
+        mask_bytes = mask.to_bytes(nbytes, "little")
         row = [-1] * sys.rank
         for s in range(sys.rank):
-            if el.inv >> s & 1:
+            if mask >> s & 1:
                 continue
-            target = project(shadow, mult_left(s, el))
-            row[s] = index[target.inv]
+            new_mask = 1 << s
+            for images, b in zip(slices[s], mask_bytes):
+                new_mask |= images[b]
+            target = targets.get(new_mask)
+            if target is None:
+                target = shadow._below(new_mask).bit_length() - 1
+                targets[new_mask] = target
+            row[s] = target
         delta.append(tuple(row))
-    initial = index[0]
+    initial = shadow._pos[0]
     return Automaton(letter_labels=_default_labels(sys),
                      payloads=list(shadow.elements), initial=initial,
                      delta=delta, kind="shadow")
@@ -162,18 +178,16 @@ def build_canonical_automaton(sys: CoxeterSystem, level: int,
     once when the system is affine at level 0 and more are predicted.
 
     A state is an int mask over the table's node ids.  s(A) is read off
-    byte by byte: ``slices[s][j][b]`` is the mask of the images under s of
-    the bits of byte value b in byte j of a state, so a transition costs
-    one lookup per byte of the mask.
+    byte by byte from the table's ``image_slices``: ``slices[s][j][b]`` is
+    the mask of the images under s of the bits of byte value b in byte j of
+    a state, so a transition costs one lookup per byte of the mask.
     """
     check_state_budget(sys, level)
     table = build_small_roots(sys, level)
     budget = garside.STATE_BUDGET
     rank = sys.rank
     nbytes = (len(table) + 7) // 8
-    slices = [_byte_slices([1 << node.theta[s] if node.theta[s] >= 0 else 0
-                            for node in table.nodes])
-              for s in range(rank)]
+    slices = table.image_slices()
 
     state_ids: dict[int, int] = {0: 0}
     masks: list[int] = [0]
@@ -207,23 +221,6 @@ def build_canonical_automaton(sys: CoxeterSystem, level: int,
                      payloads=_MaskPayloads(masks), initial=0, delta=delta,
                      kind=f"canonical-{level}")
     return auto, witnesses
-
-
-def _byte_slices(image: list[int]) -> list[list[int]]:
-    """Per byte j of a mask, the table whose entry b is the OR of
-    image[8j + i] over the bits i of b.
-
-    Each table is built by doubling: the entries with bit i set are those
-    without it, ORed with the image of bit i.  The last table only covers
-    the bits that a mask can hold.
-    """
-    slices = []
-    for j in range(0, len(image), 8):
-        row = [0]
-        for bit in image[j:j + 8]:
-            row += [m | bit for m in row]
-        slices.append(row)
-    return slices
 
 
 class _MaskPayloads(Sequence):

@@ -1,15 +1,20 @@
 """Joins in weak order, Garside shadows, projections, and low elements.
 
-A shadow indexes its elements by root: for each root, one int bitset marks
-the elements whose inversion set contains it, bit i standing for the i-th
-element in (length, word) order.  The elements above x are the AND of the
-bitsets of the roots of N(x), and the prefixes of w are the elements
-outside every bitset of a root not in N(w).
+A shadow B lies in some L_n, the n-low elements, and is indexed by its
+n-small roots alone.  For an n-low c, N(c) is the set of positive roots in
+the cone over Sigma_n(c), the n-small roots of N(c) (Dyer & Hohlweg,
+*Small roots, low elements, and the weak order in Coxeter groups*, Adv.
+Math. 2016).  An inversion set is closed under positive combinations, so
+c <= w iff Sigma_n(c) lies inside N(w) iff it lies inside Sigma_n(w).  So
+for each n-small root one int bitset, its column, marks the elements whose
+inversion set contains it, bit i standing for the i-th element in (length,
+word) order.  The elements above x are the AND of the columns of
+Sigma_n(x), and the prefixes of w are the elements outside every column of
+an n-small root not in Sigma_n(w).
 
 Every join is decided in the n-low elements L_n.  Every element is n-low
-for some n, and L_n is finite and closed under joins (Dyer & Hohlweg,
-*Small roots, low elements, and the weak order in Coxeter groups*, Adv.
-Math. 2016).  So two elements of L_n have a join iff they have a common
+for some n, and L_n is finite and closed under joins (Dyer & Hohlweg
+2016).  So two elements of L_n have a join iff they have a common
 upper bound in L_n, and the join is then the lowest set bit of the AND of
 their up-sets there.  :func:`join` decides it in the smallest L_n holding
 both inputs, exactly and with no length cap.  L_0 is closed under suffixes
@@ -41,8 +46,8 @@ from typing import Iterable
 from .elements import (Element, _mask_bits, coset_split, identity, generator,
                        mult_left, mult_right, support)
 from .errors import BudgetExceeded, LowElementsNotShadow, ShadowViolation
-from .smallroots import (Classification, affine_structure, build_small_roots,
-                         classify_type)
+from .smallroots import (Classification, SmallRootTable, affine_structure,
+                         build_small_roots, classify_type)
 from .system import CoxeterSystem
 
 # Elements of low_elements, so of every L_n universe and every closure, and
@@ -53,10 +58,16 @@ STATE_BUDGET = 200_000
 
 
 class Shadow:
-    """A finite set of elements, deduplicated and sorted by (length, word)."""
+    """A finite set of elements, deduplicated and sorted by (length, word).
+
+    ``level`` is an n with the set inside L_n, and the index is over the
+    n-small roots.  It is set once: to n for L_n, and otherwise to the
+    smallest such n, which a closure and a verified set record and any
+    other set finds through :func:`smallest_low_universe` on first use.
+    """
 
     def __init__(self, system: CoxeterSystem, elements: Iterable[Element],
-                 provenance: str = "explicit"):
+                 provenance: str = "explicit", level: int | None = None):
         dedup: dict[int, Element] = {}
         for el in elements:
             if el.system is not system:
@@ -67,7 +78,9 @@ class Shadow:
             sorted(dedup.values(), key=lambda e: (e.length, e.word)))
         self._pos = {el.inv: i for i, el in enumerate(self.elements)}
         self.provenance = provenance
-        self._index: dict[int, int] | None = None  # see _root_index
+        self.level = level
+        # see _root_index
+        self._index: tuple[list[int], list[int]] | None = None
         self._up: dict[int, int] = {}  # position -> _up_set, as queried
         # SHADOW for a closure or an L_n; returned by verify_shadow
         self.verdict: ShadowVerdict | None = None
@@ -81,41 +94,59 @@ class Shadow:
     def __contains__(self, el: Element) -> bool:
         return el.inv in self._pos
 
-    def _root_index(self) -> dict[int, int]:
-        """Root id -> bitset of the elements whose inversion set holds it."""
+    def _small_table(self) -> SmallRootTable:
+        """The n-small roots for n the shadow's level, found if unknown."""
+        if self.level is None:
+            self.level = smallest_low_universe(self.system, self).level
+        return build_small_roots(self.system, self.level)
+
+    def _root_index(self) -> tuple[list[int], list[int]]:
+        """The columns and the small parts of the shadow's elements.
+
+        Column ``nid`` is the bitset of the elements whose inversion set
+        holds n-small root ``nid`` of the table; small part i is the node
+        mask Sigma_n(x) of element i.
+        """
         if self._index is None:
+            table = self._small_table()
+            small = [table.small_part(el.inv) for el in self.elements]
             size = (len(self.elements) + 7) >> 3
-            rows: dict[int, bytearray] = {}
-            for i, el in enumerate(self.elements):
+            rows = [bytearray(size) for _ in range(len(table))]
+            for i, mask in enumerate(small):
                 byte, bit = i >> 3, 1 << (i & 7)
-                for rid in _mask_bits(el.inv):
-                    row = rows.get(rid)
-                    if row is None:
-                        row = rows[rid] = bytearray(size)
-                    row[byte] |= bit
-            self._index = {rid: int.from_bytes(row, "little")
-                           for rid, row in rows.items()}
+                for nid in _mask_bits(mask):
+                    rows[nid][byte] |= bit
+            self._index = ([int.from_bytes(row, "little") for row in rows],
+                           small)
         return self._index
 
     def _up_set(self, i: int) -> int:
-        """The elements whose inversion set contains that of element i."""
+        """The elements whose inversion set contains that of element i.
+
+        Element i is n-low, so they are the elements whose inversion set
+        holds Sigma_n of element i.
+        """
         up = self._up.get(i)
         if up is None:
-            index = self._root_index()
+            columns, small = self._root_index()
             up = (1 << len(self.elements)) - 1
-            for rid in _mask_bits(self.elements[i].inv):
-                up &= index[rid]
+            for nid in _mask_bits(small[i]):
+                up &= columns[nid]
             self._up[i] = up
         return up
 
-    def _below(self, inv: int) -> int:
-        """The elements whose inversion set lies inside the root mask inv.
+    def _below(self, small: int) -> int:
+        """The elements c with Sigma_n(c) inside the node mask ``small``.
 
-        They are the elements outside the bitset of every root not in inv.
+        They are the elements outside the column of every n-small root not
+        in ``small``.  For small = Sigma_n(w) they are the elements below w:
+        an n-low c has N(c) equal to the positive roots in the cone over
+        Sigma_n(c) (Dyer & Hohlweg 2016), and N(w) is closed under positive
+        combinations, so c <= w iff Sigma_n(c) lies inside N(w).
         """
         outside = 0
-        for rid, column in self._root_index().items():
-            if not inv >> rid & 1:
+        for nid, column in enumerate(self._root_index()[0]):
+            if not small >> nid & 1:
                 outside |= column
         return ((1 << len(self.elements)) - 1) & ~outside
 
@@ -192,12 +223,16 @@ def join(u: Element, v: Element) -> Element | None:
 def project(shadow: Shadow, w: Element) -> Element:
     """pi_B(w): the unique longest prefix of w lying in the shadow.
 
-    The prefixes of w in B are the elements whose inversion set lies inside
-    N(w); the highest set bit is the longest of them.
+    The prefixes of w in B are the elements c with N(c) inside N(w).  B
+    lies in L_n, and for an n-low c that holds iff Sigma_n(c) lies inside
+    Sigma_n(w), the n-small roots of N(w) (Dyer & Hohlweg 2016; see
+    ``Shadow._below``).  So only the small part of N(w) is read; the
+    highest set bit of the prefixes is the longest of them.  A set that
+    lies in no L_n within the state budget raises ``BudgetExceeded``.
     """
     if w.system is not shadow.system:
         raise ValueError("element from a different system")
-    prefixes = shadow._below(w.inv)
+    prefixes = shadow._below(shadow._small_table().small_part(w.inv))
     if not prefixes:
         raise ShadowViolation("shadow contains no prefix of the element")
     top = prefixes.bit_length() - 1
@@ -261,6 +296,8 @@ def verify_shadow(shadow: Shadow) -> ShadowVerdict:
     if failure is not None:
         return failure
     universe = smallest_low_universe(shadow.system, shadow)
+    if shadow.level is None:
+        shadow.level = universe.level
     els = shadow.elements
     pos = [universe._pos[el.inv] for el in els]
     for i in range(len(els)):
@@ -292,7 +329,7 @@ def garside_closure(sys: CoxeterSystem,
              *seeds]
     universe = smallest_low_universe(sys, start)
     closure = Shadow(sys, _close_in_universe(universe, start),
-                     provenance="closure-of-S")
+                     provenance="closure-of-S", level=universe.level)
     closure.verdict = ShadowVerdict(VerdictStatus.SHADOW)
     return closure
 
@@ -302,12 +339,12 @@ def _close_in_universe(universe: Shadow,
     """The closure of the seeds under joins and suffixes, by bitset passes.
 
     The universe must be finite and closed under joins and suffixes.  The
-    join of the members below x is the lowest bit of the AND of the bitsets
-    of the roots of their inversion sets, the roots of N(x) whose bitset
+    join of the members below x is the lowest bit of the AND of the columns
+    of the roots of their Sigma_n, the roots of Sigma_n(x) whose column
     meets them; x is admitted when that bit is its own.
     """
     els, pos = universe.elements, universe._pos
-    index = universe._root_index()
+    columns, small = universe._root_index()
     full = (1 << len(els)) - 1
     closed = 0  # the members, as a bitset over the universe
     inside = bytearray(len(els))  # the same, for constant-time lookups
@@ -336,15 +373,15 @@ def _close_in_universe(universe: Shadow,
     admit_suffixes(todo)
     while True:
         admitted = []
-        for i, x in enumerate(els):
+        for i, x_small in enumerate(small):
             if inside[i]:
                 continue
-            below = closed & universe._below(x.inv)
+            below = closed & universe._below(x_small)
             if not below & (below - 1):  # fewer than two members below x
                 continue
             up = full
-            for rid in _mask_bits(x.inv):
-                column = index[rid]
+            for nid in _mask_bits(x_small):
+                column = columns[nid]
                 if column & below:
                     up &= column
             if (up & -up).bit_length() - 1 == i:
@@ -428,7 +465,7 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
                 else:
                     rejected.add(sw.inv)
         frontier = nxt
-    return Shadow(sys, low.values(), provenance=f"low-{level}")
+    return Shadow(sys, low.values(), provenance=f"low-{level}", level=level)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,19 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .elements import _mask_bits
-from .errors import InternalInvariant, InvalidGroupSpec
+from .errors import BudgetExceeded, InternalInvariant, InvalidGroupSpec
 from .scalars import Scalar
 from .system import CoxeterSystem, affine_candidates, matrices_isomorphic
 
 NEGATIVE = -1  # theta(s) marker: beta = a_s, reflection goes negative
 EXIT = -2      # theta(s) marker: s(beta) is not n-small
+
+# Dominance pairs (root, strictly dominated root) of one table.  ~A2 holds
+# 3n(n+1) of them at level n, so 270,900 at n = 300, and passes this budget
+# at n = 408 after 0.7 s at 44 MB peak RSS; triangle(4,4,4) passes it after
+# 5.5 s at 71 MB (Python 3.11).  With no budget, a huge n grows the table of
+# an infinite group without end.
+DOMINANCE_BUDGET = 500_000
 
 
 class Classification(enum.Enum):
@@ -141,11 +148,18 @@ class SmallRootNode:
 
 
 class SmallRootTable:
-    """All n-small roots of a system with their reflection transitions."""
+    """All n-small roots of a system with their reflection transitions.
+
+    A set of n-small roots, such as Sigma_n(w), is an int node mask: bit
+    ``nid`` is set iff node ``nid`` is in the set.  Simple roots are nodes
+    0 to rank - 1, so the low ``rank`` bits of Sigma_n(w) hold the left
+    descents of w, as in an inversion set.
+    """
 
     def __init__(self, nodes: list[SmallRootNode], node_by_rid: dict[int, int]):
         self.nodes = nodes
         self.node_by_rid = node_by_rid
+        self._slices: list[list[list[int]]] | None = None  # see image_slices
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -153,15 +167,56 @@ class SmallRootTable:
     def root_ids(self) -> frozenset[int]:
         return frozenset(node.rid for node in self.nodes)
 
-    def small_part(self, mask: int) -> frozenset[int]:
-        """Node ids of the table's roots among those set in a root-id mask."""
+    def small_part(self, mask: int) -> int:
+        """The node mask of the table's roots among those set in a root-id
+        mask: Sigma_n(w) for the inversion set N(w)."""
         get = self.node_by_rid.get
-        return frozenset(
-            nid for nid in map(get, _mask_bits(mask)) if nid is not None)
+        out = 0
+        for rid in _mask_bits(mask):
+            nid = get(rid)
+            if nid is not None:
+                out |= 1 << nid
+        return out
+
+    def image_slices(self) -> list[list[list[int]]]:
+        """Per letter s and byte j of a node mask, the table whose entry b is
+        the node mask of the images under s, inside the table, of the nodes
+        of byte value b in byte j; built once.
+
+        So s(A) restricted to the table is the OR of one entry per byte of A.
+        """
+        if self._slices is None:
+            rank = len(self.nodes[0].theta)
+            self._slices = [
+                _byte_slices([1 << node.theta[s] if node.theta[s] >= 0 else 0
+                              for node in self.nodes])
+                for s in range(rank)]
+        return self._slices
+
+
+def _byte_slices(image: list[int]) -> list[list[int]]:
+    """Per byte j of a mask, the table whose entry b is the OR of
+    image[8j + i] over the bits i of b.
+
+    Each table is built by doubling: the entries with bit i set are those
+    without it, ORed with the image of bit i.  The last table only covers
+    the bits that a mask can hold.
+    """
+    slices = []
+    for j in range(0, len(image), 8):
+        row = [0]
+        for bit in image[j:j + 8]:
+            row += [m | bit for m in row]
+        slices.append(row)
+    return slices
 
 
 def build_small_roots(sys: CoxeterSystem, level: int) -> SmallRootTable:
-    """The n-small roots of the system, built once per level and cached."""
+    """The n-small roots of the system, built once per level and cached.
+
+    A table holding more than ``DOMINANCE_BUDGET`` dominance pairs raises
+    ``BudgetExceeded``.
+    """
     if level < 0:
         raise InvalidGroupSpec("level must be a natural number")
     tables = sys._small_root_tables
@@ -173,6 +228,7 @@ def build_small_roots(sys: CoxeterSystem, level: int) -> SmallRootTable:
     rids: list[int] = []
     node_by_rid: dict[int, int] = {}
     thetas: list[list[int | None]] = []
+    pairs = 0
 
     for s in range(rank):
         node_by_rid[s] = s
@@ -222,6 +278,11 @@ def build_small_roots(sys: CoxeterSystem, level: int) -> SmallRootTable:
                         "inconsistent dominated sets for one root")
                 thetas[i][s] = existing
             else:
+                pairs += len(dom)
+                if pairs > DOMINANCE_BUDGET:
+                    raise BudgetExceeded(
+                        f"{level}-small roots outgrew the dominance budget "
+                        f"of {DOMINANCE_BUDGET:,} pairs")
                 node_by_rid[image] = len(rids)
                 thetas[i][s] = len(rids)
                 rids.append(image)

@@ -236,6 +236,31 @@ def pairwise_closure(sys: CoxeterSystem, seeds=()):
 
 
 # ---------------------------------------------------------------------------
+# Prefixes by one column per root of some inversion set in the shadow: the
+# reference that the n-small columns of garside.Shadow are checked against.
+
+class FullColumnIndex:
+    """A shadow indexed by every root that lies in the inversion set of
+    one of its elements."""
+
+    def __init__(self, shadow: Shadow):
+        self.size = len(shadow)
+        self.columns: dict[int, int] = {}
+        for i, el in enumerate(shadow.elements):
+            for rid in _mask_bits(el.inv):
+                self.columns[rid] = self.columns.get(rid, 0) | 1 << i
+
+    def below(self, inv: int) -> int:
+        """The elements whose inversion set lies inside the root mask inv:
+        those outside the column of every root not in inv."""
+        outside = 0
+        for rid, column in self.columns.items():
+            if not inv >> rid & 1:
+                outside |= column
+        return ((1 << self.size) - 1) & ~outside
+
+
+# ---------------------------------------------------------------------------
 # The canonical automaton by one OR per member bit and letter, with a payload
 # tuple per state: the reference that the byte-sliced image tables of
 # automata.build_canonical_automaton are checked against.

@@ -14,7 +14,8 @@ from coxauto.automata import (Automaton, MorphismVerdict,
                               build_canonical_automaton,
                               build_shadow_automaton, check_morphism,
                               isomorphic, minimize, restrict_letters)
-from coxauto.elements import from_word, is_reduced_word, reduced_words
+from coxauto.elements import (_mask_bits, from_word, is_reduced_word,
+                              reduced_words)
 from coxauto.errors import BudgetExceeded, ShadowViolation
 from coxauto.garside import (Shadow, garside_closure, intersect_parabolic,
                              low_universe, parabolic_image, project,
@@ -311,7 +312,7 @@ def test_reading_ends_at_projection_of_reversed_word(aff_a2):
         state = auto.read(word)
         assert auto.payloads[state] == project(shadow, element)
         cstate = canonical.read(word)
-        expected = tuple(sorted(
+        expected = tuple(_mask_bits(
             build_small_roots(aff_a2, 0).small_part(element.inv)))
         assert canonical.payloads[cstate] == expected
 

@@ -268,6 +268,20 @@ def test_predicted_state_count_over_budget_exits_one(capsys, argv):
     assert f"state budget of {STATE_BUDGET:,}" in err
 
 
+@pytest.mark.parametrize("command", ["roots", "low"])
+def test_huge_level_exits_one_at_the_dominance_budget(capsys, command):
+    # at this level no ~A2 root leaves the table, which would grow forever
+    from coxauto.smallroots import DOMINANCE_BUDGET
+    start = time.perf_counter()
+    assert main([command, "--group", "~A2", "--n", "99999999999999"]) == 1
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 99999999999999-small roots outgrew the dominance budget "
+        f"of {DOMINANCE_BUDGET:,} pairs\n")
+
+
 @pytest.fixture(scope="module")
 def seeded_g2_closure():
     """The 84 elements of the closure of ~G2 seeded with 123121012, as words.

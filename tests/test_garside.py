@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cone_member, coxeter_systems, pairwise_closure, search_join
+from conftest import (FullColumnIndex, cone_member, coxeter_systems,
+                      pairwise_closure, search_join)
 from coxauto import garside, parse_coxeter_system
 from coxauto.automata import build_shadow_automaton
 from coxauto.elements import (_mask_bits, ball, from_word, identity, mult_left,
@@ -77,11 +78,20 @@ def _project_by_scan(shadow, w):
     return best
 
 
-@pytest.mark.parametrize("spec",
-                         ["~A2", "~C2", "~G2", "~C3", "A3", "B3", "H3"])
-def test_shadow_automaton_projections_match_scan(spec):
-    sys = parse_coxeter_system(spec)
-    shadow = garside_closure(sys)
+@pytest.mark.parametrize("spec, kind", [
+    *(pytest.param(spec, "closure", id=spec)
+      for spec in ["~A2", "~C2", "~G2", "~C3", "A3", "B3", "H3"]),
+    pytest.param("~C2", "L_1", id="~C2-L_1"),
+    pytest.param("~G2", "L_1", id="~G2-L_1"),
+    pytest.param("triangle(inf,2,inf)", "explicit", id="gprime")])
+def test_shadow_automaton_projections_match_scan(spec, kind, request):
+    if kind == "explicit":
+        shadow = request.getfixturevalue("gprime_shadow")
+    elif kind == "L_1":
+        shadow = low_universe(parse_coxeter_system(spec), 1)
+    else:
+        shadow = garside_closure(parse_coxeter_system(spec))
+    sys = shadow.system
     auto = build_shadow_automaton(shadow)
     for q, el in enumerate(auto.payloads):
         for s in range(sys.rank):
@@ -253,6 +263,53 @@ def test_closure_matches_pairwise_reference_on_presets(spec):
     _assert_closure_matches_pairwise(parse_coxeter_system(spec))
 
 
+def _assert_small_columns_match_full(sys, seeds=()):
+    """Every ``_below`` of the closure passes, and every transition of the
+    closure's shadow automaton, agree with the full-column reference."""
+    calls = []
+    real = Shadow._below
+
+    def spy(shadow, small):
+        below = real(shadow, small)
+        calls.append((shadow, small, below))
+        return below
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Shadow, "_below", spy)
+        closure = garside_closure(sys, seeds=seeds)
+    universe = smallest_low_universe(sys, closure)
+    by_small = dict(zip(universe._root_index()[1], universe.elements))
+    reference = FullColumnIndex(universe)
+    for shadow, small, below in calls:
+        assert shadow is universe
+        assert below == reference.below(by_small[small].inv)
+    auto = build_shadow_automaton(closure)
+    reference = FullColumnIndex(closure)
+    for q, x in enumerate(closure.elements):
+        for s in range(sys.rank):
+            if not x.inv >> s & 1:
+                below = reference.below(mult_left(s, x).inv)
+                assert auto.delta[q][s] == below.bit_length() - 1
+    return len(calls)
+
+
+@pytest.mark.parametrize("spec", [
+    "~A2", "~C2", "~G2", "~A3", "~C3", "~B3", "~D4"])
+def test_small_columns_match_full_columns_on_presets(spec):
+    assert _assert_small_columns_match_full(parse_coxeter_system(spec))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems())
+def test_small_columns_match_full_columns(sys):
+    # the closure of S, and one closed in L_1 when L_1 is larger than L_0
+    _assert_small_columns_match_full(sys)
+    low = low_universe(sys)
+    outside = [el for el in low_universe(sys, 1) if el not in low]
+    if outside:
+        _assert_small_columns_match_full(sys, seeds=[outside[-1]])
+
+
 def test_seeded_closure_matches_pairwise_reference(aff_g2):
     low = low_universe(aff_g2).elements
     seeds = [low[-1], low[len(low) // 2]]
@@ -304,7 +361,7 @@ def _low_elements_by_cones(sys, level):
     while frontier:
         nxt = []
         for w in frontier:
-            w_nodes = table.small_part(w.inv)
+            w_nodes = _mask_bits(table.small_part(w.inv))
             for s in range(sys.rank):
                 if w.inv >> s & 1:
                     continue

@@ -9,8 +9,10 @@ import pytest
 
 from conftest import cone_member
 from coxauto import parse_coxeter_system
-from coxauto.elements import _mask_bits, from_word, identity
-from coxauto.errors import InvalidGroupSpec
+from coxauto import smallroots
+from coxauto.elements import _mask_bits, from_word, identity, mult_left
+from coxauto.errors import BudgetExceeded, InvalidGroupSpec
+from coxauto.garside import low_elements
 from coxauto.smallroots import (EXIT, Classification, affine_dominance_oracle,
                                 affine_structure, build_small_roots,
                                 classify_type, depth_of_root, dominates,
@@ -146,12 +148,45 @@ def test_dominance_examples(aff_a2, i2inf):
 def test_small_inversion_sets(i2inf, tri36):
     # Sigma_0(w) = N(w) intersected with the 0-small roots, as node ids
     i2_table = build_small_roots(i2inf, 0)
-    assert i2_table.small_part(identity(i2inf).inv) == frozenset()
+    assert i2_table.small_part(identity(i2inf).inv) == 0
     st_el = from_word(i2inf, (0, 1))
-    assert i2_table.small_part(st_el.inv) == {0}
+    assert i2_table.small_part(st_el.inv) == 0b1
     # triangle(m_st=3, m_su=2, m_tu=6): Sigma(su) = {a_s, a_u}
     su = from_word(tri36, (0, 2))
-    assert build_small_roots(tri36, 0).small_part(su.inv) == {0, 2}
+    assert build_small_roots(tri36, 0).small_part(su.inv) == 0b101
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("name", [
+    "~A2", "~C2", "~G2", "~A3", "~C3", "~B3", "H3", "triangle(2,3,7)",
+    "triangle(4,4,4)"])
+def test_image_slices_give_small_part_of_ascent(name, level):
+    # Sigma_n(s x) = {a_s} union (s(Sigma_n(x)) inside the n-small roots)
+    sys = parse_coxeter_system(name)
+    table = build_small_roots(sys, level)
+    slices = table.image_slices()
+    nbytes = (len(table) + 7) // 8
+    for x in low_elements(sys, level):
+        mask_bytes = table.small_part(x.inv).to_bytes(nbytes, "little")
+        for s in range(sys.rank):
+            if x.inv >> s & 1:
+                continue
+            image = 1 << s
+            for images, b in zip(slices[s], mask_bytes):
+                image |= images[b]
+            assert image == table.small_part(mult_left(s, x).inv)
+
+
+def test_dominance_budget(monkeypatch):
+    # each build reads the budget, so each runs on a fresh system
+    table = build_small_roots(parse_coxeter_system("~A2"), 5)
+    pairs = sum(node.dp_inf for node in table.nodes)
+    monkeypatch.setattr(smallroots, "DOMINANCE_BUDGET", pairs)
+    assert len(build_small_roots(parse_coxeter_system("~A2"), 5)) == len(table)
+    monkeypatch.setattr(smallroots, "DOMINANCE_BUDGET", pairs - 1)
+    with pytest.raises(BudgetExceeded, match="^5-small roots outgrew the "
+                       f"dominance budget of {pairs - 1} pairs$"):
+        build_small_roots(parse_coxeter_system("~A2"), 5)
 
 
 def test_spherical_analysis_examples(aff_g2, i2inf):
