@@ -194,15 +194,10 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
         numbers = {"a0": auto.num_states, "a_min": minimal.num_states,
                    "sigma": len(table), "minimal": is_minimal,
                    "sigma_eq_sph": sigma_eq_sph}
-        if is_minimal == sigma_eq_sph:
-            witnesses = ()
-            if not is_minimal:
-                witnesses = _merged_state_witness(auto, minimal, sys)
-            return ConjectureReport(name, which, Verdict.HOLDS, numbers,
-                                    witnesses=witnesses)
-        return ConjectureReport(name, which, Verdict.FAILS, numbers,
-                                witnesses=_merged_state_witness(auto, minimal, sys)
-                                if not is_minimal else ())
+        verdict = Verdict.HOLDS if is_minimal == sigma_eq_sph else Verdict.FAILS
+        return ConjectureReport(
+            name, which, verdict, numbers,
+            witnesses=() if is_minimal else _merged_state_witness(auto, minimal, sys))
     if which == "dyho1":
         low = low_elements(sys, level)
         failure = check_generated_and_suffix_closed(low)

@@ -4,7 +4,7 @@ Every bilinear-form entry arising from a Coxeter matrix with finite edge
 labels lives in Q(2cos(pi/N)) for N the lcm of the labels.  A
 :class:`FieldContext` fixes N, the minimal polynomial of c = 2cos(pi/N)
 (monic, integer coefficients, degree d), and a ladder of shrinking dyadic
-intervals isolating c.
+intervals isolating c, both found without high-precision floating point.
 
 A :class:`Scalar` is a polynomial in c of degree < d, stored as a tuple of
 d integer numerators over one positive integer denominator, reduced so
@@ -31,8 +31,6 @@ import math
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
-
-import mpmath
 
 from .errors import InternalInvariant, InvalidGroupSpec, InvalidLabel, OutOfField
 
@@ -158,9 +156,9 @@ def _solve_fraction_free(m: list[list[int]]) -> tuple[list[int], int]:
 class FieldContext:
     """The real cyclotomic field Q(2cos(pi/N)) with decidable sign.
 
-    Construct through :func:`make_field_context`.  Immutable except for
-    three lazily grown caches: the interval ladder (copy-on-append
-    refinement), cos(pi/m) values, and inverses of irrational values.
+    Construct through :func:`make_field_context`.  Fixed at construction
+    except for three lazily grown caches: the interval ladder (appended
+    to), cos(pi/m) values, and inverses of irrational values.
     """
 
     def __init__(self, n: int):
@@ -187,7 +185,7 @@ class FieldContext:
         self._ladder: list[tuple[Fraction, Fraction]] = [self._initial_interval()]
         self._cos_cache: dict[int, Scalar] = {}
         self._inverses: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
-        self._c_float: float | None = None
+        self._c_float = float(sum(self._ladder[0]) / 2)  # see generator_float
         # the float filter's constants; see sign()
         self._filter_scale = (4 * d + 4) * 2.0 ** -53
         self._filter_floor = math.ldexp(1.0, d - 960) if d <= 1983 else math.inf
@@ -196,28 +194,33 @@ class FieldContext:
 
     @staticmethod
     def _build_minpoly(n: int) -> tuple[int, ...]:
-        """Minimal polynomial of 2cos(pi/N), ascending integer coefficients.
+        """Minimal polynomial Psi of 2cos(pi/N), ascending integer coefficients.
 
-        Conjugates 2cos(pi k/N), gcd(k, 2N) = 1, are multiplied out at high
-        floating precision, coefficients rounded to integers, and the result
-        verified by exact division into D_N + 2 (which vanishes at every
+        With c = y + 1/y, y = e^(i pi/N), y^D Psi(c) = Phi_2N(y) for D =
+        phi(2N)/2 (Watkins & Zeitlin, Amer. Math. Monthly 100, 1993).  Phi_d
+        is y^d - 1 divided by Phi_e for each proper divisor e of d; Phi_2N =
+        sum a_k y^k is palindromic, so Psi = a_D + sum_{j>=1} a_(D+j) D_j.
+        (For N = 1, Phi_2 = y + 1 has odd degree; Psi = x + 2.)  The result
+        is verified by exact division into D_N + 2 (which vanishes at every
         2cos(pi k/N) with k odd).
         """
-        ks = [k for k in range(1, n + 1) if gcd(k, 2 * n) == 1]
-        with mpmath.workdps(40 + 6 * len(ks)):
-            roots = [2 * mpmath.cos(mpmath.pi * k / n) for k in ks]
-            poly = [mpmath.mpf(1)]
-            for r in roots:
-                nxt = [mpmath.mpf(0)] * (len(poly) + 1)
-                for i, c in enumerate(poly):
-                    nxt[i + 1] += c
-                    nxt[i] -= c * r
-                poly = nxt
-            coeffs = tuple(int(mpmath.nint(c)) for c in poly)
-            for c, approx in zip(coeffs, poly):
-                if abs(approx - c) > mpmath.mpf("1e-10"):
-                    raise InternalInvariant(
-                        "minimal polynomial coefficients did not round cleanly")
+        if n == 1:
+            coeffs = (2, 1)
+        else:
+            cyclotomic: dict[int, list[int]] = {}
+            for d in (d for d in range(1, 2 * n + 1) if 2 * n % d == 0):
+                poly = [-1] + [0] * (d - 1) + [1]
+                for e, phi_e in cyclotomic.items():
+                    if d % e == 0:
+                        poly, _ = _poly_divmod_int(poly, phi_e)
+                cyclotomic[d] = poly
+            phi = cyclotomic[2 * n]
+            half = (len(phi) - 1) // 2
+            psi = [phi[half]] + [0] * half
+            for j in range(1, half + 1):
+                for i, t in enumerate(_chebyshev_like(j)):
+                    psi[i] += phi[half + j] * t
+            coeffs = tuple(psi)
         target = _chebyshev_like(n)
         target[0] += 2
         _, rem = _poly_divmod_int(target, coeffs)
@@ -248,18 +251,16 @@ class FieldContext:
 
         c is the largest root of the minimal polynomial, so an interval
         (lo, 2] with exactly one root is certified by minpoly(lo) < 0 <
-        minpoly(2) once lo separates c from the next conjugate down.
+        minpoly(2) once lo separates c from the next conjugate down; their
+        midpoint in doubles does, as the gap is at least 2.6e-3 (N = 175).
         """
         if self.degree == 1:
             c = Fraction(-self.minpoly[0])
             return (c, c)
         n = self.N
-        with mpmath.workdps(50):
-            ks = sorted(k for k in range(1, n + 1) if gcd(k, 2 * n) == 1)
-            c = 2 * mpmath.cos(mpmath.pi * ks[0] / n)
-            second = 2 * mpmath.cos(mpmath.pi * ks[1] / n)
-            mid = (c + second) / 2
-            lo = Fraction(int(mpmath.floor(mid * 2**40)), 2**40)
+        k0, k1 = [k for k in range(1, n + 1) if gcd(k, 2 * n) == 1][:2]
+        mid = math.cos(math.pi * k0 / n) + math.cos(math.pi * k1 / n)
+        lo = Fraction(math.floor(mid * 2**40), 2**40)
         hi = Fraction(2)
         if not (_poly_eval_fraction(self.minpoly, lo) < 0
                 and _poly_eval_fraction(self.minpoly, hi) > 0):
@@ -389,11 +390,10 @@ class FieldContext:
 
     # -- sign determination ----------------------------------------------
 
-    def sign(self, num: Sequence[RationalLike], den: int = 1) -> int:
+    def sign(self, num: Sequence[int], den: int = 1) -> int:
         """Exact sign of v = sum(num[i] * c^i) / den, den > 0; 0 iff num is zero.
 
-        ``num`` holds integer numerators, as in :class:`Scalar`; a vector of
-        Fractions (``Scalar.coeffs``) with den 1 is accepted too.
+        ``num`` holds integer numerators, as in :class:`Scalar`.
 
         1. Rational values (every entry past the constant zero) take the
            sign of num[0]; this includes zero and every degree-1 field.
@@ -421,8 +421,6 @@ class FieldContext:
         if not any(num[1:]):
             return (n0 > 0) - (n0 < 0)
         c = self._c_float
-        if c is None:
-            c = self.generator_float()
         acc = mag = 0.0
         try:
             for n in reversed(num):
@@ -437,7 +435,7 @@ class FieldContext:
             return 1 if acc > 0 else -1
         return self._sign_exact(num)
 
-    def _sign_exact(self, num: Sequence[RationalLike]) -> int:
+    def _sign_exact(self, num: Sequence[int]) -> int:
         """Sign of a nonzero, irrational sum num[i] c^i by interval refinement.
 
         Level k of the ladder isolates c in an interval of width
@@ -450,8 +448,6 @@ class FieldContext:
         interval excludes zero; the ladder is refined until then, so the
         loop always ends with a sign.
         """
-        if any(type(n) is not int for n in num):
-            num, _ = _integral(num)
         target = None
         level = 0
         while True:
@@ -480,9 +476,8 @@ class FieldContext:
     # -- float approximations ---------------------------------------------
 
     def generator_float(self) -> float:
-        if self._c_float is None:
-            with mpmath.workdps(40):
-                self._c_float = float(2 * mpmath.cos(mpmath.pi / self.N))
+        """c within one ulp: the rounded midpoint of the first ladder interval
+        (width <= 2^-64; c >= sqrt(2) whenever the degree is 2 or more)."""
         return self._c_float
 
     def __repr__(self) -> str:

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxauto.errors import InvalidLabel, OutOfField
-from coxauto.scalars import _interval_eval, make_field_context
+from coxauto.scalars import (MAX_FIELD_DEGREE, FieldContext, _interval_eval,
+                             make_field_context)
 
 
 def _totient(n: int) -> int:
@@ -21,10 +27,14 @@ def _gcd(a: int, b: int) -> int:
 
 
 def test_context_n3_is_rational():
-    ctx = make_field_context({3})
-    assert ctx.N == 3
-    assert ctx.minpoly == (-1, 1)  # 2cos(pi/3) = 1
-    assert ctx.degree == 1
+    # 2cos(pi/N) = -2, 0, 1 for N = 1, 2, 3
+    for n, minpoly in [(1, (2, 1)), (2, (0, 1)), (3, (-1, 1))]:
+        ctx = FieldContext(n)
+        assert ctx.N == n
+        assert ctx.minpoly == minpoly
+        assert ctx.degree == 1
+        assert ctx.generator() == -minpoly[0]
+        assert ctx.generator_float() == -minpoly[0]
 
 
 def test_context_n4_is_sqrt2():
@@ -32,6 +42,65 @@ def test_context_n4_is_sqrt2():
     assert ctx.N == 4
     assert ctx.minpoly == (-2, 0, 1)  # x^2 - 2
     assert ctx.degree == 2
+
+
+def _reference_minpoly(n: int) -> tuple[int, ...]:
+    """The minimal polynomial of 2cos(pi/N) from its conjugates in mpmath.
+
+    The conjugates 2cos(pi k/N), gcd(k, 2N) = 1, are multiplied out at
+    40 + 6d digits and the coefficients rounded to integers.
+    """
+    ks = [k for k in range(1, n + 1) if _gcd(k, 2 * n) == 1]
+    with mpmath.workdps(40 + 6 * len(ks)):
+        poly = [mpmath.mpf(1)]
+        for k in ks:
+            r = 2 * mpmath.cos(mpmath.pi * k / n)
+            nxt = [mpmath.mpf(0)] * (len(poly) + 1)
+            for i, c in enumerate(poly):
+                nxt[i + 1] += c
+                nxt[i] -= c * r
+            poly = nxt
+        coeffs = tuple(int(mpmath.nint(c)) for c in poly)
+        assert all(abs(approx - c) < mpmath.mpf("1e-10")
+                   for c, approx in zip(coeffs, poly))
+    return coeffs
+
+
+def _reference_generator_float(n: int) -> float:
+    with mpmath.workdps(40):
+        return float(2 * mpmath.cos(mpmath.pi / n))
+
+
+# N = 1 and every N >= 2 up to 255 whose field is within the degree budget
+_ADMITTED = [1] + [n for n in range(2, 256)
+                   if _totient(2 * n) // 2 <= MAX_FIELD_DEGREE]
+
+
+def test_minpoly_matches_mpmath_reference():
+    assert len(_ADMITTED) == 169
+    for n in _ADMITTED:
+        assert FieldContext._build_minpoly(n) == _reference_minpoly(n), n
+
+
+def test_generator_float_matches_mpmath_reference():
+    for n in _ADMITTED:
+        ctx = FieldContext(n)
+        if ctx.degree >= 2:
+            assert ctx.generator_float() == _reference_generator_float(n), n
+
+
+def test_runtime_does_not_import_mpmath():
+    script = (
+        "import sys\n"
+        "import coxauto\n"
+        "from coxauto.conjectures import stats_row\n"
+        "coxauto.parse_coxeter_system('triangle(2,3,7)')\n"
+        "stats_row(coxauto.parse_coxeter_system('~C2'))\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                   timeout=120)
 
 
 def test_context_lcm_and_degree():
@@ -84,7 +153,7 @@ def test_sign_examples():
 def test_minpoly_vanishes_on_every_ladder_interval():
     ctx = make_field_context({5, 4})
     mp = [Fraction(c) for c in ctx.minpoly]
-    ctx.sign(ctx.generator().coeffs)  # make sure the ladder is populated
+    ctx.generator().sign()  # make sure the ladder is populated
     for lo, hi in ctx._ladder:
         vlo, vhi = _interval_eval(mp, lo, hi)
         assert vlo <= 0 <= vhi
