@@ -30,22 +30,28 @@ The Garside closure of X lies in the smallest L_n holding X, a finite
 Garside shadow, and is read off its index: in a finite join-closed set,
 x is in the join closure of X iff x is the join of the elements of X below
 it, so passes over the index in (length, word) order, alternating with
-suffix passes, close X without deciding a single pair.
+suffix passes over the suffix positions that L_n recorded, close X without
+deciding a single pair or multiplying a single element.
 
-An element is n-low iff its right-descent roots are n-small, so the n-low
-elements are found by a breadth-first search with rank-many lookups in the
-table of n-small roots per candidate.
+An element is n-low iff its right-descent roots N^1 are n-small, so the
+n-low elements are found by a breadth-first search that carries N^1 and
+Sigma_n of each element as node masks of the table of n-small roots:
+lowness of a candidate is one AND, and only the elements found are
+multiplied out.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .elements import (Element, _mask_bits, coset_split, identity, generator,
                        mult_left, mult_right, support)
-from .errors import BudgetExceeded, LowElementsNotShadow, ShadowViolation
+from .errors import (BudgetExceeded, InternalInvariant, LowElementsNotShadow,
+                     ShadowViolation)
 from .smallroots import (Classification, SmallRootTable, affine_structure,
                          build_small_roots, classify_type)
 from .system import CoxeterSystem
@@ -79,8 +85,13 @@ class Shadow:
         self._pos = {el.inv: i for i, el in enumerate(self.elements)}
         self.provenance = provenance
         self.level = level
-        # see _root_index
-        self._index: tuple[list[int], list[int]] | None = None
+        # Sigma_n of each element and the columns; see _root_index
+        self._small: list[int] | None = None
+        self._columns: list[int] | None = None
+        # the positions of each element's one-step suffixes, in CSR form:
+        # those of element i are targets[offsets[i]:offsets[i + 1]]; recorded
+        # by low_elements, read by _close_in_universe
+        self._suffixes: tuple[array, array] | None = None
         self._up: dict[int, int] = {}  # position -> _up_set, as queried
         # SHADOW for a closure or an L_n; returned by verify_shadow
         self.verdict: ShadowVerdict | None = None
@@ -105,20 +116,24 @@ class Shadow:
 
         Column ``nid`` is the bitset of the elements whose inversion set
         holds n-small root ``nid`` of the table; small part i is the node
-        mask Sigma_n(x) of element i.
+        mask Sigma_n(x) of element i.  :func:`low_elements` supplies the
+        small parts from its search, and :func:`garside_closure` from its
+        universe; any other set reads them off the inversion sets.  The
+        columns are built on first use.
         """
-        if self._index is None:
+        if self._columns is None:
             table = self._small_table()
-            small = [table.small_part(el.inv) for el in self.elements]
+            if self._small is None:
+                self._small = [table.small_part(el.inv)
+                               for el in self.elements]
             size = (len(self.elements) + 7) >> 3
             rows = [bytearray(size) for _ in range(len(table))]
-            for i, mask in enumerate(small):
+            for i, mask in enumerate(self._small):
                 byte, bit = i >> 3, 1 << (i & 7)
                 for nid in _mask_bits(mask):
                     rows[nid][byte] |= bit
-            self._index = ([int.from_bytes(row, "little") for row in rows],
-                           small)
-        return self._index
+            self._columns = [int.from_bytes(row, "little") for row in rows]
+        return self._columns, self._small
 
     def _up_set(self, i: int) -> int:
         """The elements whose inversion set contains that of element i.
@@ -323,31 +338,40 @@ def garside_closure(sys: CoxeterSystem,
     closure of X iff x is the join of the elements of X below it.  So one
     walk of U in (length, word) order, counting the elements it admits,
     closes X under joins; a suffix pass then adds the one-step suffixes of
-    what was admitted, and the two alternate until nothing changes.
+    what was admitted, and the two alternate until nothing changes.  The
+    members keep their small parts from U.
     """
     start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
              *seeds]
     universe = smallest_low_universe(sys, start)
-    closure = Shadow(sys, _close_in_universe(universe, start),
+    inside = _close_in_universe(universe, start)
+    closure = Shadow(sys, compress(universe.elements, inside),
                      provenance="closure-of-S", level=universe.level)
+    # the members keep the universe's order
+    closure._small = list(compress(universe._root_index()[1], inside))
     closure.verdict = ShadowVerdict(VerdictStatus.SHADOW)
     return closure
 
 
 def _close_in_universe(universe: Shadow,
-                       seeds: Iterable[Element]) -> list[Element]:
-    """The closure of the seeds under joins and suffixes, by bitset passes.
+                       seeds: Iterable[Element]) -> bytearray:
+    """The closure of the seeds under joins and suffixes, by bitset passes:
+    byte i is 1 iff element i of the universe is a member.
 
-    The universe must be finite and closed under joins and suffixes.  The
-    join of the members below x is the lowest bit of the AND of the columns
-    of the roots of their Sigma_n, the roots of Sigma_n(x) whose column
-    meets them; x is admitted when that bit is its own.
+    The universe must be finite and closed under joins and suffixes, with
+    its suffixes recorded, as :func:`low_elements` does.  The join of the
+    members below x is the lowest bit of the AND of the columns of the roots
+    of their Sigma_n, the roots of Sigma_n(x) whose column meets them; x is
+    admitted when that bit is its own.  The suffix pass reads the recorded
+    positions of each member's one-step suffixes and multiplies nothing.
     """
-    els, pos = universe.elements, universe._pos
+    if universe._suffixes is None:
+        raise InternalInvariant("closure universe has no recorded suffixes")
+    offsets, targets = universe._suffixes
     columns, small = universe._root_index()
-    full = (1 << len(els)) - 1
+    full = (1 << len(small)) - 1
     closed = 0  # the members, as a bitset over the universe
-    inside = bytearray(len(els))  # the same, for constant-time lookups
+    inside = bytearray(len(small))  # the same, for constant-time lookups
 
     def admit(i: int) -> None:
         nonlocal closed
@@ -358,16 +382,15 @@ def _close_in_universe(universe: Shadow,
         """Admit the suffixes of the members at todo, recursively."""
         grew = False
         while todo:
-            x = els[todo.pop()]
-            for s in x.descents_left:
-                j = pos[mult_left(s, x).inv]
+            i = todo.pop()
+            for j in targets[offsets[i]:offsets[i + 1]]:
                 if not inside[j]:
                     admit(j)
                     todo.append(j)
                     grew = True
         return grew
 
-    todo = sorted({pos[el.inv] for el in seeds})
+    todo = sorted({universe._pos[el.inv] for el in seeds})
     for i in todo:
         admit(i)
     admit_suffixes(todo)
@@ -389,7 +412,7 @@ def _close_in_universe(universe: Shadow,
                 admitted.append(i)
         if not admitted or not admit_suffixes(admitted):
             break
-    return [el for el, member in zip(els, inside) if member]
+    return inside
 
 
 # ---------------------------------------------------------------------------
@@ -427,45 +450,93 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
     N^1(w) = {-w(a_t) : t a right descent of w} are the roots b of N(w) with
     N(w) minus b an inversion set, that of w*t.  They need not span the
     extreme rays of the cone over N(w): in A2, N(s1*s2) = {a1, a1+a2} has
-    both roots as extreme rays, but N^1(s1*s2) = {a1+a2}.  So a candidate
-    s*w is tested by looking up its rank-many right-descent roots in the
-    system's cached table of n-small roots.  The search carries the signed
-    roots w(a_t) along, since sw(a_t) = s(w(a_t)) costs one reflection per
-    letter.  More than ``STATE_BUDGET`` elements raise ``BudgetExceeded``.
-    Unlike :func:`low_universe`, this caches nothing and records no verdict.
+    both roots as extreme rays, but N^1(s1*s2) = {a1+a2}.
+
+    The search carries N^1(w) and Sigma_n(w) of each element as node masks
+    of the system's cached table of n-small roots.  Let s be an ascent of
+    w, so N(sw) = {a_s} union s(N(w)).  A right descent t of w has
+    w(a_t) = -b with b in N^1(w), b is not a_s, so sw(a_t) = -s(b) is
+    negative: t is a right descent of sw with root s(b).  A right descent t
+    of sw that is not one of w has w(a_t) positive and s(w(a_t)) negative,
+    so w(a_t) = a_s and sw = wt, with root a_s.  Hence N^1(sw) is s(N^1(w)),
+    plus a_s exactly when sw = wt for some t, that is when
+    N(sw) = N(w) union {a_s}.  a_s is n-small and only a_s is sent negative
+    by s, so sw is n-low iff no node of N^1(w) leaves the table under s:
+    one AND with ``table.exits[s]``.  Sigma_n(sw) is {a_s} union
+    (s(Sigma_n(w)) restricted to the table) (Brink & Howlett 1993), read off
+    the table's ``image_slices``; it determines an n-low element, so the
+    low candidates of one round, which meet only within that round, are
+    keyed by it.  Only the elements found are multiplied out, |L_n| - 1
+    calls of ``mult_left``, and each keeps the word it was first found by.
+
+    Every low candidate s*w records w as the suffix of s*w by s.  Each left
+    descent s of an x in L_n has s*x in L_n (by theorem for n = 0; checked by
+    :func:`low_universe` for n > 0), and the search tries s on s*x, so every
+    suffix of every element is recorded, for :func:`_close_in_universe`.
+    More than ``STATE_BUDGET`` elements raise ``BudgetExceeded``.  Unlike
+    :func:`low_universe`, this caches nothing and records no verdict.
     """
     check_state_budget(sys, level)
-    small = build_small_roots(sys, level).node_by_rid
+    table = build_small_roots(sys, level)
+    slices, exits = table.image_slices(), table.exits
+    nbytes = (len(table) + 7) // 8
     letters = range(sys.rank)
-    e = identity(sys)
-    low: dict[int, Element] = {e.inv: e}
-    frontier = [(e, [(1, t) for t in letters])]
+    found = [identity(sys)]  # in the order found
+    sigma = [0]  # Sigma_n of each
+    # edge k: found[longer[k]] = s * found[shorter[k]], s a left descent
+    longer, shorter = array("l"), array("l")
+    frontier = [(0, 0)]  # (index in found, N^1 as a node mask)
     while frontier:
         nxt = []
-        # candidates of one length meet again only within this round
-        rejected: set[int] = set()
-        for w, images in frontier:
+        by_sigma: dict[int, int] = {}  # this round's elements
+        for i, n1 in frontier:
+            w = found[i]
+            w_bytes = sigma[i].to_bytes(nbytes, "little")
             for s in letters:
-                if w.inv >> s & 1:
+                bit = 1 << s
+                if w.inv & bit or n1 & exits[s]:
                     continue
-                sw = mult_left(s, w)
-                if sw.inv in low or sw.inv in rejected:
-                    continue
-                sw_images = []
-                for sign, rid in images:
-                    sg, rid = sys.reflect_id(s, rid)
-                    sw_images.append((sign * sg, rid))
-                if all(rid in small for sign, rid in sw_images if sign < 0):
-                    if len(low) >= STATE_BUDGET:
+                sw_sigma = bit
+                for images, b in zip(slices[s], w_bytes):
+                    sw_sigma |= images[b]
+                j = by_sigma.get(sw_sigma)
+                if j is None:
+                    if len(found) >= STATE_BUDGET:
                         raise BudgetExceeded(
                             f"{level}-low elements outgrew the state budget "
                             f"of {STATE_BUDGET:,}")
-                    low[sw.inv] = sw
-                    nxt.append((sw, sw_images))
-                else:
-                    rejected.add(sw.inv)
+                    j = by_sigma[sw_sigma] = len(found)
+                    sw = mult_left(s, w)
+                    found.append(sw)
+                    sigma.append(sw_sigma)
+                    sw_n1 = bit if sw.inv == w.inv | bit else 0
+                    for images, b in zip(slices[s],
+                                         n1.to_bytes(nbytes, "little")):
+                        sw_n1 |= images[b]
+                    nxt.append((j, sw_n1))
+                longer.append(j)
+                shorter.append(i)
         frontier = nxt
-    return Shadow(sys, low.values(), provenance=f"low-{level}", level=level)
+    low = Shadow(sys, found, provenance=f"low-{level}", level=level)
+    # the masks, and the suffix positions in CSR form, in the shadow's order
+    where = [low._pos[el.inv] for el in found]
+    small = [0] * len(found)
+    offsets = array("l", [0]) * (len(found) + 1)
+    for i, p in enumerate(where):
+        small[p] = sigma[i]
+    for j in longer:
+        offsets[where[j] + 1] += 1
+    for p in range(len(found)):
+        offsets[p + 1] += offsets[p]
+    fill = offsets[:-1]
+    targets = array("l", [0]) * len(longer)
+    for j, i in zip(longer, shorter):
+        p = where[j]
+        targets[fill[p]] = where[i]
+        fill[p] += 1
+    low._small = small
+    low._suffixes = (offsets, targets)
+    return low
 
 
 # ---------------------------------------------------------------------------

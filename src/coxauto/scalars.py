@@ -70,11 +70,17 @@ def _poly_divmod_int(num: Sequence[int], den: Sequence[int]) -> tuple[list[int],
     return quot, list(_poly_trim(num))
 
 
-def _poly_eval_fraction(coeffs: Sequence[RationalLike], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _dyadic_sign(coeffs: Sequence[int], m: int, k: int) -> int:
+    """Sign of the integer polynomial at m / 2^k, in integers.
+
+    It is the sign of 2^(kd) times the value, sum c_i m^i 2^(k(d-i)) for
+    degree d, which Horner's rule builds with one shift per coefficient.
+    """
+    d = len(coeffs) - 1
+    acc = 0
+    for i in range(d, -1, -1):
+        acc = acc * m + (coeffs[i] << (k * (d - i)))
+    return (acc > 0) - (acc < 0)
 
 
 def _interval_eval(coeffs: Sequence[RationalLike], lo: Fraction,
@@ -260,26 +266,34 @@ class FieldContext:
         n = self.N
         k0, k1 = [k for k in range(1, n + 1) if gcd(k, 2 * n) == 1][:2]
         mid = math.cos(math.pi * k0 / n) + math.cos(math.pi * k1 / n)
-        lo = Fraction(math.floor(mid * 2**40), 2**40)
-        hi = Fraction(2)
-        if not (_poly_eval_fraction(self.minpoly, lo) < 0
-                and _poly_eval_fraction(self.minpoly, hi) > 0):
+        lo = math.floor(mid * 2**40)
+        if not (_dyadic_sign(self.minpoly, lo, 40) < 0
+                and _dyadic_sign(self.minpoly, 2, 0) > 0):
             raise InternalInvariant("failed to certify the isolating interval")
-        return self._bisect_to(lo, hi, _INITIAL_BITS)
+        return self._bisect_to(Fraction(lo, 2**40), Fraction(2),
+                               _INITIAL_BITS)
 
     def _bisect_to(self, lo: Fraction, hi: Fraction,
                    bits: int) -> tuple[Fraction, Fraction]:
-        width = Fraction(1, 2**bits)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            v = _poly_eval_fraction(self.minpoly, mid)
+        """Halve the dyadic interval (lo, hi] around c to width 2^-bits.
+
+        Both ends are kept as integers a, b over one power 2^k, so the
+        midpoint of a step is a + b over 2^(k+1) and its sign is taken in
+        integers (:func:`_dyadic_sign`).
+        """
+        k = max(lo.denominator, hi.denominator).bit_length() - 1
+        a = lo.numerator << (k - lo.denominator.bit_length() + 1)
+        b = hi.numerator << (k - hi.denominator.bit_length() + 1)
+        while (b - a) << bits > 1 << k:
+            mid, a, b, k = a + b, 2 * a, 2 * b, k + 1
+            v = _dyadic_sign(self.minpoly, mid, k)
             if v == 0:  # only possible when c itself is hit; collapse
-                return (mid, mid)
+                return (Fraction(mid, 1 << k),) * 2
             if v < 0:
-                lo = mid
+                a = mid
             else:
-                hi = mid
-        return (lo, hi)
+                b = mid
+        return (Fraction(a, 1 << k), Fraction(b, 1 << k))
 
     # -- scalar constructors -------------------------------------------
 

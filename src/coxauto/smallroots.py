@@ -160,6 +160,11 @@ class SmallRootTable:
         self.nodes = nodes
         self.node_by_rid = node_by_rid
         self._slices: list[list[list[int]]] | None = None  # see image_slices
+        # per letter s, the node mask of the roots whose image under s is
+        # not n-small
+        self.exits = [sum(1 << nid for nid, node in enumerate(nodes)
+                          if node.theta[s] == EXIT)
+                      for s in range(len(nodes[0].theta))]
 
     def __len__(self) -> int:
         return len(self.nodes)

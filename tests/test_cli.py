@@ -48,6 +48,23 @@ def test_table_row_of_d4(capsys):
     assert lines[1] == "~D4,2401,2400,2400,24,23,True"
 
 
+@pytest.mark.slow
+def test_table_row_of_d5(capsys):
+    # the rank-5 row: a0 = 9^5, and a shadow automaton as small as a_min
+    assert main(["table", "--groups", "~D5"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1] == "~D5,59049,58965,58965,40,37,True"
+
+
+@pytest.mark.slow
+def test_conjecture_one_on_d5(capsys):
+    assert main(["check", "--group", "~D5", "--conjecture", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "holds"
+    assert payload["numbers"] == {"a_min": 58965, "a_shadow": 58965,
+                                  "shadow_size": 58965}
+
+
 def test_roots_dump(capsys):
     assert main(["roots", "--group", "I2(inf)"]) == 0
     out = capsys.readouterr().out

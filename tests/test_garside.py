@@ -12,8 +12,8 @@ from coxauto import garside, parse_coxeter_system
 from coxauto.automata import build_shadow_automaton
 from coxauto.elements import (_mask_bits, ball, from_word, identity, mult_left,
                               weak_leq)
-from coxauto.errors import (BudgetExceeded, LowElementsNotShadow,
-                            ShadowViolation)
+from coxauto.errors import (BudgetExceeded, InternalInvariant,
+                            LowElementsNotShadow, ShadowViolation)
 from coxauto.garside import (Shadow, VerdictStatus, garside_closure, join,
                              low_elements, low_universe, intersect_parabolic,
                              parabolic_image, project,
@@ -277,6 +277,9 @@ def _assert_small_columns_match_full(sys, seeds=()):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Shadow, "_below", spy)
         closure = garside_closure(sys, seeds=seeds)
+    table = build_small_roots(sys, closure.level)
+    assert closure._root_index()[1] == [table.small_part(el.inv)
+                                        for el in closure]
     universe = smallest_low_universe(sys, closure)
     by_small = dict(zip(universe._root_index()[1], universe.elements))
     reference = FullColumnIndex(universe)
@@ -404,6 +407,56 @@ def test_low_elements_match_cone_reference_on_presets(spec, level):
 @given(coxeter_systems(), st.integers(0, 1))
 def test_low_elements_match_cone_reference(sys, level):
     _assert_low_matches_cones(sys, level)
+
+
+def _assert_search_data_matches(sys, level):
+    """The small parts and suffix positions that low_elements records are
+    those read off the inversion sets and found by ``mult_left``."""
+    low = low_elements(sys, level)
+    table = build_small_roots(sys, level)
+    assert low._root_index()[1] == [table.small_part(el.inv) for el in low]
+    offsets, targets = low._suffixes
+    for i, x in enumerate(low):
+        suffixes = [mult_left(s, x) for s in x.descents_left]
+        assert sorted(targets[offsets[i]:offsets[i + 1]]) == sorted(
+            low._pos[el.inv] for el in suffixes if el in low)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems())
+def test_low_elements_record_small_parts_and_suffixes(sys):
+    _assert_search_data_matches(sys, 0)
+    _assert_search_data_matches(sys, 1)
+
+
+@pytest.mark.parametrize("spec", ["~C3", "triangle(4,4,4)"])
+def test_mult_left_only_for_found_low_elements(monkeypatch, spec):
+    # the search multiplies out each element it finds once, and a closure
+    # in a universe with recorded suffixes multiplies nothing
+    sys = parse_coxeter_system(spec)
+    calls = []
+    real = garside.mult_left
+
+    def counting(s, w):
+        calls.append(s)
+        return real(s, w)
+
+    monkeypatch.setattr(garside, "mult_left", counting)
+    for level in (0, 1):
+        calls.clear()
+        assert len(low_elements(sys, level)) - 1 == len(calls)
+    low0, low1 = low_universe(sys, 0), low_universe(sys, 1)
+    seed = next(el for el in low1 if el not in low0)
+    calls.clear()
+    assert garside_closure(sys).level == 0
+    assert garside_closure(sys, seeds=[seed]).level == 1
+    assert calls == []
+
+
+def test_closure_needs_recorded_suffixes(aff_c2):
+    universe = Shadow(aff_c2, low_universe(aff_c2).elements, level=0)
+    with pytest.raises(InternalInvariant, match="no recorded suffixes"):
+        garside._close_in_universe(universe, [identity(aff_c2)])
 
 
 def test_low_element_budget(tri33inf, monkeypatch):

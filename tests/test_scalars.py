@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +88,52 @@ def test_generator_float_matches_mpmath_reference():
         ctx = FieldContext(n)
         if ctx.degree >= 2:
             assert ctx.generator_float() == _reference_generator_float(n), n
+
+
+def _poly_eval_fraction(coeffs, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _reference_bisection(minpoly, lo: Fraction, hi: Fraction,
+                         bits: int) -> tuple[Fraction, Fraction]:
+    """Halve (lo, hi] to width 2^-bits, signs by Horner in Fractions."""
+    width = Fraction(1, 2**bits)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = _poly_eval_fraction(minpoly, mid)
+        if v == 0:
+            return (mid, mid)
+        if v < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+def test_ladder_matches_fraction_bisection():
+    # level 0 halves (lo, 2] from the double midpoint of c and the next
+    # conjugate down, certified by the signs at both ends
+    for n in _ADMITTED:
+        ctx = FieldContext(n)
+        if ctx.degree < 2:
+            continue
+        k0, k1 = [k for k in range(1, n + 1) if _gcd(k, 2 * n) == 1][:2]
+        mid = math.cos(math.pi * k0 / n) + math.cos(math.pi * k1 / n)
+        lo = Fraction(math.floor(mid * 2**40), 2**40)
+        assert _poly_eval_fraction(ctx.minpoly, lo) < 0
+        assert _poly_eval_fraction(ctx.minpoly, Fraction(2)) > 0
+        assert ctx._ladder == [_reference_bisection(ctx.minpoly, lo,
+                                                    Fraction(2), 64)], n
+    # refinements start from the level below
+    ctx = make_field_context({5, 7})
+    lo, hi = ctx._ladder[0]
+    for bits in (128, 256):
+        assert (ctx._bisect_to(lo, hi, bits)
+                == _reference_bisection(ctx.minpoly, lo, hi, bits))
+        lo, hi = ctx._bisect_to(lo, hi, bits)
 
 
 def test_runtime_does_not_import_mpmath():

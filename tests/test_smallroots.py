@@ -161,12 +161,21 @@ def test_small_inversion_sets(i2inf, tri36):
     "~A2", "~C2", "~G2", "~A3", "~C3", "~B3", "H3", "triangle(2,3,7)",
     "triangle(4,4,4)"])
 def test_image_slices_give_small_part_of_ascent(name, level):
-    # Sigma_n(s x) = {a_s} union (s(Sigma_n(x)) inside the n-small roots)
+    # Sigma_n(s x) = {a_s} union (s(Sigma_n(x)) inside the n-small roots);
+    # the search of low_elements supplies Sigma_n(x) and the positions of
+    # the suffixes s x, s a left descent of x
     sys = parse_coxeter_system(name)
     table = build_small_roots(sys, level)
     slices = table.image_slices()
     nbytes = (len(table) + 7) // 8
-    for x in low_elements(sys, level):
+    low = low_elements(sys, level)
+    small = low._root_index()[1]
+    offsets, targets = low._suffixes
+    for i, x in enumerate(low):
+        assert small[i] == table.small_part(x.inv)
+        suffixes = sorted(targets[offsets[i]:offsets[i + 1]])
+        assert suffixes == sorted(low._pos[mult_left(s, x).inv]
+                                  for s in x.descents_left)
         mask_bytes = table.small_part(x.inv).to_bytes(nbytes, "little")
         for s in range(sys.rank):
             if x.inv >> s & 1:
