@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
-from .elements import Element, _mask_bits, identity, mult_left
+from .elements import Element, _mask_bits
 from . import garside
-from .errors import BudgetExceeded, ShadowViolation
+from .errors import BudgetExceeded, InternalInvariant, ShadowViolation
 from .garside import Shadow, VerdictStatus, check_state_budget, verify_shadow
 from .smallroots import build_small_roots
 from .system import CoxeterSystem
@@ -128,52 +128,41 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
 
     A set that :func:`verify_shadow` refuses raises ``ShadowViolation``.
 
-    The shadow lies in L_n, so pi_B(s x) depends only on Sigma_n(s x)
-    (see :func:`garside.project`), which is {a_s} union (s(Sigma_n(x))
-    restricted to the n-small roots), as in the n-canonical automaton.
-    It is read off the table's byte slices, and the target is the highest
-    set bit of the shadow's ``_below`` on it, found once per mask.
+    A_B is the canonical automaton A_n, n the shadow's level, with each
+    state Sigma_n(w) sent to pi_B(w), which depends only on Sigma_n(w) as B
+    lies in L_n (see :func:`garside.project`): the member with that mask,
+    or else the highest set bit of the shadow's ``_below`` on it.
     """
     verdict = verify_shadow(shadow)
     if verdict.status is VerdictStatus.NOT_SHADOW:
         raise ShadowViolation(f"not a Garside shadow: {verdict.reason}")
-    sys = shadow.system
-    table = shadow._small_table()
     _, small = shadow._root_index()
-    slices = table.image_slices()
-    nbytes = (len(table) + 7) // 8
-    targets: dict[int, int] = {}  # Sigma_n(s x) -> pi_B(s x), by position
+    canonical, masks = build_canonical_automaton(shadow.system, shadow.level)
+    member = {mask: i for i, mask in enumerate(small)}
+    pi = [member.get(mask, -1) for mask in masks]  # -1 until it is needed
+    state = {i: q for q, i in enumerate(pi) if i >= 0}
+    if len(state) < len(small):
+        raise InternalInvariant("a shadow element has no canonical state")
     delta = []
-    for mask in small:
-        mask_bytes = mask.to_bytes(nbytes, "little")
-        row = [-1] * sys.rank
-        for s in range(sys.rank):
-            if mask >> s & 1:
-                continue
-            new_mask = 1 << s
-            for images, b in zip(slices[s], mask_bytes):
-                new_mask |= images[b]
-            target = targets.get(new_mask)
-            if target is None:
-                target = shadow._below(new_mask).bit_length() - 1
-                targets[new_mask] = target
-            row[s] = target
-        delta.append(tuple(row))
-    initial = shadow._pos[0]
-    return Automaton(letter_labels=_default_labels(sys),
-                     payloads=list(shadow.elements), initial=initial,
+    for i in range(len(small)):
+        row = canonical.delta[state[i]]
+        for t in row:
+            if t >= 0 and pi[t] < 0:
+                pi[t] = shadow._below(masks[t]).bit_length() - 1
+        delta.append(tuple(pi[t] if t >= 0 else -1 for t in row))
+    return Automaton(letter_labels=canonical.letter_labels,
+                     payloads=list(shadow.elements), initial=shadow._pos[0],
                      delta=delta, kind="shadow")
 
 
-def build_canonical_automaton(sys: CoxeterSystem, level: int,
-                              *, with_witness: bool = False
-                              ) -> tuple[Automaton, list[Element] | None]:
-    """The n-canonical automaton: states are reachable n-small inversion sets.
+def build_canonical_automaton(sys: CoxeterSystem, level: int
+                              ) -> tuple[Automaton, list[int]]:
+    """The n-canonical automaton and the mask of each of its states.
 
-    Transition by s is defined iff a_s is not in the state, and sends A to
-    {a_s} union (s(A) restricted to the system's cached n-small roots).
-    States are explored from the empty set; optionally a witness element
-    reaching each state is kept.
+    States are the reachable n-small inversion sets.  Transition by s is
+    defined iff a_s is not in the state, and sends A to {a_s} union (s(A)
+    restricted to the system's cached n-small roots).  States are explored
+    from the empty set and numbered in BFS order.
     More than ``garside.STATE_BUDGET`` states raise ``BudgetExceeded``, at
     once when the system is affine at level 0 and more are predicted.
 
@@ -191,11 +180,10 @@ def build_canonical_automaton(sys: CoxeterSystem, level: int,
 
     state_ids: dict[int, int] = {0: 0}
     masks: list[int] = [0]
-    witnesses: list[Element] | None = [identity(sys)] if with_witness else None
     delta: list[tuple[int, ...]] = []
     # states are numbered as they are found, so a scan of the growing
     # list of masks expands them in BFS order
-    for q, mask in enumerate(masks):
+    for mask in masks:
         mask_bytes = mask.to_bytes(nbytes, "little")
         row = [-1] * rank
         for s in range(rank):
@@ -213,14 +201,12 @@ def build_canonical_automaton(sys: CoxeterSystem, level: int,
                         f"of {budget:,}")
                 state_ids[new_mask] = target
                 masks.append(new_mask)
-                if witnesses is not None:
-                    witnesses.append(mult_left(s, witnesses[q]))
             row[s] = target
         delta.append(tuple(row))
     auto = Automaton(letter_labels=_default_labels(sys),
                      payloads=_MaskPayloads(masks), initial=0, delta=delta,
                      kind=f"canonical-{level}")
-    return auto, witnesses
+    return auto, masks
 
 
 class _MaskPayloads(Sequence):

@@ -29,7 +29,7 @@ from .system import CoxeterSystem
 class StatsRow:
     group: str
     canonical_states: int      # |A_0|
-    shadow_states: int         # |A_{S~}|
+    shadow_states: int         # |A_{S~}| = |Gar(S)|
     minimal_states: int        # |A_min|
     small_roots: int           # |Sigma|
     spherical_small_roots: int  # |Phi+_sph n Sigma|
@@ -47,16 +47,16 @@ class StatsRow:
 
 
 def stats_row(sys: CoxeterSystem, group_name: str | None = None) -> StatsRow:
-    """One row of the numeric table: automaton sizes and small-root counts."""
+    """One row of the numeric table: automaton sizes, with A_S~ counted as
+    |Gar(S)| rather than built, and small-root counts."""
     table = build_small_roots(sys, 0)
     sph, _ = spherical_analysis(table)
     canonical, _ = build_canonical_automaton(sys, 0)
-    shadow_auto = build_shadow_automaton(garside_closure(sys))
     minimal = minimize(canonical)
     name = group_name or sys.name or f"rank-{sys.rank}"
     return StatsRow(group=name,
                     canonical_states=canonical.num_states,
-                    shadow_states=shadow_auto.num_states,
+                    shadow_states=len(garside_closure(sys)),
                     minimal_states=minimal.num_states,
                     small_roots=len(table),
                     spherical_small_roots=len(sph))

@@ -280,7 +280,9 @@ class ShadowVerdict:
 def check_generated_and_suffix_closed(shadow: Shadow) -> ShadowVerdict | None:
     """The first failure among S and e membership and suffix closure.
 
-    None when the set holds S and e and is closed under suffixes.
+    None when the set holds S and e and is closed under suffixes.  In a set
+    from :func:`low_elements`, only an element that recorded fewer suffixes
+    than it has left descents (the low ``rank`` bits of Sigma_n) is multiplied.
     """
     sys = shadow.system
     for s in range(sys.rank):
@@ -289,7 +291,13 @@ def check_generated_and_suffix_closed(shadow: Shadow) -> ShadowVerdict | None:
                                  reason=f"missing generator {s + 1}")
     if identity(sys) not in shadow:
         return ShadowVerdict(VerdictStatus.NOT_SHADOW, reason="missing identity")
-    for b in shadow:
+    suspects = shadow.elements
+    if shadow._suffixes is not None:
+        offsets, _ = shadow._suffixes
+        suspects = (b for b, small, lo, hi in zip(
+            shadow.elements, shadow._small, offsets, offsets[1:])
+            if hi - lo != (small & (1 << sys.rank) - 1).bit_count())
+    for b in suspects:
         for s in b.descents_left:
             if mult_left(s, b) not in shadow:
                 return ShadowVerdict(

@@ -296,16 +296,21 @@ def build_small_roots(sys: CoxeterSystem, level: int) -> SmallRootTable:
                 thetas.append([None] * rank)
         i += 1
 
+    # supports of a finite system, proper ones of an affine one, are spherical
+    whole = classify_type(sys, range(rank))
+    spherical = {frozenset(range(rank)): whole is Classification.FINITE}
     nodes: list[SmallRootNode] = []
     for i, rid in enumerate(rids):
         dom_nodes = frozenset(node_by_rid[drid] for drid in dominated_rids[i])
         if len(dom_nodes) != len(dominated_rids[i]):
             raise InternalInvariant("dominated root missing from the table")
         supp = sys.root_support(rid)
-        spherical = classify_type(sys, supp) is Classification.FINITE
+        if supp not in spherical:
+            spherical[supp] = (whole is not Classification.INDEFINITE or
+                               classify_type(sys, supp) is Classification.FINITE)
         nodes.append(SmallRootNode(
             rid=rid, dp=dps[i], dominated=dom_nodes, support=supp,
-            spherical=spherical, theta=tuple(thetas[i])))
+            spherical=spherical[supp], theta=tuple(thetas[i])))
     table = tables[level] = SmallRootTable(nodes, node_by_rid)
     return table
 

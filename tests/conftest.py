@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import deque
 
 import pytest
@@ -299,6 +300,57 @@ def per_bit_canonical_automaton(sys: CoxeterSystem, level: int):
                      kind=f"canonical-{level}")
 
 
+def canonical_witnesses(auto: Automaton, sys: CoxeterSystem) -> list[Element]:
+    """An element reaching each state of a canonical automaton.
+
+    States are taken in order; the first transition into state t, by letter
+    s from state q, gives t the witness s * (the witness of q).  The builder
+    numbers states in BFS order, so q already has its witness.
+    """
+    witnesses: list[Element | None] = [None] * auto.num_states
+    witnesses[auto.initial] = identity(sys)
+    for q, row in enumerate(auto.delta):
+        for s, t in enumerate(row):
+            if t >= 0 and witnesses[t] is None:
+                witnesses[t] = mult_left(s, witnesses[q])
+    return witnesses  # type: ignore[return-value]
+
+
+# ---------------------------------------------------------------------------
+# The shadow automaton by its own byte-slice successor loop over the members'
+# Sigma_n masks: the reference that automata.build_shadow_automaton, read off
+# the canonical automaton, is checked against.
+
+def byte_slice_shadow_automaton(shadow: Shadow) -> Automaton:
+    """A_B of a verified shadow: x goes via s to the highest set bit of the
+    shadow's ``_below`` on {a_s} union s(Sigma_n(x)), found once per mask."""
+    sys = shadow.system
+    table = shadow._small_table()
+    _, small = shadow._root_index()
+    slices = table.image_slices()
+    nbytes = (len(table) + 7) // 8
+    targets: dict[int, int] = {}  # Sigma_n(s x) -> pi_B(s x), by position
+    delta = []
+    for mask in small:
+        mask_bytes = mask.to_bytes(nbytes, "little")
+        row = [-1] * sys.rank
+        for s in range(sys.rank):
+            if mask >> s & 1:
+                continue
+            new_mask = 1 << s
+            for images, b in zip(slices[s], mask_bytes):
+                new_mask |= images[b]
+            target = targets.get(new_mask)
+            if target is None:
+                target = shadow._below(new_mask).bit_length() - 1
+                targets[new_mask] = target
+            row[s] = target
+        delta.append(tuple(row))
+    return Automaton(letter_labels=tuple(str(s + 1) for s in range(sys.rank)),
+                     payloads=list(shadow.elements),
+                     initial=shadow._pos[0], delta=delta, kind="shadow")
+
+
 def shortest_words(auto: Automaton) -> list[tuple[int, ...]]:
     """A shortest reading word per state, BFS with letters in order: the
     reference for the merged-state witnesses of conjectures."""
@@ -341,10 +393,32 @@ def reference_merged_state_witness(auto: Automaton, minimized: Automaton,
     return ()
 
 
+def low_without(low: Shadow, victim: Element) -> Shadow:
+    """A set found by garside.low_elements with one element taken out.
+
+    The rest keep their Sigma_n masks and the suffixes recorded among them,
+    so the recorded suffixes of an element above the victim fall short.
+    """
+    keep = [i for i, el in enumerate(low.elements) if el != victim]
+    new_pos = {old: new for new, old in enumerate(keep)}
+    out = Shadow(low.system, [low.elements[i] for i in keep],
+                 provenance=low.provenance, level=low.level)
+    offsets, targets = low._suffixes
+    new_offsets, new_targets = array("l", [0]), array("l")
+    for i in keep:
+        new_targets.extend(new_pos[j] for j in targets[offsets[i]:offsets[i + 1]]
+                           if j in new_pos)
+        new_offsets.append(len(new_targets))
+    out._small = [low._small[i] for i in keep]
+    out._suffixes = (new_offsets, new_targets)
+    return out
+
+
 @pytest.fixture
 def low_elements_without_a_suffix(monkeypatch):
     """garside.low_elements with a one-step suffix of the last element taken
-    out of L_n for n > 0, so that L_n is not closed under suffixes."""
+    out of L_n for n > 0, so that L_n is not closed under suffixes; the rest
+    keep their recorded suffixes."""
     from coxauto import garside
     real = garside.low_elements
 
@@ -353,8 +427,7 @@ def low_elements_without_a_suffix(monkeypatch):
         if level == 0:
             return low
         top = low.elements[-1]
-        gone = mult_left(top.descents_left[0], top)
-        return Shadow(sys, [el for el in low if el != gone])
+        return low_without(low, mult_left(top.descents_left[0], top))
 
     monkeypatch.setattr(garside, "low_elements", without_a_suffix)
 

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import projection_state_map
+from conftest import canonical_witnesses, projection_state_map
 from coxauto import parse_coxeter_system
 from coxauto.automata import (MorphismVerdict, build_canonical_automaton,
                               build_shadow_automaton, check_morphism,
@@ -69,11 +69,13 @@ class Bundle:
 
     @functools.cached_property
     def canonical0(self):
-        return build_canonical_automaton(self.system, 0, with_witness=True)
+        auto, _ = build_canonical_automaton(self.system, 0)
+        return auto, canonical_witnesses(auto, self.system)
 
     @functools.cached_property
     def canonical1(self):
-        return build_canonical_automaton(self.system, 1, with_witness=True)
+        auto, _ = build_canonical_automaton(self.system, 1)
+        return auto, canonical_witnesses(auto, self.system)
 
     def all_automata(self):
         a0, _ = self.canonical0

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (per_bit_canonical_automaton, projection_state_map,
-                      shortest_words)
-from coxauto import garside, parse_coxeter_system
+from conftest import (byte_slice_shadow_automaton, canonical_witnesses,
+                      coxeter_systems, per_bit_canonical_automaton,
+                      projection_state_map, shortest_words)
+from coxauto import automata, garside, parse_coxeter_system
 from coxauto.automata import (Automaton, MorphismVerdict,
                               build_canonical_automaton,
                               build_shadow_automaton, check_morphism,
                               isomorphic, minimize, restrict_letters)
 from coxauto.elements import (_mask_bits, from_word, is_reduced_word,
                               reduced_words)
-from coxauto.errors import BudgetExceeded, ShadowViolation
+from coxauto.errors import BudgetExceeded, InternalInvariant, ShadowViolation
 from coxauto.garside import (Shadow, garside_closure, intersect_parabolic,
                              low_universe, parabolic_image, project,
                              shadow_in_subsystem)
@@ -53,6 +54,99 @@ def test_shadow_automaton_requires_shadow(a2):
     bad = Shadow(a2, [from_word(a2, w) for w in [(), (0,), (1,)]])
     with pytest.raises(ShadowViolation):
         build_shadow_automaton(bad)
+
+
+# The groups on which the shadow automaton is compared with the reference
+# that runs its own byte-slice successor loop.
+DIFFERENTIAL_GROUPS = ["~A2", "~C2", "~G2", "~A3", "~C3", "~B3", "~D4", "H3",
+                       "A4", "B4", "I2(inf)", "triangle(2,3,7)",
+                       "triangle(4,4,4)", "triangle(3,3,4)"]
+
+
+def _assert_matches_byte_slice_reference(shadow):
+    auto = build_shadow_automaton(shadow)
+    reference = byte_slice_shadow_automaton(shadow)
+    assert auto.initial == reference.initial
+    assert auto.delta == reference.delta
+    assert list(auto.payloads) == reference.payloads
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("name", DIFFERENTIAL_GROUPS)
+def test_shadow_automaton_matches_byte_slice_reference(name, level):
+    sys = parse_coxeter_system(name)
+    _assert_matches_byte_slice_reference(low_universe(sys, level))
+    if level == 0:
+        _assert_matches_byte_slice_reference(garside_closure(sys))
+
+
+@pytest.mark.parametrize("name", ["~A4", "~C4", "~B4"])
+def test_rank_five_closures_match_byte_slice_reference(name):
+    _assert_matches_byte_slice_reference(
+        garside_closure(parse_coxeter_system(name)))
+
+
+@pytest.mark.parametrize("name", ["~A2", "~C2", "~G2", "~A3",
+                                  "triangle(2,3,7)", "triangle(4,4,4)"])
+def test_seeded_closures_and_verified_copies_match_byte_slice_reference(name):
+    # seeds that are 1-low but not 0-low, so each closure lies in L_1; an
+    # explicit copy carries no level or verdict and is verified in full
+    sys = parse_coxeter_system(name)
+    low0 = low_universe(sys, 0)
+    outside = [el for el in low_universe(sys, 1) if el not in low0]
+    for seed in (outside[0], outside[-1]):
+        closure = garside_closure(sys, [seed])
+        assert closure.level == 1
+        for shadow in (closure, Shadow(sys, closure.elements)):
+            _assert_matches_byte_slice_reference(shadow)
+    _assert_matches_byte_slice_reference(
+        Shadow(sys, garside_closure(sys).elements))
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("name", DIFFERENTIAL_GROUPS)
+def test_canonical_automaton_maps_onto_shadow_automaton(name, level):
+    # q -> pi_B(Sigma_n of q), the map that A_B is read off A_n by
+    sys = parse_coxeter_system(name)
+    canonical, masks = build_canonical_automaton(sys, level)
+    shadows = [low_universe(sys, level)]
+    if level == 0:
+        shadows.append(garside_closure(sys))
+    for shadow in shadows:
+        f = [shadow._below(mask).bit_length() - 1 for mask in masks]
+        report = check_morphism(f, canonical, build_shadow_automaton(shadow))
+        assert report.verdict is MorphismVerdict.TOTALLY_SURJECTIVE
+
+
+def test_shadow_automaton_over_low0_projects_nothing(monkeypatch):
+    # every state of A_0 is Sigma_0 of a 0-low element, so pi_{L_0} of every
+    # target is a member found by its mask
+    sys = parse_coxeter_system("~C3")
+    low = low_universe(sys, 0)
+    calls = []
+    real = Shadow._below
+
+    def counting(self, small):
+        calls.append(small)
+        return real(self, small)
+
+    monkeypatch.setattr(Shadow, "_below", counting)
+    assert build_shadow_automaton(low).num_states == len(low)
+    assert calls == []
+
+
+def test_shadow_element_without_canonical_state_is_an_internal_error(
+        monkeypatch, aff_a2):
+    shadow = garside_closure(aff_a2)
+    real = automata.build_canonical_automaton
+
+    def losing_a_state(sys, level):
+        auto, masks = real(sys, level)
+        return auto, [mask if q != 1 else -1 for q, mask in enumerate(masks)]
+
+    monkeypatch.setattr(automata, "build_canonical_automaton", losing_a_state)
+    with pytest.raises(InternalInvariant, match="no canonical state"):
+        build_shadow_automaton(shadow)
 
 
 def test_canonical_automaton_counts(aff_a2, aff_g2, i2inf):
@@ -245,7 +339,8 @@ def test_shadow_inclusion_induces_total_surjection(i2inf):
 
 
 def test_canonical_to_low_morphism(aff_a2):
-    auto, witnesses = build_canonical_automaton(aff_a2, 0, with_witness=True)
+    auto, _ = build_canonical_automaton(aff_a2, 0)
+    witnesses = canonical_witnesses(auto, aff_a2)
     low = low_universe(aff_a2)
     low_auto = build_shadow_automaton(low)
     f = projection_state_map(witnesses, low, low_auto)
@@ -255,8 +350,8 @@ def test_canonical_to_low_morphism(aff_a2):
 
 @pytest.mark.parametrize("level", [0, 1])
 def test_canonical_to_smallest_shadow_morphism(aff_c2, level):
-    auto, witnesses = build_canonical_automaton(aff_c2, level,
-                                                with_witness=True)
+    auto, _ = build_canonical_automaton(aff_c2, level)
+    witnesses = canonical_witnesses(auto, aff_c2)
     smallest = garside_closure(aff_c2)
     target = build_shadow_automaton(smallest)
     f = projection_state_map(witnesses, smallest, target)

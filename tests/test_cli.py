@@ -48,6 +48,19 @@ def test_table_row_of_d4(capsys):
     assert lines[1] == "~D4,2401,2400,2400,24,23,True"
 
 
+@pytest.mark.parametrize("group, row", [
+    ("~C4", "~C4,6561,5860,5860,32,26,True"),
+    ("~B4", "~B4,6561,5789,5789,32,26,True"),
+    pytest.param("~F4", "~F4,28561,22428,22428,48,31,True",
+                 marks=pytest.mark.slow),
+])
+def test_table_rows_of_rank_five(capsys, group, row):
+    # a0 = (h+1)^r, and a_shadow = |Gar(S)|, counted without building A_S~
+    assert main(["table", "--groups", group]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1] == row
+
+
 @pytest.mark.slow
 def test_table_row_of_d5(capsys):
     # the rank-5 row: a0 = 9^5, and a shadow automaton as small as a_min

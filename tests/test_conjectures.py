@@ -4,14 +4,16 @@ import json
 
 import pytest
 
-from conftest import reference_merged_state_witness
+from conftest import low_without, reference_merged_state_witness
 from coxauto import parse_coxeter_system
-from coxauto.automata import build_canonical_automaton, minimize
+from coxauto.automata import (build_canonical_automaton,
+                              build_shadow_automaton, minimize)
 from coxauto import conjectures
 from coxauto.conjectures import (Verdict, check_conjecture, stats_csv,
                                  stats_row)
 from coxauto.elements import generator, mult_left
-from coxauto.garside import Shadow, VerdictStatus, low_elements, verify_shadow
+from coxauto.garside import (Shadow, VerdictStatus, garside_closure,
+                             low_elements, verify_shadow)
 from coxauto.errors import InvalidGroupSpec
 from coxauto.smallroots import (SmallRootTable, affine_structure,
                                 build_small_roots)
@@ -40,6 +42,15 @@ def test_stats_row_builds_each_table_once(monkeypatch):
     assert len(built) == 1
     with pytest.raises(InvalidGroupSpec, match="natural number"):
         build_small_roots(sys, -1)
+
+
+@pytest.mark.parametrize("name", ["~A2", "~C2", "~G2", "~A3", "~C3", "~B3",
+                                  "~D4", "H3", "B4", "I2(inf)",
+                                  "triangle(2,3,7)", "triangle(4,4,4)"])
+def test_stats_row_counts_the_shadow_automaton(name):
+    sys = parse_coxeter_system(name)
+    assert stats_row(sys).shadow_states == build_shadow_automaton(
+        garside_closure(sys)).num_states
 
 
 def test_stats_row_aff_g2(aff_g2):
@@ -160,12 +171,14 @@ def test_dyho1_reports_the_failure_of_verify_shadow(monkeypatch, aff_c2, drop,
     else:
         victim = next(el for el in _one_step_suffixes(low) if el.length >= 2)
         reason = "not closed under suffixes"
-    broken = Shadow(aff_c2, [el for el in low if el != victim])
+    broken = low_without(low, victim)
     assert len(broken) == len(low) - 1
     monkeypatch.setattr(conjectures, "low_elements",
                         lambda *args, **kwargs: broken)
     report = check_conjecture(aff_c2, "dyho1", level=level)
-    expected = verify_shadow(broken)
+    # an explicit copy has no recorded suffixes, so it is checked by
+    # multiplying out every one-step suffix
+    expected = verify_shadow(Shadow(aff_c2, broken.elements))
     assert expected.status is VerdictStatus.NOT_SHADOW
     assert expected.reason == reason
     assert report.verdict is Verdict.FAILS

@@ -505,6 +505,23 @@ def test_low_universe_checks_suffix_closure(low_elements_without_a_suffix):
         join(from_word(sys, (0, 1, 2, 1, 2, 1, 0, 1, 2)), identity(sys))
 
 
+def test_low_universe_reads_suffix_closure_off_recorded_suffixes(
+        monkeypatch):
+    # the search multiplies out each element but the identity once, and the
+    # suffix check multiplies nothing
+    calls = []
+    real = garside.mult_left
+
+    def counting(s, w):
+        calls.append(s)
+        return real(s, w)
+
+    monkeypatch.setattr(garside, "mult_left", counting)
+    low = low_universe(parse_coxeter_system("~C3"), 1)
+    assert len(low) == 2197
+    assert len(calls) == len(low) - 1
+
+
 @pytest.mark.parametrize("group", ["a2", "i2inf", "aff_a2", "aff_c2",
                                    "right_angled", "tri33inf"])
 def test_low_elements_form_a_shadow(group, request):

@@ -10,7 +10,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (coxeter_systems, per_bit_canonical_automaton,
+from conftest import (byte_slice_shadow_automaton, coxeter_systems,
+                      per_bit_canonical_automaton,
                       reference_merged_state_witness)
 from coxauto.automata import (build_canonical_automaton,
                               build_shadow_automaton, minimize)
@@ -18,6 +19,8 @@ from coxauto.conjectures import Verdict, check_conjecture
 from coxauto.elements import (from_word, mult_left, mult_right,
                               recompute_inversions, reduced_word_counts)
 from coxauto.garside import garside_closure
+from coxauto.smallroots import (Classification, build_small_roots,
+                                classify_type)
 
 LENGTH = 6
 
@@ -72,3 +75,21 @@ def test_canonical_automaton_matches_per_bit_reference(sys):
     assert auto.num_states == reference.num_states
     assert auto.delta == reference.delta
     assert list(auto.payloads) == reference.payloads
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems())
+def test_shadow_automaton_matches_byte_slice_reference(sys):
+    shadow = garside_closure(sys)
+    auto = build_shadow_automaton(shadow)
+    reference = byte_slice_shadow_automaton(shadow)
+    assert auto.initial == reference.initial
+    assert auto.delta == reference.delta
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems())
+def test_spherical_flags_match_classify_type(sys):
+    for node in build_small_roots(sys, 0).nodes:
+        assert node.spherical is (classify_type(sys, node.support)
+                                  is Classification.FINITE)

@@ -198,6 +198,36 @@ def test_dominance_budget(monkeypatch):
         build_small_roots(parse_coxeter_system("~A2"), 5)
 
 
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("name", ["A4", "B4", "H3", "triangle(2,2,2)", "~A2",
+                                  "~C2", "~G2", "~A3", "~C3", "~B3", "~D4",
+                                  "I2(inf)", "triangle(inf,2,inf)",
+                                  "triangle(2,3,7)", "triangle(4,4,4)",
+                                  "triangle(3,3,4)"])
+def test_spherical_flags_match_classify_type(name, level):
+    sys = parse_coxeter_system(name)
+    for node in build_small_roots(sys, level).nodes:
+        assert node.spherical is (classify_type(sys, node.support)
+                                  is Classification.FINITE)
+
+
+def test_finite_system_classifies_once(monkeypatch):
+    # every support of a finite system is spherical: A40 has 820 small
+    # roots and one classification, that of the whole system
+    calls = []
+    real = smallroots.classify_type
+
+    def counting(sys, subset):
+        calls.append(subset)
+        return real(sys, subset)
+
+    monkeypatch.setattr(smallroots, "classify_type", counting)
+    table = build_small_roots(parse_coxeter_system("A40"), 0)
+    assert len(table) == 820
+    assert all(node.spherical for node in table.nodes)
+    assert len(calls) <= 1
+
+
 def test_spherical_analysis_examples(aff_g2, i2inf):
     sph, all_sph = spherical_analysis(build_small_roots(aff_g2, 0))
     assert (len(sph), all_sph) == (8, False)
