@@ -140,16 +140,16 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
     canonical, masks = build_canonical_automaton(shadow.system, shadow.level)
     member = {mask: i for i, mask in enumerate(small)}
     pi = [member.get(mask, -1) for mask in masks]  # -1 until it is needed
-    state = {i: q for q, i in enumerate(pi) if i >= 0}
-    if len(state) < len(small):
+    if len(pi) - pi.count(-1) < len(small):
         raise InternalInvariant("a shadow element has no canonical state")
-    delta = []
-    for i in range(len(small)):
-        row = canonical.delta[state[i]]
-        for t in row:
-            if t >= 0 and pi[t] < 0:
-                pi[t] = shadow._below(masks[t]).bit_length() - 1
-        delta.append(tuple(pi[t] if t >= 0 else -1 for t in row))
+    delta: list[tuple[int, ...]] = [()] * len(small)
+    for q, row in enumerate(canonical.delta):
+        if pi[q] >= 0 and small[pi[q]] == masks[q]:  # q is a member's state
+            for t in row:
+                if t >= 0 and pi[t] < 0:
+                    pi[t] = shadow._below(masks[t]).bit_length() - 1
+            delta[pi[q]] = tuple(pi[t] if t >= 0 else -1 for t in row)
+        canonical.delta[q] = ()  # freed as read: A_n and A_B are not both held
     return Automaton(letter_labels=canonical.letter_labels,
                      payloads=list(shadow.elements), initial=shadow._pos[0],
                      delta=delta, kind="shadow")

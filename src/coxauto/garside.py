@@ -57,9 +57,9 @@ from .smallroots import (Classification, SmallRootTable, affine_structure,
 from .system import CoxeterSystem
 
 # Elements of low_elements, so of every L_n universe and every closure, and
-# states of build_canonical_automaton.  Stopped at this budget, ~F4 L_1 peaks at
-# 117 MB RSS for its low elements (0.50 kB per element; ~D5 L_0 takes
-# 0.55 kB) and at 119 MB for its canonical automaton (Python 3.11).
+# states of build_canonical_automaton.  ~F4 L_1, stopped here, peaks at 117 MB
+# RSS for its low elements (0.50 kB each; ~D5 L_0: 0.55 kB) and 119 MB for its
+# A_1 (Python 3.11); a shadow automaton over L_n holds both (~B4 L_1: 84 MB).
 STATE_BUDGET = 200_000
 
 
