@@ -23,6 +23,18 @@ from .garside import Shadow, VerdictStatus, check_state_budget, verify_shadow
 from .smallroots import build_small_roots
 from .system import CoxeterSystem
 
+# Bounds of counts_by_length.  Counting to length L keeps L + 1 counts, so
+# its memory grows at least linearly in L, and with L^2 bits on a group of
+# exponential growth.  The time grows with L times the number of
+# transitions, which COUNT_WORK_BUDGET bounds: ~C3 to 10,000 (7.8 million
+# steps) and ~A4 to 2,645 (10.0 million) take 2.7 s each at 27 MB peak RSS
+# (Python 3.11).  COUNT_LENGTH_BUDGET covers automata with few transitions,
+# which the work budget lets through: triangle(2,3,7) has 69, so it could
+# count to 144,927, where its counts (about 0.57 L bits at length L) would
+# hold some 750 MB; to 10,000 it takes 0.15 s at 20 MB.
+COUNT_LENGTH_BUDGET = 10_000
+COUNT_WORK_BUDGET = 10_000_000
+
 
 @dataclass
 class Automaton:
@@ -60,11 +72,23 @@ class Automaton:
                 return None
         return q
 
-    def count_accepted(self, length: int) -> int:
-        return self.counts_by_length(length)[length]
-
     def counts_by_length(self, max_length: int) -> list[int]:
-        """Number of accepted words per length, by exact integer DP."""
+        """Number of accepted words per length, by exact integer DP.
+
+        A max_length over ``COUNT_LENGTH_BUDGET``, or a max_length times
+        the number of transitions over ``COUNT_WORK_BUDGET``, raises
+        ``BudgetExceeded`` before any counting.
+        """
+        if max_length > COUNT_LENGTH_BUDGET:
+            raise BudgetExceeded(
+                f"word length {max_length:,} is over the counting length "
+                f"budget of {COUNT_LENGTH_BUDGET:,}")
+        work = max_length * self.num_transitions()
+        if work > COUNT_WORK_BUDGET:
+            raise BudgetExceeded(
+                f"counting to length {max_length:,} takes {work:,} transition "
+                f"steps, over the counting work budget of "
+                f"{COUNT_WORK_BUDGET:,}")
         counts = [0] * self.num_states
         counts[self.initial] = 1
         out = [1]
@@ -77,21 +101,6 @@ class Automaton:
                             nxt[q2] += c
             counts = nxt
             out.append(sum(counts))
-        return out
-
-    def accepted_words(self, max_length: int) -> set[tuple[int, ...]]:
-        out: set[tuple[int, ...]] = set()
-        frontier = [((), self.initial)]
-        out.add(())
-        for _ in range(max_length):
-            nxt = []
-            for word, q in frontier:
-                for a, q2 in enumerate(self.delta[q]):
-                    if q2 >= 0:
-                        w2 = word + (a,)
-                        out.add(w2)
-                        nxt.append((w2, q2))
-            frontier = nxt
         return out
 
     def payload_label(self, q: int) -> str:
@@ -166,17 +175,14 @@ def build_canonical_automaton(sys: CoxeterSystem, level: int
     More than ``garside.STATE_BUDGET`` states raise ``BudgetExceeded``, at
     once when the system is affine at level 0 and more are predicted.
 
-    A state is an int mask over the table's node ids.  s(A) is read off
-    byte by byte from the table's ``image_slices``: ``slices[s][j][b]`` is
-    the mask of the images under s of the bits of byte value b in byte j of
-    a state, so a transition costs one lookup per byte of the mask.
+    A state is an int mask over the table's node ids, and the s(A) of a
+    state A under all its letters come from one call of
+    :meth:`SmallRootTable.images`.
     """
     check_state_budget(sys, level)
     table = build_small_roots(sys, level)
     budget = garside.STATE_BUDGET
     rank = sys.rank
-    nbytes = (len(table) + 7) // 8
-    slices = table.image_slices()
 
     state_ids: dict[int, int] = {0: 0}
     masks: list[int] = [0]
@@ -184,14 +190,11 @@ def build_canonical_automaton(sys: CoxeterSystem, level: int
     # states are numbered as they are found, so a scan of the growing
     # list of masks expands them in BFS order
     for mask in masks:
-        mask_bytes = mask.to_bytes(nbytes, "little")
         row = [-1] * rank
-        for s in range(rank):
+        for s, image in enumerate(table.images(mask)):
             if mask >> s & 1:
                 continue
-            new_mask = 1 << s
-            for images, b in zip(slices[s], mask_bytes):
-                new_mask |= images[b]
+            new_mask = 1 << s | image
             target = state_ids.get(new_mask)
             if target is None:
                 target = len(masks)

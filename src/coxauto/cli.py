@@ -105,7 +105,7 @@ def _cmd_roots(args) -> int:
         coords = system.root_coords(node.rid)
         exact = ", ".join(repr(c) for c in coords)
         approx = ", ".join(f"{float(c):.6f}" for c in coords)
-        supp = "".join(str(s + 1) for s in sorted(node.support))
+        supp = system.word_to_string(sorted(node.support))
         out.append(
             f"{nid}: ({exact}) ~ ({approx}) dp={node.dp} dp_inf={node.dp_inf} "
             f"support={supp} spherical={node.spherical}")

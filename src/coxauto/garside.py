@@ -471,9 +471,11 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
     N(sw) = N(w) union {a_s}.  a_s is n-small and only a_s is sent negative
     by s, so sw is n-low iff no node of N^1(w) leaves the table under s:
     one AND with ``table.exits[s]``.  Sigma_n(sw) is {a_s} union
-    (s(Sigma_n(w)) restricted to the table) (Brink & Howlett 1993), read off
-    the table's ``image_slices``; it determines an n-low element, so the
-    low candidates of one round, which meet only within that round, are
+    (s(Sigma_n(w)) restricted to the table) (Brink & Howlett 1993).  One
+    call of :meth:`SmallRootTable.images` gives the images of Sigma_n(w)
+    under all letters, and :meth:`SmallRootTable.image` that of N^1(w)
+    under s for each new sw.  Sigma_n determines an n-low element, so
+    the low candidates of one round, which meet only within that round, are
     keyed by it.  Only the elements found are multiplied out, |L_n| - 1
     calls of ``mult_left``, and each keeps the word it was first found by.
 
@@ -486,9 +488,7 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
     """
     check_state_budget(sys, level)
     table = build_small_roots(sys, level)
-    slices, exits = table.image_slices(), table.exits
-    nbytes = (len(table) + 7) // 8
-    letters = range(sys.rank)
+    exits = table.exits
     found = [identity(sys)]  # in the order found
     sigma = [0]  # Sigma_n of each
     # edge k: found[longer[k]] = s * found[shorter[k]], s a left descent
@@ -499,14 +499,11 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
         by_sigma: dict[int, int] = {}  # this round's elements
         for i, n1 in frontier:
             w = found[i]
-            w_bytes = sigma[i].to_bytes(nbytes, "little")
-            for s in letters:
+            for s, image in enumerate(table.images(sigma[i])):
                 bit = 1 << s
                 if w.inv & bit or n1 & exits[s]:
                     continue
-                sw_sigma = bit
-                for images, b in zip(slices[s], w_bytes):
-                    sw_sigma |= images[b]
+                sw_sigma = bit | image
                 j = by_sigma.get(sw_sigma)
                 if j is None:
                     if len(found) >= STATE_BUDGET:
@@ -517,10 +514,9 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
                     sw = mult_left(s, w)
                     found.append(sw)
                     sigma.append(sw_sigma)
-                    sw_n1 = bit if sw.inv == w.inv | bit else 0
-                    for images, b in zip(slices[s],
-                                         n1.to_bytes(nbytes, "little")):
-                        sw_n1 |= images[b]
+                    sw_n1 = table.image(s, n1)
+                    if sw.inv == w.inv | bit:
+                        sw_n1 |= bit
                     nxt.append((j, sw_n1))
                 longer.append(j)
                 shorter.append(i)

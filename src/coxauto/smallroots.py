@@ -6,14 +6,16 @@ transports the dominated set and picks up a_s exactly when
 B(a_s, beta) <= -1; the root survives while it strictly dominates at most
 n positive roots.  The pairwise dominance criterion and this closure rule
 come from the small-root literature rather than being re-derived here, so
-both are cross-checked by tests against the affine dominance oracle and an
-exhaustive recount.
+both are cross-checked against the affine dominance oracle and an
+exhaustive recount; the criterion, the depth and the oracle with its
+radical live with those tests, in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .elements import _mask_bits
@@ -100,37 +102,6 @@ def classify_type(sys: CoxeterSystem, subset: Iterable[int]) -> Classification:
 
 
 # ---------------------------------------------------------------------------
-# Depth and dominance
-
-def depth_of_root(sys: CoxeterSystem, rid: int) -> int:
-    """dp(beta): minimal word length sending beta negative, by greedy descent."""
-    d = 1
-    while rid >= sys.rank:
-        coords = sys.root_coords(rid)
-        for s in range(sys.rank):
-            if sys.bilinear_simple(s, coords).sign() > 0:
-                _, rid = sys.reflect_id(s, rid)
-                d += 1
-                break
-        else:
-            raise InternalInvariant("positive non-simple root with no descent")
-    return d
-
-
-def dominates(sys: CoxeterSystem, rid_a: int, rid_b: int) -> bool:
-    """a dominates-or-equals b ordering: a <= b in dominance.
-
-    Criterion: equality, or B(a, b) >= 1 with dp(a) < dp(b).
-    """
-    if rid_a == rid_b:
-        return True
-    b = sys.bilinear(sys.root_coords(rid_a), sys.root_coords(rid_b))
-    if (b - 1).sign() < 0:
-        return False
-    return depth_of_root(sys, rid_a) < depth_of_root(sys, rid_b)
-
-
-# ---------------------------------------------------------------------------
 # The small-root table
 
 @dataclass
@@ -159,7 +130,9 @@ class SmallRootTable:
     def __init__(self, nodes: list[SmallRootNode], node_by_rid: dict[int, int]):
         self.nodes = nodes
         self.node_by_rid = node_by_rid
-        self._slices: list[list[list[int]]] | None = None  # see image_slices
+        self._nbytes = (len(nodes) + 7) // 8  # of a node mask
+        self._field = (1 << len(nodes)) - 1  # one letter's packed image
+        self._shifts = range(0, len(nodes) * len(nodes[0].theta), len(nodes))
         # per letter s, the node mask of the roots whose image under s is
         # not n-small
         self.exits = [sum(1 << nid for nid, node in enumerate(nodes)
@@ -168,9 +141,6 @@ class SmallRootTable:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def root_ids(self) -> frozenset[int]:
-        return frozenset(node.rid for node in self.nodes)
 
     def small_part(self, mask: int) -> int:
         """The node mask of the table's roots among those set in a root-id
@@ -183,20 +153,37 @@ class SmallRootTable:
                 out |= 1 << nid
         return out
 
-    def image_slices(self) -> list[list[list[int]]]:
-        """Per letter s and byte j of a node mask, the table whose entry b is
-        the node mask of the images under s, inside the table, of the nodes
-        of byte value b in byte j; built once.
+    def image(self, s: int, mask: int) -> int:
+        """s(A) restricted to the table, as a node mask, for a node mask A;
+        a_s, which s sends negative, adds nothing.
 
-        So s(A) restricted to the table is the OR of one entry per byte of A.
+        The images of a node under all letters are packed into one int,
+        letter s in the len(self) bits from ``_shifts[s]`` up.  Per byte of
+        a mask, a table built on first use holds the OR of those ints over
+        the nodes of each byte value, so an image takes one lookup per byte
+        of A, about len(self) / 8, and no walk over its nodes.
         """
-        if self._slices is None:
-            rank = len(self.nodes[0].theta)
-            self._slices = [
-                _byte_slices([1 << node.theta[s] if node.theta[s] >= 0 else 0
-                              for node in self.nodes])
-                for s in range(rank)]
-        return self._slices
+        packed = 0
+        for part, b in zip(self._slices,
+                           mask.to_bytes(self._nbytes, "little")):
+            packed |= part[b]
+        return packed >> self._shifts[s] & self._field
+
+    def images(self, mask: int) -> list[int]:
+        """``image(s, mask)`` for every letter s, by the lookups of one."""
+        packed = 0
+        for part, b in zip(self._slices,
+                           mask.to_bytes(self._nbytes, "little")):
+            packed |= part[b]
+        field = self._field
+        return [packed >> shift & field for shift in self._shifts]
+
+    @cached_property
+    def _slices(self) -> list[list[int]]:
+        return _byte_slices([sum(1 << nid + self._shifts[s]
+                                 for s, nid in enumerate(node.theta)
+                                 if nid >= 0)
+                             for node in self.nodes])
 
 
 def _byte_slices(image: list[int]) -> list[list[int]]:
@@ -326,64 +313,26 @@ def spherical_analysis(table: SmallRootTable) -> tuple[frozenset[int], bool]:
 
 
 # ---------------------------------------------------------------------------
-# Affine systems: radical, Coxeter number, dominance oracle
+# Affine systems: family and Coxeter number
 
 @dataclass(frozen=True)
 class AffineStructure:
     family: str
-    delta: tuple[Scalar, ...]   # positive radical generator, delta[0] scaled to 1
     coxeter_number: int
     finite_rank: int
 
 
 def affine_structure(sys: CoxeterSystem) -> AffineStructure:
-    """Radical generator and Coxeter-number data of an affine system.
+    """Family, Coxeter number and finite rank of an affine system.
 
-    The radical delta is read off the elimination that classified the
-    system: the first n-1 pivots are positive and the n-th is zero, so
-    delta_r = -m[r][n-1] / m[r][r] for r < n-1 and delta_{n-1} = 1, then
-    scaled to delta_0 = 1 (positive by Kac, Thm 4.3).  The Coxeter number of
-    the underlying finite Weyl group is recovered by matching the Coxeter
-    graph against the catalog of affine diagrams.
+    The system must be of irreducible affine type; its Coxeter graph is
+    matched against the catalog of affine diagrams, which records the
+    Coxeter number of the underlying finite Weyl group.
     """
     if classify_type(sys, range(sys.rank)) is not Classification.AFFINE:
         raise InvalidGroupSpec("system is not of irreducible affine type")
-    match = None
     for name, mat, h, finite_rank in affine_candidates(sys.rank):
         if matrices_isomorphic(sys.matrix, mat):
-            match = (name, h, finite_rank)
-            break
-    if match is None:
-        raise InternalInvariant("affine system missing from the type catalog")
-    name, h, finite_rank = match
-
-    # The last pivot is zero, so each reduced row r < n-1 reads
-    # pivot_r * x_r + m[r][n-1] * x_{n-1} = 0.
-    _, m = _leading_pivots(sys.gram)
-    last = sys.rank - 1
-    delta = [-m[r][last] / m[r][r] for r in range(last)] + [sys.ctx.one]
-    scale = delta[0].inverse()
-    delta = tuple(d * scale for d in delta)
-    for d in delta:
-        if d.sign() <= 0:
-            raise InternalInvariant("radical generator is not positive")
-    return AffineStructure(family=name, delta=delta,
-                           coxeter_number=h, finite_rank=finite_rank)
-
-
-def affine_dominance_oracle(sys: CoxeterSystem, beta, beta_prime,
-                            structure: AffineStructure | None = None) -> bool:
-    """beta dominated-by beta_prime in affine type: beta' - beta in R>=0 delta."""
-    if structure is None:
-        structure = affine_structure(sys)
-    bcoords = sys.root_coords(beta) if isinstance(beta, int) else tuple(beta)
-    pcoords = (sys.root_coords(beta_prime) if isinstance(beta_prime, int)
-               else tuple(beta_prime))
-    diff = [p - b for b, p in zip(bcoords, pcoords)]
-    if all(d.is_zero() for d in diff):
-        return True
-    factor = diff[0] / structure.delta[0]
-    if factor.sign() < 0:
-        return False
-    return all((d - factor * sd).is_zero()
-               for d, sd in zip(diff, structure.delta))
+            return AffineStructure(family=name, coxeter_number=h,
+                                   finite_rank=finite_rank)
+    raise InternalInvariant("affine system missing from the type catalog")

@@ -8,7 +8,7 @@ from collections import deque
 import pytest
 from hypothesis import strategies as st
 
-from coxauto import parse_coxeter_system
+from coxauto import parse_coxeter_system, smallroots
 from coxauto.automata import Automaton
 from coxauto.elements import (Element, _mask_bits, generator, identity,
                               mult_left, weak_leq)
@@ -35,6 +35,132 @@ def projection_state_map(source_payload_elements, target_shadow, target_auto):
     index = {el.inv: i for i, el in enumerate(target_auto.payloads)}
     return [index[project(target_shadow, el).inv]
             for el in source_payload_elements]
+
+
+# ---------------------------------------------------------------------------
+# Elements by brute force: the ball of a radius, and inversion sets from the
+# word alone, the references for the incremental updates of elements.
+
+def ball(system: CoxeterSystem, radius: int) -> list[Element]:
+    """All elements of length <= radius, BFS by length, deduplicated."""
+    out = [identity(system)]
+    seen = {0}
+    frontier = [out[0]]
+    for _ in range(radius):
+        nxt = []
+        for w in frontier:
+            for s in range(system.rank):
+                sign, rid = system.act_word_on_root(w.word, 1, s)
+                if sign > 0:
+                    inv = w.inv | 1 << rid
+                    if inv not in seen:
+                        seen.add(inv)
+                        nxt.append(Element(system, w.word + (s,), inv))
+        out.extend(nxt)
+        frontier = nxt
+        if not frontier:
+            break
+    return out
+
+
+def recompute_inversions(w: Element) -> int:
+    """N(w) from scratch by transporting each letter's root to the front."""
+    sys = w.system
+    roots = 0
+    for j, letter in enumerate(w.word):
+        sign, rid = sys.act_word_on_root(w.word[:j], 1, letter)
+        if sign < 0:
+            raise InternalInvariant("word is not reduced")
+        roots |= 1 << rid
+    return roots
+
+
+def accepted_words(auto: Automaton, max_length: int) -> set[tuple[int, ...]]:
+    """Every word of length <= max_length that the automaton accepts."""
+    frontier = [((), auto.initial)]
+    out = {()}
+    for _ in range(max_length):
+        frontier = [(word + (a,), t) for word, q in frontier
+                    for a, t in enumerate(auto.delta[q]) if t >= 0]
+        out.update(word for word, _ in frontier)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Dominance by the pairwise criterion, and in affine type by the radical: the
+# references that the dominated sets of smallroots.build_small_roots are
+# checked against.
+
+def depth_of_root(sys: CoxeterSystem, rid: int) -> int:
+    """dp(beta): minimal word length sending beta negative, by greedy descent."""
+    d = 1
+    while rid >= sys.rank:
+        coords = sys.root_coords(rid)
+        for s in range(sys.rank):
+            if sys.bilinear_simple(s, coords).sign() > 0:
+                _, rid = sys.reflect_id(s, rid)
+                d += 1
+                break
+        else:
+            raise InternalInvariant("positive non-simple root with no descent")
+    return d
+
+
+def dominates(sys: CoxeterSystem, rid_a: int, rid_b: int) -> bool:
+    """a dominates-or-equals b: equality, or B(a, b) >= 1 with dp(a) < dp(b)."""
+    if rid_a == rid_b:
+        return True
+    b = sys.bilinear(sys.root_coords(rid_a), sys.root_coords(rid_b))
+    if (b - 1).sign() < 0:
+        return False
+    return depth_of_root(sys, rid_a) < depth_of_root(sys, rid_b)
+
+
+def affine_radical(sys: CoxeterSystem) -> tuple[Scalar, ...]:
+    """The radical generator delta of an affine system, scaled to delta_0 = 1.
+
+    Read off the elimination that classifies the system: its first n-1
+    pivots are positive and the n-th is zero, so each reduced row r < n-1
+    reads pivot_r * x_r + m[r][n-1] * x_{n-1} = 0, and delta_{n-1} = 1.
+    """
+    _, m = smallroots._leading_pivots(sys.gram)
+    last = sys.rank - 1
+    delta = [-m[r][last] / m[r][r] for r in range(last)] + [sys.ctx.one]
+    scale = delta[0].inverse()
+    return tuple(d * scale for d in delta)
+
+
+def affine_dominance_oracle(sys: CoxeterSystem, beta, beta_prime,
+                            delta: tuple[Scalar, ...]) -> bool:
+    """beta dominated-by beta_prime in affine type: beta' - beta in R>=0 delta.
+
+    Roots are interned ids or coordinate tuples; delta is the radical.
+    """
+    b, p = (sys.root_coords(r) if isinstance(r, int) else tuple(r)
+            for r in (beta, beta_prime))
+    diff = [y - x for x, y in zip(b, p)]
+    factor = diff[0] / delta[0]
+    return factor.sign() >= 0 and all((d - factor * sd).is_zero()
+                                      for d, sd in zip(diff, delta))
+
+
+def assert_dominance_matches_affine_oracle(sys: CoxeterSystem) -> None:
+    """dominates() against the radical, on every pair of 2-small roots."""
+    rids = [node.rid for node in build_small_roots(sys, 2).nodes]
+    delta = affine_radical(sys)
+    for a, b in itertools.product(rids, repeat=2):
+        assert dominates(sys, a, b) == affine_dominance_oracle(sys, a, b, delta)
+
+
+def assert_dominated_sets_match_recount(sys: CoxeterSystem, level: int):
+    """Each node's dominated set, dp_inf and depth against a recount."""
+    table = build_small_roots(sys, level)
+    for i, node in enumerate(table.nodes):
+        recount = {j for j, other in enumerate(table.nodes)
+                   if j != i and dominates(sys, other.rid, node.rid)}
+        assert recount == set(node.dominated), (level, i)
+        assert node.dp_inf == len(recount) <= level
+        assert depth_of_root(sys, node.rid) == node.dp
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +389,7 @@ class FullColumnIndex:
 
 # ---------------------------------------------------------------------------
 # The canonical automaton by one OR per member bit and letter, with a payload
-# tuple per state: the reference that the byte-sliced image tables of
+# tuple per state: the reference that SmallRootTable.images and
 # automata.build_canonical_automaton are checked against.
 
 def per_bit_canonical_automaton(sys: CoxeterSystem, level: int):
@@ -317,29 +443,24 @@ def canonical_witnesses(auto: Automaton, sys: CoxeterSystem) -> list[Element]:
 
 
 # ---------------------------------------------------------------------------
-# The shadow automaton by its own byte-slice successor loop over the members'
-# Sigma_n masks: the reference that automata.build_shadow_automaton, read off
-# the canonical automaton, is checked against.
+# The shadow automaton by its own successor loop over the members' Sigma_n
+# masks: the reference that automata.build_shadow_automaton, read off the
+# canonical automaton, is checked against.
 
 def byte_slice_shadow_automaton(shadow: Shadow) -> Automaton:
     """A_B of a verified shadow: x goes via s to the highest set bit of the
     shadow's ``_below`` on {a_s} union s(Sigma_n(x)), found once per mask."""
     sys = shadow.system
-    table = shadow._small_table()
+    images = shadow._small_table().images
     _, small = shadow._root_index()
-    slices = table.image_slices()
-    nbytes = (len(table) + 7) // 8
     targets: dict[int, int] = {}  # Sigma_n(s x) -> pi_B(s x), by position
     delta = []
     for mask in small:
-        mask_bytes = mask.to_bytes(nbytes, "little")
         row = [-1] * sys.rank
-        for s in range(sys.rank):
+        for s, image in enumerate(images(mask)):
             if mask >> s & 1:
                 continue
-            new_mask = 1 << s
-            for images, b in zip(slices[s], mask_bytes):
-                new_mask |= images[b]
+            new_mask = 1 << s | image
             target = targets.get(new_mask)
             if target is None:
                 target = shadow._below(new_mask).bit_length() - 1

@@ -11,18 +11,19 @@ import time
 
 import pytest
 
-from conftest import canonical_witnesses, projection_state_map
+from conftest import (accepted_words, assert_dominance_matches_affine_oracle,
+                      assert_dominated_sets_match_recount, ball,
+                      canonical_witnesses, projection_state_map)
 from coxauto import parse_coxeter_system
 from coxauto.automata import (MorphismVerdict, build_canonical_automaton,
                               build_shadow_automaton, check_morphism,
                               isomorphic, minimize, restrict_letters)
-from coxauto.elements import (ball, coset_split, from_word, mult_left,
+from coxauto.elements import (coset_split, from_word, mult_left,
                               reduced_words, weak_leq)
 from coxauto.garside import (Shadow, VerdictStatus, garside_closure,
                              intersect_parabolic, low_elements, parabolic_image,
                              project, shadow_in_subsystem, verify_shadow)
-from coxauto.smallroots import (affine_dominance_oracle, affine_structure,
-                                build_small_roots, dominates,
+from coxauto.smallroots import (affine_structure, build_small_roots,
                                 spherical_analysis)
 
 
@@ -160,7 +161,7 @@ def test_criterion_4_rank3_witness(tri36):
     image = tri36.reflect_coords(0, tri36.reflect_coords(2, tri36.root_coords(1)))
     assert image == alpha
     rid = tri36.intern_root(alpha)
-    assert rid in table.root_ids()
+    assert rid in table.node_by_rid
     node = table.nodes[table.node_by_rid[rid]]
     assert node.spherical is False
     # reflecting by t adds (c_m^2 + c_p^2 - 2) a_t, exactly 2 a_t here, and
@@ -172,7 +173,7 @@ def test_criterion_4_rank3_witness(tri36):
     assert talpha == (alpha[0], alpha[1] + coeff_true, alpha[2])
     off_by_one = c_m * c_m + c_p * c_p - 1
     assert talpha != (alpha[0], alpha[1] + off_by_one, alpha[2])
-    assert tri36.intern_root(talpha) not in table.root_ids()
+    assert tri36.intern_root(talpha) not in table.node_by_rid
     # the two states read by su and tsu are distinct and merged by minimize
     auto, _ = build_canonical_automaton(tri36, 0)
     amin = minimize(auto)
@@ -192,7 +193,7 @@ def test_criterion_5_language_correctness(bundles):
         for w in oracle:
             oracle_counts[len(w)] += 1
         for auto in b.all_automata():
-            assert auto.accepted_words(8) == oracle, (spec, auto.kind)
+            assert accepted_words(auto, 8) == oracle, (spec, auto.kind)
             assert auto.counts_by_length(8) == oracle_counts, (spec, auto.kind)
     assert time.monotonic() - start < 300
 
@@ -334,23 +335,13 @@ def test_criterion_7_projection_identities(bundles):
 @criterion(8, "dominance criterion matches the affine oracle and recounts")
 def test_criterion_8_dominance(bundles):
     for name in ("~A2", "~C2", "~G2"):
-        sys = bundles(name).system
-        table2 = build_small_roots(sys, 2)
-        st = affine_structure(sys)
-        rids = [node.rid for node in table2.nodes]
-        for a, b in itertools.product(rids, repeat=2):
-            assert dominates(sys, a, b) == affine_dominance_oracle(sys, a, b, st)
+        assert_dominance_matches_affine_oracle(bundles(name).system)
     for spec in ("~A2", "~C2", "~G2", "A3", "B2", "I2(inf)",
                  "triangle(3,2,6)", "triangle(3,3,inf)"):
         sys = bundles(spec).system
         for level in (0, 1, 2):
-            table = build_small_roots(sys, level)
-            if len(table) > 50:
-                continue
-            for i, node in enumerate(table.nodes):
-                recount = {j for j, other in enumerate(table.nodes)
-                           if j != i and dominates(sys, other.rid, node.rid)}
-                assert recount == set(node.dominated), (spec, level, i)
+            if len(build_small_roots(sys, level)) <= 50:
+                assert_dominated_sets_match_recount(sys, level)
 
 
 @criterion(9, "finite groups: S~ = W, canonical = shadow automaton = minimal")

@@ -312,6 +312,33 @@ def test_huge_level_exits_one_at_the_dominance_budget(capsys, command):
         f"of {DOMINANCE_BUDGET:,} pairs\n")
 
 
+@pytest.mark.parametrize("argv, reason", [
+    # ~A3 has about 10^12 reduced words up to length 40
+    (["~A3", "40", "--oracle"], "reduced words up to length 40 outgrew the "
+     "word budget of {REDUCED_WORD_BUDGET:,}"),
+    (["~A2", "100000000"], "word length 100,000,000 is over the counting "
+     "length budget of {COUNT_LENGTH_BUDGET:,}"),
+    # 3,780 transitions in the canonical automaton of ~A4
+    (["~A4", "5000"], "counting to length 5,000 takes 18,900,000 transition "
+     "steps, over the counting work budget of {COUNT_WORK_BUDGET:,}"),
+])
+def test_count_exits_one_at_its_budgets(capsys, argv, reason):
+    from coxauto import automata, elements
+    start = time.perf_counter()
+    assert main(["count", "--group", argv[0], "--max-len", *argv[1:]]) == 1
+    assert time.perf_counter() - start < 30
+    budgets = {**vars(automata), **vars(elements)}
+    assert capsys.readouterr() == ("", f"error: {reason.format(**budgets)}\n")
+
+
+def test_roots_support_is_readable_from_rank_ten(capsys):
+    assert main(["roots", "--group", "A10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[10].endswith(" support=10 spherical=True")
+    assert any(line.endswith(" support=9.10 spherical=True") for line in lines)
+    assert lines[-1].endswith(" support=1.2.3.4.5.6.7.8.9.10 spherical=True")
+
+
 @pytest.fixture(scope="module")
 def seeded_g2_closure():
     """The 84 elements of the closure of ~G2 seeded with 123121012, as words.

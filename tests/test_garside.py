@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (FullColumnIndex, cone_member, coxeter_systems,
+from conftest import (FullColumnIndex, ball, cone_member, coxeter_systems,
                       pairwise_closure, search_join)
 from coxauto import garside, parse_coxeter_system
 from coxauto.automata import build_shadow_automaton
-from coxauto.elements import (_mask_bits, ball, from_word, identity, mult_left,
+from coxauto.elements import (_mask_bits, from_word, identity, mult_left,
                               weak_leq)
 from coxauto.errors import (BudgetExceeded, InternalInvariant,
                             LowElementsNotShadow, ShadowViolation)

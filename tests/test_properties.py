@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (byte_slice_shadow_automaton, coxeter_systems,
-                      per_bit_canonical_automaton,
+                      per_bit_canonical_automaton, recompute_inversions,
                       reference_merged_state_witness)
 from coxauto.automata import (build_canonical_automaton,
                               build_shadow_automaton, minimize)
 from coxauto.conjectures import Verdict, check_conjecture
 from coxauto.elements import (from_word, mult_left, mult_right,
-                              recompute_inversions, reduced_word_counts)
+                              reduced_word_counts)
 from coxauto.garside import garside_closure
 from coxauto.smallroots import (Classification, build_small_roots,
                                 classify_type)

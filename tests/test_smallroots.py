@@ -7,15 +7,17 @@ import random
 import mpmath
 import pytest
 
-from conftest import cone_member
+from conftest import (affine_dominance_oracle, affine_radical,
+                      assert_dominance_matches_affine_oracle,
+                      assert_dominated_sets_match_recount, cone_member,
+                      depth_of_root, dominates, per_bit_canonical_automaton)
 from coxauto import parse_coxeter_system
 from coxauto import smallroots
 from coxauto.elements import _mask_bits, from_word, identity, mult_left
 from coxauto.errors import BudgetExceeded, InvalidGroupSpec
 from coxauto.garside import low_elements
-from coxauto.smallroots import (EXIT, Classification, affine_dominance_oracle,
-                                affine_structure, build_small_roots,
-                                classify_type, depth_of_root, dominates,
+from coxauto.smallroots import (EXIT, Classification, affine_structure,
+                                build_small_roots, classify_type,
                                 spherical_analysis)
 from coxauto.system import CoxeterMatrix, CoxeterSystem, affine_candidates
 
@@ -108,9 +110,10 @@ def test_affine_structure_on_every_catalog_entry():
             st = affine_structure(sys)
             assert (st.family, st.coxeter_number, st.finite_rank) == \
                 (name, h, finite_rank)
-            assert st.delta[0] == 1
-            assert all(d.sign() > 0 for d in st.delta), name
-            assert all(sys.bilinear_simple(s, st.delta).is_zero()
+            delta = affine_radical(sys)
+            assert delta[0] == 1
+            assert all(d.sign() > 0 for d in delta), name
+            assert all(sys.bilinear_simple(s, delta).is_zero()
                        for s in range(rank)), name
             count += 1
     assert count == 31
@@ -119,7 +122,7 @@ def test_affine_structure_on_every_catalog_entry():
 
 def test_small_roots_infinite_dihedral(i2inf):
     table = build_small_roots(i2inf, 0)
-    assert table.root_ids() == {0, 1}
+    assert set(table.node_by_rid) == {0, 1}
     # the step from a_t away from a_s exits: B(a_s, a_t) = -1
     assert table.nodes[1].theta[0] == EXIT
 
@@ -133,9 +136,8 @@ def test_small_roots_counts(aff_g2, a2):
 def test_dominance_examples(aff_a2, i2inf):
     assert not dominates(aff_a2, 0, 1)
     assert not dominates(aff_a2, 1, 0)
-    st = affine_structure(aff_a2)
     alpha1_plus_delta = tuple(a + d for a, d in
-                              zip(aff_a2.root_coords(0), st.delta))
+                              zip(aff_a2.root_coords(0), affine_radical(aff_a2)))
     rid = aff_a2.intern_root(alpha1_plus_delta)
     assert dominates(aff_a2, 0, rid)
     # I2(inf): a_s dominates a_t + 2 a_s (B = 1, depth 1 < 2)
@@ -166,8 +168,6 @@ def test_image_slices_give_small_part_of_ascent(name, level):
     # the suffixes s x, s a left descent of x
     sys = parse_coxeter_system(name)
     table = build_small_roots(sys, level)
-    slices = table.image_slices()
-    nbytes = (len(table) + 7) // 8
     low = low_elements(sys, level)
     small = low._root_index()[1]
     offsets, targets = low._suffixes
@@ -176,14 +176,21 @@ def test_image_slices_give_small_part_of_ascent(name, level):
         suffixes = sorted(targets[offsets[i]:offsets[i + 1]])
         assert suffixes == sorted(low._pos[mult_left(s, x).inv]
                                   for s in x.descents_left)
-        mask_bytes = table.small_part(x.inv).to_bytes(nbytes, "little")
+        images = table.images(small[i])
         for s in range(sys.rank):
             if x.inv >> s & 1:
                 continue
-            image = 1 << s
-            for images, b in zip(slices[s], mask_bytes):
-                image |= images[b]
-            assert image == table.small_part(mult_left(s, x).inv)
+            assert (1 << s | images[s]
+                    == table.small_part(mult_left(s, x).inv))
+    # on every canonical state and letter: the OR of 1 << theta[s] per
+    # member
+    for members in per_bit_canonical_automaton(sys, level).payloads:
+        mask = sum(1 << nid for nid in members)
+        images = table.images(mask)
+        for s in range(sys.rank):
+            thetas = {table.nodes[nid].theta[s] for nid in members}
+            image = sum(1 << nid for nid in thetas if nid >= 0)
+            assert table.image(s, mask) == images[s] == image
 
 
 def test_dominance_budget(monkeypatch):
@@ -249,23 +256,19 @@ def test_cone_member_examples(a2, aff_a2):
 
 
 def test_affine_oracle_examples(aff_a2):
-    st = affine_structure(aff_a2)
-    assert affine_dominance_oracle(aff_a2, 0, 0, st)
-    plus_delta = tuple(a + d for a, d in zip(aff_a2.root_coords(0), st.delta))
-    assert affine_dominance_oracle(aff_a2, aff_a2.root_coords(0), plus_delta, st)
-    assert not affine_dominance_oracle(aff_a2, 0, 1, st)
+    delta = affine_radical(aff_a2)
+    assert affine_dominance_oracle(aff_a2, 0, 0, delta)
+    plus_delta = tuple(a + d for a, d in zip(aff_a2.root_coords(0), delta))
+    assert affine_dominance_oracle(aff_a2, aff_a2.root_coords(0), plus_delta,
+                                   delta)
+    assert not affine_dominance_oracle(aff_a2, 0, 1, delta)
     with pytest.raises(InvalidGroupSpec):
         affine_structure(parse_coxeter_system("A2"))
 
 
 @pytest.mark.parametrize("name", ["~A2", "~C2", "~G2"])
 def test_dominance_criterion_agrees_with_affine_oracle(name):
-    sys = parse_coxeter_system(name)
-    table = build_small_roots(sys, 2)
-    st = affine_structure(sys)
-    rids = [node.rid for node in table.nodes]
-    for a, b in itertools.product(rids, repeat=2):
-        assert dominates(sys, a, b) == affine_dominance_oracle(sys, a, b, st)
+    assert_dominance_matches_affine_oracle(parse_coxeter_system(name))
 
 
 @pytest.mark.parametrize("name,level",
@@ -273,21 +276,16 @@ def test_dominance_criterion_agrees_with_affine_oracle(name):
                           ("~G2", 1), ("A3", 0), ("triangle(3,2,6)", 0)])
 def test_dominated_sets_match_pairwise_recount(name, level):
     sys = parse_coxeter_system(name)
-    table = build_small_roots(sys, level)
-    assert len(table) <= 50
-    for i, node in enumerate(table.nodes):
-        recount = {j for j, other in enumerate(table.nodes)
-                   if j != i and dominates(sys, other.rid, node.rid)}
-        assert recount == set(node.dominated)
-        assert node.dp_inf == len(recount) <= level
-        assert depth_of_root(sys, node.rid) == node.dp
+    assert len(build_small_roots(sys, level)) <= 50
+    assert_dominated_sets_match_recount(sys, level)
 
 
 @pytest.mark.parametrize("name", ["~A2", "~C2", "I2(inf)", "triangle(3,2,6)"])
 def test_small_root_levels_nest(name):
     sys = parse_coxeter_system(name)
     tables = [build_small_roots(sys, n) for n in range(3)]
-    assert tables[0].root_ids() <= tables[1].root_ids() <= tables[2].root_ids()
+    rids = [set(table.node_by_rid) for table in tables]
+    assert rids[0] <= rids[1] <= rids[2]
 
 
 @pytest.mark.parametrize("name", ["~A2", "~C2", "~G2", "~A3"])
@@ -304,7 +302,7 @@ def test_affine_small_root_counts(name):
 def test_spherical_roots_of_bounded_depth_are_small(name):
     sys = parse_coxeter_system(name)
     table = build_small_roots(sys, 0)
-    small = table.root_ids()
+    small = table.node_by_rid
     frontier = set(range(sys.rank))
     seen = set(frontier)
     for _ in range(5):  # roots up to depth 6
