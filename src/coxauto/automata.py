@@ -36,6 +36,14 @@ COUNT_LENGTH_BUDGET = 10_000
 COUNT_WORK_BUDGET = 10_000_000
 
 
+def check_count_length(max_length: int) -> None:
+    """``BudgetExceeded`` for a length over ``COUNT_LENGTH_BUDGET``."""
+    if max_length > COUNT_LENGTH_BUDGET:
+        raise BudgetExceeded(
+            f"word length {max_length:,} is over the counting length "
+            f"budget of {COUNT_LENGTH_BUDGET:,}")
+
+
 @dataclass
 class Automaton:
     """Trim deterministic partial automaton; every state is accepting."""
@@ -79,10 +87,7 @@ class Automaton:
         the number of transitions over ``COUNT_WORK_BUDGET``, raises
         ``BudgetExceeded`` before any counting.
         """
-        if max_length > COUNT_LENGTH_BUDGET:
-            raise BudgetExceeded(
-                f"word length {max_length:,} is over the counting length "
-                f"budget of {COUNT_LENGTH_BUDGET:,}")
+        check_count_length(max_length)
         work = max_length * self.num_transitions()
         if work > COUNT_WORK_BUDGET:
             raise BudgetExceeded(

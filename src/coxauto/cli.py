@@ -14,7 +14,8 @@ import sys as _sys
 from pathlib import Path
 
 from . import __version__
-from .automata import build_canonical_automaton, build_shadow_automaton, minimize
+from .automata import (build_canonical_automaton, build_shadow_automaton,
+                       check_count_length, minimize)
 from .conjectures import check_conjecture, stats_csv, stats_row
 from .elements import from_word, reduced_word_counts
 from .errors import CoxAutoError, InternalInvariant
@@ -160,6 +161,7 @@ def _cmd_automaton(args) -> int:
 
 def _cmd_count(args) -> int:
     system = _load_system(args.group)
+    check_count_length(args.max_len)
     auto = _build_automaton(system, args.kind, args.n)
     counts = auto.counts_by_length(args.max_len)
     oracle = reduced_word_counts(system, args.max_len) if args.oracle else None

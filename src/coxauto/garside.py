@@ -16,22 +16,15 @@ Every join is decided in the n-low elements L_n.  Every element is n-low
 for some n, and L_n is finite and closed under joins (Dyer & Hohlweg
 2016).  So two elements of L_n have a join iff they have a common
 upper bound in L_n, and the join is then the lowest set bit of the AND of
-their up-sets there.  :func:`join` decides it in the smallest L_n holding
-both inputs, exactly and with no length cap.  L_0 is closed under suffixes
-too; for n > 0 that is the dyho1 conjecture, which :func:`low_universe`
-checks before L_n is used.
+the columns of their Sigma_n.  :func:`join` decides it in the smallest L_n
+holding both inputs, exactly and with no length cap.  L_0 is closed under
+suffixes too; for n > 0 that is the dyho1 conjecture, which
+:func:`low_universe` checks before L_n is used.
 
-A shadow is verified by S and e membership, suffix closure and pairwise
-joins.  The first two are :func:`check_generated_and_suffix_closed`, which
-is all a set already known to be join-closed, such as L_n, needs.  A closure
-and an L_n carry the verdict SHADOW, which :func:`verify_shadow` returns.
-
-The Garside closure of X lies in the smallest L_n holding X, a finite
-Garside shadow, and is read off its index: in a finite join-closed set,
-x is in the join closure of X iff x is the join of the elements of X below
-it, so passes over the index in (length, word) order, alternating with
-suffix passes over the suffix positions that L_n recorded, close X without
-deciding a single pair or multiplying a single element.
+Join closure is decided one way, by :func:`_is_join_of_members`: the
+closure of X admits x by it, and :func:`verify_shadow` runs it after S and
+e membership and suffix closure (:func:`check_generated_and_suffix_closed`,
+all that L_n needs).  A closure and an L_n carry the verdict SHADOW.
 
 An element is n-low iff its right-descent roots N^1 are n-small, so the
 n-low elements are found by a breadth-first search that carries N^1 and
@@ -48,12 +41,11 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
-from .elements import (Element, _mask_bits, coset_split, identity, generator,
-                       mult_left, mult_right, support)
-from .errors import (BudgetExceeded, InternalInvariant, LowElementsNotShadow,
-                     ShadowViolation)
-from .smallroots import (Classification, SmallRootTable, affine_structure,
-                         build_small_roots, classify_type)
+from .elements import (Element, _mask_bits, coset_split, from_word, generator,
+                       identity, mult_left, support)
+from .errors import (BudgetExceeded, InternalInvariant, InvalidGroupSpec,
+                     LowElementsNotShadow, ShadowViolation)
+from .smallroots import SmallRootTable, affine_structure, build_small_roots
 from .system import CoxeterSystem
 
 # Elements of low_elements, so of every L_n universe and every closure, and
@@ -88,11 +80,11 @@ class Shadow:
         # Sigma_n of each element and the columns; see _root_index
         self._small: list[int] | None = None
         self._columns: list[int] | None = None
+        self._n1: list[int] | None = None  # N^1 of each, from low_elements
         # the positions of each element's one-step suffixes, in CSR form:
         # those of element i are targets[offsets[i]:offsets[i + 1]]; recorded
         # by low_elements, read by _close_in_universe
         self._suffixes: tuple[array, array] | None = None
-        self._up: dict[int, int] = {}  # position -> _up_set, as queried
         # SHADOW for a closure or an L_n; returned by verify_shadow
         self.verdict: ShadowVerdict | None = None
 
@@ -134,21 +126,6 @@ class Shadow:
                     rows[nid][byte] |= bit
             self._columns = [int.from_bytes(row, "little") for row in rows]
         return self._columns, self._small
-
-    def _up_set(self, i: int) -> int:
-        """The elements whose inversion set contains that of element i.
-
-        Element i is n-low, so they are the elements whose inversion set
-        holds Sigma_n of element i.
-        """
-        up = self._up.get(i)
-        if up is None:
-            columns, small = self._root_index()
-            up = (1 << len(self.elements)) - 1
-            for nid in _mask_bits(small[i]):
-                up &= columns[nid]
-            self._up[i] = up
-        return up
 
     def _below(self, small: int) -> int:
         """The elements c with Sigma_n(c) inside the node mask ``small``.
@@ -210,26 +187,21 @@ def smallest_low_universe(sys: CoxeterSystem,
         level += 1
 
 
-def _join_in(universe: Shadow, i: int, j: int) -> Element | None:
-    """The join of elements i and j of a join-closed universe, or None.
-
-    Their common upper bounds in it are the AND of their up-sets; the lowest
-    set bit is the shortest of them, which is the join.  An empty AND means
-    there is no join, since the universe would hold it.
-    """
-    common = universe._up_set(i) & universe._up_set(j)
-    if not common:
-        return None
-    return universe.elements[(common & -common).bit_length() - 1]
-
-
 def join(u: Element, v: Element) -> Element | None:
     """The join of u and v in right weak order, or None when there is none.
 
-    Decided exactly in the smallest L_n holding both.
+    Decided exactly in the smallest L_n holding both, whose elements above
+    them are the AND of the columns of Sigma_n(u) | Sigma_n(v).
     """
     universe = smallest_low_universe(u.system, (u, v))
-    return _join_in(universe, universe._pos[u.inv], universe._pos[v.inv])
+    columns, small = universe._root_index()
+    common = (1 << len(universe)) - 1
+    for nid in _mask_bits(small[universe._pos[u.inv]]
+                          | small[universe._pos[v.inv]]):
+        common &= columns[nid]
+    if not common:
+        return None
+    return universe.elements[(common & -common).bit_length() - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +279,12 @@ def check_generated_and_suffix_closed(shadow: Shadow) -> ShadowVerdict | None:
 
 
 def verify_shadow(shadow: Shadow) -> ShadowVerdict:
-    """Check S and e membership, suffix closure, and pairwise join closure.
+    """Check S and e membership, suffix closure, and join closure.
 
-    A verdict recorded on the shadow is returned as it is.  Otherwise
-    pairwise joins suffice: finite bounded joins fold from pairwise ones.
-    They are decided in one universe, the smallest L_n holding the set.
+    A verdict recorded on the shadow is returned as it is.  Otherwise B is
+    join-closed iff no x of U, the smallest L_n holding B, passes
+    :func:`_is_join_of_members`.  For the first x that does, the joins of
+    the members below x, folded in U's order, first leave B at x.
     """
     if shadow.verdict is not None:
         return shadow.verdict
@@ -321,16 +294,44 @@ def verify_shadow(shadow: Shadow) -> ShadowVerdict:
     universe = smallest_low_universe(shadow.system, shadow)
     if shadow.level is None:
         shadow.level = universe.level
-    els = shadow.elements
-    pos = [universe._pos[el.inv] for el in els]
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            w = _join_in(universe, pos[i], pos[j])
-            if w is not None and w not in shadow:
+    small = universe._root_index()[1]
+    inside = {universe._pos[el.inv] for el in shadow}
+    members = covered = 0
+    for i in inside:
+        members |= 1 << i
+        covered |= small[i]
+    for x in range(len(universe)):
+        if x in inside or not _is_join_of_members(universe, members, covered,
+                                                   x):
+            continue
+        u = identity(shadow.system)  # the first member below x
+        for i in _mask_bits(members & universe._below(small[x])):
+            v = universe.elements[i]
+            joined = join(u, v)
+            if joined not in shadow:
                 return ShadowVerdict(
                     VerdictStatus.NOT_SHADOW, reason="not closed under joins",
-                    witness=(str(els[i]), str(els[j]), str(w)))
+                    witness=(str(u), str(v), str(joined)))
+            u = joined
     return ShadowVerdict(VerdictStatus.SHADOW)
+
+
+def _is_join_of_members(universe: Shadow, members: int, covered: int,
+                        x: int) -> bool:
+    """Whether element x of an L_n is the join of the ``members`` below it.
+
+    Every z < x lies below a lower cover x*t, N(x*t) being N(x) minus one
+    root of N^1(x) (Bjorner & Brenti, *Combinatorics of Coxeter Groups*,
+    ch. 3), so x is that join iff every root of N^1(x), n-small in L_n,
+    lies in Sigma_n(y) for a member y <= x.  An x with a root outside
+    ``covered``, the OR of the members' Sigma_n, fails without ``_below``.
+    """
+    n1 = universe._n1[x]
+    if n1 & ~covered:
+        return False
+    columns, small = universe._root_index()
+    below = members & universe._below(small[x])
+    return all(columns[nid] & below for nid in _mask_bits(n1))
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +342,8 @@ def garside_closure(sys: CoxeterSystem,
     """Smallest Garside shadow containing the seeds (and always S and e).
 
     The closure lies in U, the smallest L_n holding the seeds, a finite
-    Garside shadow, and is read off U's root index with no join decisions.
-    In a finite join-closed U holding X, an element x of U is in the join
-    closure of X iff x is the join of the elements of X below it.  So one
-    walk of U in (length, word) order, counting the elements it admits,
-    closes X under joins; a suffix pass then adds the one-step suffixes of
-    what was admitted, and the two alternate until nothing changes.  The
-    members keep their small parts from U.
+    Garside shadow, and is read off U by :func:`_close_in_universe` with no
+    join decisions.  The members keep their small parts from U.
     """
     start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
              *seeds]
@@ -363,64 +359,43 @@ def garside_closure(sys: CoxeterSystem,
 
 def _close_in_universe(universe: Shadow,
                        seeds: Iterable[Element]) -> bytearray:
-    """The closure of the seeds under joins and suffixes, by bitset passes:
-    byte i is 1 iff element i of the universe is a member.
+    """The closure of the seeds under joins and suffixes in an L_n from
+    :func:`low_elements`: byte i is 1 iff element i is a member.
 
-    The universe must be finite and closed under joins and suffixes, with
-    its suffixes recorded, as :func:`low_elements` does.  The join of the
-    members below x is the lowest bit of the AND of the columns of the roots
-    of their Sigma_n, the roots of Sigma_n(x) whose column meets them; x is
-    admitted when that bit is its own.  The suffix pass reads the recorded
-    positions of each member's one-step suffixes and multiplies nothing.
+    Join passes admit each x that :func:`_is_join_of_members` passes, and
+    suffix passes read the recorded suffix positions, until neither grows.
     """
     if universe._suffixes is None:
         raise InternalInvariant("closure universe has no recorded suffixes")
     offsets, targets = universe._suffixes
-    columns, small = universe._root_index()
-    full = (1 << len(small)) - 1
-    closed = 0  # the members, as a bitset over the universe
-    inside = bytearray(len(small))  # the same, for constant-time lookups
+    small = universe._root_index()[1]
+    members = covered = 0  # as a bitset over U; the OR of their Sigma_n
+    inside = bytearray(len(small))  # the members, for constant-time lookups
+    todo: list[int] = []  # members whose suffixes are not yet admitted
 
     def admit(i: int) -> None:
-        nonlocal closed
+        nonlocal members, covered
         inside[i] = 1
-        closed |= 1 << i
+        members |= 1 << i
+        covered |= small[i]
+        todo.append(i)
 
-    def admit_suffixes(todo: list[int]) -> bool:
-        """Admit the suffixes of the members at todo, recursively."""
-        grew = False
-        while todo:
+    for i in {universe._pos[el.inv] for el in seeds}:
+        admit(i)
+    joined = -1  # the member count after the last join pass
+    while True:
+        while todo:  # the suffix pass
             i = todo.pop()
             for j in targets[offsets[i]:offsets[i + 1]]:
                 if not inside[j]:
                     admit(j)
-                    todo.append(j)
-                    grew = True
-        return grew
-
-    todo = sorted({universe._pos[el.inv] for el in seeds})
-    for i in todo:
-        admit(i)
-    admit_suffixes(todo)
-    while True:
-        admitted = []
-        for i, x_small in enumerate(small):
-            if inside[i]:
-                continue
-            below = closed & universe._below(x_small)
-            if not below & (below - 1):  # fewer than two members below x
-                continue
-            up = full
-            for nid in _mask_bits(x_small):
-                column = columns[nid]
-                if column & below:
-                    up &= column
-            if (up & -up).bit_length() - 1 == i:
+        if members.bit_count() == joined:
+            return inside
+        for i in range(len(small)):  # the join pass
+            if not inside[i] and _is_join_of_members(universe, members,
+                                                     covered, i):
                 admit(i)
-                admitted.append(i)
-        if not admitted or not admit_suffixes(admitted):
-            break
-    return inside
+        joined = members.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +410,12 @@ def check_state_budget(sys: CoxeterSystem, level: int) -> None:
     Fishel, Hohlweg & Mark, *Shi arrangements and low elements in affine
     Coxeter groups*).
     """
-    if (level != 0 or classify_type(sys, range(sys.rank))
-            is not Classification.AFFINE):
+    if level != 0:
         return
-    structure = affine_structure(sys)
+    try:  # one classification of the whole system
+        structure = affine_structure(sys)
+    except InvalidGroupSpec:  # not affine: no count is known
+        return
     h, r = structure.coxeter_number, structure.finite_rank
     predicted = (h + 1) ** r
     if predicted > STATE_BUDGET:
@@ -482,23 +459,24 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
     Every low candidate s*w records w as the suffix of s*w by s.  Each left
     descent s of an x in L_n has s*x in L_n (by theorem for n = 0; checked by
     :func:`low_universe` for n > 0), and the search tries s on s*x, so every
-    suffix of every element is recorded, for :func:`_close_in_universe`.
-    More than ``STATE_BUDGET`` elements raise ``BudgetExceeded``.  Unlike
+    suffix of every element is recorded, for :func:`_close_in_universe`;
+    so are Sigma_n and N^1, for :func:`_is_join_of_members`.  More than
+    ``STATE_BUDGET`` elements raise ``BudgetExceeded``.  Unlike
     :func:`low_universe`, this caches nothing and records no verdict.
     """
     check_state_budget(sys, level)
     table = build_small_roots(sys, level)
     exits = table.exits
     found = [identity(sys)]  # in the order found
-    sigma = [0]  # Sigma_n of each
+    sigma, n1s = [0], [0]  # Sigma_n and N^1 of each
     # edge k: found[longer[k]] = s * found[shorter[k]], s a left descent
     longer, shorter = array("l"), array("l")
-    frontier = [(0, 0)]  # (index in found, N^1 as a node mask)
+    frontier = [0]  # indices in found
     while frontier:
         nxt = []
         by_sigma: dict[int, int] = {}  # this round's elements
-        for i, n1 in frontier:
-            w = found[i]
+        for i in frontier:
+            w, n1 = found[i], n1s[i]
             for s, image in enumerate(table.images(sigma[i])):
                 bit = 1 << s
                 if w.inv & bit or n1 & exits[s]:
@@ -517,17 +495,19 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
                     sw_n1 = table.image(s, n1)
                     if sw.inv == w.inv | bit:
                         sw_n1 |= bit
-                    nxt.append((j, sw_n1))
+                    n1s.append(sw_n1)
+                    nxt.append(j)
                 longer.append(j)
                 shorter.append(i)
         frontier = nxt
     low = Shadow(sys, found, provenance=f"low-{level}", level=level)
     # the masks, and the suffix positions in CSR form, in the shadow's order
     where = [low._pos[el.inv] for el in found]
-    small = [0] * len(found)
+    small, n1_masks = [0] * len(found), [0] * len(found)
     offsets = array("l", [0]) * (len(found) + 1)
     for i, p in enumerate(where):
         small[p] = sigma[i]
+        n1_masks[p] = n1s[i]
     for j in longer:
         offsets[where[j] + 1] += 1
     for p in range(len(found)):
@@ -539,6 +519,7 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
         targets[fill[p]] = where[i]
         fill[p] += 1
     low._small = small
+    low._n1 = n1_masks
     low._suffixes = (offsets, targets)
     return low
 
@@ -582,9 +563,5 @@ def shadow_in_subsystem(shadow: Shadow, subset: Iterable[int]) -> Shadow:
     for b in shadow:
         if not support(b) <= set(members):
             raise ValueError(f"element {b} is not in the parabolic subgroup")
-        word = tuple(letter_map[s] for s in b.word)
-        el = identity(sub)
-        for s in word:
-            el = mult_right(el, s)
-        out.append(el)
+        out.append(from_word(sub, (letter_map[s] for s in b.word)))
     return Shadow(sub, out, provenance=shadow.provenance)

@@ -33,6 +33,11 @@ EXIT = -2      # theta(s) marker: s(beta) is not n-small
 # an infinite group without end.
 DOMINANCE_BUDGET = 500_000
 
+# Bytes of the action table of SmallRootTable, about 4 * rank * |table|^2,
+# predicted before it is built: A40 116 MB (its first ``images`` raised peak
+# RSS from 19 to 130 MB), A60 0.8 GB, A30 28 MB, ~D5 at level 1 0.3 MB.
+IMAGE_TABLE_BUDGET = 64_000_000
+
 
 class Classification(enum.Enum):
     FINITE = "finite"
@@ -180,6 +185,14 @@ class SmallRootTable:
 
     @cached_property
     def _slices(self) -> list[list[int]]:
+        rank, size = len(self._shifts), len(self)
+        # 256 entries per mask byte: a list slot, an int of rank * size bits
+        predicted = 256 * self._nbytes * (32 + 4 * -(-rank * size // 30))
+        if predicted > IMAGE_TABLE_BUDGET:
+            raise BudgetExceeded(
+                f"the action table of {size:,} small roots under {rank} "
+                f"letters would take about {predicted:,} bytes, over the "
+                f"table budget of {IMAGE_TABLE_BUDGET:,} bytes")
         return _byte_slices([sum(1 << nid + self._shifts[s]
                                  for s, nid in enumerate(node.theta)
                                  if nid >= 0)

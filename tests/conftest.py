@@ -13,7 +13,9 @@ from coxauto.automata import Automaton
 from coxauto.elements import (Element, _mask_bits, generator, identity,
                               mult_left, weak_leq)
 from coxauto.errors import InternalInvariant
-from coxauto.garside import Shadow, project, smallest_low_universe
+from coxauto.garside import (Shadow, ShadowVerdict, VerdictStatus,
+                             check_generated_and_suffix_closed, project,
+                             smallest_low_universe)
 from coxauto.scalars import Scalar
 from coxauto.smallroots import build_small_roots
 from coxauto.system import CoxeterMatrix, CoxeterSystem
@@ -323,9 +325,20 @@ def search_join(u: Element, v: Element, cap: int):
 
 
 # ---------------------------------------------------------------------------
-# The Garside closure by pairwise joins in the smallest n-low universe: the
-# reference that the bitset passes of garside.garside_closure are checked
-# against.
+# Join closure by up-sets in the smallest n-low universe: the pairwise
+# closure, the pairwise verification and the lowest-bit closure passes are
+# the references that the N^1 test of garside._is_join_of_members, in
+# garside.garside_closure and garside.verify_shadow, is checked against.
+
+def up_set(universe: Shadow, i: int) -> int:
+    """The elements of an L_n above element i: the AND of the columns of
+    its Sigma_n."""
+    columns, small = universe._root_index()
+    up = (1 << len(universe)) - 1
+    for nid in _mask_bits(small[i]):
+        up &= columns[nid]
+    return up
+
 
 def pairwise_closure(sys: CoxeterSystem, seeds=()):
     """Smallest Garside shadow containing S, e and the seeds.
@@ -348,18 +361,91 @@ def pairwise_closure(sys: CoxeterSystem, seeds=()):
 
     for el in start:
         add(el)
-    done = 0
-    while done < len(order):
-        x = order[done]
+    ups: list[int] = []  # the up-set of each element of order, once done
+    while len(ups) < len(order):
+        x = order[len(ups)]
         for s in x.descents_left:
             add(mult_left(s, x))
-        up_x = universe._up_set(universe._pos[x.inv])
-        for y in order[:done]:
-            common = up_x & universe._up_set(universe._pos[y.inv])
+        up_x = up_set(universe, universe._pos[x.inv])
+        for up_y in ups:
+            common = up_x & up_y
             if common:
                 add(universe.elements[(common & -common).bit_length() - 1])
-        done += 1
+        ups.append(up_x)
     return Shadow(sys, order, provenance="closure-of-S")
+
+
+def pairwise_verify_shadow(shadow: Shadow) -> ShadowVerdict:
+    """verify_shadow with join closure decided pair by pair: the first pair
+    of members, in the set's order, whose join lies outside it."""
+    failure = check_generated_and_suffix_closed(shadow)
+    if failure is not None:
+        return failure
+    universe = smallest_low_universe(shadow.system, shadow)
+    els = shadow.elements
+    ups = [up_set(universe, universe._pos[el.inv]) for el in els]
+    for i in range(len(els)):
+        for j in range(i + 1, len(els)):
+            common = ups[i] & ups[j]
+            if not common:
+                continue
+            w = universe.elements[(common & -common).bit_length() - 1]
+            if w not in shadow:
+                return ShadowVerdict(
+                    VerdictStatus.NOT_SHADOW, reason="not closed under joins",
+                    witness=(str(els[i]), str(els[j]), str(w)))
+    return ShadowVerdict(VerdictStatus.SHADOW)
+
+
+def lowest_bit_closure_in_universe(universe: Shadow, seeds) -> bytearray:
+    """The closure of the seeds in an L_n, byte i set iff element i is a
+    member, with x admitted when it is the lowest bit of the AND of the
+    columns of the roots of Sigma_n(x) that meet the members below x."""
+    offsets, targets = universe._suffixes
+    columns, small = universe._root_index()
+    full = (1 << len(small)) - 1
+    closed = 0
+    inside = bytearray(len(small))
+
+    def admit(i):
+        nonlocal closed
+        inside[i] = 1
+        closed |= 1 << i
+
+    def admit_suffixes(todo):
+        grew = False
+        while todo:
+            i = todo.pop()
+            for j in targets[offsets[i]:offsets[i + 1]]:
+                if not inside[j]:
+                    admit(j)
+                    todo.append(j)
+                    grew = True
+        return grew
+
+    todo = sorted({universe._pos[el.inv] for el in seeds})
+    for i in todo:
+        admit(i)
+    admit_suffixes(todo)
+    while True:
+        admitted = []
+        for i, x_small in enumerate(small):
+            if inside[i]:
+                continue
+            below = closed & universe._below(x_small)
+            if not below & (below - 1):  # fewer than two members below x
+                continue
+            up = full
+            for nid in _mask_bits(x_small):
+                column = columns[nid]
+                if column & below:
+                    up &= column
+            if (up & -up).bit_length() - 1 == i:
+                admit(i)
+                admitted.append(i)
+        if not admitted or not admit_suffixes(admitted):
+            break
+    return inside
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,38 @@ def test_count_exits_one_at_its_budgets(capsys, argv, reason):
     assert capsys.readouterr() == ("", f"error: {reason.format(**budgets)}\n")
 
 
+def test_count_refuses_a_long_length_before_it_builds(capsys, monkeypatch):
+    from coxauto import cli
+    from coxauto.automata import COUNT_LENGTH_BUDGET
+
+    def refuse(*args):
+        raise AssertionError("the automaton was built")
+
+    monkeypatch.setattr(cli, "_build_automaton", refuse)
+    assert main(["count", "--group", "~D5", "--max-len", "100000000"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: word length 100,000,000 is over the counting length "
+        f"budget of {COUNT_LENGTH_BUDGET:,}\n")
+
+
+def test_affine_state_count_refusal_classifies_once(capsys, monkeypatch):
+    from coxauto import smallroots
+    calls = []
+    real = smallroots.classify_type
+
+    def counting(sys, subset):
+        calls.append(subset)
+        return real(sys, subset)
+
+    monkeypatch.setattr(smallroots, "classify_type", counting)
+    assert main(["automaton", "--group", "~A40"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: ~A40 has (h+1)^r = 42^40 = 85,108,241,238,830,256,438,"
+        "079,349,299,463,978,352,634,903,950,532,186,641,663,000,576 states "
+        "at level 0, over the state budget of 200,000\n")
+    assert len(calls) == 1
+
+
 def test_roots_support_is_readable_from_rank_ten(capsys):
     assert main(["roots", "--group", "A10"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (FullColumnIndex, ball, cone_member, coxeter_systems,
-                      pairwise_closure, search_join)
+                      lowest_bit_closure_in_universe, pairwise_closure,
+                      pairwise_verify_shadow, search_join, up_set)
 from coxauto import garside, parse_coxeter_system
 from coxauto.automata import build_shadow_automaton
-from coxauto.elements import (_mask_bits, from_word, identity, mult_left,
-                              weak_leq)
+from coxauto.elements import (_mask_bits, from_word, generator, identity,
+                              mult_left, weak_leq)
 from coxauto.errors import (BudgetExceeded, InternalInvariant,
                             LowElementsNotShadow, ShadowViolation)
 from coxauto.garside import (Shadow, VerdictStatus, garside_closure, join,
@@ -254,6 +255,12 @@ def _assert_closure_matches_pairwise(sys, seeds=()):
     closure = garside_closure(sys, seeds=seeds)
     reference = pairwise_closure(sys, seeds=seeds)
     assert closure.words() == reference.words()
+    # the N^1 test admits exactly what the lowest-bit passes admit
+    start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
+             *seeds]
+    universe = smallest_low_universe(sys, start)
+    assert (garside._close_in_universe(universe, start)
+            == lowest_bit_closure_in_universe(universe, start))
 
 
 @pytest.mark.parametrize("spec", [
@@ -334,6 +341,101 @@ def test_closure_matches_pairwise_reference(sys, data):
     if outside and data.draw(st.booleans()):
         seeds.append(outside[data.draw(st.integers(0, len(outside) - 1))])
     _assert_closure_matches_pairwise(sys, seeds=seeds)
+
+
+@pytest.mark.parametrize("spec", [
+    "~A2", "~C2", "~G2", "~A3", "triangle(2,3,7)", "triangle(3,3,4)",
+    "triangle(4,4,4)"])
+def test_seeded_closure_in_low_one_matches_references(spec):
+    # seeds from L_1 outside L_0: the last, and one from the middle
+    sys = parse_coxeter_system(spec)
+    low = low_universe(sys)
+    outside = [el for el in low_universe(sys, 1) if el not in low]
+    assert outside
+    _assert_closure_matches_pairwise(sys, seeds=[outside[-1]])
+    _assert_closure_matches_pairwise(sys, seeds=[outside[len(outside) // 2]])
+
+
+def _assert_first_join_witness(shadow, witness):
+    """u and v of the witness lie in the set and u v-join does not, and no
+    join of two members outside the set comes earlier in U's order."""
+    universe = smallest_low_universe(shadow.system, shadow)
+    by_name = {str(el): el for el in universe}
+    u, v, w = (by_name[name] for name in witness)
+    assert u in shadow and v in shadow and w not in shadow
+    assert join(u, v) == w
+    ups = [up_set(universe, universe._pos[el.inv]) for el in shadow]
+    outside = []
+    for up_a, up_b in itertools.combinations(ups, 2):
+        common = up_a & up_b
+        if common:
+            j = (common & -common).bit_length() - 1
+            if universe.elements[j] not in shadow:
+                outside.append(j)
+    assert universe._pos[w.inv] == min(outside)
+
+
+def _assert_verdict_matches_pairwise(shadow):
+    verdict = verify_shadow(shadow)
+    reference = pairwise_verify_shadow(shadow)
+    assert verdict.status is reference.status
+    assert verdict.reason == reference.reason
+    if verdict.reason == "not closed under joins":
+        _assert_first_join_witness(shadow, verdict.witness)
+    else:
+        assert verdict.witness == reference.witness
+    return verdict
+
+
+@pytest.mark.parametrize("spec, level", [
+    ("~A2", 0), ("~C2", 0), ("~G2", 0), ("~A3", 0), ("~C3", 0), ("H3", 0),
+    ("A4", 0), ("triangle(2,3,7)", 0), ("triangle(4,4,4)", 0), ("~A2", 1),
+    ("~G2", 1), ("triangle(2,3,7)", 1)])
+def test_verify_shadow_matches_pairwise_reference_on_closures(spec, level):
+    # a copy of a closure, then copies with one element removed, from the
+    # top down; at level 1 the closure is seeded with the last element of L_1
+    sys = parse_coxeter_system(spec)
+    seeds = [low_universe(sys, 1).elements[-1]] if level else []
+    closure = garside_closure(sys, seeds=seeds)
+    assert closure.level == level
+    elements = closure.elements
+    assert _assert_verdict_matches_pairwise(Shadow(sys, elements))
+    step = max(1, len(elements) // 12)
+    reasons = set()
+    for k in range(len(elements) - 1, 0, -step):
+        copy = Shadow(sys, elements[:k] + elements[k + 1:])
+        reasons.add(_assert_verdict_matches_pairwise(copy).reason)
+    assert "not closed under joins" in reasons
+
+
+def test_join_witness_is_the_first_join_outside_the_set(aff_c2):
+    # ~C2 without the top of its closure of S: the witness is the first
+    # element of L_0 that is the join of two members and not a member
+    closure = garside_closure(aff_c2)
+    bad = Shadow(aff_c2, closure.elements[:-1])
+    verdict = verify_shadow(bad)
+    assert verdict.reason == "not closed under joins"
+    _assert_first_join_witness(bad, verdict.witness)
+    assert verdict.witness[2] == str(closure.elements[-1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems(), st.data())
+def test_verify_shadow_matches_pairwise_reference(sys, data):
+    # S and e with up to six elements of L_0 or L_1, closed under suffixes
+    low = low_universe(sys, data.draw(st.integers(0, 1)))
+    picks = data.draw(st.lists(st.integers(0, len(low) - 1), max_size=6))
+    members = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
+               *(low.elements[i] for i in picks)]
+    todo = list(members)
+    while todo:
+        x = todo.pop()
+        for s in x.descents_left:
+            suffix = mult_left(s, x)
+            if suffix not in members:
+                members.append(suffix)
+                todo.append(suffix)
+    _assert_verdict_matches_pairwise(Shadow(sys, members))
 
 
 def test_low_elements_examples(i2inf, aff_a2, a2):
@@ -480,18 +582,31 @@ def test_recorded_verdict_decides_no_join(monkeypatch, spec):
     sys = parse_coxeter_system(spec)
     closure = garside_closure(sys)
     low0, low1 = low_universe(sys, 0), low_universe(sys, 1)
+    assert len(closure) < len(low0)
 
     def refuse(*args):
         raise _JoinDecided
 
-    monkeypatch.setattr(garside, "_join_in", refuse)
+    monkeypatch.setattr(garside, "_is_join_of_members", refuse)
+    checked = []
+    real_check = garside.check_generated_and_suffix_closed
+
+    def spy(shadow):
+        checked.append(shadow)
+        return real_check(shadow)
+
+    monkeypatch.setattr(garside, "check_generated_and_suffix_closed", spy)
     for shadow in (closure, low0, low1):
         assert verify_shadow(shadow).status is VerdictStatus.SHADOW
         assert build_shadow_automaton(shadow).num_states == len(shadow)
+    assert checked == []
     with pytest.raises(_JoinDecided):
         verify_shadow(Shadow(sys, closure.elements))
-    with pytest.raises(_JoinDecided):
-        build_shadow_automaton(Shadow(sys, low0.elements))
+    # a copy of L_0 is checked in full, but no element of L_0 lies outside
+    # it, so it has no join to test
+    copy = Shadow(sys, low0.elements)
+    assert build_shadow_automaton(copy).num_states == len(low0)
+    assert checked[-1] is copy
 
 
 def test_low_universe_checks_suffix_closure(low_elements_without_a_suffix):

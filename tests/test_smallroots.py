@@ -235,6 +235,23 @@ def test_finite_system_classifies_once(monkeypatch):
     assert len(calls) <= 1
 
 
+def test_action_table_over_budget_is_refused_before_it_is_built(
+        monkeypatch):
+    # A40 would take about 116 MB; the prediction allocates nothing
+    def refuse(image):
+        raise AssertionError("the action table was built")
+
+    monkeypatch.setattr(smallroots, "_byte_slices", refuse)
+    sys = parse_coxeter_system("A40")
+    message = (r"^the action table of 820 small roots under 40 letters "
+               r"would take about 116,230,144 bytes, over the table budget "
+               f"of {smallroots.IMAGE_TABLE_BUDGET:,} bytes$")
+    with pytest.raises(BudgetExceeded, match=message):
+        build_small_roots(sys, 0).images(0)
+    with pytest.raises(BudgetExceeded, match=message):
+        low_elements(sys, 0)
+
+
 def test_spherical_analysis_examples(aff_g2, i2inf):
     sph, all_sph = spherical_analysis(build_small_roots(aff_g2, 0))
     assert (len(sph), all_sph) == (8, False)
