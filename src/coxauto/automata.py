@@ -2,9 +2,15 @@
 
 Shadow automata have elements as states, with transitions through the
 shadow projection; canonical automata have n-small inversion sets as
-states.  Minimization runs Hopcroft partition refinement with an implicit
-sink, and reports sizes on the trim partial automaton (the sink is
-excluded, matching how state counts are quoted for these languages).
+states.  Minimization has an implicit sink, and reports sizes on the trim
+partial automaton (the sink is excluded, matching how state counts are
+quoted for these languages).  It takes one of two paths to the same
+classes.  A canonical automaton is read off its blocking sets: every move
+distributes over unions of small roots, so two states read the same words
+iff they have the same set of roots that would block a readable letter
+after some word, and those sets are one worklist fixpoint.  Every other
+automaton (shadow automata, restricted or hand-made ones) runs Hopcroft
+partition refinement.
 """
 
 from __future__ import annotations
@@ -13,14 +19,14 @@ import enum
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from typing import Iterable, Sequence
 
 from .elements import Element, _mask_bits
 from . import garside
 from .errors import BudgetExceeded, InternalInvariant, ShadowViolation
 from .garside import Shadow, VerdictStatus, check_state_budget, verify_shadow
-from .smallroots import build_small_roots
+from .smallroots import SmallRootTable, build_small_roots
 from .system import CoxeterSystem
 
 # Bounds of counts_by_length.  Counting to length L keeps L + 1 counts, so
@@ -176,55 +182,34 @@ def build_canonical_automaton(sys: CoxeterSystem, level: int
     States are the reachable n-small inversion sets.  Transition by s is
     defined iff a_s is not in the state, and sends A to {a_s} union (s(A)
     restricted to the system's cached n-small roots).  States are explored
-    from the empty set and numbered in BFS order.
+    from the empty set and numbered in BFS order, by
+    :meth:`SmallRootTable.canonical_walk`, with a state an int mask over the
+    table's node ids.
     More than ``garside.STATE_BUDGET`` states raise ``BudgetExceeded``, at
     once when the system is affine at level 0 and more are predicted.
-
-    A state is an int mask over the table's node ids, and the s(A) of a
-    state A under all its letters come from one call of
-    :meth:`SmallRootTable.images`.
     """
     check_state_budget(sys, level)
     table = build_small_roots(sys, level)
-    budget = garside.STATE_BUDGET
-    rank = sys.rank
-
-    state_ids: dict[int, int] = {0: 0}
-    masks: list[int] = [0]
-    delta: list[tuple[int, ...]] = []
-    # states are numbered as they are found, so a scan of the growing
-    # list of masks expands them in BFS order
-    for mask in masks:
-        row = [-1] * rank
-        for s, image in enumerate(table.images(mask)):
-            if mask >> s & 1:
-                continue
-            new_mask = 1 << s | image
-            target = state_ids.get(new_mask)
-            if target is None:
-                target = len(masks)
-                if target >= budget:
-                    raise BudgetExceeded(
-                        f"canonical automaton outgrew the state budget "
-                        f"of {budget:,}")
-                state_ids[new_mask] = target
-                masks.append(new_mask)
-            row[s] = target
-        delta.append(tuple(row))
+    masks, delta = table.canonical_walk(garside.STATE_BUDGET)
     auto = Automaton(letter_labels=_default_labels(sys),
-                     payloads=_MaskPayloads(masks), initial=0, delta=delta,
-                     kind=f"canonical-{level}")
+                     payloads=_MaskPayloads(masks, table), initial=0,
+                     delta=delta, kind=f"canonical-{level}")
     return auto, masks
 
 
 class _MaskPayloads(Sequence):
     """Read-only payloads over int state masks: item q is the tuple of the
-    set bits of mask q, decoded when it is read."""
+    set bits of mask q, decoded when it is read.
 
-    __slots__ = ("_masks",)
+    They mark a canonical automaton, and carry the small-root table its
+    masks index, which :func:`minimize` reads its classes off.
+    """
 
-    def __init__(self, masks: list[int]):
+    __slots__ = ("_masks", "_table")
+
+    def __init__(self, masks: list[int], table: SmallRootTable):
         self._masks = masks
+        self._table = table
 
     def __len__(self) -> int:
         return len(self._masks)
@@ -239,22 +224,123 @@ class _MaskPayloads(Sequence):
 # Minimization
 
 def minimize(auto: Automaton) -> Automaton:
-    """Hopcroft partition refinement with an implicit sink.
+    """The minimal automaton, with an implicit sink.
 
-    A missing transition counts as a move to a non-accepting sink, so the
-    first splitter, the block of all states, separates states by the
-    letters they can read, and no completed copy of ``delta`` is built.
-    Each split puts its smaller half on the worklist (Hopcroft 1971; the
-    partial-DFA form of Valmari & Lehtinen 2008).
+    A canonical automaton (one whose payloads are its state masks) has its
+    classes read off its blocking sets (see :func:`_blocking_classes`);
+    any other automaton is refined by Hopcroft's algorithm (see
+    :func:`_hopcroft_classes`).  Both give the Nerode classes of the trim
+    partial automaton, so the result does not depend on the path.
 
     The returned automaton is trim and excludes the sink.  Its classes are
     numbered by a BFS from the initial class, letters in order.  Its
     ``state_map`` sends each original state to its class, or to -1 when
     the state is equivalent to no state reachable from the initial one.
     """
-    n = auto.num_states
     delta = auto.delta
-    start, pred = _predecessor_index(delta, auto.alphabet_size)
+    payloads = auto.payloads
+    if isinstance(payloads, _MaskPayloads):
+        blk = _blocking_classes(delta, payloads._masks, payloads._table)
+    else:
+        blk = _hopcroft_classes(delta, auto.alphabet_size)
+
+    # deterministic numbering: BFS over classes from the initial class
+    order = [-1] * (max(blk) + 1)
+    order[blk[auto.initial]] = 0
+    reps = [auto.initial]
+    for q in reps:
+        for t in delta[q]:
+            if t >= 0 and order[blk[t]] < 0:
+                order[blk[t]] = len(reps)
+                reps.append(t)
+    state_map = [order[c] for c in blk]
+    state_map.append(-1)  # read at index -1: a missing move stays -1
+    new_delta = [tuple(map(state_map.__getitem__, delta[q])) for q in reps]
+    state_map.pop()
+    return Automaton(letter_labels=auto.letter_labels,
+                     payloads=[None] * len(reps), initial=0,
+                     delta=new_delta, kind="minimal",
+                     state_map=tuple(state_map))
+
+
+def _blocking_classes(delta: Sequence[Sequence[int]], masks: Sequence[int],
+                      table: SmallRootTable) -> list[int]:
+    """The Nerode classes of a canonical automaton, by blocking set.
+
+    The move by s sends A to {a_s} union image(s, A), and image(s, .) is a
+    partial involution on the small roots that distributes over unions.
+    So a word is read from A iff it is read from the empty set and, for
+    every beta in A, no image of beta along a prefix is the root a_s of
+    the next letter s.  Let Bad(A) be the roots beta whose image along
+    some word w read from A is a_s for a letter s that A reads after w.
+    Bad(A) depends on the words read from A alone, and is disjoint from A
+    (such a beta would stop that s).  So two states read the same words
+    iff their blocking sets are equal: a shortest word read from A but not
+    from A' ends in a letter stopped by some beta in A', and beta then
+    lies in Bad(A) but not in Bad(A').
+
+    Bad is the least solution of Bad(A) = union over the letters s that A
+    reads of {a_s} union image(s, Bad(s.A)).  It is found by a worklist
+    over the predecessors of each state, with one
+    :meth:`SmallRootTable.images` per visit.  Classes are numbered in the
+    order of their first state.
+    """
+    k = len(delta[0])
+    start, pred = _letter_predecessors(delta)
+    readable = (1 << k) - 1
+    bad = [~mask & readable for mask in masks]
+    work = list(range(len(bad)))  # the deepest states are visited first
+    queued = bytearray(b"\x01") * len(bad)
+    images = table.images
+    while work:
+        t = work.pop()
+        queued[t] = 0
+        image = images(bad[t])
+        for code in pred[start[t]:start[t + 1]]:
+            p, s = divmod(code, k)
+            old = bad[p]
+            new = old | image[s]
+            if new != old:
+                bad[p] = new
+                if not queued[p]:
+                    queued[p] = 1
+                    work.append(p)
+    ids: dict[int, int] = {}
+    return [ids.setdefault(b, len(ids)) for b in bad]
+
+
+def _letter_predecessors(delta: Sequence[Sequence[int]]
+                         ) -> tuple[array, array]:
+    """The transitions into each state, in CSR form.
+
+    The transitions into t are ``pred[start[t]:start[t + 1]]``, each coded
+    as p * k + s for the move from p by letter s, k the alphabet size: its
+    index in the rows of ``delta`` laid end to end.
+    """
+    flat = list(chain.from_iterable(delta))
+    codes = list(compress(range(len(flat)), map((-1).__lt__, flat)))
+    codes.sort(key=flat.__getitem__)
+    pred = array("l", codes)
+    del codes
+    into = Counter(flat)
+    start = array("l", accumulate(map(into.get, range(len(delta)), repeat(0)),
+                                  initial=0))
+    return start, pred
+
+
+def _hopcroft_classes(delta: Sequence[Sequence[int]], k: int) -> list[int]:
+    """The Nerode classes of a partial automaton over k letters, by
+    Hopcroft partition refinement with an implicit sink.
+
+    A missing transition counts as a move to a non-accepting sink, so the
+    first splitter, the block of all states, separates states by the
+    letters they can read, and no completed copy of ``delta`` is built.
+    Each split puts its smaller half on the worklist (Hopcroft 1971; the
+    partial-DFA form of Valmari & Lehtinen 2008).  Item q of the result is
+    the block of state q.
+    """
+    n = len(delta)
+    start, pred = _predecessor_index(delta, k)
     # Refinable partition: block b is elems[first[b]:end[b]], and the states
     # of b marked by the current letter are elems[first[b]:mid[b]].
     elems = list(range(n))
@@ -318,28 +404,7 @@ def minimize(auto: Automaton) -> Automaton:
             mid[c] = j + 1
         if touched:
             split(touched)
-    del start, pred, elems, loc, first, end, mid
-
-    # deterministic numbering: BFS over classes from the initial class
-    order = [-1] * (max(blk) + 1)
-    order[blk[auto.initial]] = 0
-    reps = [auto.initial]
-    new_delta = []
-    for q in reps:
-        row = []
-        for t in delta[q]:
-            if t >= 0:
-                c = blk[t]
-                if order[c] < 0:
-                    order[c] = len(reps)
-                    reps.append(t)
-                t = order[c]
-            row.append(t)
-        new_delta.append(tuple(row))
-    return Automaton(letter_labels=auto.letter_labels,
-                     payloads=[None] * len(reps), initial=0,
-                     delta=new_delta, kind="minimal",
-                     state_map=tuple(order[c] for c in blk))
+    return blk
 
 
 def _predecessor_index(delta: Sequence[Sequence[int]], k: int

@@ -106,6 +106,13 @@ def classify_type(sys: CoxeterSystem, subset: Iterable[int]) -> Classification:
     return Classification.INDEFINITE
 
 
+def classify_system(sys: CoxeterSystem) -> Classification:
+    """:func:`classify_type` of the whole system, made once per system."""
+    if sys._classification is None:
+        sys._classification = classify_type(sys, range(sys.rank))
+    return sys._classification
+
+
 # ---------------------------------------------------------------------------
 # The small-root table
 
@@ -182,6 +189,58 @@ class SmallRootTable:
             packed |= part[b]
         field = self._field
         return [packed >> shift & field for shift in self._shifts]
+
+    def canonical_walk(self, budget: int
+                       ) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The states of the n-canonical automaton and their rows.
+
+        A state is a node mask; the move by s is defined iff bit s (a_s) is
+        clear and sends A to {a_s} union image(s, A).  States are found from
+        the empty set in BFS order, letters in order, and row q holds the
+        target of each letter, -1 for none.  More than ``budget`` states
+        raise ``BudgetExceeded``.
+
+        A state costs one packed lookup, as in :meth:`images`, whose start
+        value already holds bit s in letter s's field, so each target is a
+        shift and a mask of it.  The letters a state reads depend on its
+        low ``rank`` bits alone, and are listed once per pattern of them.
+        """
+        slices, nbytes, field = self._slices, self._nbytes, self._field
+        letters = list(enumerate(self._shifts))
+        with_roots = sum(1 << shift + s for s, shift in letters)
+        descents = (1 << len(letters)) - 1
+        readable: dict[int, list[tuple[int, int]]] = {}
+        blank = (-1,) * len(letters)
+        state_ids = {0: 0}
+        get = state_ids.get
+        masks = [0]
+        delta = []
+        # states are numbered as they are found, so a scan of the growing
+        # list of masks expands them in BFS order
+        for mask in masks:
+            packed = with_roots
+            for part, b in zip(slices, mask.to_bytes(nbytes, "little")):
+                packed |= part[b]
+            low = mask & descents
+            moves = readable.get(low)
+            if moves is None:
+                moves = readable[low] = [(s, shift) for s, shift in letters
+                                         if not low >> s & 1]
+            row = list(blank)
+            for s, shift in moves:
+                target_mask = packed >> shift & field
+                target = get(target_mask)
+                if target is None:
+                    target = len(masks)
+                    if target >= budget:
+                        raise BudgetExceeded(
+                            f"canonical automaton outgrew the state budget "
+                            f"of {budget:,}")
+                    state_ids[target_mask] = target
+                    masks.append(target_mask)
+                row[s] = target
+            delta.append(tuple(row))
+        return masks, delta
 
     @cached_property
     def _slices(self) -> list[list[int]]:
@@ -297,7 +356,7 @@ def build_small_roots(sys: CoxeterSystem, level: int) -> SmallRootTable:
         i += 1
 
     # supports of a finite system, proper ones of an affine one, are spherical
-    whole = classify_type(sys, range(rank))
+    whole = classify_system(sys)
     spherical = {frozenset(range(rank)): whole is Classification.FINITE}
     nodes: list[SmallRootNode] = []
     for i, rid in enumerate(rids):
@@ -342,7 +401,7 @@ def affine_structure(sys: CoxeterSystem) -> AffineStructure:
     matched against the catalog of affine diagrams, which records the
     Coxeter number of the underlying finite Weyl group.
     """
-    if classify_type(sys, range(sys.rank)) is not Classification.AFFINE:
+    if classify_system(sys) is not Classification.AFFINE:
         raise InvalidGroupSpec("system is not of irreducible affine type")
     for name, mat, h, finite_rank in affine_candidates(sys.rank):
         if matrices_isomorphic(sys.matrix, mat):

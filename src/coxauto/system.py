@@ -376,6 +376,9 @@ class CoxeterSystem:
             self._root_ids[coords] = s
             self._roots.append(coords)
         self._refl_cache: list[dict[int, int]] = [dict() for _ in range(self.rank)]
+        # smallroots.Classification of the whole system, set by
+        # smallroots.classify_system
+        self._classification: object | None = None
         # level n -> smallroots.SmallRootTable, filled by build_small_roots
         self._small_root_tables: dict[int, object] = {}
         # level n -> the n-low elements as a garside.Shadow, filled by

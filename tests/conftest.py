@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from coxauto import parse_coxeter_system, smallroots
-from coxauto.automata import Automaton
+from coxauto.automata import Automaton, minimize
 from coxauto.elements import (Element, _mask_bits, generator, identity,
                               mult_left, weak_leq)
 from coxauto.errors import InternalInvariant
@@ -19,6 +19,30 @@ from coxauto.garside import (Shadow, ShadowVerdict, VerdictStatus,
 from coxauto.scalars import Scalar
 from coxauto.smallroots import build_small_roots
 from coxauto.system import CoxeterMatrix, CoxeterSystem
+
+
+# The groups on which the shadow automaton is compared with the reference
+# that runs its own byte-slice successor loop.
+DIFFERENTIAL_GROUPS = ["~A2", "~C2", "~G2", "~A3", "~C3", "~B3", "~D4", "H3",
+                       "A4", "B4", "I2(inf)", "triangle(2,3,7)",
+                       "triangle(4,4,4)", "triangle(3,3,4)"]
+
+# The groups on which the blocking-set classes of a canonical automaton are
+# compared with Hopcroft refinement: the groups above at level 0, and the
+# rank-3 ones at levels 1 and 2 too.
+BLOCKING_GROUPS = DIFFERENTIAL_GROUPS + ["~A4", "~C4", "~B4", "A3", "B3",
+                                         "D4", "F4"]
+BLOCKING_RANK_THREE = ["~A2", "~C2", "~G2", "~C3", "H3", "triangle(2,3,7)",
+                       "triangle(4,4,4)"]
+
+
+def assert_blocking_classes_match_hopcroft(auto):
+    # the same automaton with list payloads is refined by Hopcroft
+    copy = Automaton(auto.letter_labels, list(auto.payloads), auto.initial,
+                     auto.delta, auto.kind)
+    got, ref = minimize(auto), minimize(copy)
+    assert got.delta == ref.delta
+    assert got.state_map == ref.state_map
 
 
 @st.composite

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (accepted_words, byte_slice_shadow_automaton,
-                      canonical_witnesses, per_bit_canonical_automaton,
-                      projection_state_map, shortest_words)
-from coxauto import automata, garside, parse_coxeter_system
+from conftest import (BLOCKING_GROUPS, BLOCKING_RANK_THREE,
+                      DIFFERENTIAL_GROUPS, accepted_words,
+                      assert_blocking_classes_match_hopcroft,
+                      byte_slice_shadow_automaton, canonical_witnesses,
+                      per_bit_canonical_automaton, projection_state_map,
+                      shortest_words)
+from coxauto import automata, garside, parse_coxeter_system, smallroots
 from coxauto.automata import (Automaton, MorphismVerdict,
                               build_canonical_automaton,
                               build_shadow_automaton, check_morphism,
@@ -53,13 +56,6 @@ def test_shadow_automaton_requires_shadow(a2):
     bad = Shadow(a2, [from_word(a2, w) for w in [(), (0,), (1,)]])
     with pytest.raises(ShadowViolation):
         build_shadow_automaton(bad)
-
-
-# The groups on which the shadow automaton is compared with the reference
-# that runs its own byte-slice successor loop.
-DIFFERENTIAL_GROUPS = ["~A2", "~C2", "~G2", "~A3", "~C3", "~B3", "~D4", "H3",
-                       "A4", "B4", "I2(inf)", "triangle(2,3,7)",
-                       "triangle(4,4,4)", "triangle(3,3,4)"]
 
 
 def _assert_matches_byte_slice_reference(shadow):
@@ -310,6 +306,43 @@ def test_minimize_matches_moore_reference_on_groups(group, kind):
     else:
         auto = build_shadow_automaton(garside_closure(sys))
     _assert_minimal_form(auto)
+
+
+@pytest.mark.parametrize("name, level", [
+    (name, 0) for name in BLOCKING_GROUPS] + [
+    (name, level) for level in (1, 2) for name in BLOCKING_RANK_THREE])
+def test_blocking_classes_match_hopcroft(name, level):
+    auto, _ = build_canonical_automaton(parse_coxeter_system(name), level)
+    assert_blocking_classes_match_hopcroft(auto)
+
+
+def test_minimize_reads_canonical_classes_without_refinement(monkeypatch,
+                                                            aff_c2):
+    def refuse(delta, k):
+        raise AssertionError("Hopcroft refinement ran")
+
+    monkeypatch.setattr(automata, "_hopcroft_classes", refuse)
+    auto, _ = build_canonical_automaton(aff_c2, 0)
+    assert minimize(auto).num_states == 24
+    # the same automaton without its masks is refined
+    with pytest.raises(AssertionError, match="Hopcroft refinement ran"):
+        minimize(restrict_letters(auto, range(3), trim=False))
+
+
+def test_canonical_build_classifies_the_system_once(monkeypatch):
+    # the state budget check and the small-root table share one
+    # classification of the whole system
+    calls = []
+    real = smallroots.classify_type
+
+    def counting(sys, subset):
+        calls.append(tuple(subset))
+        return real(sys, subset)
+
+    monkeypatch.setattr(smallroots, "classify_type", counting)
+    auto, _ = build_canonical_automaton(parse_coxeter_system("~C4"), 0)
+    assert auto.num_states == 6561
+    assert calls == [(0, 1, 2, 3, 4)]
 
 
 def test_minimize_maps_unreachable_inequivalent_state_to_minus_one():

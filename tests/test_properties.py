@@ -1,18 +1,24 @@
 """Properties of inversion masks, automata and Conjecture 2 over random
-Coxeter systems.
+Coxeter systems, and of the action of the letters on small roots.
 
 The systems are drawn by ``conftest.coxeter_systems`` (rank 3-4, labels in
-{2, 3, 4, 5, 6, inf}); every test is derandomized, so a run is repeatable.
+{2, 3, 4, 5, 6, inf}); the action tables are those of the groups in
+``conftest.BLOCKING_GROUPS`` at levels 0-2.  Every test is derandomized,
+so a run is repeatable.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (byte_slice_shadow_automaton, coxeter_systems,
+from conftest import (BLOCKING_GROUPS, assert_blocking_classes_match_hopcroft,
+                      byte_slice_shadow_automaton, coxeter_systems,
                       per_bit_canonical_automaton, recompute_inversions,
                       reference_merged_state_witness)
+from coxauto import parse_coxeter_system
 from coxauto.automata import (build_canonical_automaton,
                               build_shadow_automaton, minimize)
 from coxauto.conjectures import Verdict, check_conjecture
@@ -93,3 +99,57 @@ def test_spherical_flags_match_classify_type(sys):
     for node in build_small_roots(sys, 0).nodes:
         assert node.spherical is (classify_type(sys, node.support)
                                   is Classification.FINITE)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems(), st.integers(0, 1))
+def test_blocking_classes_match_hopcroft(sys, level):
+    auto, _ = build_canonical_automaton(sys, level)
+    assert_blocking_classes_match_hopcroft(auto)
+
+
+# The premise of the blocking-set classes: each letter acts on the small
+# roots by a partial involution that never yields its own simple root, and
+# on sets of them by unions.
+
+@cache
+def _preset(name: str):
+    return parse_coxeter_system(name)
+
+
+@st.composite
+def action_tables(draw):
+    """A group of ``BLOCKING_GROUPS``, a level 0-2, its table and a letter."""
+    sys = _preset(draw(st.sampled_from(BLOCKING_GROUPS)))
+    table = build_small_roots(sys, draw(st.integers(0, 2)))
+    return table, draw(st.integers(0, sys.rank - 1))
+
+
+def _masks(table):
+    return st.integers(0, (1 << len(table)) - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(action_tables(), st.data())
+def test_image_distributes_over_unions(drawn, data):
+    table, s = drawn
+    a, b = data.draw(_masks(table)), data.draw(_masks(table))
+    assert table.image(s, a | b) == table.image(s, a) | table.image(s, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(action_tables(), st.data())
+def test_image_is_a_partial_involution(drawn, data):
+    table, s = drawn
+    beta = 1 << data.draw(st.integers(0, len(table) - 1))
+    inner = table.image(s, beta)
+    assert inner.bit_count() <= 1
+    if inner:
+        assert table.image(s, inner) == beta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(action_tables(), st.data())
+def test_image_never_holds_the_letters_root(drawn, data):
+    table, s = drawn
+    assert not table.image(s, data.draw(_masks(table))) >> s & 1
