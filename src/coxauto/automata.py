@@ -4,13 +4,15 @@ Shadow automata have elements as states, with transitions through the
 shadow projection; canonical automata have n-small inversion sets as
 states.  Minimization has an implicit sink, and reports sizes on the trim
 partial automaton (the sink is excluded, matching how state counts are
-quoted for these languages).  It takes one of two paths to the same
-classes.  A canonical automaton is read off its blocking sets: every move
-distributes over unions of small roots, so two states read the same words
-iff they have the same set of roots that would block a readable letter
-after some word, and those sets are one worklist fixpoint.  Every other
-automaton (shadow automata, restricted or hand-made ones) runs Hopcroft
-partition refinement.
+quoted for these languages).  ``nerode_classes`` finds the classes: a
+canonical automaton by its blocking sets (every move distributes over
+unions of small roots, so two states read the same words iff the same
+roots would block a readable letter after some word, and those sets are
+one worklist fixpoint), any other automaton by Hopcroft partition
+refinement.  Classes are numbered by a BFS over them; a canonical
+automaton is trim and BFS-numbered, so numbering its classes by their
+first state already gives that order.  Only ``minimize`` builds the
+quotient automaton.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ class _MaskPayloads(Sequence):
     set bits of mask q, decoded when it is read.
 
     They mark a canonical automaton, and carry the small-root table its
-    masks index, which :func:`minimize` reads its classes off.
+    masks index, which :func:`nerode_classes` reads the classes off.
     """
 
     __slots__ = ("_masks", "_table")
@@ -223,28 +225,27 @@ class _MaskPayloads(Sequence):
 # ---------------------------------------------------------------------------
 # Minimization
 
-def minimize(auto: Automaton) -> Automaton:
-    """The minimal automaton, with an implicit sink.
+def nerode_classes(auto: Automaton) -> list[int]:
+    """The Nerode class of each state, with an implicit sink, numbered by a
+    BFS over the classes from the initial one, letters in order; -1 for a
+    state equivalent to none reachable from the initial state.
 
-    A canonical automaton (one whose payloads are its state masks) has its
-    classes read off its blocking sets (see :func:`_blocking_classes`);
-    any other automaton is refined by Hopcroft's algorithm (see
-    :func:`_hopcroft_classes`).  Both give the Nerode classes of the trim
-    partial automaton, so the result does not depend on the path.
-
-    The returned automaton is trim and excludes the sink.  Its classes are
-    numbered by a BFS from the initial class, letters in order.  Its
-    ``state_map`` sends each original state to its class, or to -1 when
-    the state is equivalent to no state reachable from the initial one.
+    A canonical automaton (its payloads are its state masks) is read off
+    its blocking sets (:meth:`SmallRootTable.blocking_sets`), and its
+    classes numbered by their first state.  That is the BFS order: the
+    automaton is trim and BFS-numbered, so its states are in the shortlex
+    order of their least reading words, and the least word of a class is
+    the least over its states.  Any other automaton is refined by
+    :func:`_hopcroft_classes` and renumbered by the BFS.
     """
     delta = auto.delta
     payloads = auto.payloads
     if isinstance(payloads, _MaskPayloads):
-        blk = _blocking_classes(delta, payloads._masks, payloads._table)
-    else:
-        blk = _hopcroft_classes(delta, auto.alphabet_size)
-
-    # deterministic numbering: BFS over classes from the initial class
+        bad = payloads._table.blocking_sets(payloads._masks,
+                                            *_predecessor_index(delta))
+        first = {b: c for c, b in enumerate(dict.fromkeys(bad))}
+        return list(map(first.__getitem__, bad))
+    blk = _hopcroft_classes(delta, auto.alphabet_size)
     order = [-1] * (max(blk) + 1)
     order[blk[auto.initial]] = 0
     reps = [auto.initial]
@@ -253,79 +254,35 @@ def minimize(auto: Automaton) -> Automaton:
             if t >= 0 and order[blk[t]] < 0:
                 order[blk[t]] = len(reps)
                 reps.append(t)
-    state_map = [order[c] for c in blk]
+    return [order[c] for c in blk]
+
+
+def minimize(auto: Automaton) -> Automaton:
+    """The minimal automaton, with an implicit sink: the quotient by
+    :func:`nerode_classes`, trim and without the sink.
+
+    Its states are the classes, numbered by a BFS from the initial class,
+    letters in order (on a canonical automaton, the order of their first
+    states).  ``state_map`` sends each state to its class, or to -1 when it
+    is equivalent to no state reachable from the initial one.  Callers
+    that only count classes or look for merged states read
+    :func:`nerode_classes` and build no quotient.
+    """
+    state_map = nerode_classes(auto)
+    # the row of a class is read off any of its states; the spare last
+    # slot takes the states of class -1
+    reps = [0] * (max(state_map) + 2)
+    for q, c in enumerate(state_map):
+        reps[c] = q
+    reps.pop()
     state_map.append(-1)  # read at index -1: a missing move stays -1
-    new_delta = [tuple(map(state_map.__getitem__, delta[q])) for q in reps]
+    new_delta = [tuple(map(state_map.__getitem__, auto.delta[q]))
+                 for q in reps]
     state_map.pop()
     return Automaton(letter_labels=auto.letter_labels,
                      payloads=[None] * len(reps), initial=0,
                      delta=new_delta, kind="minimal",
                      state_map=tuple(state_map))
-
-
-def _blocking_classes(delta: Sequence[Sequence[int]], masks: Sequence[int],
-                      table: SmallRootTable) -> list[int]:
-    """The Nerode classes of a canonical automaton, by blocking set.
-
-    The move by s sends A to {a_s} union image(s, A), and image(s, .) is a
-    partial involution on the small roots that distributes over unions.
-    So a word is read from A iff it is read from the empty set and, for
-    every beta in A, no image of beta along a prefix is the root a_s of
-    the next letter s.  Let Bad(A) be the roots beta whose image along
-    some word w read from A is a_s for a letter s that A reads after w.
-    Bad(A) depends on the words read from A alone, and is disjoint from A
-    (such a beta would stop that s).  So two states read the same words
-    iff their blocking sets are equal: a shortest word read from A but not
-    from A' ends in a letter stopped by some beta in A', and beta then
-    lies in Bad(A) but not in Bad(A').
-
-    Bad is the least solution of Bad(A) = union over the letters s that A
-    reads of {a_s} union image(s, Bad(s.A)).  It is found by a worklist
-    over the predecessors of each state, with one
-    :meth:`SmallRootTable.images` per visit.  Classes are numbered in the
-    order of their first state.
-    """
-    k = len(delta[0])
-    start, pred = _letter_predecessors(delta)
-    readable = (1 << k) - 1
-    bad = [~mask & readable for mask in masks]
-    work = list(range(len(bad)))  # the deepest states are visited first
-    queued = bytearray(b"\x01") * len(bad)
-    images = table.images
-    while work:
-        t = work.pop()
-        queued[t] = 0
-        image = images(bad[t])
-        for code in pred[start[t]:start[t + 1]]:
-            p, s = divmod(code, k)
-            old = bad[p]
-            new = old | image[s]
-            if new != old:
-                bad[p] = new
-                if not queued[p]:
-                    queued[p] = 1
-                    work.append(p)
-    ids: dict[int, int] = {}
-    return [ids.setdefault(b, len(ids)) for b in bad]
-
-
-def _letter_predecessors(delta: Sequence[Sequence[int]]
-                         ) -> tuple[array, array]:
-    """The transitions into each state, in CSR form.
-
-    The transitions into t are ``pred[start[t]:start[t + 1]]``, each coded
-    as p * k + s for the move from p by letter s, k the alphabet size: its
-    index in the rows of ``delta`` laid end to end.
-    """
-    flat = list(chain.from_iterable(delta))
-    codes = list(compress(range(len(flat)), map((-1).__lt__, flat)))
-    codes.sort(key=flat.__getitem__)
-    pred = array("l", codes)
-    del codes
-    into = Counter(flat)
-    start = array("l", accumulate(map(into.get, range(len(delta)), repeat(0)),
-                                  initial=0))
-    return start, pred
 
 
 def _hopcroft_classes(delta: Sequence[Sequence[int]], k: int) -> list[int]:
@@ -340,7 +297,8 @@ def _hopcroft_classes(delta: Sequence[Sequence[int]], k: int) -> list[int]:
     the block of state q.
     """
     n = len(delta)
-    start, pred = _predecessor_index(delta, k)
+    start, pred = _predecessor_index(delta)
+    pred = array("l", [c % k * n + c // k for c in pred])  # as a * n + p
     # Refinable partition: block b is elems[first[b]:end[b]], and the states
     # of b marked by the current letter are elems[first[b]:mid[b]].
     elems = list(range(n))
@@ -407,25 +365,21 @@ def _hopcroft_classes(delta: Sequence[Sequence[int]], k: int) -> list[int]:
     return blk
 
 
-def _predecessor_index(delta: Sequence[Sequence[int]], k: int
+def _predecessor_index(delta: Sequence[Sequence[int]]
                        ) -> tuple[array, array]:
-    """Predecessor lists in CSR form, stored compactly.
+    """The transitions into each state, in CSR form.
 
-    The transitions into state t are ``pred[start[t]:start[t + 1]]``, each
-    coded as a * n + p for the move from p by letter a.  They are sorted,
-    so the predecessors of t by one letter form a contiguous run.
+    The transitions into t are ``pred[start[t]:start[t + 1]]``, each coded
+    as p * k + s for the move from p by letter s, k the alphabet size: its
+    index in the rows of ``delta`` laid end to end.
     """
-    n = len(delta)
-    kn = k * n
-    codes = []
-    for a, column in enumerate(zip(*delta)):
-        an = a * n
-        codes += [t * kn + an + p for p, t in enumerate(column) if t >= 0]
-    codes.sort()
-    pred = array("l", [c % kn for c in codes])
+    flat = list(chain.from_iterable(delta))
+    codes = list(compress(range(len(flat)), map((-1).__lt__, flat)))
+    codes.sort(key=flat.__getitem__)
+    pred = array("l", codes)
     del codes
-    into = Counter(chain.from_iterable(delta))
-    start = array("l", accumulate(map(into.get, range(n), repeat(0)),
+    into = Counter(flat)
+    start = array("l", accumulate(map(into.get, range(len(delta)), repeat(0)),
                                   initial=0))
     return start, pred
 

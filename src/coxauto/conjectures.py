@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .automata import (Automaton, build_canonical_automaton,
-                       build_shadow_automaton, isomorphic, minimize)
+                       build_shadow_automaton, isomorphic, minimize,
+                       nerode_classes)
 from .errors import InternalInvariant, InvalidGroupSpec
 from .garside import (check_generated_and_suffix_closed, garside_closure,
                       low_elements)
@@ -48,16 +49,16 @@ class StatsRow:
 
 def stats_row(sys: CoxeterSystem, group_name: str | None = None) -> StatsRow:
     """One row of the numeric table: automaton sizes, with A_S~ counted as
-    |Gar(S)| rather than built, and small-root counts."""
+    |Gar(S)| and A_min as the Nerode classes of A_0 rather than built, and
+    small-root counts."""
     table = build_small_roots(sys, 0)
     sph, _ = spherical_analysis(table)
     canonical, _ = build_canonical_automaton(sys, 0)
-    minimal = minimize(canonical)
     name = group_name or sys.name or f"rank-{sys.rank}"
     return StatsRow(group=name,
                     canonical_states=canonical.num_states,
                     shadow_states=len(garside_closure(sys)),
-                    minimal_states=minimal.num_states,
+                    minimal_states=max(nerode_classes(canonical)) + 1,
                     small_roots=len(table),
                     spherical_small_roots=len(sph))
 
@@ -97,14 +98,14 @@ class ConjectureReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _merged_state_witness(auto: Automaton, minimized: Automaton,
+def _merged_state_witness(auto: Automaton, state_map: Sequence[int],
                           sys: CoxeterSystem) -> tuple[tuple[str, ...], ...]:
-    """Reading words for a pair of distinct states merged by minimization.
+    """Reading words for a pair of distinct states in one Nerode class,
+    the class of state q being ``state_map[q]``.
 
     In rank 3 the recipe of the non-minimality construction is tried first:
     with m(s,u) = 2, the states reached by reading su and tsu merge.
     """
-    assert minimized.state_map is not None
     if sys.rank == 3:
         for s, t, u in itertools.permutations(range(3)):
             if sys.matrix.m(s, u) != 2:
@@ -112,11 +113,11 @@ def _merged_state_witness(auto: Automaton, minimized: Automaton,
             q1 = auto.read((s, u))
             q2 = auto.read((t, s, u))
             if (q1 is not None and q2 is not None and q1 != q2
-                    and minimized.state_map[q1] == minimized.state_map[q2]):
+                    and state_map[q1] == state_map[q2]):
                 words = ((s, u), (t, s, u))
                 return (tuple(sys.word_to_string(w) for w in words),)
     seen: dict[int, int] = {}
-    for q, cls in enumerate(minimized.state_map):
+    for q, cls in enumerate(state_map):
         if cls in seen:
             pair = _shortest_words_to(auto, (seen[cls], q))
             return (tuple(sys.word_to_string(w) for w in pair),)
@@ -184,20 +185,21 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
             return ConjectureReport(name, which, Verdict.HOLDS, numbers)
         return ConjectureReport(
             name, which, Verdict.FAILS, numbers,
-            witnesses=_merged_state_witness(auto, minimal, sys))
+            witnesses=_merged_state_witness(auto, minimal.state_map, sys))
     if which == "conj2":
         table = build_small_roots(sys, 0)
         _, sigma_eq_sph = spherical_analysis(table)
         auto, _ = build_canonical_automaton(sys, 0)
-        minimal = minimize(auto)
-        is_minimal = minimal.num_states == auto.num_states
-        numbers = {"a0": auto.num_states, "a_min": minimal.num_states,
+        classes = nerode_classes(auto)
+        a_min = max(classes) + 1
+        is_minimal = a_min == auto.num_states
+        numbers = {"a0": auto.num_states, "a_min": a_min,
                    "sigma": len(table), "minimal": is_minimal,
                    "sigma_eq_sph": sigma_eq_sph}
         verdict = Verdict.HOLDS if is_minimal == sigma_eq_sph else Verdict.FAILS
         return ConjectureReport(
             name, which, verdict, numbers,
-            witnesses=() if is_minimal else _merged_state_witness(auto, minimal, sys))
+            witnesses=() if is_minimal else _merged_state_witness(auto, classes, sys))
     if which == "dyho1":
         low = low_elements(sys, level)
         failure = check_generated_and_suffix_closed(low)

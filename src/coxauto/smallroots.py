@@ -144,7 +144,8 @@ class SmallRootTable:
         self.node_by_rid = node_by_rid
         self._nbytes = (len(nodes) + 7) // 8  # of a node mask
         self._field = (1 << len(nodes)) - 1  # one letter's packed image
-        self._shifts = range(0, len(nodes) * len(nodes[0].theta), len(nodes))
+        self._shifts = tuple(range(0, len(nodes) * len(nodes[0].theta),
+                                   len(nodes)))
         # per letter s, the node mask of the roots whose image under s is
         # not n-small
         self.exits = [sum(1 << nid for nid, node in enumerate(nodes)
@@ -167,22 +168,18 @@ class SmallRootTable:
 
     def image(self, s: int, mask: int) -> int:
         """s(A) restricted to the table, as a node mask, for a node mask A;
-        a_s, which s sends negative, adds nothing.
+        a_s, which s sends negative, adds nothing."""
+        return self.images(mask)[s]
+
+    def images(self, mask: int) -> list[int]:
+        """``image(s, mask)`` for every letter s.
 
         The images of a node under all letters are packed into one int,
         letter s in the len(self) bits from ``_shifts[s]`` up.  Per byte of
         a mask, a table built on first use holds the OR of those ints over
-        the nodes of each byte value, so an image takes one lookup per byte
-        of A, about len(self) / 8, and no walk over its nodes.
+        the nodes of each byte value, so the images take one lookup per
+        byte of A, about len(self) / 8, and no walk over its nodes.
         """
-        packed = 0
-        for part, b in zip(self._slices,
-                           mask.to_bytes(self._nbytes, "little")):
-            packed |= part[b]
-        return packed >> self._shifts[s] & self._field
-
-    def images(self, mask: int) -> list[int]:
-        """``image(s, mask)`` for every letter s, by the lookups of one."""
         packed = 0
         for part, b in zip(self._slices,
                            mask.to_bytes(self._nbytes, "little")):
@@ -241,6 +238,56 @@ class SmallRootTable:
                 row[s] = target
             delta.append(tuple(row))
         return masks, delta
+
+    def blocking_sets(self, masks: Sequence[int], start: Sequence[int],
+                      pred: Sequence[int]) -> list[int]:
+        """Bad(A) of each state A of an n-canonical automaton, as a node mask.
+
+        ``masks`` are the states, and the transitions into state t are
+        ``pred[start[t]:start[t + 1]]``, coded p * rank + s for the move
+        from p by letter s.
+
+        The move by s sends A to {a_s} union image(s, A), and image(s, .) is
+        a partial involution on the small roots that distributes over
+        unions.  So a word is read from A iff it is read from the empty set
+        and, for every beta in A, no image of beta along a prefix is the
+        root a_s of the next letter s.  Let Bad(A) be the roots beta whose
+        image along some word w read from A is a_s for a letter s that A
+        reads after w.  Bad(A) depends on the words read from A alone, and
+        is disjoint from A (such a beta would stop that s).  So two states
+        read the same words iff their blocking sets are equal: a shortest
+        word read from A but not from A' ends in a letter stopped by some
+        beta in A', and beta then lies in Bad(A) but not in Bad(A').
+
+        Bad is the least solution of Bad(A) = union over the letters s that
+        A reads of {a_s} union image(s, Bad(s.A)), found by a worklist over
+        the predecessors of each state, deepest states first.  A visit
+        takes one packed lookup of the images of Bad(t) under all letters,
+        as in :meth:`images`, and each predecessor a shift and a mask of it.
+        """
+        slices, nbytes, field = self._slices, self._nbytes, self._field
+        shifts = self._shifts
+        n, rank = len(masks), len(shifts)
+        readable = (1 << rank) - 1
+        bad = [~mask & readable for mask in masks]
+        work = list(range(n))
+        queued = bytearray(b"\x01") * n
+        while work:
+            t = work.pop()
+            queued[t] = 0
+            packed = 0
+            for part, b in zip(slices, bad[t].to_bytes(nbytes, "little")):
+                packed |= part[b]
+            for code in pred[start[t]:start[t + 1]]:
+                p, s = divmod(code, rank)
+                old = bad[p]
+                new = old | packed >> shifts[s] & field
+                if new != old:
+                    bad[p] = new
+                    if not queued[p]:
+                        queued[p] = 1
+                        work.append(p)
+        return bad
 
     @cached_property
     def _slices(self) -> list[list[int]]:

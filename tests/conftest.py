@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from coxauto import parse_coxeter_system, smallroots
-from coxauto.automata import Automaton, minimize
+from coxauto.automata import Automaton, minimize, nerode_classes
 from coxauto.elements import (Element, _mask_bits, generator, identity,
                               mult_left, weak_leq)
 from coxauto.errors import InternalInvariant
@@ -37,12 +37,36 @@ BLOCKING_RANK_THREE = ["~A2", "~C2", "~G2", "~C3", "H3", "triangle(2,3,7)",
 
 
 def assert_blocking_classes_match_hopcroft(auto):
-    # the same automaton with list payloads is refined by Hopcroft
+    # the same automaton with list payloads is refined by Hopcroft, and its
+    # classes renumbered by a BFS over them; the blocking sets number them
+    # by their first state
     copy = Automaton(auto.letter_labels, list(auto.payloads), auto.initial,
                      auto.delta, auto.kind)
     got, ref = minimize(auto), minimize(copy)
     assert got.delta == ref.delta
     assert got.state_map == ref.state_map
+    assert nerode_classes(auto) == nerode_classes(copy) == list(ref.state_map)
+
+
+def assert_numbered_by_first_state(classes):
+    # each class first appears after every class of a smaller number
+    found = 0
+    for c in classes:
+        assert 0 <= c <= found
+        found += c == found
+
+
+def assert_bfs_numbered(auto):
+    # a BFS from state 0, letters in order, finds the states in order
+    found = [0]
+    seen = {0}
+    for q in found:
+        for t in auto.delta[q]:
+            if t >= 0 and t not in seen:
+                seen.add(t)
+                found.append(t)
+    assert auto.initial == 0
+    assert found == list(range(auto.num_states))
 
 
 @st.composite

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import (BLOCKING_GROUPS, BLOCKING_RANK_THREE,
                       DIFFERENTIAL_GROUPS, accepted_words,
+                      assert_bfs_numbered,
                       assert_blocking_classes_match_hopcroft,
+                      assert_numbered_by_first_state,
                       byte_slice_shadow_automaton, canonical_witnesses,
                       per_bit_canonical_automaton, projection_state_map,
                       shortest_words)
@@ -17,7 +19,8 @@ from coxauto import automata, garside, parse_coxeter_system, smallroots
 from coxauto.automata import (Automaton, MorphismVerdict,
                               build_canonical_automaton,
                               build_shadow_automaton, check_morphism,
-                              isomorphic, minimize, restrict_letters)
+                              isomorphic, minimize, nerode_classes,
+                              restrict_letters)
 from coxauto.elements import _mask_bits, from_word, reduced_words
 from coxauto.errors import BudgetExceeded, InternalInvariant, ShadowViolation
 from coxauto.garside import (Shadow, garside_closure, intersect_parabolic,
@@ -284,6 +287,7 @@ def _assert_minimal_form(auto):
     ref = _moore_minimize(auto)
     assert got.delta == ref.delta
     assert got.state_map == ref.state_map
+    assert nerode_classes(auto) == list(ref.state_map)
     assert isomorphic(minimize(got), got)
     assert got.counts_by_length(8) == auto.counts_by_length(8)
 
@@ -314,6 +318,22 @@ def test_minimize_matches_moore_reference_on_groups(group, kind):
 def test_blocking_classes_match_hopcroft(name, level):
     auto, _ = build_canonical_automaton(parse_coxeter_system(name), level)
     assert_blocking_classes_match_hopcroft(auto)
+
+
+# ~C4 and ~B4 pass the state budget at level 2
+@pytest.mark.parametrize("name, level", [
+    (name, level) for level in (0, 1, 2) for name in BLOCKING_GROUPS
+    if level < 2 or name not in ("~C4", "~B4")])
+def test_canonical_classes_are_numbered_by_first_state(name, level):
+    # A_n is trim and BFS-numbered, so numbering its classes by their first
+    # state gives the quotient's BFS numbering, with no renumbering pass
+    auto, _ = build_canonical_automaton(parse_coxeter_system(name), level)
+    classes = nerode_classes(auto)
+    minimal = minimize(auto)
+    assert classes == list(minimal.state_map)
+    assert_numbered_by_first_state(classes)
+    assert_bfs_numbered(auto)
+    assert_bfs_numbered(minimal)
 
 
 def test_minimize_reads_canonical_classes_without_refinement(monkeypatch,

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from coxauto.cli import main
+from coxauto import parse_coxeter_system
+from coxauto.cli import _elements, main
+from coxauto.elements import from_word
+from coxauto.garside import garside_closure
 
 
 def test_automaton_stats_matches_table(capsys):
@@ -61,6 +64,34 @@ def test_table_rows_of_rank_five(capsys, group, row):
     assert lines[1] == row
 
 
+# The JSON of the ~D5 stretch: 9^5 canonical states, 58965 Nerode classes.
+D5_CONJ2 = """{
+  "conjecture": "conj2",
+  "group": "~D5",
+  "numbers": {
+    "a0": 59049,
+    "a_min": 58965,
+    "minimal": false,
+    "sigma": 40,
+    "sigma_eq_sph": false
+  },
+  "reason": "",
+  "verdict": "holds",
+  "witnesses": [
+    [
+      "12456",
+      "312456"
+    ]
+  ]
+}
+"""
+
+
+def test_conjecture_two_on_d5(capsys):
+    assert main(["check", "--group", "~D5", "--conjecture", "2"]) == 0
+    assert capsys.readouterr().out == D5_CONJ2
+
+
 @pytest.mark.slow
 def test_table_row_of_d5(capsys):
     # the rank-5 row: a0 = 9^5, and a shadow automaton as small as a_min
@@ -95,6 +126,17 @@ def test_shadow_and_verify(capsys):
     assert main(["shadow", "--group", "I2(inf)", "--verify", "e,1"]) == 0
     out = capsys.readouterr().out
     assert "verdict: not-shadow" in out
+
+
+def test_verify_parses_words_as_from_word():
+    # shared prefixes are multiplied once; the elements are those of
+    # from_word, also for repeated, unsorted and unreduced words
+    sys = parse_coxeter_system("~B3")
+    words = [sys.word_from_string(w) for w in garside_closure(sys).words()]
+    words = words[::-1] + [(), (0, 0, 1), (2, 1, 2, 1), words[7]]
+    got = _elements(sys, words)
+    assert [(w.word, w.inv) for w in got] == [
+        (w.word, w.inv) for w in (from_word(sys, word) for word in words)]
 
 
 def test_low_listing(capsys):

@@ -109,6 +109,19 @@ def test_conjecture_two_witness_matches_reference(name):
         auto, minimize(auto), sys)
 
 
+def test_class_counts_build_no_quotient(monkeypatch, aff_c2):
+    # conj2 and stats_row count a_min and find merged states off the
+    # Nerode classes of A_0
+    def refuse(auto):
+        raise AssertionError("a quotient automaton was built")
+
+    monkeypatch.setattr(conjectures, "minimize", refuse)
+    report = check_conjecture(aff_c2, "conj2")
+    assert report.numbers["a_min"] == 24
+    assert report.witnesses == (("13", "213"),)
+    assert stats_row(aff_c2).minimal_states == 24
+
+
 def test_spherical_hypothesis_forces_minimality():
     # the proven implication: sigma = spherical part => canonical is minimal
     for name in ("A3", "B3", "~A2", "~A3", "triangle(inf,2,inf)"):

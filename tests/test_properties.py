@@ -21,7 +21,7 @@ from conftest import (BLOCKING_GROUPS, assert_blocking_classes_match_hopcroft,
 from coxauto import parse_coxeter_system
 from coxauto.automata import (build_canonical_automaton,
                               build_shadow_automaton, minimize)
-from coxauto.conjectures import Verdict, check_conjecture
+from coxauto.conjectures import Verdict, check_conjecture, stats_row
 from coxauto.elements import (from_word, mult_left, mult_right,
                               reduced_word_counts)
 from coxauto.garside import garside_closure
@@ -71,6 +71,23 @@ def test_conjecture_two_proven_direction(sys):
         auto, _ = build_canonical_automaton(sys, 0)
         assert report.witnesses == reference_merged_state_witness(
             auto, minimize(auto), sys)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems())
+def test_class_counts_match_minimize(sys):
+    # conj2 and stats_row count a_min off the Nerode classes; the quotient
+    # automaton has as many states (the conj2 witness is checked against
+    # the quotient above)
+    auto, _ = build_canonical_automaton(sys, 0)
+    minimal = minimize(auto)
+    report = check_conjecture(sys, "conj2")
+    assert report.numbers["a_min"] == minimal.num_states
+    assert report.numbers["minimal"] is (minimal.num_states
+                                         == auto.num_states)
+    row = stats_row(sys)
+    assert (row.canonical_states, row.minimal_states) == (
+        auto.num_states, minimal.num_states)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
