@@ -146,7 +146,8 @@ def _default_labels(sys: CoxeterSystem) -> tuple[str, ...]:
 # Builders
 
 def build_shadow_automaton(shadow: Shadow) -> Automaton:
-    """States are the shadow's elements; x goes via s to pi_B(s x).
+    """States are the shadow's elements (the payloads are the shadow); x
+    goes via s to pi_B(s x).
 
     A set that :func:`verify_shadow` refuses raises ``ShadowViolation``.
 
@@ -173,7 +174,7 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
             delta[pi[q]] = tuple(pi[t] if t >= 0 else -1 for t in row)
         canonical.delta[q] = ()  # freed as read: A_n and A_B are not both held
     return Automaton(letter_labels=canonical.letter_labels,
-                     payloads=list(shadow.elements), initial=shadow._pos[0],
+                     payloads=shadow, initial=shadow._pos[0],
                      delta=delta, kind="shadow")
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .automata import (Automaton, build_canonical_automaton,
-                       build_shadow_automaton, isomorphic, minimize,
-                       nerode_classes)
+                       build_shadow_automaton, nerode_classes)
 from .errors import InternalInvariant, InvalidGroupSpec
 from .garside import (check_generated_and_suffix_closed, garside_closure,
                       low_elements)
@@ -164,7 +163,8 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
                      group_name: str | None = None) -> ConjectureReport:
     """Evaluate one conjecture instance.
 
-    conj1: the smallest-shadow automaton is minimal.
+    conj1: the smallest-shadow automaton A_B is minimal: A_B is trim and
+    reads the words of A_0, so iff |Gar(S)| is the number of classes of A_0.
     conj2: the canonical automaton is minimal iff all small roots are
     spherical (the forward implication is a theorem; the report compares
     both sides).
@@ -172,20 +172,21 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
     closure is a theorem, so only S and e membership and suffix closure
     are tested, with the reasons and witnesses of ``verify_shadow``.
     dyho2(n): w -> Sigma_n(w) is a bijection from the n-low elements onto
-    the canonical automaton's states.
+    the canonical automaton's states; the search refuses a non-injective one.
     """
     name = group_name or sys.name or f"rank-{sys.rank}"
     if which == "conj1":
         shadow = garside_closure(sys)
-        auto = build_shadow_automaton(shadow)
-        minimal = minimize(auto)
-        numbers = {"a_shadow": auto.num_states, "a_min": minimal.num_states,
+        canonical, _ = build_canonical_automaton(sys, 0)
+        a_min = max(nerode_classes(canonical)) + 1
+        numbers = {"a_shadow": len(shadow), "a_min": a_min,
                    "shadow_size": len(shadow)}
-        if isomorphic(auto, minimal):
+        if a_min == len(shadow):
             return ConjectureReport(name, which, Verdict.HOLDS, numbers)
+        auto = build_shadow_automaton(shadow)
         return ConjectureReport(
             name, which, Verdict.FAILS, numbers,
-            witnesses=_merged_state_witness(auto, minimal.state_map, sys))
+            witnesses=_merged_state_witness(auto, nerode_classes(auto), sys))
     if which == "conj2":
         table = build_small_roots(sys, 0)
         _, sigma_eq_sph = spherical_analysis(table)
@@ -212,13 +213,8 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
     if which == "dyho2":
         low = low_elements(sys, level)
         auto, _ = build_canonical_automaton(sys, level)
-        table = build_small_roots(sys, level)
-        images = {table.small_part(w.inv) for w in low}
-        if len(images) != len(low):
-            raise InternalInvariant(
-                "small inversion sets are not injective on low elements")
         numbers = {"n": level, "low_size": len(low), "lambda": auto.num_states}
-        if len(images) == auto.num_states:
+        if len(low) == auto.num_states:
             return ConjectureReport(name, which, Verdict.HOLDS, numbers)
         return ConjectureReport(name, which, Verdict.FAILS, numbers)
     raise InvalidGroupSpec(f"unknown conjecture {which!r}")

@@ -27,10 +27,9 @@ e membership and suffix closure (:func:`check_generated_and_suffix_closed`,
 all that L_n needs).  A closure and an L_n carry the verdict SHADOW.
 
 An element is n-low iff its right-descent roots N^1 are n-small, so the
-n-low elements are found by a breadth-first search that carries N^1 and
-Sigma_n of each element as node masks of the table of n-small roots:
-lowness of a candidate is one AND, and only the elements found are
-multiplied out.
+n-low elements are found by a breadth-first search that keeps a word and
+the masks N^1 and Sigma_n of each element: lowness of a candidate is one
+AND, and an element is built only when it is read.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress, count
 from typing import Iterable
 
 from .elements import (Element, _mask_bits, coset_split, from_word, generator,
@@ -49,9 +48,9 @@ from .smallroots import SmallRootTable, affine_structure, build_small_roots
 from .system import CoxeterSystem
 
 # Elements of low_elements, so of every L_n universe and every closure, and
-# states of build_canonical_automaton.  ~F4 L_1, stopped here, peaks at 117 MB
-# RSS for its low elements (0.50 kB each; ~D5 L_0: 0.55 kB) and 119 MB for its
-# A_1 (Python 3.11); a shadow automaton over L_n holds both (~B4 L_1: 84 MB).
+# states of build_canonical_automaton.  ~F4 L_1, stopped here, peaks at 115 MB
+# RSS for its low elements (0.50 kB each; ~D5 L_0: 0.56 kB) and 62 MB for its
+# A_1 (Python 3.11); a shadow automaton over L_n holds both (~B4 L_1: 79 MB).
 STATE_BUDGET = 200_000
 
 
@@ -62,6 +61,10 @@ class Shadow:
     n-small roots.  It is set once: to n for L_n, and otherwise to the
     smallest such n, which a closure and a verified set record and any
     other set finds through :func:`smallest_low_universe` on first use.
+
+    A set from :func:`low_elements`, or a closure read off one, holds the
+    words and Sigma_n of its members, is keyed by Sigma_n, and builds
+    ``elements`` on first read, by one ``mult_left`` each on its parent.
     """
 
     def __init__(self, system: CoxeterSystem, elements: Iterable[Element],
@@ -72,9 +75,11 @@ class Shadow:
                 raise ValueError("element from a different system")
             dedup.setdefault(el.inv, el)
         self.system = system
-        self.elements: tuple[Element, ...] = tuple(
+        self._elements: tuple[Element, ...] | None = tuple(
             sorted(dedup.values(), key=lambda e: (e.length, e.word)))
-        self._pos = {el.inv: i for i, el in enumerate(self.elements)}
+        self._words = [el.word for el in self._elements]
+        self._by_small = False  # whether _pos is keyed by Sigma_n, not N(w)
+        self._pos = {el.inv: i for i, el in enumerate(self._elements)}
         self.provenance = provenance
         self.level = level
         # Sigma_n of each element and the columns; see _root_index
@@ -88,14 +93,53 @@ class Shadow:
         # SHADOW for a closure or an L_n; returned by verify_shadow
         self.verdict: ShadowVerdict | None = None
 
+    @classmethod
+    def _of_words(cls, system: CoxeterSystem, words: list[tuple[int, ...]],
+                  small: list[int], provenance: str, level: int) -> Shadow:
+        """A suffix-closed subset of L_n from the words and Sigma_n masks of
+        its members, in (length, word) order."""
+        shadow = cls(system, (), provenance, level)
+        shadow._elements, shadow._words, shadow._small = None, words, small
+        shadow._by_small, shadow._pos = True, dict(zip(small, count()))
+        if len(shadow._pos) != len(small):
+            raise InternalInvariant(
+                "small inversion sets are not injective on low elements")
+        return shadow
+
+    @property
+    def elements(self) -> tuple[Element, ...]:
+        if self._elements is None:
+            built = {(): identity(self.system)}
+            for word in self._words[1:]:
+                built[word] = mult_left(word[0], built[word[1:]])
+            self._elements = tuple(built.values())
+        return self._elements
+
+    def _element(self, i: int) -> Element:
+        """Element i, built from its word alone while ``elements`` is not."""
+        if self._elements is None:
+            return from_word(self.system, self._words[i])
+        return self._elements[i]
+
+    def _index(self, el: Element) -> int | None:
+        """The position of el, or None.  Keyed by Sigma_n, el is a member iff
+        a member m of its length has Sigma_n(el): N(m), the positive roots in
+        the cone over Sigma_n(m), lies inside N(el), so m <= el and m = el."""
+        i = self._pos.get(self._small_table().small_part(el.inv)
+                          if self._by_small else el.inv)
+        return None if i is None or len(self._words[i]) != el.length else i
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._words)
 
     def __iter__(self):
         return iter(self.elements)
 
+    def __getitem__(self, i: int) -> Element:
+        return self.elements[i]
+
     def __contains__(self, el: Element) -> bool:
-        return el.inv in self._pos
+        return self._index(el) is not None
 
     def _small_table(self) -> SmallRootTable:
         """The n-small roots for n the shadow's level, found if unknown."""
@@ -118,7 +162,7 @@ class Shadow:
             if self._small is None:
                 self._small = [table.small_part(el.inv)
                                for el in self.elements]
-            size = (len(self.elements) + 7) >> 3
+            size = (len(self._words) + 7) >> 3
             rows = [bytearray(size) for _ in range(len(table))]
             for i, mask in enumerate(self._small):
                 byte, bit = i >> 3, 1 << (i & 7)
@@ -140,13 +184,13 @@ class Shadow:
         for nid, column in enumerate(self._root_index()[0]):
             if not small >> nid & 1:
                 outside |= column
-        return ((1 << len(self.elements)) - 1) & ~outside
+        return ((1 << len(self._words)) - 1) & ~outside
 
     def words(self) -> list[str]:
-        return [str(el) for el in self.elements]
+        return list(map(self.system.word_to_string, self._words))
 
     def __repr__(self) -> str:
-        return f"Shadow({self.provenance}, {len(self.elements)} elements)"
+        return f"Shadow({self.provenance}, {len(self)} elements)"
 
 
 def low_universe(sys: CoxeterSystem, level: int = 0) -> Shadow:
@@ -191,17 +235,18 @@ def join(u: Element, v: Element) -> Element | None:
     """The join of u and v in right weak order, or None when there is none.
 
     Decided exactly in the smallest L_n holding both, whose elements above
-    them are the AND of the columns of Sigma_n(u) | Sigma_n(v).
+    them are the AND of the columns of Sigma_n(u) | Sigma_n(v); only the
+    join is built.
     """
     universe = smallest_low_universe(u.system, (u, v))
     columns, small = universe._root_index()
     common = (1 << len(universe)) - 1
-    for nid in _mask_bits(small[universe._pos[u.inv]]
-                          | small[universe._pos[v.inv]]):
+    for nid in _mask_bits(small[universe._index(u)]
+                          | small[universe._index(v)]):
         common &= columns[nid]
     if not common:
         return None
-    return universe.elements[(common & -common).bit_length() - 1]
+    return universe._element((common & -common).bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +268,12 @@ def project(shadow: Shadow, w: Element) -> Element:
     if not prefixes:
         raise ShadowViolation("shadow contains no prefix of the element")
     top = prefixes.bit_length() - 1
-    best = shadow.elements[top]
     rest = prefixes ^ (1 << top)
-    if rest and shadow.elements[rest.bit_length() - 1].length == best.length:
+    words = shadow._words
+    if rest and len(words[rest.bit_length() - 1]) == len(words[top]):
         raise ShadowViolation(
             f"projection of {w} is not unique; the set is not join-closed")
-    return best
+    return shadow._element(top)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +299,7 @@ def check_generated_and_suffix_closed(shadow: Shadow) -> ShadowVerdict | None:
 
     None when the set holds S and e and is closed under suffixes.  In a set
     from :func:`low_elements`, only an element that recorded fewer suffixes
-    than it has left descents (the low ``rank`` bits of Sigma_n) is multiplied.
+    than it has left descents (the low ``rank`` bits of Sigma_n) is built.
     """
     sys = shadow.system
     for s in range(sys.rank):
@@ -263,18 +308,20 @@ def check_generated_and_suffix_closed(shadow: Shadow) -> ShadowVerdict | None:
                                  reason=f"missing generator {s + 1}")
     if identity(sys) not in shadow:
         return ShadowVerdict(VerdictStatus.NOT_SHADOW, reason="missing identity")
-    suspects = shadow.elements
+    suspects: Iterable[int] = range(len(shadow))
     if shadow._suffixes is not None:
         offsets, _ = shadow._suffixes
-        suspects = (b for b, small, lo, hi in zip(
-            shadow.elements, shadow._small, offsets, offsets[1:])
-            if hi - lo != (small & (1 << sys.rank) - 1).bit_count())
-    for b in suspects:
+        suspects = compress(suspects, (
+            hi - lo != (small & (1 << sys.rank) - 1).bit_count()
+            for small, lo, hi in zip(shadow._small, offsets, offsets[1:])))
+    for i in suspects:
+        b = shadow._element(i)
         for s in b.descents_left:
-            if mult_left(s, b) not in shadow:
+            suffix = mult_left(s, b)
+            if suffix not in shadow:
                 return ShadowVerdict(
                     VerdictStatus.NOT_SHADOW, reason="not closed under suffixes",
-                    witness=(str(b), str(mult_left(s, b))))
+                    witness=(str(b), str(suffix)))
     return None
 
 
@@ -295,7 +342,7 @@ def verify_shadow(shadow: Shadow) -> ShadowVerdict:
     if shadow.level is None:
         shadow.level = universe.level
     small = universe._root_index()[1]
-    inside = {universe._pos[el.inv] for el in shadow}
+    inside = {universe._index(el) for el in shadow}
     members = covered = 0
     for i in inside:
         members |= 1 << i
@@ -306,7 +353,7 @@ def verify_shadow(shadow: Shadow) -> ShadowVerdict:
             continue
         u = identity(shadow.system)  # the first member below x
         for i in _mask_bits(members & universe._below(small[x])):
-            v = universe.elements[i]
+            v = universe._element(i)
             joined = join(u, v)
             if joined not in shadow:
                 return ShadowVerdict(
@@ -343,16 +390,16 @@ def garside_closure(sys: CoxeterSystem,
 
     The closure lies in U, the smallest L_n holding the seeds, a finite
     Garside shadow, and is read off U by :func:`_close_in_universe` with no
-    join decisions.  The members keep their small parts from U.
+    join decisions.  The members keep U's order, words and small parts.
     """
     start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
              *seeds]
     universe = smallest_low_universe(sys, start)
     inside = _close_in_universe(universe, start)
-    closure = Shadow(sys, compress(universe.elements, inside),
-                     provenance="closure-of-S", level=universe.level)
-    # the members keep the universe's order
-    closure._small = list(compress(universe._root_index()[1], inside))
+    closure = Shadow._of_words(
+        sys, list(compress(universe._words, inside)),
+        list(compress(universe._small, inside)), provenance="closure-of-S",
+        level=universe.level)
     closure.verdict = ShadowVerdict(VerdictStatus.SHADOW)
     return closure
 
@@ -380,7 +427,7 @@ def _close_in_universe(universe: Shadow,
         covered |= small[i]
         todo.append(i)
 
-    for i in {universe._pos[el.inv] for el in seeds}:
+    for i in {universe._index(el) for el in seeds}:
         admit(i)
     joined = -1  # the member count after the last join pass
     while True:
@@ -448,13 +495,19 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
     N(sw) = N(w) union {a_s}.  a_s is n-small and only a_s is sent negative
     by s, so sw is n-low iff no node of N^1(w) leaves the table under s:
     one AND with ``table.exits[s]``.  Sigma_n(sw) is {a_s} union
-    (s(Sigma_n(w)) restricted to the table) (Brink & Howlett 1993).  One
-    call of :meth:`SmallRootTable.images` gives the images of Sigma_n(w)
-    under all letters, and :meth:`SmallRootTable.image` that of N^1(w)
-    under s for each new sw.  Sigma_n determines an n-low element, so
-    the low candidates of one round, which meet only within that round, are
-    keyed by it.  Only the elements found are multiplied out, |L_n| - 1
-    calls of ``mult_left``, and each keeps the word it was first found by.
+    (s(Sigma_n(w)) restricted to the table) (Brink & Howlett 1993): one
+    call of :meth:`SmallRootTable.images` gives it for all s, and one more
+    gives s(N^1(w)) for all s once some sw is new.
+
+    For a low sw, sw = wt iff s maps Sigma_n(w) onto itself, so no element
+    is multiplied out.  If sw = wt, Sigma_n(sw) is Sigma_n(w) union {a_s},
+    and a_s lies in neither Sigma_n(w) nor its image.  Conversely, if the
+    image is Sigma_n(w), then, sw being low, N(sw) is the positive roots in
+    the cone over Sigma_n(w) union {a_s}; it holds a_s and N(w), the
+    positive roots in the cone over Sigma_n(w), and has one more root than
+    N(w).  Sigma_n determines an n-low element, so the low candidates of one
+    round, which meet only within that round, are keyed by it, and each
+    keeps the word (s,) + word(w) that it was first found by.
 
     Every low candidate s*w records w as the suffix of s*w by s.  Each left
     descent s of an x in L_n has s*x in L_n (by theorem for n = 0; checked by
@@ -466,60 +519,56 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
     """
     check_state_budget(sys, level)
     table = build_small_roots(sys, level)
-    exits = table.exits
-    found = [identity(sys)]  # in the order found
+    exits, images = table.exits, table.images
+    words: list[tuple[int, ...]] = [()]  # in the order found
     sigma, n1s = [0], [0]  # Sigma_n and N^1 of each
-    # edge k: found[longer[k]] = s * found[shorter[k]], s a left descent
+    # edge k: element longer[k] is s times element shorter[k], s a left descent
     longer, shorter = array("l"), array("l")
-    frontier = [0]  # indices in found
+    order = [0]  # the indices in (length, word) order
+    frontier = [0]
     while frontier:
         nxt = []
         by_sigma: dict[int, int] = {}  # this round's elements
         for i in frontier:
-            w, n1 = found[i], n1s[i]
-            for s, image in enumerate(table.images(sigma[i])):
+            w_sigma, n1 = sigma[i], n1s[i]
+            n1_images = None  # s(N^1(w)) for every s, once sw is new for one
+            for s, sw_image in enumerate(images(w_sigma)):
                 bit = 1 << s
-                if w.inv & bit or n1 & exits[s]:
+                if w_sigma & bit or n1 & exits[s]:
                     continue
-                sw_sigma = bit | image
+                sw_sigma = bit | sw_image
                 j = by_sigma.get(sw_sigma)
                 if j is None:
-                    if len(found) >= STATE_BUDGET:
+                    if len(words) >= STATE_BUDGET:
                         raise BudgetExceeded(
                             f"{level}-low elements outgrew the state budget "
                             f"of {STATE_BUDGET:,}")
-                    j = by_sigma[sw_sigma] = len(found)
-                    sw = mult_left(s, w)
-                    found.append(sw)
+                    j = by_sigma[sw_sigma] = len(words)
+                    words.append((s,) + words[i])
                     sigma.append(sw_sigma)
-                    sw_n1 = table.image(s, n1)
-                    if sw.inv == w.inv | bit:
-                        sw_n1 |= bit
-                    n1s.append(sw_n1)
+                    n1_images = n1_images or images(n1)
+                    n1s.append(n1_images[s] | bit * (sw_image == w_sigma))
                     nxt.append(j)
                 longer.append(j)
                 shorter.append(i)
+        order += sorted(nxt, key=words.__getitem__)
         frontier = nxt
-    low = Shadow(sys, found, provenance=f"low-{level}", level=level)
-    # the masks, and the suffix positions in CSR form, in the shadow's order
-    where = [low._pos[el.inv] for el in found]
-    small, n1_masks = [0] * len(found), [0] * len(found)
-    offsets = array("l", [0]) * (len(found) + 1)
-    for i, p in enumerate(where):
-        small[p] = sigma[i]
-        n1_masks[p] = n1s[i]
+    low = Shadow._of_words(sys, [words[i] for i in order],
+                           [sigma[i] for i in order],
+                           provenance=f"low-{level}", level=level)
+    low._n1 = [n1s[i] for i in order]
+    # the suffix positions in CSR form, by position
+    where = [low._pos[mask] for mask in sigma]
+    offsets = array("l", [0]) * (len(words) + 1)
     for j in longer:
         offsets[where[j] + 1] += 1
-    for p in range(len(found)):
-        offsets[p + 1] += offsets[p]
+    offsets = array("l", accumulate(offsets))
     fill = offsets[:-1]
     targets = array("l", [0]) * len(longer)
     for j, i in zip(longer, shorter):
         p = where[j]
         targets[fill[p]] = where[i]
         fill[p] += 1
-    low._small = small
-    low._n1 = n1_masks
     low._suffixes = (offsets, targets)
     return low
 

@@ -414,7 +414,7 @@ def pairwise_closure(sys: CoxeterSystem, seeds=()):
         x = order[len(ups)]
         for s in x.descents_left:
             add(mult_left(s, x))
-        up_x = up_set(universe, universe._pos[x.inv])
+        up_x = up_set(universe, universe._index(x))
         for up_y in ups:
             common = up_x & up_y
             if common:
@@ -431,7 +431,7 @@ def pairwise_verify_shadow(shadow: Shadow) -> ShadowVerdict:
         return failure
     universe = smallest_low_universe(shadow.system, shadow)
     els = shadow.elements
-    ups = [up_set(universe, universe._pos[el.inv]) for el in els]
+    ups = [up_set(universe, universe._index(el)) for el in els]
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
             common = ups[i] & ups[j]
@@ -471,7 +471,7 @@ def lowest_bit_closure_in_universe(universe: Shadow, seeds) -> bytearray:
                     grew = True
         return grew
 
-    todo = sorted({universe._pos[el.inv] for el in seeds})
+    todo = sorted({universe._index(el) for el in seeds})
     for i in todo:
         admit(i)
     admit_suffixes(todo)
@@ -646,6 +646,71 @@ def reference_merged_state_witness(auto: Automaton, minimized: Automaton,
             return (tuple(sys.word_to_string(w) for w in pair),)
         seen[cls] = q
     return ()
+
+
+# ---------------------------------------------------------------------------
+# The n-low elements by the search that multiplies out every element found:
+# the reference that garside.low_elements, which keeps words and masks and
+# reads N^1 off the images of Sigma_n, is checked against.
+
+def reference_low_search(sys: CoxeterSystem, level: int):
+    """The words of L_n in (length, word) order, with the Sigma_n and N^1
+    masks and the suffix positions in CSR form that garside.low_elements
+    records.  sw = wt is read off the inversion sets: N(sw) = N(w) | a_s."""
+    table = build_small_roots(sys, level)
+    found = [identity(sys)]
+    sigma, n1s = [0], [0]
+    edges = []  # (longer, shorter): found[longer] = s * found[shorter]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        by_sigma: dict[int, int] = {}
+        for i in frontier:
+            w, n1 = found[i], n1s[i]
+            for s, image in enumerate(table.images(sigma[i])):
+                bit = 1 << s
+                if w.inv & bit or n1 & table.exits[s]:
+                    continue
+                j = by_sigma.get(bit | image)
+                if j is None:
+                    j = by_sigma[bit | image] = len(found)
+                    sw = mult_left(s, w)
+                    found.append(sw)
+                    sigma.append(bit | image)
+                    n1s.append(table.image(s, n1)
+                               | (bit if sw.inv == w.inv | bit else 0))
+                    nxt.append(j)
+                edges.append((j, i))
+        frontier = nxt
+    order = sorted(range(len(found)),
+                   key=lambda i: (found[i].length, found[i].word))
+    where = {i: p for p, i in enumerate(order)}
+    suffixes = [[] for _ in order]
+    for j, i in edges:
+        suffixes[where[j]].append(where[i])
+    offsets = array("l", itertools.accumulate(map(len, suffixes), initial=0))
+    targets = array("l", itertools.chain.from_iterable(suffixes))
+    return ([found[i].word for i in order], [sigma[i] for i in order],
+            [n1s[i] for i in order], (offsets, targets))
+
+
+@pytest.fixture
+def mult_left_calls(monkeypatch):
+    """The letters of every ``mult_left`` call that a coxauto module makes,
+    in a list that the test reads."""
+    import sys as interpreter
+    from coxauto import elements
+    real, calls = elements.mult_left, []
+
+    def counting(s, w):
+        calls.append(s)
+        return real(s, w)
+
+    for name, module in list(interpreter.modules.items()):
+        if (name.partition(".")[0] == "coxauto"
+                and getattr(module, "mult_left", None) is real):
+            monkeypatch.setattr(module, "mult_left", counting)
+    return calls
 
 
 def low_without(low: Shadow, victim: Element) -> Shadow:

@@ -64,6 +64,35 @@ def test_table_rows_of_rank_five(capsys, group, row):
     assert lines[1] == row
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("group, row", [
+    ("~C5", "~C5,161051,139457,139457,50,40,True"),
+    ("~B5", "~B5,161051,137147,137147,50,40,True"),
+])
+def test_table_rows_of_rank_six(capsys, group, row):
+    # a0 = (h+1)^r = 11^5, under the state budget; a_shadow = a_min
+    assert main(["table", "--groups", group]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1] == row
+
+
+def test_table_low_and_shadow_multiply_nothing(capsys, mult_left_calls):
+    # stats_row, L_n and the closure of S read masks; words are printed
+    # from the recorded words, and a shadow automaton's payloads, its
+    # elements, are built only when read
+    assert main(["table", "--groups", "~C3,~G2"]) == 0
+    for argv in (["low", "--group", "~G2", "--n", "1"],
+                 ["low", "--group", "triangle(4,4,4)"],
+                 ["shadow", "--group", "~C3"],
+                 ["automaton", "--group", "~G2", "--kind", "shadow:low",
+                  "--n", "1", "--stats"]):
+        assert main(argv) == 0
+    assert mult_left_calls == []
+    out = capsys.readouterr().out
+    assert "# 1-low elements of ~G2: 169\n" in out
+    assert "# smallest Garside shadow of ~C3: 317 elements\n" in out
+
+
 # The JSON of the ~D5 stretch: 9^5 canonical states, 58965 Nerode classes.
 D5_CONJ2 = """{
   "conjecture": "conj2",

@@ -8,7 +8,7 @@ from conftest import low_without, reference_merged_state_witness
 from coxauto import parse_coxeter_system
 from coxauto.automata import (build_canonical_automaton,
                               build_shadow_automaton, minimize)
-from coxauto import conjectures
+from coxauto import automata, conjectures
 from coxauto.conjectures import (Verdict, check_conjecture, stats_csv,
                                  stats_row)
 from coxauto.elements import generator, mult_left
@@ -110,16 +110,40 @@ def test_conjecture_two_witness_matches_reference(name):
 
 
 def test_class_counts_build_no_quotient(monkeypatch, aff_c2):
-    # conj2 and stats_row count a_min and find merged states off the
-    # Nerode classes of A_0
+    # conj1, conj2 and stats_row count a_min and find merged states off the
+    # Nerode classes of A_0; conj1 builds A_B only when it fails
     def refuse(auto):
-        raise AssertionError("a quotient automaton was built")
+        raise AssertionError("a quotient or a shadow automaton was built")
 
-    monkeypatch.setattr(conjectures, "minimize", refuse)
+    monkeypatch.setattr(automata, "minimize", refuse)
+    monkeypatch.setattr(conjectures, "build_shadow_automaton", refuse)
     report = check_conjecture(aff_c2, "conj2")
     assert report.numbers["a_min"] == 24
     assert report.witnesses == (("13", "213"),)
     assert stats_row(aff_c2).minimal_states == 24
+    report = check_conjecture(aff_c2, "conj1")
+    assert report.verdict is Verdict.HOLDS
+    assert report.numbers == {"a_min": 24, "a_shadow": 24, "shadow_size": 24}
+
+
+@pytest.mark.parametrize("name", ["~C2", "~G2", "~C4"])
+def test_conjecture_one_failure_matches_quotient(monkeypatch, name):
+    # with L_0, which is larger than Gar(S) here, in place of the closure:
+    # A_B is A_0 with more states than classes, and the witness is that of
+    # the quotient of A_B
+    sys = parse_coxeter_system(name)
+    low = low_elements(sys, 0)
+    monkeypatch.setattr(conjectures, "garside_closure", lambda sys: low)
+    report = check_conjecture(sys, "conj1")
+    auto = build_shadow_automaton(low)
+    minimal = minimize(auto)
+    assert report.verdict is Verdict.FAILS
+    assert report.numbers == {"a_min": minimal.num_states,
+                              "a_shadow": auto.num_states,
+                              "shadow_size": len(low)}
+    assert minimal.num_states < len(low)
+    assert report.witnesses == reference_merged_state_witness(auto, minimal,
+                                                              sys)
 
 
 def test_spherical_hypothesis_forces_minimality():

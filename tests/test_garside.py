@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import (FullColumnIndex, ball, cone_member, coxeter_systems,
                       lowest_bit_closure_in_universe, pairwise_closure,
-                      pairwise_verify_shadow, search_join, up_set)
+                      pairwise_verify_shadow, reference_low_search,
+                      search_join, up_set)
 from coxauto import garside, parse_coxeter_system
 from coxauto.automata import build_shadow_automaton
 from coxauto.elements import (_mask_bits, from_word, generator, identity,
@@ -364,7 +365,7 @@ def _assert_first_join_witness(shadow, witness):
     u, v, w = (by_name[name] for name in witness)
     assert u in shadow and v in shadow and w not in shadow
     assert join(u, v) == w
-    ups = [up_set(universe, universe._pos[el.inv]) for el in shadow]
+    ups = [up_set(universe, universe._index(el)) for el in shadow]
     outside = []
     for up_a, up_b in itertools.combinations(ups, 2):
         common = up_a & up_b
@@ -372,7 +373,7 @@ def _assert_first_join_witness(shadow, witness):
             j = (common & -common).bit_length() - 1
             if universe.elements[j] not in shadow:
                 outside.append(j)
-    assert universe._pos[w.inv] == min(outside)
+    assert universe._index(w) == min(outside)
 
 
 def _assert_verdict_matches_pairwise(shadow):
@@ -521,7 +522,7 @@ def _assert_search_data_matches(sys, level):
     for i, x in enumerate(low):
         suffixes = [mult_left(s, x) for s in x.descents_left]
         assert sorted(targets[offsets[i]:offsets[i + 1]]) == sorted(
-            low._pos[el.inv] for el in suffixes if el in low)
+            low._index(el) for el in suffixes if el in low)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -531,28 +532,70 @@ def test_low_elements_record_small_parts_and_suffixes(sys):
     _assert_search_data_matches(sys, 1)
 
 
+def _assert_search_matches_reference(sys, level):
+    """The same words in the same order, the same Sigma_n and N^1 masks and
+    the same suffix positions as the search that multiplies out every
+    element; the elements built along the parents have those words."""
+    low = low_elements(sys, level)
+    words, small, n1, suffixes = reference_low_search(sys, level)
+    assert low._words == words
+    assert (low._small, low._n1, low._suffixes) == (small, n1, suffixes)
+    assert low._element(len(low) - 1).word == words[-1]
+    assert [el.word for el in low.elements] == words
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("spec", [
+    "A1", "A3", "B4", "D4", "F4", "H3", "I2(inf)", "~A2", "~A3", "~B3",
+    "~C2", "~C3", "~D4", "~G2", "triangle(2,3,7)", "triangle(3,3,4)",
+    "triangle(4,4,4)", "triangle(3,3,inf)", "triangle(inf,2,inf)"])
+def test_low_elements_match_reference_search_on_presets(spec, level):
+    _assert_search_matches_reference(parse_coxeter_system(spec), level)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems())
+def test_low_elements_match_reference_search(sys):
+    _assert_search_matches_reference(sys, 0)
+    _assert_search_matches_reference(sys, 1)
+
+
 @pytest.mark.parametrize("spec", ["~C3", "triangle(4,4,4)"])
-def test_mult_left_only_for_found_low_elements(monkeypatch, spec):
-    # the search multiplies out each element it finds once, and a closure
-    # in a universe with recorded suffixes multiplies nothing
+def test_low_elements_and_closures_multiply_nothing(mult_left_calls, spec):
+    # the search keeps words and masks, and a closure in a universe with
+    # recorded suffixes reads them; only reading an element builds it
     sys = parse_coxeter_system(spec)
-    calls = []
-    real = garside.mult_left
-
-    def counting(s, w):
-        calls.append(s)
-        return real(s, w)
-
-    monkeypatch.setattr(garside, "mult_left", counting)
     for level in (0, 1):
-        calls.clear()
-        assert len(low_elements(sys, level)) - 1 == len(calls)
+        low_elements(sys, level)
     low0, low1 = low_universe(sys, 0), low_universe(sys, 1)
-    seed = next(el for el in low1 if el not in low0)
-    calls.clear()
     assert garside_closure(sys).level == 0
+    assert mult_left_calls == []
+    seed = low1._element(len(low1) - 1)
+    assert seed not in low0
     assert garside_closure(sys, seeds=[seed]).level == 1
-    assert calls == []
+    assert mult_left_calls == []
+
+
+@pytest.mark.parametrize("spec, level, radius", [
+    ("~A2", 0, 6), ("~C2", 0, 6), ("~G2", 0, 8), ("~C2", 1, 10),
+    ("~G2", 1, 14), ("triangle(2,3,7)", 0, 7), ("triangle(4,4,4)", 1, 6)])
+def test_membership_reads_the_length(spec, level, radius):
+    # a non-member w with the Sigma_n of its projection, a member, is not
+    # in L_n: membership by Sigma_n alone would take it for the projection
+    sys = parse_coxeter_system(spec)
+    low = low_universe(sys, level)
+    table = build_small_roots(sys, level)
+    invs = {el.inv for el in low}
+    outside = 0
+    for w in ball(sys, radius):
+        if w.inv in invs:
+            assert w in low and low._element(low._index(w)) == w
+            continue
+        assert table.small_part(w.inv) == table.small_part(
+            project(low, w).inv)
+        assert w not in low
+        outside += 1
+    assert outside
 
 
 def test_closure_needs_recorded_suffixes(aff_c2):
@@ -621,20 +664,11 @@ def test_low_universe_checks_suffix_closure(low_elements_without_a_suffix):
 
 
 def test_low_universe_reads_suffix_closure_off_recorded_suffixes(
-        monkeypatch):
-    # the search multiplies out each element but the identity once, and the
-    # suffix check multiplies nothing
-    calls = []
-    real = garside.mult_left
-
-    def counting(s, w):
-        calls.append(s)
-        return real(s, w)
-
-    monkeypatch.setattr(garside, "mult_left", counting)
+        mult_left_calls):
+    # neither the search nor the suffix check multiplies anything
     low = low_universe(parse_coxeter_system("~C3"), 1)
     assert len(low) == 2197
-    assert len(calls) == len(low) - 1
+    assert mult_left_calls == []
 
 
 @pytest.mark.parametrize("group", ["a2", "i2inf", "aff_a2", "aff_c2",

@@ -174,7 +174,7 @@ def test_image_slices_give_small_part_of_ascent(name, level):
     for i, x in enumerate(low):
         assert small[i] == table.small_part(x.inv)
         suffixes = sorted(targets[offsets[i]:offsets[i + 1]])
-        assert suffixes == sorted(low._pos[mult_left(s, x).inv]
+        assert suffixes == sorted(low._index(mult_left(s, x))
                                   for s in x.descents_left)
         images = table.images(small[i])
         for s in range(sys.rank):
