@@ -153,15 +153,21 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
 
     A_B is the canonical automaton A_n, n the shadow's level, with each
     state Sigma_n(w) sent to pi_B(w), which depends only on Sigma_n(w) as B
-    lies in L_n (see :func:`garside.project`): the member with that mask,
-    or else the highest set bit of the shadow's ``_below`` on it.
+    lies in L_n (see :func:`garside.project`): pi_B of the element of L_n
+    with that mask, read off one pass over the lower covers of L_n
+    (:func:`garside._projections`).  A mask of no element of L_n, which
+    the dyho2 conjecture rules out, is sent to the highest set bit of the
+    shadow's ``_below`` on it.
     """
     verdict = verify_shadow(shadow)
     if verdict.status is VerdictStatus.NOT_SHADOW:
         raise ShadowViolation(f"not a Garside shadow: {verdict.reason}")
-    _, small = shadow._root_index()
-    canonical, masks = build_canonical_automaton(shadow.system, shadow.level)
+    small = shadow._small_parts()
     member = {mask: i for i, mask in enumerate(small)}
+    universe = garside.low_universe(shadow.system, shadow.level)
+    projections = garside._projections(universe, member)
+    where = universe._pos
+    canonical, masks = build_canonical_automaton(shadow.system, shadow.level)
     pi = [member.get(mask, -1) for mask in masks]  # -1 until it is needed
     if len(pi) - pi.count(-1) < len(small):
         raise InternalInvariant("a shadow element has no canonical state")
@@ -170,7 +176,9 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
         if pi[q] >= 0 and small[pi[q]] == masks[q]:  # q is a member's state
             for t in row:
                 if t >= 0 and pi[t] < 0:
-                    pi[t] = shadow._below(masks[t]).bit_length() - 1
+                    x = where.get(masks[t])
+                    pi[t] = (shadow._below(masks[t]).bit_length() - 1
+                             if x is None else projections[x])
             delta[pi[q]] = tuple(pi[t] if t >= 0 else -1 for t in row)
         canonical.delta[q] = ()  # freed as read: A_n and A_B are not both held
     return Automaton(letter_labels=canonical.letter_labels,

@@ -21,10 +21,14 @@ holding both inputs, exactly and with no length cap.  L_0 is closed under
 suffixes too; for n > 0 that is the dyho1 conjecture, which
 :func:`low_universe` checks before L_n is used.
 
-Join closure is decided one way, by :func:`_is_join_of_members`: the
-closure of X admits x by it, and :func:`verify_shadow` runs it after S and
-e membership and suffix closure (:func:`check_generated_and_suffix_closed`,
-all that L_n needs).  A closure and an L_n carry the verdict SHADOW.
+Join closure is decided one way, by :func:`_join_pass`, one pass over
+L_n in (length, word) order that reads the lower covers of each element
+(:func:`_lower_covers`, one lookup of a Sigma_n mask each) and no
+column: the closure of X admits the x it yields, and :func:`verify_shadow`
+runs it after S and e membership and suffix closure
+(:func:`check_generated_and_suffix_closed`, all that L_n needs).  The
+shadow automaton reads its projections off the same lower covers
+(:func:`_projections`).  A closure and an L_n carry the verdict SHADOW.
 
 An element is n-low iff its right-descent roots N^1 are n-small, so the
 n-low elements are found by a breadth-first search that keeps a word and
@@ -38,7 +42,7 @@ import enum
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .elements import (Element, _mask_bits, coset_split, from_word, generator,
                        identity, mult_left, support)
@@ -82,7 +86,8 @@ class Shadow:
         self._pos = {el.inv: i for i, el in enumerate(self._elements)}
         self.provenance = provenance
         self.level = level
-        # Sigma_n of each element and the columns; see _root_index
+        # Sigma_n of each element and the columns; see _small_parts and
+        # _root_index
         self._small: list[int] | None = None
         self._columns: list[int] | None = None
         self._n1: list[int] | None = None  # N^1 of each, from low_elements
@@ -147,29 +152,36 @@ class Shadow:
             self.level = smallest_low_universe(self.system, self).level
         return build_small_roots(self.system, self.level)
 
+    def _small_parts(self) -> list[int]:
+        """The node mask Sigma_n(x) of each element x.
+
+        :func:`low_elements` supplies them from its search, and
+        :func:`garside_closure` from its universe; any other set reads them
+        off the inversion sets, on first use.
+        """
+        if self._small is None:
+            table = self._small_table()
+            self._small = [table.small_part(el.inv) for el in self.elements]
+        return self._small
+
     def _root_index(self) -> tuple[list[int], list[int]]:
         """The columns and the small parts of the shadow's elements.
 
         Column ``nid`` is the bitset of the elements whose inversion set
-        holds n-small root ``nid`` of the table; small part i is the node
-        mask Sigma_n(x) of element i.  :func:`low_elements` supplies the
-        small parts from its search, and :func:`garside_closure` from its
-        universe; any other set reads them off the inversion sets.  The
-        columns are built on first use.
+        holds n-small root ``nid`` of the table; small part i is
+        Sigma_n of element i (:meth:`_small_parts`).  The columns are built
+        on first use.
         """
+        small = self._small_parts()
         if self._columns is None:
-            table = self._small_table()
-            if self._small is None:
-                self._small = [table.small_part(el.inv)
-                               for el in self.elements]
             size = (len(self._words) + 7) >> 3
-            rows = [bytearray(size) for _ in range(len(table))]
-            for i, mask in enumerate(self._small):
+            rows = [bytearray(size) for _ in range(len(self._small_table()))]
+            for i, mask in enumerate(small):
                 byte, bit = i >> 3, 1 << (i & 7)
                 for nid in _mask_bits(mask):
                     rows[nid][byte] |= bit
             self._columns = [int.from_bytes(row, "little") for row in rows]
-        return self._columns, self._small
+        return self._columns, small
 
     def _below(self, small: int) -> int:
         """The elements c with Sigma_n(c) inside the node mask ``small``.
@@ -329,9 +341,10 @@ def verify_shadow(shadow: Shadow) -> ShadowVerdict:
     """Check S and e membership, suffix closure, and join closure.
 
     A verdict recorded on the shadow is returned as it is.  Otherwise B is
-    join-closed iff no x of U, the smallest L_n holding B, passes
-    :func:`_is_join_of_members`.  For the first x that does, the joins of
-    the members below x, folded in U's order, first leave B at x.
+    join-closed iff :func:`_join_pass` over U, the smallest L_n holding B,
+    with B's elements as the members, yields no x.  For the first x it
+    yields, the joins of the members below x, folded in U's order, first
+    leave B at x.
     """
     if shadow.verdict is not None:
         return shadow.verdict
@@ -341,18 +354,17 @@ def verify_shadow(shadow: Shadow) -> ShadowVerdict:
     universe = smallest_low_universe(shadow.system, shadow)
     if shadow.level is None:
         shadow.level = universe.level
-    small = universe._root_index()[1]
-    inside = {universe._index(el) for el in shadow}
-    members = covered = 0
-    for i in inside:
-        members |= 1 << i
-        covered |= small[i]
-    for x in range(len(universe)):
-        if x in inside or not _is_join_of_members(universe, members, covered,
-                                                   x):
-            continue
+    positions = {universe._index(el) for el in shadow}
+    if len(positions) == len(universe):  # no x of U lies outside B
+        return ShadowVerdict(VerdictStatus.SHADOW)
+    inside = bytearray(len(universe))
+    for i in positions:
+        inside[i] = 1
+    for x in _join_pass(universe, _lower_covers(universe), inside):
         u = identity(shadow.system)  # the first member below x
-        for i in _mask_bits(members & universe._below(small[x])):
+        for i in _mask_bits(universe._below(universe._small[x])):
+            if not inside[i]:
+                continue
             v = universe._element(i)
             joined = join(u, v)
             if joined not in shadow:
@@ -363,22 +375,93 @@ def verify_shadow(shadow: Shadow) -> ShadowVerdict:
     return ShadowVerdict(VerdictStatus.SHADOW)
 
 
-def _is_join_of_members(universe: Shadow, members: int, covered: int,
-                        x: int) -> bool:
-    """Whether element x of an L_n is the join of the ``members`` below it.
+def _lower_covers(universe: Shadow) -> tuple[array, array]:
+    """The lower covers in L = L_n of each element of an L_n from
+    :func:`low_elements`, in CSR form: those of element x are
+    covers[offsets[x]:offsets[x + 1]], one for each root of N^1(x).
 
-    Every z < x lies below a lower cover x*t, N(x*t) being N(x) minus one
-    root of N^1(x) (Bjorner & Brenti, *Combinatorics of Coxeter Groups*,
-    ch. 3), so x is that join iff every root of N^1(x), n-small in L_n,
-    lies in Sigma_n(y) for a member y <= x.  An x with a root outside
-    ``covered``, the OR of the members' Sigma_n, fails without ``_below``.
+    For beta in N^1(x), lc(x, beta) is pi_L(x*t_beta), the longest element
+    of L below x*t_beta, which L holds as a Garside shadow.  N(x*t_beta)
+    is N(x) minus beta, so Sigma_n(x*t_beta) is Sigma_n(x) minus beta:
+    beta is n-small, x being n-low.  An n-low c with that Sigma_n is
+    lc(x, beta): N(c), the positive roots in the cone over Sigma_n(c), lies
+    in N(x*t_beta), so c <= x*t_beta, and each n-low c' <= x*t_beta has
+    Sigma_n(c') inside Sigma_n(c), so c' <= c (Dyer & Hohlweg 2016).  So
+    lc(x, beta) is one lookup of Sigma_n(x) ^ bit(beta).  On a miss, which
+    the dyho2 conjecture rules out, it is the top bit of ``_below`` on
+    that mask.
+
+    Every y < x lies below some x*t_beta (Bjorner & Brenti,
+    *Combinatorics of Coxeter Groups*, ch. 3), so every y of L below x
+    other than x lies below some lc(x, beta), which is shorter than x.
     """
-    n1 = universe._n1[x]
-    if n1 & ~covered:
-        return False
-    columns, small = universe._root_index()
-    below = members & universe._below(small[x])
-    return all(columns[nid] & below for nid in _mask_bits(n1))
+    pos = universe._pos
+    # 4-byte positions: half the memory of "l", and L_n is within budget
+    offsets, covers = array("i", [0]), array("i")
+    for small, n1 in zip(universe._small, universe._n1):
+        while n1:
+            beta = n1 & -n1
+            n1 ^= beta
+            cover = pos.get(small ^ beta)
+            covers.append(universe._below(small ^ beta).bit_length() - 1
+                          if cover is None else cover)
+        offsets.append(len(covers))
+    return offsets, covers
+
+
+def _join_pass(universe: Shadow, covers: tuple[array, array],
+               inside: bytearray) -> Iterator[int]:
+    """The non-members x of an L_n from :func:`low_elements` that are the
+    join of the members below them, in (length, word) order; ``covers`` are
+    the lower covers (:func:`_lower_covers`), and byte i of ``inside`` is 1
+    iff element i is a member.
+
+    One pass computes P(x), the OR of Sigma_n(y) over the members y <= x:
+    every member y < x lies below some lc(x, beta), so P(x) is Sigma_n(x)
+    if x is a member, OR-ed with P(lc(x, beta)) for every beta in N^1(x).
+    A lower cover is shorter than x, so its P is known when x is reached.
+    A caller that admits a yielded x, setting its byte before the pass
+    resumes, has it counted at once for every later x.
+
+    A non-member x is that join iff N^1(x) lies inside the OR of the
+    P(lc(x, beta)), the Sigma_n of the members below x.  If a root beta of
+    N^1(x) is in no member y <= x, each such y has N(y) inside N(x) minus
+    beta, which is N(x*t_beta), so their join lies below x*t_beta < x.
+    Conversely, if each beta lies in N(y_beta) for a member y_beta <= x,
+    the join J of the members below x, which x bounds, is <= x; and J < x
+    would give J <= x*t_beta for some beta, which is not, as beta lies in
+    N(y_beta), inside N(J).
+    """
+    offsets, covers = covers
+    small, n1s = universe._small, universe._n1
+    below = [0] * len(small)  # P(x) of each x reached
+    for x, sigma in enumerate(small):
+        p = 0
+        for c in covers[offsets[x]:offsets[x + 1]]:
+            p |= below[c]
+        if not inside[x] and not n1s[x] & ~p:
+            yield x
+        below[x] = p | sigma if inside[x] else p
+
+
+def _projections(universe: Shadow, member: dict[int, int]) -> list[int]:
+    """pi_B(x) of each element x of an L_n from :func:`low_elements`, as
+    a position in a Garside shadow B inside L_n; ``member`` maps the
+    Sigma_n of each element of B to its position.
+
+    pi_B(x) is x for a member.  Otherwise the members below x are those
+    below some lc(x, beta) (:func:`_lower_covers`), so pi_B(x), the
+    longest of them, is the longest pi_B(lc(x, beta)): each of these lies
+    below pi_B(x), and is shorter unless it is pi_B(x).  B is sorted by
+    length, so the longest is at the highest position.
+    """
+    pi = [member.get(mask, -1) for mask in universe._small]
+    if -1 in pi:
+        offsets, covers = _lower_covers(universe)
+        for x, p in enumerate(pi):
+            if p < 0:
+                pi[x] = max(pi[c] for c in covers[offsets[x]:offsets[x + 1]])
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -409,40 +492,36 @@ def _close_in_universe(universe: Shadow,
     """The closure of the seeds under joins and suffixes in an L_n from
     :func:`low_elements`: byte i is 1 iff element i is a member.
 
-    Join passes admit each x that :func:`_is_join_of_members` passes, and
-    suffix passes read the recorded suffix positions, until neither grows.
+    Suffix passes read the recorded suffix positions, and join passes admit
+    each x that :func:`_join_pass` yields, until a suffix pass after a join
+    pass admits nothing.  The closure is then closed under joins too: the
+    members below an x lie before it, so a join pass reaches x with them
+    final, and leaves x out only if it is not their join.
     """
     if universe._suffixes is None:
         raise InternalInvariant("closure universe has no recorded suffixes")
     offsets, targets = universe._suffixes
-    small = universe._root_index()[1]
-    members = covered = 0  # as a bitset over U; the OR of their Sigma_n
-    inside = bytearray(len(small))  # the members, for constant-time lookups
-    todo: list[int] = []  # members whose suffixes are not yet admitted
-
-    def admit(i: int) -> None:
-        nonlocal members, covered
+    covers = _lower_covers(universe)
+    inside = bytearray(len(universe))
+    todo = list({universe._index(el) for el in seeds})
+    for i in todo:
         inside[i] = 1
-        members |= 1 << i
-        covered |= small[i]
-        todo.append(i)
-
-    for i in {universe._index(el) for el in seeds}:
-        admit(i)
-    joined = -1  # the member count after the last join pass
+    joined = False  # whether a join pass has run
     while True:
+        grew = False
         while todo:  # the suffix pass
             i = todo.pop()
             for j in targets[offsets[i]:offsets[i + 1]]:
                 if not inside[j]:
-                    admit(j)
-        if members.bit_count() == joined:
+                    inside[j] = 1
+                    todo.append(j)
+                    grew = True
+        if joined and not grew:
             return inside
-        for i in range(len(small)):  # the join pass
-            if not inside[i] and _is_join_of_members(universe, members,
-                                                     covered, i):
-                admit(i)
-        joined = members.bit_count()
+        for x in _join_pass(universe, covers, inside):
+            inside[x] = 1
+            todo.append(x)
+        joined = True
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +592,7 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
     descent s of an x in L_n has s*x in L_n (by theorem for n = 0; checked by
     :func:`low_universe` for n > 0), and the search tries s on s*x, so every
     suffix of every element is recorded, for :func:`_close_in_universe`;
-    so are Sigma_n and N^1, for :func:`_is_join_of_members`.  More than
+    so are Sigma_n and N^1, for :func:`_lower_covers`.  More than
     ``STATE_BUDGET`` elements raise ``BudgetExceeded``.  Unlike
     :func:`low_universe`, this caches nothing and records no verdict.
     """

@@ -363,7 +363,7 @@ def build_small_roots(sys: CoxeterSystem, level: int) -> SmallRootTable:
             if sgn == 0:
                 thetas[i][s] = i
                 continue
-            _, image = sys.reflect_id(s, rid)
+            _, image = sys.reflect_id(s, rid, b)
             if sgn > 0:
                 target = node_by_rid.get(image)
                 if target is None:
@@ -446,12 +446,18 @@ def affine_structure(sys: CoxeterSystem) -> AffineStructure:
 
     The system must be of irreducible affine type; its Coxeter graph is
     matched against the catalog of affine diagrams, which records the
-    Coxeter number of the underlying finite Weyl group.
+    Coxeter number of the underlying finite Weyl group.  It is matched once
+    per system, and the result is cached on it.
     """
-    if classify_system(sys) is not Classification.AFFINE:
-        raise InvalidGroupSpec("system is not of irreducible affine type")
-    for name, mat, h, finite_rank in affine_candidates(sys.rank):
-        if matrices_isomorphic(sys.matrix, mat):
-            return AffineStructure(family=name, coxeter_number=h,
-                                   finite_rank=finite_rank)
-    raise InternalInvariant("affine system missing from the type catalog")
+    if sys._affine_structure is None:
+        if classify_system(sys) is not Classification.AFFINE:
+            raise InvalidGroupSpec("system is not of irreducible affine type")
+        for name, mat, h, finite_rank in affine_candidates(sys.rank):
+            if matrices_isomorphic(sys.matrix, mat):
+                sys._affine_structure = AffineStructure(
+                    family=name, coxeter_number=h, finite_rank=finite_rank)
+                break
+        else:
+            raise InternalInvariant(
+                "affine system missing from the type catalog")
+    return sys._affine_structure

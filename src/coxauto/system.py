@@ -379,6 +379,9 @@ class CoxeterSystem:
         # smallroots.Classification of the whole system, set by
         # smallroots.classify_system
         self._classification: object | None = None
+        # smallroots.AffineStructure of an affine system, set by
+        # smallroots.affine_structure
+        self._affine_structure: object | None = None
         # level n -> smallroots.SmallRootTable, filled by build_small_roots
         self._small_root_tables: dict[int, object] = {}
         # level n -> the n-low elements as a garside.Shadow, filled by
@@ -419,23 +422,28 @@ class CoxeterSystem:
                 acc = acc + c * self.bilinear_simple(s, w)
         return acc
 
-    def reflect_coords(self, s: int, coords: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """s(v) = v - 2 B(a_s, v) a_s (simple roots are unit vectors)."""
-        b = self.bilinear_simple(s, coords)
+    def reflect_coords(self, s: int, coords: Sequence[Scalar],
+                       form: Scalar | None = None) -> tuple[Scalar, ...]:
+        """s(v) = v - 2 B(a_s, v) a_s (simple roots are unit vectors);
+        ``form`` is B(a_s, v) when the caller has it."""
+        b = self.bilinear_simple(s, coords) if form is None else form
         if b.is_zero():
             return tuple(coords)
         out = list(coords)
         out[s] = out[s] - (b + b)
         return tuple(out)
 
-    def reflect_id(self, s: int, rid: int) -> tuple[int, int]:
-        """Reflect a positive interned root; returns (sign, root id)."""
+    def reflect_id(self, s: int, rid: int,
+                   form: Scalar | None = None) -> tuple[int, int]:
+        """Reflect a positive interned root; returns (sign, root id).
+        ``form`` is B(a_s, root) when the caller has it."""
         if rid == s:
             return (-1, s)
         cache = self._refl_cache[s]
         out = cache.get(rid)
         if out is None:
-            out = self.intern_root(self.reflect_coords(s, self._roots[rid]))
+            out = self.intern_root(
+                self.reflect_coords(s, self._roots[rid], form))
             cache[rid] = out
         return (1, out)
 

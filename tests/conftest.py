@@ -14,7 +14,7 @@ from coxauto.elements import (Element, _mask_bits, generator, identity,
                               mult_left, weak_leq)
 from coxauto.errors import InternalInvariant
 from coxauto.garside import (Shadow, ShadowVerdict, VerdictStatus,
-                             check_generated_and_suffix_closed, project,
+                             check_generated_and_suffix_closed, join, project,
                              smallest_low_universe)
 from coxauto.scalars import Scalar
 from coxauto.smallroots import build_small_roots
@@ -374,9 +374,10 @@ def search_join(u: Element, v: Element, cap: int):
 
 # ---------------------------------------------------------------------------
 # Join closure by up-sets in the smallest n-low universe: the pairwise
-# closure, the pairwise verification and the lowest-bit closure passes are
-# the references that the N^1 test of garside._is_join_of_members, in
-# garside.garside_closure and garside.verify_shadow, is checked against.
+# closure, the pairwise verification, the lowest-bit closure passes and the
+# N^1 test on the columns are the references that the lower-cover pass of
+# garside._join_pass, in garside.garside_closure and garside.verify_shadow,
+# is checked against.
 
 def up_set(universe: Shadow, i: int) -> int:
     """The elements of an L_n above element i: the AND of the columns of
@@ -494,6 +495,94 @@ def lowest_bit_closure_in_universe(universe: Shadow, seeds) -> bytearray:
         if not admitted or not admit_suffixes(admitted):
             break
     return inside
+
+
+def n1_is_join_of_members(universe: Shadow, members: int, covered: int,
+                          x: int) -> bool:
+    """Whether element x of an L_n is the join of the ``members`` below it:
+    every root of N^1(x) lies in Sigma_n(y) for a member y <= x, the
+    members below x being read off the columns by ``_below``.  ``covered``
+    is the OR of the members' Sigma_n."""
+    n1 = universe._n1[x]
+    if n1 & ~covered:
+        return False
+    columns, small = universe._root_index()
+    below = members & universe._below(small[x])
+    return all(columns[nid] & below for nid in _mask_bits(n1))
+
+
+def n1_closure_in_universe(universe: Shadow, seeds) -> bytearray:
+    """The closure of the seeds in an L_n, byte i set iff element i is a
+    member: suffix passes over the recorded suffixes alternate with join
+    passes that admit, as they go, each x that n1_is_join_of_members
+    passes, until neither grows."""
+    offsets, targets = universe._suffixes
+    small = universe._root_index()[1]
+    members = covered = 0
+    inside = bytearray(len(small))
+    todo: list[int] = []
+
+    def admit(i):
+        nonlocal members, covered
+        inside[i] = 1
+        members |= 1 << i
+        covered |= small[i]
+        todo.append(i)
+
+    for i in {universe._index(el) for el in seeds}:
+        admit(i)
+    joined = -1  # the member count after the last join pass
+    while True:
+        while todo:
+            i = todo.pop()
+            for j in targets[offsets[i]:offsets[i + 1]]:
+                if not inside[j]:
+                    admit(j)
+        if members.bit_count() == joined:
+            return inside
+        for i in range(len(small)):
+            if not inside[i] and n1_is_join_of_members(universe, members,
+                                                       covered, i):
+                admit(i)
+        joined = members.bit_count()
+
+
+def n1_verify_shadow(shadow: Shadow) -> ShadowVerdict:
+    """verify_shadow with no recorded verdict, join closure decided by
+    n1_is_join_of_members on each x of U in order: for the first x that
+    passes, the joins of the members below x, folded in U's order, first
+    leave the set at x."""
+    failure = check_generated_and_suffix_closed(shadow)
+    if failure is not None:
+        return failure
+    universe = smallest_low_universe(shadow.system, shadow)
+    small = universe._root_index()[1]
+    inside = {universe._index(el) for el in shadow}
+    members = covered = 0
+    for i in inside:
+        members |= 1 << i
+        covered |= small[i]
+    for x in range(len(universe)):
+        if x in inside or not n1_is_join_of_members(universe, members,
+                                                    covered, x):
+            continue
+        u = identity(shadow.system)
+        for i in _mask_bits(members & universe._below(small[x])):
+            v = universe._element(i)
+            joined = join(u, v)
+            if joined not in shadow:
+                return ShadowVerdict(
+                    VerdictStatus.NOT_SHADOW, reason="not closed under joins",
+                    witness=(str(u), str(v), str(joined)))
+            u = joined
+    return ShadowVerdict(VerdictStatus.SHADOW)
+
+
+def below_projections(shadow: Shadow, universe: Shadow) -> list[int]:
+    """pi_B of each element of an L_n holding a shadow B, as a position in
+    B: the highest set bit of B's ``_below`` on its Sigma_n."""
+    return [shadow._below(mask).bit_length() - 1
+            for mask in universe._small_parts()]
 
 
 # ---------------------------------------------------------------------------

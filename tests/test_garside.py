@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (FullColumnIndex, ball, cone_member, coxeter_systems,
-                      lowest_bit_closure_in_universe, pairwise_closure,
+from conftest import (DIFFERENTIAL_GROUPS, FullColumnIndex, ball,
+                      below_projections, cone_member, coxeter_systems,
+                      lowest_bit_closure_in_universe, n1_closure_in_universe,
+                      n1_verify_shadow, pairwise_closure,
                       pairwise_verify_shadow, reference_low_search,
                       search_join, up_set)
 from coxauto import garside, parse_coxeter_system
 from coxauto.automata import build_shadow_automaton
+from coxauto.conjectures import stats_row
 from coxauto.elements import (_mask_bits, from_word, generator, identity,
                               mult_left, weak_leq)
 from coxauto.errors import (BudgetExceeded, InternalInvariant,
@@ -256,12 +259,14 @@ def _assert_closure_matches_pairwise(sys, seeds=()):
     closure = garside_closure(sys, seeds=seeds)
     reference = pairwise_closure(sys, seeds=seeds)
     assert closure.words() == reference.words()
-    # the N^1 test admits exactly what the lowest-bit passes admit
+    # the lower-cover pass admits exactly what the lowest-bit passes and
+    # the N^1 test on the columns admit
     start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
              *seeds]
     universe = smallest_low_universe(sys, start)
-    assert (garside._close_in_universe(universe, start)
-            == lowest_bit_closure_in_universe(universe, start))
+    inside = garside._close_in_universe(universe, start)
+    assert inside == lowest_bit_closure_in_universe(universe, start)
+    assert inside == n1_closure_in_universe(universe, start)
 
 
 @pytest.mark.parametrize("spec", [
@@ -271,43 +276,48 @@ def test_closure_matches_pairwise_reference_on_presets(spec):
     _assert_closure_matches_pairwise(parse_coxeter_system(spec))
 
 
+def _shadow_calls(monkeypatch, name: str) -> list[tuple]:
+    """The arguments, after the shadow, of every call of ``Shadow.<name>``,
+    in a list the test reads."""
+    calls, real = [], getattr(Shadow, name)
+
+    def spying(shadow, *args):
+        calls.append(args)
+        return real(shadow, *args)
+
+    monkeypatch.setattr(Shadow, name, spying)
+    return calls
+
+
 def _assert_small_columns_match_full(sys, seeds=()):
-    """Every ``_below`` of the closure passes, and every transition of the
-    closure's shadow automaton, agree with the full-column reference."""
-    calls = []
-    real = Shadow._below
-
-    def spy(shadow, small):
-        below = real(shadow, small)
-        calls.append((shadow, small, below))
-        return below
-
+    """The closure and its shadow automaton read no column: they build no
+    columns, so they make no ``_below`` call either.  The columns that
+    ``join`` and ``project`` still read, and every transition of the
+    automaton, agree with the full-column reference."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Shadow, "_below", spy)
+        reads = _shadow_calls(mp, "_root_index")
         closure = garside_closure(sys, seeds=seeds)
+        auto = build_shadow_automaton(closure)
+    assert reads == []
     table = build_small_roots(sys, closure.level)
-    assert closure._root_index()[1] == [table.small_part(el.inv)
-                                        for el in closure]
+    assert closure._small_parts() == [table.small_part(el.inv)
+                                      for el in closure]
     universe = smallest_low_universe(sys, closure)
-    by_small = dict(zip(universe._root_index()[1], universe.elements))
     reference = FullColumnIndex(universe)
-    for shadow, small, below in calls:
-        assert shadow is universe
-        assert below == reference.below(by_small[small].inv)
-    auto = build_shadow_automaton(closure)
+    for x, small in zip(universe.elements, universe._small_parts()):
+        assert universe._below(small) == reference.below(x.inv)
     reference = FullColumnIndex(closure)
     for q, x in enumerate(closure.elements):
         for s in range(sys.rank):
             if not x.inv >> s & 1:
                 below = reference.below(mult_left(s, x).inv)
                 assert auto.delta[q][s] == below.bit_length() - 1
-    return len(calls)
 
 
 @pytest.mark.parametrize("spec", [
     "~A2", "~C2", "~G2", "~A3", "~C3", "~B3", "~D4"])
 def test_small_columns_match_full_columns_on_presets(spec):
-    assert _assert_small_columns_match_full(parse_coxeter_system(spec))
+    _assert_small_columns_match_full(parse_coxeter_system(spec))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -357,6 +367,76 @@ def test_seeded_closure_in_low_one_matches_references(spec):
     _assert_closure_matches_pairwise(sys, seeds=[outside[len(outside) // 2]])
 
 
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("name", DIFFERENTIAL_GROUPS)
+def test_projections_match_below_reference(monkeypatch, name, level):
+    # pi_B on L_n for B = L_n, and for the closures of S and of the last
+    # element of L_n when they lie in no smaller L_m
+    sys = parse_coxeter_system(name)
+    universe = low_universe(sys, level)
+    closures = (garside_closure(sys),
+                garside_closure(sys, seeds=[universe._element(-1)]))
+    shadows = [universe, *(c for c in closures if c.level == level)]
+    reads = _shadow_calls(monkeypatch, "_root_index")
+    projections = [garside._projections(
+        universe, {mask: i for i, mask in enumerate(shadow._small_parts())})
+        for shadow in shadows]
+    assert reads == []  # every lower cover is found by its Sigma_n
+    for shadow, got in zip(shadows, projections):
+        assert got == below_projections(shadow, universe)
+
+
+def _universe_missing(universe: Shadow, victim: int) -> Shadow:
+    """A copy of an L_n from low_elements whose Sigma_n lookup misses
+    element ``victim``, so that a lower cover at the victim falls back to
+    ``_below``."""
+    copy = Shadow._of_words(universe.system, universe._words, universe._small,
+                            universe.provenance, universe.level)
+    copy._n1, copy._suffixes = universe._n1, universe._suffixes
+    del copy._pos[universe._small[victim]]
+    return copy
+
+
+@pytest.mark.parametrize("spec", ["~C2", "~G2", "~C3", "triangle(2,3,7)"])
+def test_lower_cover_lookup_miss_falls_back_to_below(monkeypatch, spec):
+    # the first element of length 2 has no lookup in the copy: the lower
+    # covers, the closure and the projections come out as on L_0
+    sys = parse_coxeter_system(spec)
+    universe = low_universe(sys)
+    closure = garside_closure(sys)
+    victim = sys.rank + 1
+    assert len(universe._words[victim]) == 2
+    copy = _universe_missing(universe, victim)
+    calls = _shadow_calls(monkeypatch, "_below")
+    assert garside._lower_covers(copy) == garside._lower_covers(universe)
+    assert calls and set(calls) == {(universe._small[victim],)}
+    start = [identity(sys), *(generator(sys, s) for s in range(sys.rank))]
+    assert (garside._close_in_universe(copy, start)
+            == garside._close_in_universe(universe, start)
+            == n1_closure_in_universe(universe, start))
+    member = {mask: i for i, mask in enumerate(closure._small_parts())}
+    assert (garside._projections(copy, member)
+            == garside._projections(universe, member))
+
+
+def test_stats_row_reads_no_columns(monkeypatch):
+    # the closure of S decides its joins by the lower-cover pass alone: no
+    # _below call, and no column built
+    below = _shadow_calls(monkeypatch, "_below")
+    reads = _shadow_calls(monkeypatch, "_root_index")
+    passes, real = [], garside._join_pass
+
+    def spying(universe, *args):
+        passes.append(universe)
+        return real(universe, *args)
+
+    monkeypatch.setattr(garside, "_join_pass", spying)
+    sys = parse_coxeter_system("~C3")
+    assert stats_row(sys).shadow_states == 317
+    assert below == reads == []
+    assert passes and set(passes) == {low_universe(sys)}
+
+
 def _assert_first_join_witness(shadow, witness):
     """u and v of the witness lie in the set and u v-join does not, and no
     join of two members outside the set comes earlier in U's order."""
@@ -378,6 +458,7 @@ def _assert_first_join_witness(shadow, witness):
 
 def _assert_verdict_matches_pairwise(shadow):
     verdict = verify_shadow(shadow)
+    assert verdict == n1_verify_shadow(shadow)
     reference = pairwise_verify_shadow(shadow)
     assert verdict.status is reference.status
     assert verdict.reason == reference.reason
@@ -630,7 +711,7 @@ def test_recorded_verdict_decides_no_join(monkeypatch, spec):
     def refuse(*args):
         raise _JoinDecided
 
-    monkeypatch.setattr(garside, "_is_join_of_members", refuse)
+    monkeypatch.setattr(garside, "_join_pass", refuse)
     checked = []
     real_check = garside.check_generated_and_suffix_closed
 

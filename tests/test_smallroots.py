@@ -120,6 +120,43 @@ def test_affine_structure_on_every_catalog_entry():
     assert affine_structure(parse_coxeter_system("~E8")).coxeter_number == 30
 
 
+def test_affine_structure_is_matched_once_per_system(monkeypatch):
+    # stats_row asks twice, from the canonical automaton and from L_0
+    from coxauto.conjectures import stats_row
+    calls = []
+    real = smallroots.matrices_isomorphic
+
+    def counting(a, b):
+        calls.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(smallroots, "matrices_isomorphic", counting)
+    sys = parse_coxeter_system("~C3")
+    stats_row(sys)
+    matched = len(calls)
+    assert matched and affine_structure(sys) is affine_structure(sys)
+    assert len(calls) == matched
+
+
+@pytest.mark.parametrize("spec", ["~A2", "~C2", "~G2", "~A3", "~C3", "~B3",
+                                  "H3", "triangle(2,3,7)"])
+def test_small_roots_take_each_form_once(monkeypatch, spec):
+    # B(a_s, beta) is computed once per node and letter other than its own,
+    # for the sign test, and handed to the reflection; the dominated roots
+    # are reflected from the cache
+    calls = []
+    real = CoxeterSystem.bilinear_simple
+
+    def counting(self, s, coords):
+        calls.append((s, coords))
+        return real(self, s, coords)
+
+    monkeypatch.setattr(CoxeterSystem, "bilinear_simple", counting)
+    sys = parse_coxeter_system(spec)
+    table = build_small_roots(sys, 0)
+    assert len(calls) == len(set(calls)) == (len(table) - 1) * sys.rank
+
+
 def test_small_roots_infinite_dihedral(i2inf):
     table = build_small_roots(i2inf, 0)
     assert set(table.node_by_rid) == {0, 1}
