@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .elements import Element, _mask_bits
 from . import garside
-from .errors import BudgetExceeded, InternalInvariant, ShadowViolation
+from .errors import BudgetExceeded, ShadowViolation
 from .garside import Shadow, VerdictStatus, check_state_budget, verify_shadow
 from .smallroots import SmallRootTable, build_small_roots
 from .system import CoxeterSystem
@@ -147,41 +147,39 @@ def _default_labels(sys: CoxeterSystem) -> tuple[str, ...]:
 
 def build_shadow_automaton(shadow: Shadow) -> Automaton:
     """States are the shadow's elements (the payloads are the shadow); x
-    goes via s to pi_B(s x).
+    goes via s to pi_B(s x) when s is not a left descent of x.
 
     A set that :func:`verify_shadow` refuses raises ``ShadowViolation``.
 
-    A_B is the canonical automaton A_n, n the shadow's level, with each
-    state Sigma_n(w) sent to pi_B(w), which depends only on Sigma_n(w) as B
-    lies in L_n (see :func:`garside.project`): pi_B of the element of L_n
-    with that mask, read off one pass over the lower covers of L_n
-    (:func:`garside._projections`).  A mask of no element of L_n, which
-    the dyho2 conjecture rules out, is sent to the highest set bit of the
-    shadow's ``_below`` on it.
+    B lies in L_n, n the shadow's level, and pi_B(w) depends only on
+    Sigma_n(w) (see :func:`garside.project`).  Sigma_n(s x) is {a_s} union
+    s(Sigma_n(x)), one :meth:`SmallRootTable.images` call per member, and
+    pi_B of the element of L_n with that mask is read off one pass over
+    the lower covers of L_n (:func:`garside._projections`).  A mask of no
+    element of L_n, which the dyho2 conjecture rules out, is sent to the
+    highest set bit of the shadow's ``_below`` on it.
     """
     verdict = verify_shadow(shadow)
     if verdict.status is VerdictStatus.NOT_SHADOW:
         raise ShadowViolation(f"not a Garside shadow: {verdict.reason}")
     small = shadow._small_parts()
-    member = {mask: i for i, mask in enumerate(small)}
     universe = garside.low_universe(shadow.system, shadow.level)
-    projections = garside._projections(universe, member)
+    projections = garside._projections(
+        universe, {mask: i for i, mask in enumerate(small)})
     where = universe._pos
-    canonical, masks = build_canonical_automaton(shadow.system, shadow.level)
-    pi = [member.get(mask, -1) for mask in masks]  # -1 until it is needed
-    if len(pi) - pi.count(-1) < len(small):
-        raise InternalInvariant("a shadow element has no canonical state")
-    delta: list[tuple[int, ...]] = [()] * len(small)
-    for q, row in enumerate(canonical.delta):
-        if pi[q] >= 0 and small[pi[q]] == masks[q]:  # q is a member's state
-            for t in row:
-                if t >= 0 and pi[t] < 0:
-                    x = where.get(masks[t])
-                    pi[t] = (shadow._below(masks[t]).bit_length() - 1
-                             if x is None else projections[x])
-            delta[pi[q]] = tuple(pi[t] if t >= 0 else -1 for t in row)
-        canonical.delta[q] = ()  # freed as read: A_n and A_B are not both held
-    return Automaton(letter_labels=canonical.letter_labels,
+    images = shadow._small_table().images
+    blank = [-1] * shadow.system.rank
+    delta: list[tuple[int, ...]] = []
+    for mask in small:
+        row = blank[:]
+        for s, image in enumerate(images(mask)):
+            if not mask >> s & 1:
+                target = 1 << s | image
+                x = where.get(target)
+                row[s] = (shadow._below(target).bit_length() - 1
+                          if x is None else projections[x])
+        delta.append(tuple(row))
+    return Automaton(letter_labels=_default_labels(shadow.system),
                      payloads=shadow, initial=shadow._pos[0],
                      delta=delta, kind="shadow")
 

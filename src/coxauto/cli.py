@@ -142,7 +142,7 @@ def _elements(system: CoxeterSystem, words: list[tuple[int, ...]]
 
 def _cmd_shadow(args) -> int:
     system = _load_system(args.group)
-    if args.verify:
+    if args.verify is not None:
         words = [system.word_from_string(w)
                  for w in args.verify.split(",") if w.strip()]
         shadow = Shadow(system, _elements(system, words))

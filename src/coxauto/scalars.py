@@ -93,13 +93,6 @@ def _interval_eval(coeffs: Sequence[RationalLike], lo: Fraction,
     return alo, ahi
 
 
-def _integral(values: Iterable[RationalLike]) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator of rationals."""
-    fracs = [Fraction(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [f.numerator * (den // f.denominator) for f in fracs], den
-
-
 def _chebyshev_like(n: int) -> list[int]:
     """Integer polynomial D_n with D_n(2cos t) = 2cos(n t), ascending coeffs."""
     if n == 0:
@@ -296,14 +289,6 @@ class FieldContext:
         return (Fraction(a, 1 << k), Fraction(b, 1 << k))
 
     # -- scalar constructors -------------------------------------------
-
-    def scalar(self, coeffs: Iterable[RationalLike]) -> "Scalar":
-        num, den = _integral(coeffs)
-        if len(num) > self.degree:
-            num = self._reduce(num)
-        else:
-            num += [0] * (self.degree - len(num))
-        return _normalized(self, num, den)
 
     def from_rational(self, q: RationalLike) -> "Scalar":
         if type(q) is int:

@@ -166,13 +166,9 @@ class SmallRootTable:
                 out |= 1 << nid
         return out
 
-    def image(self, s: int, mask: int) -> int:
-        """s(A) restricted to the table, as a node mask, for a node mask A;
-        a_s, which s sends negative, adds nothing."""
-        return self.images(mask)[s]
-
     def images(self, mask: int) -> list[int]:
-        """``image(s, mask)`` for every letter s.
+        """s(A) restricted to the table, as a node mask, for a node mask A
+        and every letter s; a_s, which s sends negative, adds nothing.
 
         The images of a node under all letters are packed into one int,
         letter s in the len(self) bits from ``_shifts[s]`` up.  Per byte of
@@ -192,7 +188,7 @@ class SmallRootTable:
         """The states of the n-canonical automaton and their rows.
 
         A state is a node mask; the move by s is defined iff bit s (a_s) is
-        clear and sends A to {a_s} union image(s, A).  States are found from
+        clear and sends A to {a_s} union s(A).  States are found from
         the empty set in BFS order, letters in order, and row q holds the
         target of each letter, -1 for none.  More than ``budget`` states
         raise ``BudgetExceeded``.
@@ -247,11 +243,11 @@ class SmallRootTable:
         ``pred[start[t]:start[t + 1]]``, coded p * rank + s for the move
         from p by letter s.
 
-        The move by s sends A to {a_s} union image(s, A), and image(s, .) is
-        a partial involution on the small roots that distributes over
-        unions.  So a word is read from A iff it is read from the empty set
-        and, for every beta in A, no image of beta along a prefix is the
-        root a_s of the next letter s.  Let Bad(A) be the roots beta whose
+        The move by s sends A to {a_s} union s(A), and s(.) is a partial
+        involution on the small roots that distributes over unions.  So a
+        word is read from A iff it is read from the empty set and, for
+        every beta in A, no image of beta along a prefix is the root a_s of
+        the next letter s.  Let Bad(A) be the roots beta whose
         image along some word w read from A is a_s for a letter s that A
         reads after w.  Bad(A) depends on the words read from A alone, and
         is disjoint from A (such a beta would stop that s).  So two states
@@ -260,8 +256,8 @@ class SmallRootTable:
         beta in A', and beta then lies in Bad(A) but not in Bad(A').
 
         Bad is the least solution of Bad(A) = union over the letters s that
-        A reads of {a_s} union image(s, Bad(s.A)), found by a worklist over
-        the predecessors of each state, deepest states first.  A visit
+        A reads of {a_s} union s(Bad(s.A)), found by a worklist over the
+        predecessors of each state, deepest states first.  A visit
         takes one packed lookup of the images of Bad(t) under all letters,
         as in :meth:`images`, and each predecessor a shift and a mask of it.
         """

@@ -4,6 +4,7 @@ import itertools
 import math
 from array import array
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from coxauto.errors import InternalInvariant
 from coxauto.garside import (Shadow, ShadowVerdict, VerdictStatus,
                              check_generated_and_suffix_closed, join, project,
                              smallest_low_universe)
-from coxauto.scalars import Scalar
+from coxauto.scalars import FieldContext, Scalar, _normalized
 from coxauto.smallroots import build_small_roots
 from coxauto.system import CoxeterMatrix, CoxeterSystem
 
@@ -134,6 +135,28 @@ def accepted_words(auto: Automaton, max_length: int) -> set[tuple[int, ...]]:
                     for a, t in enumerate(auto.delta[q]) if t >= 0]
         out.update(word for word, _ in frontier)
     return out
+
+
+# ---------------------------------------------------------------------------
+# A field element from rational coefficients, for the scalar tests.
+
+def _integral(values) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of rationals."""
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def scalar(ctx: FieldContext, coeffs) -> Scalar:
+    """The field element with rational coefficients ``coeffs`` on the
+    powers of the generator, as in ``Scalar.coeffs``, reduced mod the
+    minimal polynomial."""
+    num, den = _integral(coeffs)
+    if len(num) > ctx.degree:
+        num = ctx._reduce(num)
+    else:
+        num += [0] * (ctx.degree - len(num))
+    return _normalized(ctx, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +689,10 @@ def canonical_witnesses(auto: Automaton, sys: CoxeterSystem) -> list[Element]:
 
 
 # ---------------------------------------------------------------------------
-# The shadow automaton by its own successor loop over the members' Sigma_n
-# masks: the reference that automata.build_shadow_automaton, read off the
-# canonical automaton, is checked against.
+# The shadow automaton by the same successor loop over the members' Sigma_n
+# masks, with each target projected by the columns (``_below``): the
+# reference that automata.build_shadow_automaton, which projects by the lower
+# covers of L_n, is checked against.
 
 def byte_slice_shadow_automaton(shadow: Shadow) -> Automaton:
     """A_B of a verified shadow: x goes via s to the highest set bit of the
@@ -766,7 +790,7 @@ def reference_low_search(sys: CoxeterSystem, level: int):
                     sw = mult_left(s, w)
                     found.append(sw)
                     sigma.append(bit | image)
-                    n1s.append(table.image(s, n1)
+                    n1s.append(table.images(n1)[s]
                                | (bit if sw.inv == w.inv | bit else 0))
                     nxt.append(j)
                 edges.append((j, i))
@@ -821,6 +845,17 @@ def low_without(low: Shadow, victim: Element) -> Shadow:
     out._small = [low._small[i] for i in keep]
     out._suffixes = (new_offsets, new_targets)
     return out
+
+
+def universe_missing(universe: Shadow, victim: int) -> Shadow:
+    """A copy of an L_n from low_elements whose Sigma_n lookup misses
+    element ``victim``, so that a lower cover at the victim, or a shadow
+    automaton's target with its mask, falls back to ``_below``."""
+    copy = Shadow._of_words(universe.system, universe._words, universe._small,
+                            universe.provenance, universe.level)
+    copy._n1, copy._suffixes = universe._n1, universe._suffixes
+    del copy._pos[universe._small[victim]]
+    return copy
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
 """Every public top-level function and class of coxauto is read in src/,
 or is library API: listed in DOCUMENTED_API and named in the README module
-list.  Test helpers belong in tests/conftest.py."""
+list.  Every public method of a public class is read as an attribute in
+src/, or is listed in READ_OUTSIDE_SRC with its reason.  Test helpers
+belong in tests/conftest.py."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -10,6 +13,9 @@ DOCUMENTED_API = (
     "weak_leq", "prefixes", "suffixes", "join", "project", "parabolic_image",
     "intersect_parabolic", "restriction_compatibility_check",
     "shadow_in_subsystem", "restrict_letters", "check_morphism", "isomorphic")
+READ_OUTSIDE_SRC = {
+    "CoxeterSystem.num_interned_roots": "perfbench/worker.py reads it",
+}
 
 
 def _definitions_and_reads():
@@ -44,3 +50,27 @@ def test_documented_api_is_defined_and_named_in_the_module_list():
     module_list = readme[start:readme.index("\n\n", start)]
     for name in DOCUMENTED_API:
         assert name in defined and f"`{name}`" in module_list, name
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute))
+
+
+def test_every_public_method_is_read_or_listed():
+    methods, reads = {}, Counter()
+    for path in sorted((ROOT / "src" / "coxauto").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads += _attribute_reads(tree)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                methods.update((f"{stmt.name}.{item.name}", item)
+                               for item in stmt.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_"))
+    assert set(READ_OUTSIDE_SRC) <= set(methods)
+    # a read inside the method itself does not count
+    unread = [qualified for qualified, item in methods.items()
+              if qualified not in READ_OUTSIDE_SRC
+              and reads[item.name] == _attribute_reads(item)[item.name]]
+    assert unread == []

@@ -14,7 +14,7 @@ from conftest import (BLOCKING_GROUPS, BLOCKING_RANK_THREE,
                       assert_numbered_by_first_state,
                       byte_slice_shadow_automaton, canonical_witnesses,
                       per_bit_canonical_automaton, projection_state_map,
-                      shortest_words)
+                      shortest_words, universe_missing)
 from coxauto import automata, garside, parse_coxeter_system, smallroots
 from coxauto.automata import (Automaton, MorphismVerdict,
                               build_canonical_automaton,
@@ -22,11 +22,11 @@ from coxauto.automata import (Automaton, MorphismVerdict,
                               isomorphic, minimize, nerode_classes,
                               restrict_letters)
 from coxauto.elements import _mask_bits, from_word, reduced_words
-from coxauto.errors import BudgetExceeded, InternalInvariant, ShadowViolation
+from coxauto.errors import BudgetExceeded, ShadowViolation
 from coxauto.garside import (Shadow, garside_closure, intersect_parabolic,
                              low_universe, parabolic_image, project,
                              shadow_in_subsystem)
-from coxauto.smallroots import build_small_roots
+from coxauto.smallroots import SmallRootTable, build_small_roots
 from coxauto.system import affine_candidates
 
 
@@ -104,7 +104,8 @@ def test_seeded_closures_and_verified_copies_match_byte_slice_reference(name):
 @pytest.mark.parametrize("level", [0, 1])
 @pytest.mark.parametrize("name", DIFFERENTIAL_GROUPS)
 def test_canonical_automaton_maps_onto_shadow_automaton(name, level):
-    # q -> pi_B(Sigma_n of q), the map that A_B is read off A_n by
+    # q -> pi_B(Sigma_n of q) maps A_n onto A_B, which is built from the
+    # members' masks without A_n
     sys = parse_coxeter_system(name)
     canonical, masks = build_canonical_automaton(sys, level)
     shadows = [low_universe(sys, level)]
@@ -133,18 +134,45 @@ def test_shadow_automaton_over_low0_projects_nothing(monkeypatch):
     assert calls == []
 
 
-def test_shadow_element_without_canonical_state_is_an_internal_error(
-        monkeypatch, aff_a2):
-    shadow = garside_closure(aff_a2)
-    real = automata.build_canonical_automaton
+@pytest.mark.parametrize("name", ["~A2", "~C3", "~B3", "H3",
+                                  "triangle(2,3,7)"])
+def test_shadow_automaton_builds_no_canonical_automaton(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("A_B is built through A_n")
 
-    def losing_a_state(sys, level):
-        auto, masks = real(sys, level)
-        return auto, [mask if q != 1 else -1 for q, mask in enumerate(masks)]
+    monkeypatch.setattr(automata, "build_canonical_automaton", refuse)
+    monkeypatch.setattr(SmallRootTable, "canonical_walk", refuse)
+    sys = parse_coxeter_system(name)
+    _assert_matches_byte_slice_reference(garside_closure(sys))
+    _assert_matches_byte_slice_reference(low_universe(sys, 1))
 
-    monkeypatch.setattr(automata, "build_canonical_automaton", losing_a_state)
-    with pytest.raises(InternalInvariant, match="no canonical state"):
-        build_shadow_automaton(shadow)
+
+@pytest.mark.parametrize("name", ["~C2", "~G2", "~C3", "triangle(2,3,7)"])
+def test_shadow_automaton_target_lookup_miss_falls_back_to_below(
+        monkeypatch, name):
+    # L_0 loses the Sigma_n lookup of its first element of length 2, the
+    # target of a generator's row: that target alone is read off _below
+    sys = parse_coxeter_system(name)
+    universe = low_universe(sys, 0)
+    victim = sys.rank + 1
+    assert len(universe._words[victim]) == 2
+    copy = universe_missing(universe, victim)
+    for shadow in (garside_closure(sys), universe):
+        reference = byte_slice_shadow_automaton(shadow)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(garside, "low_universe", lambda sys, level=0: copy)
+            calls = []
+            real = Shadow._below
+
+            def counting(self, small):
+                calls.append(small)
+                return real(self, small)
+
+            mp.setattr(Shadow, "_below", counting)
+            auto = build_shadow_automaton(shadow)
+        assert calls and set(calls) == {universe._small[victim]}
+        assert auto.initial == reference.initial
+        assert auto.delta == reference.delta
 
 
 def test_canonical_automaton_counts(aff_a2, aff_g2, i2inf):

@@ -157,6 +157,14 @@ def test_shadow_and_verify(capsys):
     assert "verdict: not-shadow" in out
 
 
+@pytest.mark.parametrize("words", ["", ","])
+def test_verify_empty_list(capsys, words):
+    # an empty list is verified, and fails at its first generator
+    assert main(["shadow", "--group", "I2(inf)", "--verify", words]) == 0
+    assert capsys.readouterr().out == (
+        "verdict: not-shadow\nreason: missing generator 1\n")
+
+
 def test_verify_parses_words_as_from_word():
     # shared prefixes are multiplied once; the elements are those of
     # from_word, also for repeated, unsorted and unreduced words

@@ -11,7 +11,7 @@ from conftest import (DIFFERENTIAL_GROUPS, FullColumnIndex, ball,
                       lowest_bit_closure_in_universe, n1_closure_in_universe,
                       n1_verify_shadow, pairwise_closure,
                       pairwise_verify_shadow, reference_low_search,
-                      search_join, up_set)
+                      search_join, universe_missing, up_set)
 from coxauto import garside, parse_coxeter_system
 from coxauto.automata import build_shadow_automaton
 from coxauto.conjectures import stats_row
@@ -386,17 +386,6 @@ def test_projections_match_below_reference(monkeypatch, name, level):
         assert got == below_projections(shadow, universe)
 
 
-def _universe_missing(universe: Shadow, victim: int) -> Shadow:
-    """A copy of an L_n from low_elements whose Sigma_n lookup misses
-    element ``victim``, so that a lower cover at the victim falls back to
-    ``_below``."""
-    copy = Shadow._of_words(universe.system, universe._words, universe._small,
-                            universe.provenance, universe.level)
-    copy._n1, copy._suffixes = universe._n1, universe._suffixes
-    del copy._pos[universe._small[victim]]
-    return copy
-
-
 @pytest.mark.parametrize("spec", ["~C2", "~G2", "~C3", "triangle(2,3,7)"])
 def test_lower_cover_lookup_miss_falls_back_to_below(monkeypatch, spec):
     # the first element of length 2 has no lookup in the copy: the lower
@@ -406,7 +395,7 @@ def test_lower_cover_lookup_miss_falls_back_to_below(monkeypatch, spec):
     closure = garside_closure(sys)
     victim = sys.rank + 1
     assert len(universe._words[victim]) == 2
-    copy = _universe_missing(universe, victim)
+    copy = universe_missing(universe, victim)
     calls = _shadow_calls(monkeypatch, "_below")
     assert garside._lower_covers(copy) == garside._lower_covers(universe)
     assert calls and set(calls) == {(universe._small[victim],)}

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar
 from coxauto.errors import InvalidLabel, OutOfField
 from coxauto.scalars import (MAX_FIELD_DEGREE, FieldContext, _interval_eval,
                              make_field_context)
@@ -218,7 +219,7 @@ _COEFF = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 def _scalars(ctx):
     return st.lists(_COEFF, min_size=ctx.degree, max_size=ctx.degree).map(
-        lambda v: ctx.scalar(v))
+        lambda v: scalar(ctx, v))
 
 
 _CTX = make_field_context({3, 4})  # degree-2 field keeps cases meaningful
@@ -243,8 +244,8 @@ def test_sign_is_multiplicative(x, y):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_COEFF, min_size=5, max_size=7))
 def test_reduction_is_idempotent(coeffs):
-    once = _CTX.scalar(coeffs)
-    twice = _CTX.scalar(once.coeffs)
+    once = scalar(_CTX, coeffs)
+    twice = scalar(_CTX, once.coeffs)
     assert once == twice
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar
 from coxauto.scalars import make_field_context
 
 _FIELDS = [make_field_context({n}) for n in (4, 5, 7, 12, 21)]
@@ -69,7 +70,7 @@ def _field_and_scalars(draw, count):
     ctx = draw(st.sampled_from(_FIELDS))
     vecs = [draw(st.lists(_COEFF, min_size=ctx.degree, max_size=ctx.degree))
             for _ in range(count)]
-    return ctx, [ctx.scalar(v) for v in vecs]
+    return ctx, [scalar(ctx, v) for v in vecs]
 
 
 @st.composite
@@ -120,7 +121,7 @@ def test_canonical_form_and_hash(case):
     ctx, (x,) = case
     assert x.den > 0
     assert gcd(x.den, *x.num) == 1
-    same = ctx.scalar(list(x.coeffs))
+    same = scalar(ctx, list(x.coeffs))
     assert same == x and hash(same) == hash(x)
     if x.as_rational() is not None:
         assert x == x.as_rational() and hash(x) == hash(x.as_rational())
