@@ -157,7 +157,8 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
     pi_B of the element of L_n with that mask is read off one pass over
     the lower covers of L_n (:func:`garside._projections`).  A mask of no
     element of L_n, which the dyho2 conjecture rules out, is sent to the
-    highest set bit of the shadow's ``_below`` on it.
+    last position of the shadow's ``_below`` on it, one scan of the
+    members' masks.
     """
     verdict = verify_shadow(shadow)
     if verdict.status is VerdictStatus.NOT_SHADOW:
@@ -176,7 +177,7 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
             if not mask >> s & 1:
                 target = 1 << s | image
                 x = where.get(target)
-                row[s] = (shadow._below(target).bit_length() - 1
+                row[s] = (shadow._below(target)[-1]
                           if x is None else projections[x])
         delta.append(tuple(row))
     return Automaton(letter_labels=_default_labels(shadow.system),

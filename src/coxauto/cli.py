@@ -147,15 +147,15 @@ def _cmd_shadow(args) -> int:
                  for w in args.verify.split(",") if w.strip()]
         shadow = Shadow(system, _elements(system, words))
         verdict = verify_shadow(shadow)
-        print(f"verdict: {verdict.status.value}")
+        lines = [f"verdict: {verdict.status.value}"]
         if verdict.reason:
-            print(f"reason: {verdict.reason}")
+            lines.append(f"reason: {verdict.reason}")
         if verdict.witness:
-            print("witness: " + " ".join(verdict.witness))
-        return 0
-    shadow = garside_closure(system)
-    lines = [f"# smallest Garside shadow of {system.name}: {len(shadow)} elements"]
-    lines.extend(shadow.words())
+            lines.append("witness: " + " ".join(verdict.witness))
+    else:
+        shadow = garside_closure(system)
+        lines = [f"# smallest Garside shadow of {system.name}: "
+                 f"{len(shadow)} elements", *shadow.words()]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from array import array
 from collections import deque
 from fractions import Fraction
@@ -396,6 +397,47 @@ def search_join(u: Element, v: Element, cap: int):
 
 
 # ---------------------------------------------------------------------------
+# The n-small columns of a shadow: for each n-small root, one int bitset of
+# the elements whose Sigma_n holds it, bit i standing for element i.  The
+# bitset references below read them; garside.Shadow keeps no column, and
+# scans its masks instead (Shadow._below).
+
+class SmallColumns:
+    """The columns of a shadow over the n-small roots of its level."""
+
+    def __init__(self, shadow: Shadow):
+        self.small = shadow._small_parts()
+        self.full = (1 << len(self.small)) - 1
+        size = (len(self.small) + 7) >> 3
+        rows = [bytearray(size) for _ in range(len(shadow._small_table()))]
+        for i, mask in enumerate(self.small):
+            byte, bit = i >> 3, 1 << (i & 7)
+            for nid in _mask_bits(mask):
+                rows[nid][byte] |= bit
+        self.columns = [int.from_bytes(row, "little") for row in rows]
+
+    def below(self, small: int) -> int:
+        """The elements whose Sigma_n lies inside the node mask ``small``:
+        those outside the column of every n-small root not in it."""
+        outside = 0
+        for nid, column in enumerate(self.columns):
+            if not small >> nid & 1:
+                outside |= column
+        return self.full & ~outside
+
+
+_SMALL_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def small_columns(shadow: Shadow) -> SmallColumns:
+    """The columns of a shadow, built once per shadow."""
+    index = _SMALL_COLUMNS.get(shadow)
+    if index is None:
+        index = _SMALL_COLUMNS[shadow] = SmallColumns(shadow)
+    return index
+
+
+# ---------------------------------------------------------------------------
 # Join closure by up-sets in the smallest n-low universe: the pairwise
 # closure, the pairwise verification, the lowest-bit closure passes and the
 # N^1 test on the columns are the references that the lower-cover pass of
@@ -405,10 +447,10 @@ def search_join(u: Element, v: Element, cap: int):
 def up_set(universe: Shadow, i: int) -> int:
     """The elements of an L_n above element i: the AND of the columns of
     its Sigma_n."""
-    columns, small = universe._root_index()
-    up = (1 << len(universe)) - 1
-    for nid in _mask_bits(small[i]):
-        up &= columns[nid]
+    index = small_columns(universe)
+    up = index.full
+    for nid in _mask_bits(index.small[i]):
+        up &= index.columns[nid]
     return up
 
 
@@ -474,8 +516,8 @@ def lowest_bit_closure_in_universe(universe: Shadow, seeds) -> bytearray:
     member, with x admitted when it is the lowest bit of the AND of the
     columns of the roots of Sigma_n(x) that meet the members below x."""
     offsets, targets = universe._suffixes
-    columns, small = universe._root_index()
-    full = (1 << len(small)) - 1
+    index = small_columns(universe)
+    columns, small, full = index.columns, index.small, index.full
     closed = 0
     inside = bytearray(len(small))
 
@@ -504,7 +546,7 @@ def lowest_bit_closure_in_universe(universe: Shadow, seeds) -> bytearray:
         for i, x_small in enumerate(small):
             if inside[i]:
                 continue
-            below = closed & universe._below(x_small)
+            below = closed & index.below(x_small)
             if not below & (below - 1):  # fewer than two members below x
                 continue
             up = full
@@ -524,14 +566,14 @@ def n1_is_join_of_members(universe: Shadow, members: int, covered: int,
                           x: int) -> bool:
     """Whether element x of an L_n is the join of the ``members`` below it:
     every root of N^1(x) lies in Sigma_n(y) for a member y <= x, the
-    members below x being read off the columns by ``_below``.  ``covered``
-    is the OR of the members' Sigma_n."""
+    members below x being read off the columns.  ``covered`` is the OR of
+    the members' Sigma_n."""
     n1 = universe._n1[x]
     if n1 & ~covered:
         return False
-    columns, small = universe._root_index()
-    below = members & universe._below(small[x])
-    return all(columns[nid] & below for nid in _mask_bits(n1))
+    index = small_columns(universe)
+    below = members & index.below(index.small[x])
+    return all(index.columns[nid] & below for nid in _mask_bits(n1))
 
 
 def n1_closure_in_universe(universe: Shadow, seeds) -> bytearray:
@@ -540,7 +582,7 @@ def n1_closure_in_universe(universe: Shadow, seeds) -> bytearray:
     passes that admit, as they go, each x that n1_is_join_of_members
     passes, until neither grows."""
     offsets, targets = universe._suffixes
-    small = universe._root_index()[1]
+    small = universe._small_parts()
     members = covered = 0
     inside = bytearray(len(small))
     todo: list[int] = []
@@ -579,7 +621,8 @@ def n1_verify_shadow(shadow: Shadow) -> ShadowVerdict:
     if failure is not None:
         return failure
     universe = smallest_low_universe(shadow.system, shadow)
-    small = universe._root_index()[1]
+    index = small_columns(universe)
+    small = index.small
     inside = {universe._index(el) for el in shadow}
     members = covered = 0
     for i in inside:
@@ -590,7 +633,7 @@ def n1_verify_shadow(shadow: Shadow) -> ShadowVerdict:
                                                     covered, x):
             continue
         u = identity(shadow.system)
-        for i in _mask_bits(members & universe._below(small[x])):
+        for i in _mask_bits(members & index.below(small[x])):
             v = universe._element(i)
             joined = join(u, v)
             if joined not in shadow:
@@ -603,14 +646,15 @@ def n1_verify_shadow(shadow: Shadow) -> ShadowVerdict:
 
 def below_projections(shadow: Shadow, universe: Shadow) -> list[int]:
     """pi_B of each element of an L_n holding a shadow B, as a position in
-    B: the highest set bit of B's ``_below`` on its Sigma_n."""
-    return [shadow._below(mask).bit_length() - 1
-            for mask in universe._small_parts()]
+    B: the highest set bit of B's columns below its Sigma_n."""
+    below = small_columns(shadow).below
+    return [below(mask).bit_length() - 1 for mask in universe._small_parts()]
 
 
 # ---------------------------------------------------------------------------
 # Prefixes by one column per root of some inversion set in the shadow: the
-# reference that the n-small columns of garside.Shadow are checked against.
+# reference that the Sigma_n scan of garside.Shadow._below is checked
+# against.
 
 class FullColumnIndex:
     """A shadow indexed by every root that lies in the inversion set of
@@ -690,16 +734,18 @@ def canonical_witnesses(auto: Automaton, sys: CoxeterSystem) -> list[Element]:
 
 # ---------------------------------------------------------------------------
 # The shadow automaton by the same successor loop over the members' Sigma_n
-# masks, with each target projected by the columns (``_below``): the
-# reference that automata.build_shadow_automaton, which projects by the lower
-# covers of L_n, is checked against.
+# masks, with each target projected by the n-small columns: the reference
+# that automata.build_shadow_automaton, which projects by the lower covers
+# of L_n, is checked against.
 
 def byte_slice_shadow_automaton(shadow: Shadow) -> Automaton:
     """A_B of a verified shadow: x goes via s to the highest set bit of the
-    shadow's ``_below`` on {a_s} union s(Sigma_n(x)), found once per mask."""
+    shadow's columns below {a_s} union s(Sigma_n(x)), found once per
+    mask."""
     sys = shadow.system
     images = shadow._small_table().images
-    _, small = shadow._root_index()
+    index = small_columns(shadow)
+    small = index.small
     targets: dict[int, int] = {}  # Sigma_n(s x) -> pi_B(s x), by position
     delta = []
     for mask in small:
@@ -710,7 +756,7 @@ def byte_slice_shadow_automaton(shadow: Shadow) -> Automaton:
             new_mask = 1 << s | image
             target = targets.get(new_mask)
             if target is None:
-                target = shadow._below(new_mask).bit_length() - 1
+                target = index.below(new_mask).bit_length() - 1
                 targets[new_mask] = target
             row[s] = target
         delta.append(tuple(row))

@@ -14,7 +14,7 @@ from conftest import (BLOCKING_GROUPS, BLOCKING_RANK_THREE,
                       assert_numbered_by_first_state,
                       byte_slice_shadow_automaton, canonical_witnesses,
                       per_bit_canonical_automaton, projection_state_map,
-                      shortest_words, universe_missing)
+                      shortest_words, small_columns, universe_missing)
 from coxauto import automata, garside, parse_coxeter_system, smallroots
 from coxauto.automata import (Automaton, MorphismVerdict,
                               build_canonical_automaton,
@@ -112,7 +112,8 @@ def test_canonical_automaton_maps_onto_shadow_automaton(name, level):
     if level == 0:
         shadows.append(garside_closure(sys))
     for shadow in shadows:
-        f = [shadow._below(mask).bit_length() - 1 for mask in masks]
+        below = small_columns(shadow).below
+        f = [below(mask).bit_length() - 1 for mask in masks]
         report = check_morphism(f, canonical, build_shadow_automaton(shadow))
         assert report.verdict is MorphismVerdict.TOTALLY_SURJECTIVE
 

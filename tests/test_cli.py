@@ -203,6 +203,20 @@ def test_automaton_out_file_holds_the_stats(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("words", ["1,2,12", "e,1,2"])
+def test_verify_out_file_holds_the_verdict(tmp_path, capsys, words):
+    # a missing identity, and a join outside the set: the verdict, reason
+    # and witness lines go to the file alone, and to stdout without --out
+    argv = ["shadow", "--group", "A2", "--verify", words]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("verdict: not-shadow\nreason: ")
+    out = tmp_path / "verdict.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text() == printed
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["roots", "--group", "~A2"], "--out"),
     (["automaton", "--group", "~A2"], "--dot"),

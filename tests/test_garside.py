@@ -14,7 +14,7 @@ from conftest import (DIFFERENTIAL_GROUPS, FullColumnIndex, ball,
                       search_join, universe_missing, up_set)
 from coxauto import garside, parse_coxeter_system
 from coxauto.automata import build_shadow_automaton
-from coxauto.conjectures import stats_row
+from coxauto.conjectures import check_conjecture, stats_row
 from coxauto.elements import (_mask_bits, from_word, generator, identity,
                               mult_left, weak_leq)
 from coxauto.errors import (BudgetExceeded, InternalInvariant,
@@ -108,8 +108,16 @@ def test_shadow_automaton_projections_match_scan(spec, kind, request):
 def test_project_rejects_non_join_closed_set(a2):
     # both s and t are longest prefixes of sts inside {e, s, t}
     bad = Shadow(a2, [from_word(a2, w) for w in [(), (0,), (1,)]])
-    with pytest.raises(ShadowViolation):
+    with pytest.raises(ShadowViolation, match="not unique"):
         project(bad, from_word(a2, (0, 1, 0)))
+
+
+def test_project_rejects_set_without_a_prefix(a2):
+    # {s, t} lacks e, the one prefix of e
+    bad = Shadow(a2, [from_word(a2, (0,)), from_word(a2, (1,))])
+    with pytest.raises(ShadowViolation, match="contains no prefix"):
+        project(bad, identity(a2))
+    assert project(bad, from_word(a2, (0, 1))) == from_word(a2, (0,))
 
 
 def test_verify_shadow_examples(right_angled, gprime_shadow, i2inf, a2):
@@ -223,12 +231,18 @@ def _join_by_scan(universe, u, v):
     return next((w for w in universe if not merged & ~w.inv), None)
 
 
-@pytest.mark.parametrize("spec", ["~A2", "~C2", "~G2", "~A3", "~C3", "~B3",
-                                  "triangle(3,3,4)"])
-def test_universe_join_matches_scan(spec):
+@pytest.mark.parametrize("spec, level", [
+    *(pytest.param(spec, 0, id=spec) for spec in [
+        "~A2", "~C2", "~G2", "~A3", "~C3", "~B3", "triangle(3,3,4)"]),
+    pytest.param("~G2", 1, id="~G2-L_1")])
+def test_universe_join_matches_scan(spec, level):
+    # in L_1, the pairs with an input outside L_0, so decided in L_1
     sys = parse_coxeter_system(spec)
-    low = low_universe(sys)
+    low = low_universe(sys, level)
+    lower = low_universe(sys, level - 1) if level else ()
     for u, v in itertools.combinations_with_replacement(low, 2):
+        if u in lower and v in lower:
+            continue
         w = join(u, v)
         expected = _join_by_scan(low, u, v)
         if expected is None:
@@ -290,22 +304,22 @@ def _shadow_calls(monkeypatch, name: str) -> list[tuple]:
 
 
 def _assert_small_columns_match_full(sys, seeds=()):
-    """The closure and its shadow automaton read no column: they build no
-    columns, so they make no ``_below`` call either.  The columns that
-    ``join`` and ``project`` still read, and every transition of the
-    automaton, agree with the full-column reference."""
+    """The closure and its shadow automaton make no ``_below`` call.  The
+    Sigma_n scan of ``_below``, which ``join`` and ``project`` read, and
+    every transition of the automaton, agree with the full-column
+    reference."""
     with pytest.MonkeyPatch.context() as mp:
-        reads = _shadow_calls(mp, "_root_index")
+        calls = _shadow_calls(mp, "_below")
         closure = garside_closure(sys, seeds=seeds)
         auto = build_shadow_automaton(closure)
-    assert reads == []
+    assert calls == []
     table = build_small_roots(sys, closure.level)
     assert closure._small_parts() == [table.small_part(el.inv)
                                       for el in closure]
     universe = smallest_low_universe(sys, closure)
     reference = FullColumnIndex(universe)
     for x, small in zip(universe.elements, universe._small_parts()):
-        assert universe._below(small) == reference.below(x.inv)
+        assert universe._below(small) == _mask_bits(reference.below(x.inv))
     reference = FullColumnIndex(closure)
     for q, x in enumerate(closure.elements):
         for s in range(sys.rank):
@@ -377,11 +391,11 @@ def test_projections_match_below_reference(monkeypatch, name, level):
     closures = (garside_closure(sys),
                 garside_closure(sys, seeds=[universe._element(-1)]))
     shadows = [universe, *(c for c in closures if c.level == level)]
-    reads = _shadow_calls(monkeypatch, "_root_index")
+    calls = _shadow_calls(monkeypatch, "_below")
     projections = [garside._projections(
         universe, {mask: i for i, mask in enumerate(shadow._small_parts())})
         for shadow in shadows]
-    assert reads == []  # every lower cover is found by its Sigma_n
+    assert calls == []  # every lower cover is found by its Sigma_n
     for shadow, got in zip(shadows, projections):
         assert got == below_projections(shadow, universe)
 
@@ -410,9 +424,12 @@ def test_lower_cover_lookup_miss_falls_back_to_below(monkeypatch, spec):
 
 def test_stats_row_reads_no_columns(monkeypatch):
     # the closure of S decides its joins by the lower-cover pass alone: no
-    # _below call, and no column built
+    # _below scan, and no join or project call; conj2 reads no L_n
     below = _shadow_calls(monkeypatch, "_below")
-    reads = _shadow_calls(monkeypatch, "_root_index")
+    decided = []
+    for name in ("join", "project"):
+        monkeypatch.setattr(garside, name,
+                            lambda *args, name=name: decided.append(name))
     passes, real = [], garside._join_pass
 
     def spying(universe, *args):
@@ -422,7 +439,8 @@ def test_stats_row_reads_no_columns(monkeypatch):
     monkeypatch.setattr(garside, "_join_pass", spying)
     sys = parse_coxeter_system("~C3")
     assert stats_row(sys).shadow_states == 317
-    assert below == reads == []
+    assert check_conjecture(sys, "conj2").numbers["a_min"] == 317
+    assert below == decided == []
     assert passes and set(passes) == {low_universe(sys)}
 
 
@@ -587,7 +605,7 @@ def _assert_search_data_matches(sys, level):
     those read off the inversion sets and found by ``mult_left``."""
     low = low_elements(sys, level)
     table = build_small_roots(sys, level)
-    assert low._root_index()[1] == [table.small_part(el.inv) for el in low]
+    assert low._small_parts() == [table.small_part(el.inv) for el in low]
     offsets, targets = low._suffixes
     for i, x in enumerate(low):
         suffixes = [mult_left(s, x) for s in x.descents_left]

@@ -206,7 +206,7 @@ def test_image_slices_give_small_part_of_ascent(name, level):
     sys = parse_coxeter_system(name)
     table = build_small_roots(sys, level)
     low = low_elements(sys, level)
-    small = low._root_index()[1]
+    small = low._small_parts()
     offsets, targets = low._suffixes
     for i, x in enumerate(low):
         assert small[i] == table.small_part(x.inv)
