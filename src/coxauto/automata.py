@@ -198,8 +198,8 @@ def build_canonical_automaton(sys: CoxeterSystem, level: int
     More than ``garside.STATE_BUDGET`` states raise ``BudgetExceeded``, at
     once when the system is affine at level 0 and more are predicted.
     """
-    check_state_budget(sys, level)
     table = build_small_roots(sys, level)
+    check_state_budget(sys, table, level)
     masks, delta = table.canonical_walk(garside.STATE_BUDGET)
     auto = Automaton(letter_labels=_default_labels(sys),
                      payloads=_MaskPayloads(masks, table), initial=0,

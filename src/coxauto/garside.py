@@ -43,9 +43,10 @@ from typing import Iterable, Iterator
 
 from .elements import (Element, coset_split, from_word, generator, identity,
                        mult_left, support)
-from .errors import (BudgetExceeded, InternalInvariant, InvalidGroupSpec,
-                     LowElementsNotShadow, ShadowViolation)
-from .smallroots import SmallRootTable, affine_structure, build_small_roots
+from .errors import (BudgetExceeded, InternalInvariant, LowElementsNotShadow,
+                     ShadowViolation)
+from .smallroots import (Classification, SmallRootTable, build_small_roots,
+                         classify_system)
 from .system import CoxeterSystem
 
 # Elements of low_elements, so of every L_n universe and every closure, and
@@ -504,27 +505,31 @@ def _close_in_universe(universe: Shadow,
 # ---------------------------------------------------------------------------
 # Low elements
 
-def check_state_budget(sys: CoxeterSystem, level: int) -> None:
+def check_state_budget(sys: CoxeterSystem, table: SmallRootTable,
+                       level: int) -> None:
     """Refuse at once a level-0 affine enumeration predicted to pass budget.
 
-    An affine group of finite rank r and Coxeter number h has (h+1)^r
-    regions in its Shi arrangement (Shi 1987), in bijection with its 0-low
-    elements and with the states of its 0-canonical automaton (Dyer,
-    Fishel, Hohlweg & Mark, *Shi arrangements and low elements in affine
-    Coxeter groups*).
+    ``table`` is the system's table of n-small roots at this level.  An
+    irreducible affine group of rank r + 1 over a finite Weyl group W_0 of
+    rank r and Coxeter number h has (h+1)^r regions in its Shi arrangement
+    (Shi 1987), in bijection with its 0-low elements and with the states of
+    its 0-canonical automaton (Dyer, Fishel, Hohlweg & Mark, *Shi
+    arrangements and low elements in affine Coxeter groups*).  Its 0-small
+    roots are Phi+_0 and delta - Phi+_0, for the positive roots Phi+_0 of
+    W_0 and the radical delta (Brink & Howlett 1993; Brink 1998), so there
+    are |Phi_0| = r h of them (Humphreys, *Reflection groups and Coxeter
+    groups*, 3.18), and h is len(table) // r.
     """
-    if level != 0:
+    if level != 0 or classify_system(sys) is not Classification.AFFINE:
         return
-    try:  # one classification of the whole system
-        structure = affine_structure(sys)
-    except InvalidGroupSpec:  # not affine: no count is known
-        return
-    h, r = structure.coxeter_number, structure.finite_rank
+    r = sys.rank - 1
+    h = len(table) // r
     predicted = (h + 1) ** r
     if predicted > STATE_BUDGET:
         raise BudgetExceeded(
-            f"{structure.family} has (h+1)^r = {h + 1}^{r} = {predicted:,} "
-            f"states at level 0, over the state budget of {STATE_BUDGET:,}")
+            f"{sys.name or f'rank-{sys.rank}'} has (h+1)^r = {h + 1}^{r} = "
+            f"{predicted:,} states at level 0, over the state budget of "
+            f"{STATE_BUDGET:,}")
 
 
 def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
@@ -573,8 +578,8 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
     ``STATE_BUDGET`` elements raise ``BudgetExceeded``.  Unlike
     :func:`low_universe`, this caches nothing and records no verdict.
     """
-    check_state_budget(sys, level)
     table = build_small_roots(sys, level)
+    check_state_budget(sys, table, level)
     exits, images = table.exits, table.images
     words: list[tuple[int, ...]] = [()]  # in the order found
     sigma, n1s = [0], [0]  # Sigma_n and N^1 of each

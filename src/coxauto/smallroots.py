@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from .elements import _mask_bits
 from .errors import BudgetExceeded, InternalInvariant, InvalidGroupSpec
 from .scalars import Scalar
-from .system import CoxeterSystem, affine_candidates, matrices_isomorphic
+from .system import CoxeterSystem
 
 NEGATIVE = -1  # theta(s) marker: beta = a_s, reflection goes negative
 EXIT = -2      # theta(s) marker: s(beta) is not n-small
@@ -426,34 +426,3 @@ def spherical_analysis(table: SmallRootTable) -> tuple[frozenset[int], bool]:
     sph = frozenset(i for i, node in enumerate(table.nodes) if node.spherical)
     return sph, len(sph) == len(table.nodes)
 
-
-# ---------------------------------------------------------------------------
-# Affine systems: family and Coxeter number
-
-@dataclass(frozen=True)
-class AffineStructure:
-    family: str
-    coxeter_number: int
-    finite_rank: int
-
-
-def affine_structure(sys: CoxeterSystem) -> AffineStructure:
-    """Family, Coxeter number and finite rank of an affine system.
-
-    The system must be of irreducible affine type; its Coxeter graph is
-    matched against the catalog of affine diagrams, which records the
-    Coxeter number of the underlying finite Weyl group.  It is matched once
-    per system, and the result is cached on it.
-    """
-    if sys._affine_structure is None:
-        if classify_system(sys) is not Classification.AFFINE:
-            raise InvalidGroupSpec("system is not of irreducible affine type")
-        for name, mat, h, finite_rank in affine_candidates(sys.rank):
-            if matrices_isomorphic(sys.matrix, mat):
-                sys._affine_structure = AffineStructure(
-                    family=name, coxeter_number=h, finite_rank=finite_rank)
-                break
-        else:
-            raise InternalInvariant(
-                "affine system missing from the type catalog")
-    return sys._affine_structure

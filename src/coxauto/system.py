@@ -22,6 +22,12 @@ INFINITY = math.inf
 
 Label = float  # an int >= 1 or math.inf
 
+# Rank of a system, checked where a preset or a matrix file gives it, before
+# any list of that length is built.  The Coxeter and Gram matrices hold
+# rank^2 entries: parsing A300 takes 0.2 s and 28 MB, A1000 1.9 s and
+# 160 MB, and a rank of 10^11 would not fit in memory.
+RANK_BUDGET = 300
+
 
 @dataclass(frozen=True)
 class CoxeterMatrix:
@@ -165,91 +171,14 @@ def _preset_affine(family: str, n: int) -> CoxeterMatrix:
     raise InvalidGroupSpec(f"unknown affine preset ~{family}{n}")
 
 
-#: Coxeter numbers of the finite Weyl families, used for affine bookkeeping.
-def _coxeter_number(family: str, n: int) -> int:
-    if family == "A":
-        return n + 1
-    if family in ("B", "C"):
-        return 2 * n
-    if family == "D":
-        return 2 * n - 2
-    if family == "E":
-        return {6: 12, 7: 18, 8: 30}[n]
-    if family == "F":
-        return 12
-    if family == "G":
-        return 6
-    raise InvalidGroupSpec(f"no Coxeter number for family {family}")
-
-
-def affine_candidates(rank: int) -> list[tuple[str, CoxeterMatrix, int, int]]:
-    """All irreducible affine presets of the given rank.
-
-    Returns tuples (name, matrix, coxeter_number, finite_rank).
-    """
-    n = rank - 1
-    out = []
-    specs: list[tuple[str, int]] = [("A", n)]
-    if n >= 3:
-        specs.append(("B", n))
-    if n >= 2:
-        specs.append(("C", n))
-    if n >= 4:
-        specs.append(("D", n))
-    if n in (6, 7, 8):
-        specs.append(("E", n))
-    if n == 4:
-        specs.append(("F", n))
-    if n == 2:
-        specs.append(("G", n))
-    for family, m in specs:
-        if m < 1:
-            continue
-        try:
-            mat = _preset_affine(family, m)
-        except InvalidGroupSpec:
-            continue
-        out.append((f"~{family}{m}", mat, _coxeter_number(family, m), m))
-    return out
-
-
-def matrices_isomorphic(a: CoxeterMatrix, b: CoxeterMatrix) -> bool:
-    """Label-preserving graph isomorphism by backtracking (small ranks)."""
-    if a.rank != b.rank:
-        return False
-    n = a.rank
-
-    def label_profile(mat: CoxeterMatrix, i: int):
-        return sorted(v for k, v in enumerate(mat.rows[i]) if k != i)
-
-    prof_a = [label_profile(a, i) for i in range(n)]
-    prof_b = [label_profile(b, i) for i in range(n)]
-    if sorted(map(tuple, prof_a)) != sorted(map(tuple, prof_b)):
-        return False
-
-    assignment: list[int] = []
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or prof_a[i] != prof_b[j]:
-                continue
-            if all(a.rows[i][k] == b.rows[j][assignment[k]] for k in range(i)):
-                used[j] = True
-                assignment.append(j)
-                if extend(i + 1):
-                    return True
-                assignment.pop()
-                used[j] = False
-        return False
-
-    return extend(0)
-
-
 # ---------------------------------------------------------------------------
 # Group spec parsing
+
+def _check_rank(rank: int) -> None:
+    if rank > RANK_BUDGET:
+        raise InvalidGroupSpec(
+            f"rank {rank:,} is over the rank budget of {RANK_BUDGET:,}")
+
 
 _PRESET_RE = re.compile(r"^([ABCDEFGH])(\d+)$")
 _I2_RE = re.compile(r"^I2\((\d+|inf)\)$")
@@ -286,10 +215,12 @@ def preset_matrix(name: str) -> CoxeterMatrix:
     if name.startswith("~"):
         mt = _PRESET_RE.match(name[1:])
         if mt:
+            _check_rank(int(mt.group(2)) + 1)
             return _preset_affine(mt.group(1), int(mt.group(2)))
         raise InvalidGroupSpec(f"unknown affine preset {name!r}")
     mt = _PRESET_RE.match(name)
     if mt:
+        _check_rank(int(mt.group(2)))
         return _preset_finite(mt.group(1), int(mt.group(2)))
     raise InvalidGroupSpec(f"unknown preset {name!r}")
 
@@ -306,6 +237,7 @@ def parse_matrix_block(text: str) -> CoxeterMatrix:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise InvalidGroupSpec(f"bad rank line {line!r}")
             rank = int(parts[1])
+            _check_rank(rank)
         elif parts[0] == "m":
             if rank is None:
                 raise InvalidGroupSpec("matrix entry before rank line")
@@ -367,6 +299,11 @@ class CoxeterSystem:
                         row.append(-self.ctx.cos_pi_over(int(m)))
             gram.append(tuple(row))
         self.gram: tuple[tuple[Scalar, ...], ...] = tuple(gram)
+        # row s of the Gram matrix as its (t, B(a_s, a_t)) with a non-zero
+        # entry: s and its neighbours in the Coxeter graph
+        self._gram_rows: tuple[tuple[tuple[int, Scalar], ...], ...] = tuple(
+            tuple((t, g) for t, g in enumerate(row) if not g.is_zero())
+            for row in gram)
 
         zero = self.ctx.zero
         self._roots: list[tuple[Scalar, ...]] = []
@@ -379,9 +316,6 @@ class CoxeterSystem:
         # smallroots.Classification of the whole system, set by
         # smallroots.classify_system
         self._classification: object | None = None
-        # smallroots.AffineStructure of an affine system, set by
-        # smallroots.affine_structure
-        self._affine_structure: object | None = None
         # level n -> smallroots.SmallRootTable, filled by build_small_roots
         self._small_root_tables: dict[int, object] = {}
         # level n -> the n-low elements as a garside.Shadow, filled by
@@ -406,12 +340,13 @@ class CoxeterSystem:
         return rid
 
     def bilinear_simple(self, s: int, coords: Sequence[Scalar]) -> Scalar:
-        row = self.gram[s]
+        """B(a_s, v), over the non-zero entries of row s alone."""
         acc = None
-        for t, c in enumerate(coords):
+        for t, g in self._gram_rows[s]:
+            c = coords[t]
             if c.is_zero():
                 continue
-            term = row[t] * c
+            term = g * c
             acc = term if acc is None else acc + term
         return acc if acc is not None else self.ctx.zero
 
@@ -471,8 +406,11 @@ class CoxeterSystem:
         text = text.strip()
         if text in ("e", ""):
             return ()
+        # up to rank 9 a dotless word is one digit per letter; from rank 10
+        # on, as word_to_string writes them, letters are split on dots
         letters = []
-        for tok in (text.split(".") if "." in text else text):
+        for tok in (text.split(".") if "." in text or self.rank > 9
+                    else text):
             try:
                 letters.append(int(tok) - 1)
             except ValueError:

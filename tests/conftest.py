@@ -161,6 +161,29 @@ def scalar(ctx: FieldContext, coeffs) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
+# The irreducible affine types of rank 2 to 9, rank by rank, as (name, h, r):
+# the Coxeter number h and the rank r of the finite Weyl group under each
+# (Humphreys, *Reflection groups and Coxeter groups*, 3.18).  The state-count
+# refusal of garside.check_state_budget reads h off the small-root table, so
+# this list is an independent reference for it.
+
+AFFINE_CATALOG = [
+    ("~A1", 2, 1),
+    ("~A2", 3, 2), ("~C2", 4, 2), ("~G2", 6, 2),
+    ("~A3", 4, 3), ("~B3", 6, 3), ("~C3", 6, 3),
+    ("~A4", 5, 4), ("~B4", 8, 4), ("~C4", 8, 4), ("~D4", 6, 4), ("~F4", 12, 4),
+    ("~A5", 6, 5), ("~B5", 10, 5), ("~C5", 10, 5), ("~D5", 8, 5),
+    ("~A6", 7, 6), ("~B6", 12, 6), ("~C6", 12, 6), ("~D6", 10, 6),
+    ("~E6", 12, 6),
+    ("~A7", 8, 7), ("~B7", 14, 7), ("~C7", 14, 7), ("~D7", 12, 7),
+    ("~E7", 18, 7),
+    ("~A8", 9, 8), ("~B8", 16, 8), ("~C8", 16, 8), ("~D8", 14, 8),
+    ("~E8", 30, 8),
+]
+AFFINE_H_R = {name: (h, r) for name, h, r in AFFINE_CATALOG}
+
+
+# ---------------------------------------------------------------------------
 # Dominance by the pairwise criterion, and in affine type by the radical: the
 # references that the dominated sets of smallroots.build_small_roots are
 # checked against.

@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from conftest import (accepted_words, assert_dominance_matches_affine_oracle,
+from conftest import (AFFINE_H_R, accepted_words,
+                      assert_dominance_matches_affine_oracle,
                       assert_dominated_sets_match_recount, ball,
                       canonical_witnesses, projection_state_map)
 from coxauto import parse_coxeter_system
@@ -23,8 +24,7 @@ from coxauto.elements import (coset_split, from_word, mult_left,
 from coxauto.garside import (Shadow, VerdictStatus, garside_closure,
                              intersect_parabolic, low_elements, parabolic_image,
                              project, shadow_in_subsystem, verify_shadow)
-from coxauto.smallroots import (affine_structure, build_small_roots,
-                                spherical_analysis)
+from coxauto.smallroots import build_small_roots, spherical_analysis
 
 
 def criterion(number, description):
@@ -130,18 +130,17 @@ def test_criterion_1_table_reproduction(bundles):
 def test_criterion_2_affine_formulas(bundles):
     for name in EVIDENCE:
         b = bundles(name)
-        st = affine_structure(b.system)
+        h, r = AFFINE_H_R[name]
         a0, _ = b.canonical0
-        assert a0.num_states == (st.coxeter_number + 1) ** st.finite_rank
-        assert len(b.table0) == st.finite_rank * st.coxeter_number
+        assert a0.num_states == (h + 1) ** r
+        assert len(b.table0) == r * h
 
 
 @criterion(3, "affine D5 stretch: 9^5 canonical states minimize to 58965")
 def test_criterion_3_stretch():
     start = time.monotonic()
     sys = parse_coxeter_system("~D5")
-    st = affine_structure(sys)
-    assert (st.coxeter_number, st.finite_rank) == (8, 5)
+    assert len(build_small_roots(sys, 0)) == 5 * 8  # r h, with h = 8
     auto, _ = build_canonical_automaton(sys, 0)
     assert auto.num_states == 9 ** 5 == 59049
     assert minimize(auto).num_states == 58965

@@ -1,8 +1,9 @@
 """Every public top-level function and class of coxauto is read in src/,
 or is library API: listed in DOCUMENTED_API and named in the README module
 list.  Every public method of a public class is read as an attribute in
-src/, or is listed in READ_OUTSIDE_SRC with its reason.  Test helpers
-belong in tests/conftest.py."""
+src/, or is listed in READ_OUTSIDE_SRC with its reason.  Every private
+function and method is read in src/, or is listed in CALLED_BY_LIBRARY with
+its reason.  Test helpers belong in tests/conftest.py."""
 
 import ast
 from collections import Counter
@@ -15,6 +16,9 @@ DOCUMENTED_API = (
     "shadow_in_subsystem", "restrict_letters", "check_morphism", "isomorphic")
 READ_OUTSIDE_SRC = {
     "CoxeterSystem.num_interned_roots": "perfbench/worker.py reads it",
+}
+CALLED_BY_LIBRARY = {
+    "_Parser.error": "argparse calls it on a usage error",
 }
 
 
@@ -73,4 +77,38 @@ def test_every_public_method_is_read_or_listed():
     unread = [qualified for qualified, item in methods.items()
               if qualified not in READ_OUTSIDE_SRC
               and reads[item.name] == _attribute_reads(item)[item.name]]
+    assert unread == []
+
+
+def _reads(node: ast.AST) -> Counter:
+    return Counter(sub.attr if isinstance(sub, ast.Attribute) else sub.id
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Attribute, ast.Name)))
+
+
+def test_every_private_definition_is_read_or_listed():
+    # private: a top-level function or a method whose name starts with one
+    # underscore, or any method of such a class but the dunders, which
+    # Python calls
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    definitions, reads = {}, Counter()
+    for path in sorted((ROOT / "src" / "coxauto").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads += _reads(tree)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and private(stmt.name):
+                definitions[f"{path.stem}.{stmt.name}"] = stmt
+            elif isinstance(stmt, ast.ClassDef):
+                definitions.update(
+                    (f"{stmt.name}.{item.name}", item) for item in stmt.body
+                    if isinstance(item, ast.FunctionDef)
+                    and (private(item.name) or private(stmt.name)
+                         and not item.name.startswith("__")))
+    assert set(CALLED_BY_LIBRARY) <= set(definitions)
+    # a read inside the definition itself does not count
+    unread = [qualified for qualified, item in definitions.items()
+              if qualified not in CALLED_BY_LIBRARY
+              and reads[item.name] == _reads(item)[item.name]]
     assert unread == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (BLOCKING_GROUPS, BLOCKING_RANK_THREE,
+from conftest import (AFFINE_CATALOG, BLOCKING_GROUPS, BLOCKING_RANK_THREE,
                       DIFFERENTIAL_GROUPS, accepted_words,
                       assert_bfs_numbered,
                       assert_blocking_classes_match_hopcroft,
@@ -27,7 +27,6 @@ from coxauto.garside import (Shadow, garside_closure, intersect_parabolic,
                              low_universe, parabolic_image, project,
                              shadow_in_subsystem)
 from coxauto.smallroots import SmallRootTable, build_small_roots
-from coxauto.system import affine_candidates
 
 
 def test_shadow_automaton_infinite_dihedral(i2inf):
@@ -187,8 +186,7 @@ def test_canonical_automaton_counts(aff_a2, aff_g2, i2inf):
 
 
 @pytest.mark.parametrize("name, h, r", [
-    (name, h, r) for rank in range(2, 10)
-    for name, _, h, r in affine_candidates(rank) if (h + 1) ** r <= 10 ** 4])
+    (name, h, r) for name, h, r in AFFINE_CATALOG if (h + 1) ** r <= 10 ** 4])
 def test_canonical_states_count_shi_regions(name, h, r):
     # (h+1)^r regions of the Shi arrangement (Shi 1987), independent of the
     # reduced-word walk

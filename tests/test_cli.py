@@ -456,6 +456,42 @@ def test_affine_state_count_refusal_classifies_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_shadow_of_rank_ten_verifies_as_printed(tmp_path, capsys):
+    # every label inf: L_0 is e and the ten generators, and "10" is one letter
+    spec = tmp_path / "F"
+    spec.write_text("rank 10\n" + "".join(
+        f"m {i} {j} inf\n" for i in range(1, 11) for j in range(i + 1, 11)))
+    assert main(["shadow", "--group", str(spec)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["# smallest Garside shadow of F: 11 elements", "e",
+                     *map(str, range(1, 11))]
+    assert main(["shadow", "--group", str(spec),
+                 "--verify", ",".join(lines[1:])]) == 0
+    assert capsys.readouterr() == ("verdict: shadow\n", "")
+
+
+@pytest.mark.parametrize("group, rank", [
+    ("A99999999999", "99,999,999,999"), ("~A99999999999", "100,000,000,000"),
+    ("rank 99999999999\nm 1 2 inf\n", "99,999,999,999")])
+def test_huge_rank_exits_one(capsys, group, rank):
+    from coxauto.system import RANK_BUDGET
+    assert main(["roots", "--group", group]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: rank {rank} is over the rank budget of {RANK_BUDGET:,}\n")
+
+
+def test_state_count_refusal_names_a_matrix_file_by_its_stem(tmp_path,
+                                                              capsys):
+    e6 = parse_coxeter_system("~E6").matrix
+    spec = tmp_path / "e6.txt"
+    spec.write_text("rank 7\n" + "".join(
+        f"m {i + 1} {j + 1} {e6.m(i, j)}\n" for i in range(7)
+        for j in range(i + 1, 7)))
+    assert main(["low", "--group", str(spec)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: e6 has (h+1)^r = 13^6 = 4,826,809 states at level 0")
+
+
 def test_roots_support_is_readable_from_rank_ten(capsys):
     assert main(["roots", "--group", "A10"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import low_without, reference_merged_state_witness
+from conftest import AFFINE_H_R, low_without, reference_merged_state_witness
 from coxauto import parse_coxeter_system
 from coxauto.automata import (build_canonical_automaton,
                               build_shadow_automaton, minimize)
@@ -15,8 +15,7 @@ from coxauto.elements import generator, mult_left
 from coxauto.garside import (Shadow, VerdictStatus, garside_closure,
                              low_elements, verify_shadow)
 from coxauto.errors import InvalidGroupSpec
-from coxauto.smallroots import (SmallRootTable, affine_structure,
-                                build_small_roots)
+from coxauto.smallroots import SmallRootTable, build_small_roots
 
 
 def test_stats_row_aff_a2(aff_a2):
@@ -178,19 +177,19 @@ def test_report_json_is_sorted_and_parseable(aff_g2):
 
 
 def test_affine_count_formulas(aff_a2, aff_c2):
-    for sys in (aff_a2, aff_c2):
-        st = affine_structure(sys)
+    for sys, name in ((aff_a2, "~A2"), (aff_c2, "~C2")):
+        h, r = AFFINE_H_R[name]
         row = stats_row(sys)
-        assert row.canonical_states == (st.coxeter_number + 1) ** st.finite_rank
-        assert row.small_roots == st.finite_rank * st.coxeter_number
+        assert row.canonical_states == (h + 1) ** r
+        assert row.small_roots == r * h
 
 
 def test_affine_low_element_count_convention(aff_a2, aff_c2):
     # |L_0| = (h+1)^r under the level-0 indexing used throughout
     from coxauto.garside import low_universe
-    for sys in (aff_a2, aff_c2):
-        st = affine_structure(sys)
-        assert len(low_universe(sys)) == (st.coxeter_number + 1) ** st.finite_rank
+    for sys, name in ((aff_a2, "~A2"), (aff_c2, "~C2")):
+        h, r = AFFINE_H_R[name]
+        assert len(low_universe(sys)) == (h + 1) ** r
 
 
 def _one_step_suffixes(shadow):

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (DIFFERENTIAL_GROUPS, FullColumnIndex, ball,
-                      below_projections, cone_member, coxeter_systems,
+from conftest import (AFFINE_CATALOG, DIFFERENTIAL_GROUPS, FullColumnIndex,
+                      ball, below_projections, cone_member, coxeter_systems,
                       lowest_bit_closure_in_universe, n1_closure_in_universe,
                       n1_verify_shadow, pairwise_closure,
                       pairwise_verify_shadow, reference_low_search,
@@ -700,6 +701,23 @@ def test_low_element_budget(tri33inf, monkeypatch):
     with pytest.raises(BudgetExceeded, match="^1-low elements outgrew the "
                        f"state budget of {size - 1}$"):
         low_elements(tri33inf, 1)
+
+
+@pytest.mark.parametrize("name, h, r", AFFINE_CATALOG)
+def test_state_budget_predicts_the_catalog_count(monkeypatch, name, h, r):
+    # h is read off the table as |Sigma_0| / r; the catalog's (h+1)^r Shi
+    # regions are admitted, and refused by a budget one smaller
+    sys = parse_coxeter_system(name)
+    table = build_small_roots(sys, 0)
+    count = (h + 1) ** r
+    monkeypatch.setattr(garside, "STATE_BUDGET", count)
+    garside.check_state_budget(sys, table, 0)
+    monkeypatch.setattr(garside, "STATE_BUDGET", count - 1)
+    garside.check_state_budget(sys, table, 1)  # predicted at level 0 only
+    message = (f"rank-{r + 1} has (h+1)^r = {h + 1}^{r} = {count:,} states "
+               f"at level 0, over the state budget of {count - 1:,}")
+    with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+        garside.check_state_budget(sys, table, 0)
 
 
 class _JoinDecided(Exception):

@@ -7,8 +7,8 @@ import random
 import mpmath
 import pytest
 
-from conftest import (affine_dominance_oracle, affine_radical,
-                      assert_dominance_matches_affine_oracle,
+from conftest import (AFFINE_CATALOG, AFFINE_H_R, affine_dominance_oracle,
+                      affine_radical, assert_dominance_matches_affine_oracle,
                       assert_dominated_sets_match_recount, cone_member,
                       depth_of_root, dominates, per_bit_canonical_automaton)
 from coxauto import parse_coxeter_system
@@ -16,10 +16,9 @@ from coxauto import smallroots
 from coxauto.elements import _mask_bits, from_word, identity, mult_left
 from coxauto.errors import BudgetExceeded, InvalidGroupSpec
 from coxauto.garside import low_elements
-from coxauto.smallroots import (EXIT, Classification, affine_structure,
-                                build_small_roots, classify_type,
-                                spherical_analysis)
-from coxauto.system import CoxeterMatrix, CoxeterSystem, affine_candidates
+from coxauto.smallroots import (EXIT, Classification, build_small_roots,
+                                classify_type, spherical_analysis)
+from coxauto.system import CoxeterMatrix, CoxeterSystem
 
 
 def test_classify_examples(a2, tri33inf):
@@ -103,39 +102,18 @@ def test_classify_matches_eigenvalue_reference(system):
 
 
 def test_affine_structure_on_every_catalog_entry():
-    count = 0
-    for rank in range(2, 10):
-        for name, mat, h, finite_rank in affine_candidates(rank):
-            sys = CoxeterSystem(mat)
-            st = affine_structure(sys)
-            assert (st.family, st.coxeter_number, st.finite_rank) == \
-                (name, h, finite_rank)
-            delta = affine_radical(sys)
-            assert delta[0] == 1
-            assert all(d.sign() > 0 for d in delta), name
-            assert all(sys.bilinear_simple(s, delta).is_zero()
-                       for s in range(rank)), name
-            count += 1
-    assert count == 31
-    assert affine_structure(parse_coxeter_system("~E8")).coxeter_number == 30
-
-
-def test_affine_structure_is_matched_once_per_system(monkeypatch):
-    # stats_row asks twice, from the canonical automaton and from L_0
-    from coxauto.conjectures import stats_row
-    calls = []
-    real = smallroots.matrices_isomorphic
-
-    def counting(a, b):
-        calls.append(b)
-        return real(a, b)
-
-    monkeypatch.setattr(smallroots, "matrices_isomorphic", counting)
-    sys = parse_coxeter_system("~C3")
-    stats_row(sys)
-    matched = len(calls)
-    assert matched and affine_structure(sys) is affine_structure(sys)
-    assert len(calls) == matched
+    # |Sigma_0| = |Phi_0| = r h, and a positive radical, on every type
+    for name, h, r in AFFINE_CATALOG:
+        sys = parse_coxeter_system(name)
+        assert sys.rank == r + 1
+        assert classify_type(sys, range(r + 1)) is Classification.AFFINE
+        assert len(build_small_roots(sys, 0)) == r * h, name
+        delta = affine_radical(sys)
+        assert delta[0] == 1
+        assert all(d.sign() > 0 for d in delta), name
+        assert all(sys.bilinear_simple(s, delta).is_zero()
+                   for s in range(r + 1)), name
+    assert len(AFFINE_CATALOG) == 31
 
 
 @pytest.mark.parametrize("spec", ["~A2", "~C2", "~G2", "~A3", "~C3", "~B3",
@@ -316,8 +294,6 @@ def test_affine_oracle_examples(aff_a2):
     assert affine_dominance_oracle(aff_a2, aff_a2.root_coords(0), plus_delta,
                                    delta)
     assert not affine_dominance_oracle(aff_a2, 0, 1, delta)
-    with pytest.raises(InvalidGroupSpec):
-        affine_structure(parse_coxeter_system("A2"))
 
 
 @pytest.mark.parametrize("name", ["~A2", "~C2", "~G2"])
@@ -345,9 +321,9 @@ def test_small_root_levels_nest(name):
 @pytest.mark.parametrize("name", ["~A2", "~C2", "~G2", "~A3"])
 def test_affine_small_root_counts(name):
     sys = parse_coxeter_system(name)
-    st = affine_structure(sys)
+    h, r = AFFINE_H_R[name]
     for n in range(3):
-        expected = st.finite_rank * st.coxeter_number * (n + 1)
+        expected = r * h * (n + 1)
         assert len(build_small_roots(sys, n)) == expected
 
 

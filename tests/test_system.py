@@ -4,10 +4,13 @@ import math
 
 import pytest
 
+from conftest import AFFINE_H_R
 from coxauto import parse_coxeter_system
+from coxauto.automata import build_canonical_automaton
 from coxauto.errors import InvalidGroupSpec, InvalidLabel
-from coxauto.system import (CoxeterMatrix, affine_candidates,
-                            matrices_isomorphic, preset_matrix)
+from coxauto.smallroots import build_small_roots
+from coxauto.system import (RANK_BUDGET, CoxeterMatrix, CoxeterSystem,
+                            preset_matrix)
 
 
 def test_triangle_preset_orders_edges_as_m12_m13_m23():
@@ -90,6 +93,18 @@ def test_word_string_round_trip(a3):
     assert a3.word_from_string("e") == ()
 
 
+@pytest.mark.parametrize("word", [(9,), (0,), (10,), (9, 0), (0, 9),
+                                  (11, 10, 9, 8, 0), ()])
+def test_word_string_round_trip_from_rank_ten(word):
+    # "10" is the one letter 10, not the letters 1 and 0
+    a12 = parse_coxeter_system("A12")
+    text = a12.word_to_string(word)
+    assert a12.word_from_string(text) == word
+    assert a12.word_to_string((9,)) == "10"
+    with pytest.raises(InvalidGroupSpec, match="letter out of range"):
+        a12.word_from_string("13")
+
+
 def test_subsystem_maps_letters(a3):
     sub, letter_map = a3.subsystem((0, 2))
     assert sub.rank == 2
@@ -98,21 +113,42 @@ def test_subsystem_maps_letters(a3):
 
 
 def test_affine_catalog_recognizes_relabelled_diagram():
+    # the r h small roots and (h+1)^r canonical states of ~B3 do not depend
+    # on the order of its nodes
     b3t = preset_matrix("~B3")
-    # relabel the nodes and check isomorphism still holds
     perm = (2, 0, 3, 1)
     rows = tuple(tuple(b3t.rows[perm[i]][perm[j]] for j in range(4))
                  for i in range(4))
-    shuffled = CoxeterMatrix(rows)
-    assert matrices_isomorphic(b3t, shuffled)
-    names = [name for name, mat, _, _ in affine_candidates(4)
-             if matrices_isomorphic(shuffled, mat)]
-    assert names == ["~B3"]
+    shuffled = CoxeterSystem(CoxeterMatrix(rows))
+    h, r = AFFINE_H_R["~B3"]
+    assert len(build_small_roots(shuffled, 0)) == r * h
+    assert build_canonical_automaton(shuffled, 0)[0].num_states == (h + 1) ** r
 
 
-def test_affine_and_finite_presets_disagree():
-    assert not matrices_isomorphic(preset_matrix("~C3"), preset_matrix("~B3"))
-    assert not matrices_isomorphic(preset_matrix("A3"), preset_matrix("B3"))
+@pytest.mark.parametrize("spec, rank", [
+    ("A99999999999", 99999999999), ("~A99999999999", 100000000000),
+    (f"D{RANK_BUDGET + 1}", RANK_BUDGET + 1),
+    (f"~C{RANK_BUDGET}", RANK_BUDGET + 1),
+    ("rank 99999999999\nm 1 2 3\n", 99999999999),
+])
+def test_rank_over_budget_is_refused_before_any_list(spec, rank, monkeypatch):
+    # refused where the rank is read, so nothing of that length is built
+    from coxauto import system
+
+    def refuse(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(system.CoxeterMatrix, "from_entries", refuse)
+    monkeypatch.setattr(system, "_path", refuse)
+    with pytest.raises(InvalidGroupSpec, match=f"^rank {rank:,} is over the "
+                       f"rank budget of {RANK_BUDGET:,}$"):
+        parse_coxeter_system(spec)
+
+
+def test_rank_budget_admits_its_own_rank():
+    assert parse_coxeter_system(f"~A{RANK_BUDGET - 1}").rank == RANK_BUDGET
+    text = f"rank {RANK_BUDGET}\nm 1 2 inf\n"
+    assert parse_coxeter_system(text).rank == RANK_BUDGET
 
 
 def test_affine_prefix_spellings_agree():
