@@ -13,15 +13,22 @@ refinement.  Classes are numbered by a BFS over them; a canonical
 automaton is trim and BFS-numbered, so numbering its classes by their
 first state already gives that order.  Only ``minimize`` builds the
 quotient automaton.
+
+Every automaton keeps its transitions in one flat ``array('i')``, ``k``
+entries per state for ``k`` letters, -1 for a missing move: the move from
+p by letter s is entry p * k + s, its code.  ``Automaton.delta`` is a
+read-only view of the rows as tuples.  Both fixpoints read the moves into
+each state from linked chains over the codes (:func:`_predecessor_lists`),
+built in one pass with no sort.
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .elements import Element, _mask_bits
@@ -59,9 +66,20 @@ class Automaton:
     letter_labels: tuple[str, ...]
     payloads: Sequence
     initial: int
-    delta: list[tuple[int, ...]]  # -1 marks a missing transition
+    # row q holds the target of each letter, -1 for none; rows made by
+    # hand are laid end to end in a _Rows view
+    delta: Sequence[Sequence[int]]
     kind: str = "automaton"
     state_map: tuple[int, ...] | None = None  # set by minimize()
+
+    def __post_init__(self):
+        rows, k = self.delta, self.alphabet_size
+        if not isinstance(rows, _Rows):
+            if any(len(row) != k for row in rows):
+                raise ValueError(f"a row of an automaton over {k} letters "
+                                 f"has another length")
+            self.delta = _Rows(array("i", chain.from_iterable(rows)), k,
+                               len(rows))
 
     @property
     def alphabet_size(self) -> int:
@@ -78,7 +96,8 @@ class Automaton:
                     yield q, a, q2
 
     def num_transitions(self) -> int:
-        return sum(1 for _ in self.transitions())
+        flat = self.delta._flat
+        return len(flat) - flat.count(-1)
 
     def read(self, word: Iterable[int]) -> int | None:
         q = self.initial
@@ -102,16 +121,18 @@ class Automaton:
                 f"counting to length {max_length:,} takes {work:,} transition "
                 f"steps, over the counting work budget of "
                 f"{COUNT_WORK_BUDGET:,}")
-        counts = [0] * self.num_states
+        n, k, flat = self.num_states, self.alphabet_size, self.delta._flat
+        targets = [[t for t in flat[p * k:p * k + k] if t >= 0]
+                   for p in range(n)]
+        counts = [0] * n
         counts[self.initial] = 1
         out = [1]
         for _ in range(max_length):
-            nxt = [0] * self.num_states
-            for q, c in enumerate(counts):
+            nxt = [0] * n
+            for c, ts in zip(counts, targets):
                 if c:
-                    for q2 in self.delta[q]:
-                        if q2 >= 0:
-                            nxt[q2] += c
+                    for t in ts:
+                        nxt[t] += c
             counts = nxt
             out.append(sum(counts))
         return out
@@ -169,20 +190,18 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
         universe, {mask: i for i, mask in enumerate(small)})
     where = universe._pos
     images = shadow._small_table().images
-    blank = [-1] * shadow.system.rank
-    delta: list[tuple[int, ...]] = []
-    for mask in small:
-        row = blank[:]
+    k = shadow.system.rank
+    flat = array("i", [-1]) * (len(small) * k)
+    for p, mask in enumerate(small):
         for s, image in enumerate(images(mask)):
             if not mask >> s & 1:
                 target = 1 << s | image
                 x = where.get(target)
-                row[s] = (shadow._below(target)[-1]
-                          if x is None else projections[x])
-        delta.append(tuple(row))
+                flat[p * k + s] = (shadow._below(target)[-1]
+                                   if x is None else projections[x])
     return Automaton(letter_labels=_default_labels(shadow.system),
                      payloads=shadow, initial=shadow._pos[0],
-                     delta=delta, kind="shadow")
+                     delta=_Rows(flat, k, len(small)), kind="shadow")
 
 
 def build_canonical_automaton(sys: CoxeterSystem, level: int
@@ -200,11 +219,49 @@ def build_canonical_automaton(sys: CoxeterSystem, level: int
     """
     table = build_small_roots(sys, level)
     check_state_budget(sys, table, level)
-    masks, delta = table.canonical_walk(garside.STATE_BUDGET)
+    masks, flat = table.canonical_walk(garside.STATE_BUDGET)
     auto = Automaton(letter_labels=_default_labels(sys),
                      payloads=_MaskPayloads(masks, table), initial=0,
-                     delta=delta, kind=f"canonical-{level}")
+                     delta=_Rows(flat, sys.rank, len(masks)),
+                     kind=f"canonical-{level}")
     return auto, masks
+
+
+class _Rows(Sequence):
+    """Read-only rows of an automaton over one flat ``array('i')``: row q is
+    ``flat[q * k:q * k + k]``, read as a tuple, k the alphabet size.
+
+    The rows compare equal to any sequence of equal rows.
+    """
+
+    __slots__ = ("_flat", "_k", "_n")
+
+    def __init__(self, flat: array, k: int, n: int):
+        self._flat = flat
+        self._k = k
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, q: int) -> tuple[int, ...]:
+        if q < 0:
+            q += self._n
+        if not 0 <= q < self._n:
+            raise IndexError("row index out of range")
+        k = self._k
+        return tuple(self._flat[q * k:q * k + k])
+
+    def __iter__(self):
+        flat, k = self._flat, self._k
+        for q in range(self._n):
+            yield tuple(flat[q * k:q * k + k])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(other) == self._n and all(
+            row == tuple(other_row) for row, other_row in zip(self, other))
 
 
 class _MaskPayloads(Sequence):
@@ -249,10 +306,11 @@ def nerode_classes(auto: Automaton) -> list[int]:
     delta = auto.delta
     payloads = auto.payloads
     if isinstance(payloads, _MaskPayloads):
-        bad = payloads._table.blocking_sets(payloads._masks,
-                                            *_predecessor_index(delta))
-        first = {b: c for c, b in enumerate(dict.fromkeys(bad))}
-        return list(map(first.__getitem__, bad))
+        bad = payloads._table.blocking_sets(
+            payloads._masks, *_predecessor_lists(delta._flat, len(delta)))
+        first: dict[int, int] = {}
+        number = first.setdefault
+        return [number(b, len(first)) for b in bad]
     blk = _hopcroft_classes(delta, auto.alphabet_size)
     order = [-1] * (max(blk) + 1)
     order[blk[auto.initial]] = 0
@@ -284,16 +342,17 @@ def minimize(auto: Automaton) -> Automaton:
         reps[c] = q
     reps.pop()
     state_map.append(-1)  # read at index -1: a missing move stays -1
-    new_delta = [tuple(map(state_map.__getitem__, auto.delta[q]))
-                 for q in reps]
+    k, flat = auto.alphabet_size, auto.delta._flat
+    new_flat = array("i", [state_map[t] for q in reps
+                           for t in flat[q * k:q * k + k]])
     state_map.pop()
     return Automaton(letter_labels=auto.letter_labels,
                      payloads=[None] * len(reps), initial=0,
-                     delta=new_delta, kind="minimal",
+                     delta=_Rows(new_flat, k, len(reps)), kind="minimal",
                      state_map=tuple(state_map))
 
 
-def _hopcroft_classes(delta: Sequence[Sequence[int]], k: int) -> list[int]:
+def _hopcroft_classes(delta: _Rows, k: int) -> list[int]:
     """The Nerode classes of a partial automaton over k letters, by
     Hopcroft partition refinement with an implicit sink.
 
@@ -305,8 +364,7 @@ def _hopcroft_classes(delta: Sequence[Sequence[int]], k: int) -> list[int]:
     the block of state q.
     """
     n = len(delta)
-    start, pred = _predecessor_index(delta)
-    pred = array("l", [c % k * n + c // k for c in pred])  # as a * n + p
+    head, after = _predecessor_lists(delta._flat, n)
     # Refinable partition: block b is elems[first[b]:end[b]], and the states
     # of b marked by the current letter are elems[first[b]:mid[b]].
     elems = list(range(n))
@@ -345,7 +403,10 @@ def _hopcroft_classes(delta: Sequence[Sequence[int]], k: int) -> list[int]:
         # as codes a * n + p sorted by letter
         xs = []
         for q in elems[first[b]:end[b]]:
-            xs += pred[start[q]:start[q + 1]]
+            c = head[q]
+            while c >= 0:
+                xs.append(c % k * n + c // k)
+                c = after[c]
         xs.sort()
         touched: list[int] = []
         base = limit = 0
@@ -373,23 +434,22 @@ def _hopcroft_classes(delta: Sequence[Sequence[int]], k: int) -> list[int]:
     return blk
 
 
-def _predecessor_index(delta: Sequence[Sequence[int]]
-                       ) -> tuple[array, array]:
-    """The transitions into each state, in CSR form.
+def _predecessor_lists(flat: array, n: int) -> tuple[array, array]:
+    """The moves into each of n states, as linked chains over their codes.
 
-    The transitions into t are ``pred[start[t]:start[t + 1]]``, each coded
-    as p * k + s for the move from p by letter s, k the alphabet size: its
-    index in the rows of ``delta`` laid end to end.
+    ``flat`` holds the rows of an automaton end to end, so the move from p
+    by letter s has code p * k + s, its index in ``flat``.  The moves into
+    t are the chain ``head[t], after[head[t]], ...`` up to -1, built in one
+    pass with no sort.  Codes are below ``garside.STATE_BUDGET`` times
+    ``system.RANK_BUDGET``, 6e7 < 2**31, so they fit in ``'i'``.
     """
-    flat = list(chain.from_iterable(delta))
-    codes = list(compress(range(len(flat)), map((-1).__lt__, flat)))
-    codes.sort(key=flat.__getitem__)
-    pred = array("l", codes)
-    del codes
-    into = Counter(flat)
-    start = array("l", accumulate(map(into.get, range(len(delta)), repeat(0)),
-                                  initial=0))
-    return start, pred
+    head = array("i", [-1]) * n
+    after = array("i", [-1]) * len(flat)
+    for code, t in enumerate(flat):
+        if t >= 0:
+            after[code] = head[t]
+            head[t] = code
+    return head, after
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +482,10 @@ def check_morphism(f: Sequence[int], source: Automaton,
     if f[source.initial] != target.initial:
         return MorphismReport(MorphismVerdict.NOT_MORPHISM,
                               ("initial", f[source.initial]))
+    k = source.alphabet_size
+    moves, images = source.delta._flat, target.delta._flat
     for q, a, q2 in source.transitions():
-        img = target.delta[f[q]][a]
+        img = images[f[q] * k + a]
         if img < 0 or img != f[q2]:
             return MorphismReport(MorphismVerdict.NOT_MORPHISM, ("edge", q, a))
     if set(f) != set(range(target.num_states)):
@@ -432,7 +494,7 @@ def check_morphism(f: Sequence[int], source: Automaton,
     for q, fq in enumerate(f):
         preimages.setdefault(fq, []).append(q)
     for q1t, a, q2t in target.transitions():
-        if not any(source.delta[q][a] >= 0 and f[source.delta[q][a]] == q2t
+        if not any(moves[q * k + a] >= 0 and f[moves[q * k + a]] == q2t
                    for q in preimages[q1t]):
             return MorphismReport(MorphismVerdict.MORPHISM)
     return MorphismReport(MorphismVerdict.TOTALLY_SURJECTIVE)
@@ -447,8 +509,7 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
     queue = deque([(a.initial, b.initial)])
     while queue:
         qa, qb = queue.popleft()
-        for letter in range(a.alphabet_size):
-            ta, tb = a.delta[qa][letter], b.delta[qb][letter]
+        for ta, tb in zip(a.delta[qa], b.delta[qb]):
             if (ta < 0) != (tb < 0):
                 return False
             if ta < 0:
@@ -477,28 +538,26 @@ def restrict_letters(auto: Automaton, letters: Sequence[int], *,
     """
     letters = sorted(letters)
     labels = tuple(auto.letter_labels[a] for a in letters)
+    k, flat = auto.alphabet_size, auto.delta._flat
     if trim:
-        keep = []
-        seen = {auto.initial}
-        queue = deque([auto.initial])
-        while queue:
-            q = queue.popleft()
-            keep.append(q)
+        # states in the order a BFS over the kept letters finds them
+        keep = [auto.initial]
+        renum = {auto.initial: 0}
+        for q in keep:
             for a in letters:
-                t = auto.delta[q][a]
-                if t >= 0 and t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        renum = {q: i for i, q in enumerate(keep)}
-        delta = [tuple(renum[auto.delta[q][a]]
-                       if auto.delta[q][a] in renum and auto.delta[q][a] >= 0 else -1
-                       for a in letters) for q in keep]
+                t = flat[q * k + a]
+                if t >= 0 and t not in renum:
+                    renum[t] = len(keep)
+                    keep.append(t)
+        rows = array("i", [renum.get(flat[q * k + a], -1)
+                           for q in keep for a in letters])
         payloads = [auto.payloads[q] for q in keep]
         return Automaton(letter_labels=labels, payloads=payloads,
-                         initial=renum[auto.initial], delta=delta,
+                         initial=0, delta=_Rows(rows, len(letters), len(keep)),
                          kind=auto.kind + "-restricted")
-    delta = [tuple(auto.delta[q][a] for a in letters)
-             for q in range(auto.num_states)]
+    rows = array("i", [flat[q * k + a] for q in range(auto.num_states)
+                       for a in letters])
     return Automaton(letter_labels=labels, payloads=list(auto.payloads),
-                     initial=auto.initial, delta=delta,
+                     initial=auto.initial,
+                     delta=_Rows(rows, len(letters), auto.num_states),
                      kind=auto.kind + "-letters")

@@ -50,10 +50,10 @@ from .smallroots import (Classification, SmallRootTable, build_small_roots,
 from .system import CoxeterSystem
 
 # Elements of low_elements, so of every L_n universe and every closure, and
-# states of build_canonical_automaton.  ~F4 L_1, stopped here, peaks at 115 MB
-# RSS for its low elements (0.50 kB each; ~D5 L_0: 0.56 kB) and 62 MB for its
+# states of build_canonical_automaton.  ~F4 L_1, stopped here, peaks at 114 MB
+# RSS for its low elements (0.50 kB each; ~D5 L_0: 0.56 kB) and 51 MB for its
 # A_1 (Python 3.11).  A shadow automaton over L_n holds L_n and its own rows,
-# and no A_n: ~B4 L_1 peaks at 67 MB.
+# and no A_n: ~B4 L_1 peaks at 65 MB.
 STATE_BUDGET = 200_000
 
 

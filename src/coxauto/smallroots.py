@@ -14,6 +14,7 @@ radical live with those tests, in ``tests/conftest.py``.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -183,14 +184,14 @@ class SmallRootTable:
         field = self._field
         return [packed >> shift & field for shift in self._shifts]
 
-    def canonical_walk(self, budget: int
-                       ) -> tuple[list[int], list[tuple[int, ...]]]:
+    def canonical_walk(self, budget: int) -> tuple[list[int], array]:
         """The states of the n-canonical automaton and their rows.
 
         A state is a node mask; the move by s is defined iff bit s (a_s) is
         clear and sends A to {a_s} union s(A).  States are found from
-        the empty set in BFS order, letters in order, and row q holds the
-        target of each letter, -1 for none.  More than ``budget`` states
+        the empty set in BFS order, letters in order.  The rows are laid
+        end to end in one ``array('i')``: entry q * rank + s is the target
+        of state q by letter s, -1 for none.  More than ``budget`` states
         raise ``BudgetExceeded``.
 
         A state costs one packed lookup, as in :meth:`images`, whose start
@@ -203,11 +204,11 @@ class SmallRootTable:
         with_roots = sum(1 << shift + s for s, shift in letters)
         descents = (1 << len(letters)) - 1
         readable: dict[int, list[tuple[int, int]]] = {}
-        blank = (-1,) * len(letters)
+        blank = [-1] * len(letters)
         state_ids = {0: 0}
         get = state_ids.get
         masks = [0]
-        delta = []
+        flat = array("i")
         # states are numbered as they are found, so a scan of the growing
         # list of masks expands them in BFS order
         for mask in masks:
@@ -219,7 +220,7 @@ class SmallRootTable:
             if moves is None:
                 moves = readable[low] = [(s, shift) for s, shift in letters
                                          if not low >> s & 1]
-            row = list(blank)
+            row = blank[:]
             for s, shift in moves:
                 target_mask = packed >> shift & field
                 target = get(target_mask)
@@ -232,16 +233,16 @@ class SmallRootTable:
                     state_ids[target_mask] = target
                     masks.append(target_mask)
                 row[s] = target
-            delta.append(tuple(row))
-        return masks, delta
+            flat.fromlist(row)
+        return masks, flat
 
-    def blocking_sets(self, masks: Sequence[int], start: Sequence[int],
-                      pred: Sequence[int]) -> list[int]:
+    def blocking_sets(self, masks: Sequence[int], head: Sequence[int],
+                      after: Sequence[int]) -> list[int]:
         """Bad(A) of each state A of an n-canonical automaton, as a node mask.
 
-        ``masks`` are the states, and the transitions into state t are
-        ``pred[start[t]:start[t + 1]]``, coded p * rank + s for the move
-        from p by letter s.
+        ``masks`` are the states, and the transitions into state t are the
+        chain ``head[t], after[head[t]], ...`` up to -1, each coded
+        p * rank + s for the move from p by letter s.
 
         The move by s sends A to {a_s} union s(A), and s(.) is a partial
         involution on the small roots that distributes over unions.  So a
@@ -266,7 +267,7 @@ class SmallRootTable:
         n, rank = len(masks), len(shifts)
         readable = (1 << rank) - 1
         bad = [~mask & readable for mask in masks]
-        work = list(range(n))
+        work = array("i", range(n))
         queued = bytearray(b"\x01") * n
         while work:
             t = work.pop()
@@ -274,7 +275,8 @@ class SmallRootTable:
             packed = 0
             for part, b in zip(slices, bad[t].to_bytes(nbytes, "little")):
                 packed |= part[b]
-            for code in pred[start[t]:start[t + 1]]:
+            code = head[t]
+            while code >= 0:
                 p, s = divmod(code, rank)
                 old = bad[p]
                 new = old | packed >> shifts[s] & field
@@ -283,6 +285,7 @@ class SmallRootTable:
                     if not queued[p]:
                         queued[p] = 1
                         work.append(p)
+                code = after[code]
         return bad
 
     @cached_property

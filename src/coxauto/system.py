@@ -250,10 +250,12 @@ def parse_matrix_block(text: str) -> CoxeterMatrix:
             if not (0 <= i < rank and 0 <= j < rank) or i == j:
                 raise InvalidGroupSpec(f"entry indices out of range in {line!r}")
             v = _label_token(parts[3])
-            if (j, i) in entries and entries[(j, i)] != v:
+            # one label per pair, given in either order; a repeat is harmless
+            pair = (min(i, j), max(i, j))
+            if entries.setdefault(pair, v) != v:
                 raise InvalidGroupSpec(
-                    f"asymmetric entries for ({i + 1},{j + 1})")
-            entries[(i, j)] = v
+                    f"conflicting labels for the pair "
+                    f"({pair[0] + 1},{pair[1] + 1})")
         else:
             raise InvalidGroupSpec(f"unrecognized line {line!r}")
     if rank is None:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import strategies as st
 
 from coxauto import parse_coxeter_system, smallroots
-from coxauto.automata import Automaton, minimize, nerode_classes
+from coxauto.automata import (Automaton, _predecessor_lists, minimize,
+                              nerode_classes)
 from coxauto.elements import (Element, _mask_bits, generator, identity,
                               mult_left, weak_leq)
 from coxauto.errors import InternalInvariant
@@ -48,6 +49,24 @@ def assert_blocking_classes_match_hopcroft(auto):
     assert got.delta == ref.delta
     assert got.state_map == ref.state_map
     assert nerode_classes(auto) == nerode_classes(copy) == list(ref.state_map)
+
+
+def assert_predecessor_chains_hold_every_move(auto):
+    # the chains of _predecessor_lists, walked state by state, hold each
+    # move (p, s, t) of the automaton exactly once, coded p * k + s
+    flat, k = auto.delta._flat, auto.alphabet_size
+    head, after = _predecessor_lists(flat, auto.num_states)
+    found = []
+    for t in range(auto.num_states):
+        code = head[t]
+        while code >= 0:
+            assert len(found) < len(flat)  # no cycle
+            found.append((*divmod(code, k), t))
+            code = after[code]
+    assert len(found) == len(set(found))
+    assert set(found) == {(p, s, t)
+                          for p, row in enumerate(auto.delta)
+                          for s, t in enumerate(row) if t >= 0}
 
 
 def assert_numbered_by_first_state(classes):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
+from array import array
 from collections import deque
 
 import pytest
@@ -12,6 +14,7 @@ from conftest import (AFFINE_CATALOG, BLOCKING_GROUPS, BLOCKING_RANK_THREE,
                       assert_bfs_numbered,
                       assert_blocking_classes_match_hopcroft,
                       assert_numbered_by_first_state,
+                      assert_predecessor_chains_hold_every_move,
                       byte_slice_shadow_automaton, canonical_witnesses,
                       per_bit_canonical_automaton, projection_state_map,
                       shortest_words, small_columns, universe_missing)
@@ -345,6 +348,67 @@ def test_minimize_matches_moore_reference_on_groups(group, kind):
 def test_blocking_classes_match_hopcroft(name, level):
     auto, _ = build_canonical_automaton(parse_coxeter_system(name), level)
     assert_blocking_classes_match_hopcroft(auto)
+
+
+@pytest.mark.parametrize("name", BLOCKING_GROUPS)
+def test_predecessor_chains_of_canonical_automata(name):
+    auto, _ = build_canonical_automaton(parse_coxeter_system(name), 0)
+    assert_predecessor_chains_hold_every_move(auto)
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_GROUPS)
+def test_predecessor_chains_of_shadow_automata(name):
+    sys = parse_coxeter_system(name)
+    for shadow in (garside_closure(sys), low_universe(sys, 1)):
+        auto = build_shadow_automaton(shadow)
+        assert_predecessor_chains_hold_every_move(auto)
+        assert_predecessor_chains_hold_every_move(minimize(auto))
+
+
+@pytest.mark.parametrize("name, level", [("~C3", 1), ("H3", 0),
+                                         ("triangle(2,3,7)", 1)])
+def test_canonical_rows_are_one_flat_array(name, level):
+    sys = parse_coxeter_system(name)
+    auto, _ = build_canonical_automaton(sys, level)
+    flat = auto.delta._flat
+    assert isinstance(flat, array) and flat.typecode == "i"
+    assert len(flat) == sys.rank * auto.num_states
+    reference = per_bit_canonical_automaton(sys, level)
+    assert list(flat) == [t for row in reference.delta for t in row]
+    assert auto.num_transitions() == len(list(reference.transitions()))
+
+
+def test_rows_read_as_tuples_and_compare_with_any_sequence():
+    auto = Automaton(("1", "2"), [None] * 3, 0, [(1, 2), (-1, 2), [-1, -1]])
+    rows = auto.delta
+    assert len(rows) == 3 and rows[0] == (1, 2) and rows[-1] == (-1, -1)
+    assert list(rows) == [rows[0], rows[1], rows[2]]
+    with pytest.raises(IndexError):
+        rows[3]
+    assert rows == [(1, 2), (-1, 2), (-1, -1)] == rows
+    assert rows != [(1, 2), (-1, 2)] and rows != [(1, 2), (-1, 2), (-1, 0)]
+    assert rows == Automaton(auto.letter_labels, [None] * 3, 0,
+                             [(1, 2), (-1, 2), (-1, -1)]).delta
+    with pytest.raises(ValueError, match="over 2 letters has another length"):
+        Automaton(("1", "2"), [None], 0, [(-1,)])
+
+
+def test_canonical_walk_and_classes_peak_per_state():
+    # the rows take 4 bytes a move and the predecessor chains 4 more, so
+    # the traced peak of A_0 of ~C4 and its classes is mostly the masks,
+    # the state index and the blocking sets (about 200 B a state; 330 with
+    # a tuple per row and a sorted predecessor index)
+    sys = parse_coxeter_system("~C4")
+    build_small_roots(sys, 0).images(0)  # the table and its action table
+    tracemalloc.start()
+    try:
+        auto, _ = build_canonical_automaton(sys, 0)
+        classes = nerode_classes(auto)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (auto.num_states, max(classes) + 1) == (6561, 5860)
+    assert peak <= 250 * auto.num_states
 
 
 # ~C4 and ~B4 pass the state budget at level 2

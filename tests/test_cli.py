@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -347,6 +350,40 @@ def test_bad_matrix_label_exits_one(tmp_path, capsys):
     assert main(["roots", "--group", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'x'" in err
+
+
+@pytest.mark.parametrize("lines", [["m 1 2 4", "m 1 2 5"],
+                                   ["m 2 1 4", "m 1 2 inf"],
+                                   ["m 1 3 3", "m 1 2 4", "m 2 1 4",
+                                    "m 2 1 5"]])
+def test_conflicting_matrix_labels_exit_one(tmp_path, capsys, lines):
+    path = tmp_path / "group.txt"
+    path.write_text("\n".join(["rank 3"] + lines) + "\n")
+    assert main(["roots", "--group", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: conflicting labels for the pair (1,2)\n"
+
+
+def test_repeated_matrix_label_is_accepted(tmp_path, capsys):
+    path = tmp_path / "group.txt"
+    path.write_text("rank 2\nm 1 2 4\nm 2 1 4\nm 1 2 4\n")
+    assert main(["table", "--groups", str(path)]) == 0
+    captured = capsys.readouterr()
+    # I2(4), of order 8
+    assert captured.out.splitlines()[1] == f"{path},8,8,8,4,4,True"
+    assert captured.err == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxauto", "table", "--groups", "~A2,~C2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == ["~A2,16,16,16,6,6,True",
+                                            "~C2,25,24,24,8,7,True"]
 
 
 def test_bad_verify_letter_exits_one(capsys):

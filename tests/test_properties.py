@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (BLOCKING_GROUPS, assert_blocking_classes_match_hopcroft,
+                      assert_predecessor_chains_hold_every_move,
                       byte_slice_shadow_automaton, coxeter_systems,
                       per_bit_canonical_automaton, recompute_inversions,
                       reference_merged_state_witness)
@@ -123,6 +124,15 @@ def test_spherical_flags_match_classify_type(sys):
 def test_blocking_classes_match_hopcroft(sys, level):
     auto, _ = build_canonical_automaton(sys, level)
     assert_blocking_classes_match_hopcroft(auto)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems())
+def test_predecessor_chains_hold_every_move(sys):
+    auto, _ = build_canonical_automaton(sys, 0)
+    assert_predecessor_chains_hold_every_move(auto)
+    assert_predecessor_chains_hold_every_move(
+        build_shadow_automaton(garside_closure(sys)))
 
 
 # The premise of the blocking-set classes: each letter acts on the small
