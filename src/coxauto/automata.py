@@ -17,9 +17,10 @@ quotient automaton.
 Every automaton keeps its transitions in one flat ``array('i')``, ``k``
 entries per state for ``k`` letters, -1 for a missing move: the move from
 p by letter s is entry p * k + s, its code.  ``Automaton.delta`` is a
-read-only view of the rows as tuples.  Both fixpoints read the moves into
-each state from linked chains over the codes (:func:`_predecessor_lists`),
-built in one pass with no sort.
+read-only view of the rows as tuples, for callers outside this package;
+the readers here index the flat array by code.  Both fixpoints read the
+moves into each state from linked chains over the codes
+(:func:`_predecessor_lists`), built in one pass with no sort.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from __future__ import annotations
 import enum
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .elements import Element, _mask_bits
 from . import garside
@@ -59,27 +59,28 @@ def check_count_length(max_length: int) -> None:
             f"budget of {COUNT_LENGTH_BUDGET:,}")
 
 
-@dataclass
 class Automaton:
     """Trim deterministic partial automaton; every state is accepting."""
 
-    letter_labels: tuple[str, ...]
-    payloads: Sequence
-    initial: int
-    # row q holds the target of each letter, -1 for none; rows made by
-    # hand are laid end to end in a _Rows view
-    delta: Sequence[Sequence[int]]
-    kind: str = "automaton"
-    state_map: tuple[int, ...] | None = None  # set by minimize()
-
-    def __post_init__(self):
-        rows, k = self.delta, self.alphabet_size
-        if not isinstance(rows, _Rows):
-            if any(len(row) != k for row in rows):
+    def __init__(self, letter_labels: tuple[str, ...], payloads: Sequence,
+                 initial: int, delta: Sequence[Sequence[int]],
+                 kind: str = "automaton",
+                 state_map: tuple[int, ...] | None = None):
+        # row q of delta holds the target of each letter, -1 for none;
+        # rows made by hand are laid end to end in a _Rows view
+        k = len(letter_labels)
+        if not isinstance(delta, _Rows):
+            if any(len(row) != k for row in delta):
                 raise ValueError(f"a row of an automaton over {k} letters "
                                  f"has another length")
-            self.delta = _Rows(array("i", chain.from_iterable(rows)), k,
-                               len(rows))
+            delta = _Rows(array("i", chain.from_iterable(delta)), k,
+                          len(delta))
+        self.letter_labels = letter_labels
+        self.payloads = payloads
+        self.initial = initial
+        self.delta = delta
+        self.kind = kind
+        self.state_map = state_map  # set by minimize()
 
     @property
     def alphabet_size(self) -> int:
@@ -90,19 +91,22 @@ class Automaton:
         return len(self.delta)
 
     def transitions(self):
-        for q, row in enumerate(self.delta):
-            for a, q2 in enumerate(row):
-                if q2 >= 0:
-                    yield q, a, q2
+        k = self.alphabet_size
+        for code, q2 in enumerate(self.delta._flat):
+            if q2 >= 0:
+                q, a = divmod(code, k)
+                yield q, a, q2
 
     def num_transitions(self) -> int:
         flat = self.delta._flat
         return len(flat) - flat.count(-1)
 
     def read(self, word: Iterable[int]) -> int | None:
-        q = self.initial
+        q, k, flat = self.initial, self.alphabet_size, self.delta._flat
         for a in word:
-            q = self.delta[q][a]
+            if not 0 <= a < k:
+                raise IndexError(f"letter {a} is not below {k}")
+            q = flat[q * k + a]
             if q < 0:
                 return None
         return q
@@ -311,12 +315,13 @@ def nerode_classes(auto: Automaton) -> list[int]:
         first: dict[int, int] = {}
         number = first.setdefault
         return [number(b, len(first)) for b in bad]
-    blk = _hopcroft_classes(delta, auto.alphabet_size)
+    k, flat = auto.alphabet_size, delta._flat
+    blk = _hopcroft_classes(delta, k)
     order = [-1] * (max(blk) + 1)
     order[blk[auto.initial]] = 0
     reps = [auto.initial]
     for q in reps:
-        for t in delta[q]:
+        for t in flat[q * k:q * k + k]:
             if t >= 0 and order[blk[t]] < 0:
                 order[blk[t]] = len(reps)
                 reps.append(t)
@@ -461,8 +466,7 @@ class MorphismVerdict(enum.Enum):
     TOTALLY_SURJECTIVE = "totally-surjective"
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     verdict: MorphismVerdict
     witness: tuple | None = None
 
@@ -505,11 +509,12 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
     one candidate map, found by parallel BFS from the initial states."""
     if a.num_states != b.num_states or a.alphabet_size != b.alphabet_size:
         return False
+    k, fa, fb = a.alphabet_size, a.delta._flat, b.delta._flat
     mapping = {a.initial: b.initial}
     queue = deque([(a.initial, b.initial)])
     while queue:
         qa, qb = queue.popleft()
-        for ta, tb in zip(a.delta[qa], b.delta[qb]):
+        for ta, tb in zip(fa[qa * k:qa * k + k], fb[qb * k:qb * k + k]):
             if (ta < 0) != (tb < 0):
                 return False
             if ta < 0:

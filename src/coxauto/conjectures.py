@@ -13,8 +13,7 @@ import io
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .automata import (Automaton, build_canonical_automaton,
                        build_shadow_automaton, nerode_classes)
@@ -25,8 +24,7 @@ from .smallroots import build_small_roots, spherical_analysis
 from .system import CoxeterSystem
 
 
-@dataclass(frozen=True)
-class StatsRow:
+class StatsRow(NamedTuple):
     group: str
     canonical_states: int      # |A_0|
     shadow_states: int         # |A_{S~}| = |Gar(S)|
@@ -76,8 +74,7 @@ class Verdict(enum.Enum):
     FAILS = "fails"
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     group: str
     conjecture: str
     verdict: Verdict
@@ -133,20 +130,21 @@ def _shortest_words_to(auto: Automaton, targets: Sequence[int]
     is found; the order in which a BFS tree finds states does not depend on
     when it stops.
     """
-    start, k = auto.initial, auto.alphabet_size
-    # via[t] = q * k + a: t was found from q by letter a; the start is
-    # marked found, and is never read as a move
+    start, k, flat = auto.initial, auto.alphabet_size, auto.delta._flat
+    # via[t] = q * k + a, the code of the move from q by letter a that
+    # found t; the start is marked found, and is never read as a move
     via = [-1] * auto.num_states
     via[start] = 0
     missing = set(targets) - {start}
     queue = deque([start])
     while missing and queue:
-        q = queue.popleft()
-        for a, t in enumerate(auto.delta[q]):
+        code = queue.popleft() * k
+        for t in flat[code:code + k]:
             if t >= 0 and via[t] < 0:
-                via[t] = q * k + a
+                via[t] = code
                 missing.discard(t)
                 queue.append(t)
+            code += 1
     if missing:
         raise InternalInvariant("automaton is not trim")
     words = []

@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, compress, count
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .elements import (Element, coset_split, from_word, generator, identity,
                        mult_left, support)
@@ -274,8 +273,7 @@ class VerdictStatus(enum.Enum):
     NOT_SHADOW = "not-shadow"
 
 
-@dataclass(frozen=True)
-class ShadowVerdict:
+class ShadowVerdict(NamedTuple):
     status: VerdictStatus
     reason: str = ""
     witness: tuple[str, ...] = ()

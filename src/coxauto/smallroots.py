@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .elements import _mask_bits
 from .errors import BudgetExceeded, InternalInvariant, InvalidGroupSpec
@@ -117,8 +116,7 @@ def classify_system(sys: CoxeterSystem) -> Classification:
 # ---------------------------------------------------------------------------
 # The small-root table
 
-@dataclass
-class SmallRootNode:
+class SmallRootNode(NamedTuple):
     rid: int                     # interned root id in the parent system
     dp: int                      # depth
     dominated: frozenset[int]    # node ids of roots strictly dominated

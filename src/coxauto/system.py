@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidGroupSpec, InvalidLabel
@@ -29,17 +28,19 @@ Label = float  # an int >= 1 or math.inf
 RANK_BUDGET = 300
 
 
-@dataclass(frozen=True)
 class CoxeterMatrix:
-    """Symmetric matrix of edge labels; m(s,s) = 1, off-diagonal >= 2 or oo."""
+    """Symmetric matrix of edge labels; m(s,s) = 1, off-diagonal >= 2 or oo.
 
-    rows: tuple[tuple[Label, ...], ...]
+    Immutable: ``rows`` is read-only, and matrices compare and hash by it.
+    """
 
-    def __post_init__(self):
-        n = len(self.rows)
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: tuple[tuple[Label, ...], ...]):
+        n = len(rows)
         if n == 0:
             raise InvalidGroupSpec("empty Coxeter matrix")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise InvalidGroupSpec("Coxeter matrix is not square")
             if row[i] != 1:
@@ -47,12 +48,28 @@ class CoxeterMatrix:
             for j, v in enumerate(row):
                 if i == j:
                     continue
-                if v != self.rows[j][i]:
+                if v != rows[j][i]:
                     raise InvalidGroupSpec(
                         f"asymmetric entries m({i + 1},{j + 1}) != m({j + 1},{i + 1})")
                 if not math.isinf(v) and (not float(v).is_integer() or v < 2):
                     raise InvalidLabel(
                         f"label m({i + 1},{j + 1}) must be an integer >= 2 or inf")
+        self._rows = rows
+
+    @property
+    def rows(self) -> tuple[tuple[Label, ...], ...]:
+        return self._rows
+
+    def __eq__(self, other):
+        if not isinstance(other, CoxeterMatrix):
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __hash__(self) -> int:
+        return hash(self._rows)
+
+    def __repr__(self) -> str:
+        return f"CoxeterMatrix(rows={self._rows!r})"
 
     @property
     def rank(self) -> int:

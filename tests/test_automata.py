@@ -393,6 +393,16 @@ def test_rows_read_as_tuples_and_compare_with_any_sequence():
         Automaton(("1", "2"), [None], 0, [(-1,)])
 
 
+def test_read_refuses_a_letter_outside_the_alphabet():
+    # read indexes the flat rows by code, where letter 2 of row 0 would be
+    # letter 0 of row 1
+    auto = Automaton(("1", "2"), [None] * 3, 0, [(1, 2), (-1, 2), (-1, -1)])
+    assert auto.read((0, 1)) == 2 and auto.read((0, 0)) is None
+    for word in ((2,), (0, -1)):
+        with pytest.raises(IndexError, match="is not below 2"):
+            auto.read(word)
+
+
 def test_canonical_walk_and_classes_peak_per_state():
     # the rows take 4 bytes a move and the predecessor chains 4 more, so
     # the traced peak of A_0 of ~C4 and its classes is mostly the masks,

@@ -386,6 +386,21 @@ def test_python_dash_m_runs_the_cli():
                                             "~C2,25,24,24,8,7,True"]
 
 
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses imports inspect, ast and dis, and compiles code for each
+    # class it decorates; coxauto's records are NamedTuples and plain
+    # classes so that start-up does neither.  -S keeps the site hooks of
+    # the environment from importing them first.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, coxauto.conjectures, coxauto.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_bad_verify_letter_exits_one(capsys):
     assert main(["shadow", "--group", "I2(inf)", "--verify", "e,1x"]) == 1
     err = capsys.readouterr().err

@@ -9,8 +9,8 @@ from coxauto import parse_coxeter_system
 from coxauto.automata import (build_canonical_automaton,
                               build_shadow_automaton, minimize)
 from coxauto import automata, conjectures
-from coxauto.conjectures import (Verdict, check_conjecture, stats_csv,
-                                 stats_row)
+from coxauto.conjectures import (StatsRow, Verdict, check_conjecture,
+                                 stats_csv, stats_row)
 from coxauto.elements import generator, mult_left
 from coxauto.garside import (Shadow, VerdictStatus, garside_closure,
                              low_elements, verify_shadow)
@@ -70,6 +70,14 @@ def test_stats_csv_header_and_rows(aff_a2):
     lines = text.strip().split("\n")
     assert lines[0] == "group,a0,a_shadow,a_min,sigma,sigma_sph,cap_stable"
     assert lines[1] == "~A2,16,16,16,6,6,True"
+
+
+def test_csv_fields_line_up_with_the_header(aff_g2):
+    row = stats_row(aff_g2, group_name="~G2")
+    fields = dict(zip(StatsRow.CSV_HEADER, row.csv_fields()))
+    assert len(row.csv_fields()) == len(StatsRow.CSV_HEADER)
+    assert fields == {"group": "~G2", "a0": 49, "a_shadow": 41, "a_min": 41,
+                      "sigma": 12, "sigma_sph": 8, "cap_stable": True}
 
 
 def test_conjecture_one_on_aff_c2(aff_c2):

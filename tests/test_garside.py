@@ -20,7 +20,8 @@ from coxauto.elements import (_mask_bits, from_word, generator, identity,
                               mult_left, weak_leq)
 from coxauto.errors import (BudgetExceeded, InternalInvariant,
                             LowElementsNotShadow, ShadowViolation)
-from coxauto.garside import (Shadow, VerdictStatus, garside_closure, join,
+from coxauto.garside import (Shadow, ShadowVerdict, VerdictStatus,
+                             garside_closure, join,
                              low_elements, low_universe, intersect_parabolic,
                              parabolic_image, project,
                              restriction_compatibility_check,
@@ -129,6 +130,13 @@ def test_verify_shadow_examples(right_angled, gprime_shadow, i2inf, a2):
     assert "generator" in verdict.reason
     whole = Shadow(a2, ball(a2, 3))
     assert verify_shadow(whole).status is VerdictStatus.SHADOW
+
+
+def test_a_verdict_is_true_only_for_a_shadow():
+    assert ShadowVerdict(VerdictStatus.SHADOW)
+    assert not ShadowVerdict(VerdictStatus.NOT_SHADOW, reason="missing identity",
+                             witness=("1",))
+    assert not ShadowVerdict(VerdictStatus.NOT_SHADOW)
 
 
 def test_verify_shadow_catches_missing_suffix(a2):

@@ -155,6 +155,20 @@ def test_affine_prefix_spellings_agree():
     assert parse_coxeter_system("affine:C2").matrix == preset_matrix("~C2")
 
 
+def test_equal_matrices_hash_equal():
+    a = parse_coxeter_system("affine:C2").matrix
+    b = parse_coxeter_system("~C2").matrix
+    assert a is not b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_matrix_rows_cannot_be_assigned():
+    matrix = preset_matrix("A2")
+    with pytest.raises(AttributeError):
+        matrix.rows = ((1, 2), (2, 1))
+    assert matrix.rows == ((1, 3), (3, 1))
+
+
 def test_field_degree_budget():
     from coxauto.scalars import MAX_FIELD_DEGREE
     with pytest.raises(InvalidGroupSpec,
