@@ -4,23 +4,22 @@ Shadow automata have elements as states, with transitions through the
 shadow projection; canonical automata have n-small inversion sets as
 states.  Minimization has an implicit sink, and reports sizes on the trim
 partial automaton (the sink is excluded, matching how state counts are
-quoted for these languages).  ``nerode_classes`` finds the classes: a
-canonical automaton by its blocking sets (every move distributes over
-unions of small roots, so two states read the same words iff the same
-roots would block a readable letter after some word, and those sets are
-one worklist fixpoint), any other automaton by Hopcroft partition
-refinement.  Classes are numbered by a BFS over them; a canonical
-automaton is trim and BFS-numbered, so numbering its classes by their
-first state already gives that order.  Only ``minimize`` builds the
-quotient automaton.
+quoted for these languages).  ``nerode_classes`` finds the classes of
+every automaton the package builds by one rule: two states read the same
+words iff they have the same blocking set, the roots that some word read
+from the state carries onto the root of a letter read next.  The sets are
+one worklist fixpoint over the automaton's own moves and the letter
+action of its small-root table, ``Automaton.table``; an automaton without
+one, made by hand or by ``restrict_letters``, cannot be minimized.  Only
+``minimize`` builds the quotient automaton, its classes numbered by a BFS.
 
 Every automaton keeps its transitions in one flat ``array('i')``, ``k``
 entries per state for ``k`` letters, -1 for a missing move: the move from
 p by letter s is entry p * k + s, its code.  ``Automaton.delta`` is a
 read-only view of the rows as tuples, for callers outside this package;
-the readers here index the flat array by code.  Both fixpoints read the
-moves into each state from linked chains over the codes
-(:func:`_predecessor_lists`), built in one pass with no sort.
+the readers here index the flat array by code.  The blocking-set
+fixpoint reads the moves into each state from linked chains over the
+codes (:func:`_predecessor_lists`), built in one pass with no sort.
 """
 
 from __future__ import annotations
@@ -65,7 +64,8 @@ class Automaton:
     def __init__(self, letter_labels: tuple[str, ...], payloads: Sequence,
                  initial: int, delta: Sequence[Sequence[int]],
                  kind: str = "automaton",
-                 state_map: tuple[int, ...] | None = None):
+                 state_map: tuple[int, ...] | None = None,
+                 table: SmallRootTable | None = None):
         # row q of delta holds the target of each letter, -1 for none;
         # rows made by hand are laid end to end in a _Rows view
         k = len(letter_labels)
@@ -81,6 +81,9 @@ class Automaton:
         self.delta = delta
         self.kind = kind
         self.state_map = state_map  # set by minimize()
+        # the small-root table whose letter action the states follow, set
+        # by the builders and kept by minimize(); None on any other
+        self.table = table
 
     @property
     def alphabet_size(self) -> int:
@@ -193,11 +196,11 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
     projections = garside._projections(
         universe, {mask: i for i, mask in enumerate(small)})
     where = universe._pos
-    images = shadow._small_table().images
+    table = shadow._small_table()
     k = shadow.system.rank
     flat = array("i", [-1]) * (len(small) * k)
     for p, mask in enumerate(small):
-        for s, image in enumerate(images(mask)):
+        for s, image in enumerate(table.images(mask)):
             if not mask >> s & 1:
                 target = 1 << s | image
                 x = where.get(target)
@@ -205,7 +208,8 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
                                    if x is None else projections[x])
     return Automaton(letter_labels=_default_labels(shadow.system),
                      payloads=shadow, initial=shadow._pos[0],
-                     delta=_Rows(flat, k, len(small)), kind="shadow")
+                     delta=_Rows(flat, k, len(small)), kind="shadow",
+                     table=table)
 
 
 def build_canonical_automaton(sys: CoxeterSystem, level: int
@@ -225,9 +229,9 @@ def build_canonical_automaton(sys: CoxeterSystem, level: int
     check_state_budget(sys, table, level)
     masks, flat = table.canonical_walk(garside.STATE_BUDGET)
     auto = Automaton(letter_labels=_default_labels(sys),
-                     payloads=_MaskPayloads(masks, table), initial=0,
+                     payloads=_MaskPayloads(masks), initial=0,
                      delta=_Rows(flat, sys.rank, len(masks)),
-                     kind=f"canonical-{level}")
+                     kind=f"canonical-{level}", table=table)
     return auto, masks
 
 
@@ -270,17 +274,14 @@ class _Rows(Sequence):
 
 class _MaskPayloads(Sequence):
     """Read-only payloads over int state masks: item q is the tuple of the
-    set bits of mask q, decoded when it is read.
-
-    They mark a canonical automaton, and carry the small-root table its
-    masks index, which :func:`nerode_classes` reads the classes off.
+    set bits of mask q, the node ids of the automaton's small-root table,
+    decoded when it is read.
     """
 
-    __slots__ = ("_masks", "_table")
+    __slots__ = ("_masks",)
 
-    def __init__(self, masks: list[int], table: SmallRootTable):
+    def __init__(self, masks: list[int]):
         self._masks = masks
-        self._table = table
 
     def __len__(self) -> int:
         return len(self._masks)
@@ -295,148 +296,64 @@ class _MaskPayloads(Sequence):
 # Minimization
 
 def nerode_classes(auto: Automaton) -> list[int]:
-    """The Nerode class of each state, with an implicit sink, numbered by a
-    BFS over the classes from the initial one, letters in order; -1 for a
-    state equivalent to none reachable from the initial state.
+    """The Nerode class of each state, with an implicit sink, numbered by
+    their first states: equal blocking sets of the automaton's own moves
+    (:meth:`SmallRootTable.blocking_sets` of ``auto.table``).
 
-    A canonical automaton (its payloads are its state masks) is read off
-    its blocking sets (:meth:`SmallRootTable.blocking_sets`), and its
-    classes numbered by their first state.  That is the BFS order: the
-    automaton is trim and BFS-numbered, so its states are in the shortlex
-    order of their least reading words, and the least word of a class is
-    the least over its states.  Any other automaton is refined by
-    :func:`_hopcroft_classes` and renumbered by the BFS.
+    A canonical automaton is trim and BFS-numbered, so its states are in
+    the shortlex order of their least reading words, and so are its
+    classes: the BFS order of :func:`minimize`.  An automaton with no
+    small-root table raises ``ValueError``.
     """
-    delta = auto.delta
-    payloads = auto.payloads
-    if isinstance(payloads, _MaskPayloads):
-        bad = payloads._table.blocking_sets(
-            payloads._masks, *_predecessor_lists(delta._flat, len(delta)))
-        first: dict[int, int] = {}
-        number = first.setdefault
-        return [number(b, len(first)) for b in bad]
-    k, flat = auto.alphabet_size, delta._flat
-    blk = _hopcroft_classes(delta, k)
-    order = [-1] * (max(blk) + 1)
-    order[blk[auto.initial]] = 0
-    reps = [auto.initial]
-    for q in reps:
-        for t in flat[q * k:q * k + k]:
-            if t >= 0 and order[blk[t]] < 0:
-                order[blk[t]] = len(reps)
-                reps.append(t)
-    return [order[c] for c in blk]
+    if auto.table is None:
+        raise ValueError("the automaton has no small-root table: only a "
+                         "canonical or shadow automaton, or a quotient of "
+                         "one, has its Nerode classes read")
+    bad = auto.table.blocking_sets(
+        *_predecessor_lists(auto.delta._flat, auto.num_states))
+    first: dict[int, int] = {}
+    number = first.setdefault
+    return [number(b, len(first)) for b in bad]
 
 
 def minimize(auto: Automaton) -> Automaton:
     """The minimal automaton, with an implicit sink: the quotient by
     :func:`nerode_classes`, trim and without the sink.
 
-    Its states are the classes, numbered by a BFS from the initial class,
-    letters in order (on a canonical automaton, the order of their first
-    states).  ``state_map`` sends each state to its class, or to -1 when it
-    is equivalent to no state reachable from the initial one.  Callers
-    that only count classes or look for merged states read
+    Only an automaton the package built, which has a small-root table,
+    can be minimized.  The states are the classes, numbered by a BFS from
+    the initial class, letters in order.  ``state_map`` sends each state
+    to its class, or to -1 when it is equivalent to no state reachable
+    from the initial one, which no automaton the package builds has.
+    Callers that only count classes or look for merged states read
     :func:`nerode_classes` and build no quotient.
     """
-    state_map = nerode_classes(auto)
-    # the row of a class is read off any of its states; the spare last
-    # slot takes the states of class -1
-    reps = [0] * (max(state_map) + 2)
-    for q, c in enumerate(state_map):
-        reps[c] = q
-    reps.pop()
-    state_map.append(-1)  # read at index -1: a missing move stays -1
+    return _quotient(auto, nerode_classes(auto))
+
+
+def _quotient(auto: Automaton, classes: list[int]) -> Automaton:
+    """The quotient by a congruence, ``classes[q]`` the class of state q,
+    renumbered by a BFS over the classes; those it does not reach go to -1.
+    """
     k, flat = auto.alphabet_size, auto.delta._flat
+    # the BFS reads the row of a class off the state that found it
+    order = [-1] * (max(classes) + 1)
+    order[classes[auto.initial]] = 0
+    reps = [auto.initial]
+    for q in reps:
+        for t in flat[q * k:q * k + k]:
+            if t >= 0 and order[classes[t]] < 0:
+                order[classes[t]] = len(reps)
+                reps.append(t)
+    state_map = [order[c] for c in classes]
+    state_map.append(-1)  # read at index -1: a missing move stays -1
     new_flat = array("i", [state_map[t] for q in reps
                            for t in flat[q * k:q * k + k]])
     state_map.pop()
     return Automaton(letter_labels=auto.letter_labels,
                      payloads=[None] * len(reps), initial=0,
                      delta=_Rows(new_flat, k, len(reps)), kind="minimal",
-                     state_map=tuple(state_map))
-
-
-def _hopcroft_classes(delta: _Rows, k: int) -> list[int]:
-    """The Nerode classes of a partial automaton over k letters, by
-    Hopcroft partition refinement with an implicit sink.
-
-    A missing transition counts as a move to a non-accepting sink, so the
-    first splitter, the block of all states, separates states by the
-    letters they can read, and no completed copy of ``delta`` is built.
-    Each split puts its smaller half on the worklist (Hopcroft 1971; the
-    partial-DFA form of Valmari & Lehtinen 2008).  Item q of the result is
-    the block of state q.
-    """
-    n = len(delta)
-    head, after = _predecessor_lists(delta._flat, n)
-    # Refinable partition: block b is elems[first[b]:end[b]], and the states
-    # of b marked by the current letter are elems[first[b]:mid[b]].
-    elems = list(range(n))
-    loc = elems[:]
-    blk = [0] * n
-    first, end, mid = [0], [n], [0]
-    pending = [0]
-
-    def split(touched: list[int]) -> None:
-        for c in touched:
-            lo, m, hi = first[c], mid[c], end[c]
-            mid[c] = lo
-            if m == hi:
-                continue
-            # The smaller part becomes the new block, which is pending
-            # whether or not c still is.
-            nb = len(first)
-            if m - lo <= hi - m:
-                first.append(lo)
-                end.append(m)
-                first[c] = mid[c] = m
-                part = elems[lo:m]
-            else:
-                first.append(m)
-                end.append(hi)
-                end[c] = m
-                part = elems[m:hi]
-            mid.append(first[nb])
-            for p in part:
-                blk[p] = nb
-            pending.append(nb)
-
-    while pending:
-        b = pending.pop()
-        # predecessors of the whole splitter, read before it can split,
-        # as codes a * n + p sorted by letter
-        xs = []
-        for q in elems[first[b]:end[b]]:
-            c = head[q]
-            while c >= 0:
-                xs.append(c % k * n + c // k)
-                c = after[c]
-        xs.sort()
-        touched: list[int] = []
-        base = limit = 0
-        for x in xs:
-            if x >= limit:  # the first transition by the next letter
-                if touched:
-                    split(touched)
-                    touched = []
-                base = x - x % n
-                limit = base + n
-            p = x - base
-            c = blk[p]
-            j = mid[c]
-            if j == first[c]:
-                touched.append(c)
-            i = loc[p]
-            r = elems[j]
-            elems[j] = p
-            loc[p] = j
-            elems[i] = r
-            loc[r] = i
-            mid[c] = j + 1
-        if touched:
-            split(touched)
-    return blk
+                     state_map=tuple(state_map), table=auto.table)
 
 
 def _predecessor_lists(flat: array, n: int) -> tuple[array, array]:

@@ -145,6 +145,9 @@ class SmallRootTable:
         self._field = (1 << len(nodes)) - 1  # one letter's packed image
         self._shifts = tuple(range(0, len(nodes) * len(nodes[0].theta),
                                    len(nodes)))
+        # a packed image with a_s in the field of each letter s
+        self._with_roots = sum(1 << shift + s
+                               for s, shift in enumerate(self._shifts))
         # per letter s, the node mask of the roots whose image under s is
         # not n-small
         self.exits = [sum(1 << nid for nid, node in enumerate(nodes)
@@ -198,8 +201,8 @@ class SmallRootTable:
         low ``rank`` bits alone, and are listed once per pattern of them.
         """
         slices, nbytes, field = self._slices, self._nbytes, self._field
+        with_roots = self._with_roots
         letters = list(enumerate(self._shifts))
-        with_roots = sum(1 << shift + s for s, shift in letters)
         descents = (1 << len(letters)) - 1
         readable: dict[int, list[tuple[int, int]]] = {}
         blank = [-1] * len(letters)
@@ -234,43 +237,49 @@ class SmallRootTable:
             flat.fromlist(row)
         return masks, flat
 
-    def blocking_sets(self, masks: Sequence[int], head: Sequence[int],
+    def blocking_sets(self, head: Sequence[int],
                       after: Sequence[int]) -> list[int]:
-        """Bad(A) of each state A of an n-canonical automaton, as a node mask.
+        """Bad(q) of each state q of a trim automaton that reads the reduced
+        words of the table's system, as a node mask.
 
-        ``masks`` are the states, and the transitions into state t are the
-        chain ``head[t], after[head[t]], ...`` up to -1, each coded
-        p * rank + s for the move from p by letter s.
+        The automaton's moves into state t are the chain ``head[t],
+        after[head[t]], ...`` up to -1, each coded p * rank + s for the
+        move from p by letter s.  Bad is the least family of sets in which
+        Bad(p) holds a_s and s(Bad(t)) for each move p -> t by s, s(.) the
+        action of :meth:`images`.  Unrolled, beta is in Bad(q) iff some
+        word w is read from q, then some letter s, and w carries beta onto
+        a_s.  So Bad(q) depends only on the words read from q.
 
-        The move by s sends A to {a_s} union s(A), and s(.) is a partial
-        involution on the small roots that distributes over unions.  So a
-        word is read from A iff it is read from the empty set and, for
-        every beta in A, no image of beta along a prefix is the root a_s of
-        the next letter s.  Let Bad(A) be the roots beta whose
-        image along some word w read from A is a_s for a letter s that A
-        reads after w.  Bad(A) depends on the words read from A alone, and
-        is disjoint from A (such a beta would stop that s).  So two states
-        read the same words iff their blocking sets are equal: a shortest
-        word read from A but not from A' ends in a letter stopped by some
-        beta in A', and beta then lies in Bad(A) but not in Bad(A').
+        On the n-canonical automaton, n the table's level, the move by s
+        sends A to {a_s} union s(A), and s(.) is a partial involution on
+        the small roots that distributes over unions.  So a word is read
+        from A iff it is read from the empty set and, for every beta in A,
+        no image of beta along a prefix is the root a_s of the next letter
+        s.  Bad(A) is disjoint from A (such a beta would stop that s).  So
+        two states read the same words iff their blocking sets are equal:
+        a shortest word read from A but not from A' ends in a letter
+        stopped by some beta in A', and beta then lies in Bad(A) but not in
+        Bad(A').  In any other trim automaton of these words, a state
+        reached by a word u reads the words that the canonical state
+        reached by u reads, so it has that state's blocking set, and the
+        same holds.
 
-        Bad is the least solution of Bad(A) = union over the letters s that
-        A reads of {a_s} union s(Bad(s.A)), found by a worklist over the
-        predecessors of each state, deepest states first.  A visit
-        takes one packed lookup of the images of Bad(t) under all letters,
-        as in :meth:`images`, and each predecessor a shift and a mask of it.
+        The fixpoint is a worklist over the predecessors of each state,
+        deepest states first.  A visit takes one packed lookup of the
+        images of Bad(t) under all letters, started, as in
+        :meth:`canonical_walk`, with a_s in letter s's field, so each move
+        into t adds a_s and s(Bad(t)) to Bad(p) by a shift and a mask.
         """
         slices, nbytes, field = self._slices, self._nbytes, self._field
-        shifts = self._shifts
-        n, rank = len(masks), len(shifts)
-        readable = (1 << rank) - 1
-        bad = [~mask & readable for mask in masks]
+        shifts, with_roots = self._shifts, self._with_roots
+        n, rank = len(head), len(shifts)
+        bad = [0] * n
         work = array("i", range(n))
         queued = bytearray(b"\x01") * n
         while work:
             t = work.pop()
             queued[t] = 0
-            packed = 0
+            packed = with_roots
             for part, b in zip(slices, bad[t].to_bytes(nbytes, "little")):
                 packed |= part[b]
             code = head[t]

@@ -11,13 +11,16 @@ import pytest
 from hypothesis import strategies as st
 
 from coxauto import parse_coxeter_system, smallroots
-from coxauto.automata import (Automaton, _predecessor_lists, minimize,
+from coxauto.automata import (Automaton, _predecessor_lists, _quotient,
+                              build_canonical_automaton,
+                              build_shadow_automaton, minimize,
                               nerode_classes)
 from coxauto.elements import (Element, _mask_bits, generator, identity,
                               mult_left, weak_leq)
 from coxauto.errors import InternalInvariant
 from coxauto.garside import (Shadow, ShadowVerdict, VerdictStatus,
-                             check_generated_and_suffix_closed, join, project,
+                             check_generated_and_suffix_closed,
+                             garside_closure, join, low_universe, project,
                              smallest_low_universe)
 from coxauto.scalars import FieldContext, Scalar, _normalized
 from coxauto.smallroots import build_small_roots
@@ -30,25 +33,130 @@ DIFFERENTIAL_GROUPS = ["~A2", "~C2", "~G2", "~A3", "~C3", "~B3", "~D4", "H3",
                        "A4", "B4", "I2(inf)", "triangle(2,3,7)",
                        "triangle(4,4,4)", "triangle(3,3,4)"]
 
-# The groups on which the blocking-set classes of a canonical automaton are
-# compared with Hopcroft refinement: the groups above at level 0, and the
-# rank-3 ones at levels 1 and 2 too.
+# The groups on which the blocking-set classes of the automata are compared
+# with Hopcroft refinement: the groups above at level 0, and the rank-3
+# ones at levels 1 and 2 too.
 BLOCKING_GROUPS = DIFFERENTIAL_GROUPS + ["~A4", "~C4", "~B4", "A3", "B3",
                                          "D4", "F4"]
 BLOCKING_RANK_THREE = ["~A2", "~C2", "~G2", "~C3", "H3", "triangle(2,3,7)",
                        "triangle(4,4,4)"]
 
 
+def hopcroft_classes(auto: Automaton) -> list[int]:
+    """The Nerode classes of any partial automaton, by Hopcroft partition
+    refinement with an implicit sink: the reference for the blocking sets
+    of ``nerode_classes``, which need an automaton the package built.
+
+    A missing transition counts as a move to a non-accepting sink, so the
+    first splitter, the block of all states, separates states by the
+    letters they can read, and no completed copy of ``delta`` is built.
+    Each split puts its smaller half on the worklist (Hopcroft 1971; the
+    partial-DFA form of Valmari & Lehtinen 2008).  Item q of the result is
+    the block of state q.
+    """
+    n, k = auto.num_states, auto.alphabet_size
+    head, after = _predecessor_lists(auto.delta._flat, n)
+    # Refinable partition: block b is elems[first[b]:end[b]], and the states
+    # of b marked by the current letter are elems[first[b]:mid[b]].
+    elems = list(range(n))
+    loc = elems[:]
+    blk = [0] * n
+    first, end, mid = [0], [n], [0]
+    pending = [0]
+
+    def split(touched: list[int]) -> None:
+        for c in touched:
+            lo, m, hi = first[c], mid[c], end[c]
+            mid[c] = lo
+            if m == hi:
+                continue
+            # The smaller part becomes the new block, which is pending
+            # whether or not c still is.
+            nb = len(first)
+            if m - lo <= hi - m:
+                first.append(lo)
+                end.append(m)
+                first[c] = mid[c] = m
+                part = elems[lo:m]
+            else:
+                first.append(m)
+                end.append(hi)
+                end[c] = m
+                part = elems[m:hi]
+            mid.append(first[nb])
+            for p in part:
+                blk[p] = nb
+            pending.append(nb)
+
+    while pending:
+        b = pending.pop()
+        # predecessors of the whole splitter, read before it can split,
+        # as codes a * n + p sorted by letter
+        xs = []
+        for q in elems[first[b]:end[b]]:
+            c = head[q]
+            while c >= 0:
+                xs.append(c % k * n + c // k)
+                c = after[c]
+        xs.sort()
+        touched: list[int] = []
+        base = limit = 0
+        for x in xs:
+            if x >= limit:  # the first transition by the next letter
+                if touched:
+                    split(touched)
+                    touched = []
+                base = x - x % n
+                limit = base + n
+            p = x - base
+            c = blk[p]
+            j = mid[c]
+            if j == first[c]:
+                touched.append(c)
+            i = loc[p]
+            r = elems[j]
+            elems[j] = p
+            loc[p] = j
+            elems[i] = r
+            loc[r] = i
+            mid[c] = j + 1
+        if touched:
+            split(touched)
+    return blk
+
+
+def hopcroft_minimize(auto: Automaton) -> Automaton:
+    """The quotient of any partial automaton by :func:`hopcroft_classes`,
+    its classes renumbered by the BFS of ``minimize``."""
+    return _quotient(auto, hopcroft_classes(auto))
+
+
+def first_state_numbering(classes):
+    """The same partition, each class numbered by its first state."""
+    first = {}
+    return [first.setdefault(c, len(first)) for c in classes]
+
+
 def assert_blocking_classes_match_hopcroft(auto):
-    # the same automaton with list payloads is refined by Hopcroft, and its
-    # classes renumbered by a BFS over them; the blocking sets number them
-    # by their first state
-    copy = Automaton(auto.letter_labels, list(auto.payloads), auto.initial,
-                     auto.delta, auto.kind)
-    got, ref = minimize(auto), minimize(copy)
+    # the blocking sets number the classes by their first state, and
+    # minimize renumbers them by a BFS over them
+    classes = nerode_classes(auto)
+    assert classes == first_state_numbering(hopcroft_classes(auto))
+    got, ref = minimize(auto), hopcroft_minimize(auto)
     assert got.delta == ref.delta
     assert got.state_map == ref.state_map
-    assert nerode_classes(auto) == nerode_classes(copy) == list(ref.state_map)
+
+
+def assert_shadow_and_minimal_classes_match_hopcroft(sys, level):
+    # A_B of L_n, and of Gar(S) at level 0, and the quotient of A_n read
+    # the reduced words with their states in no BFS order of their own
+    shadows = [low_universe(sys, level)]
+    if level == 0:
+        shadows.append(garside_closure(sys))
+    for shadow in shadows:
+        assert_blocking_classes_match_hopcroft(build_shadow_automaton(shadow))
+    canonical, _ = build_canonical_automaton(sys, level)
+    assert_blocking_classes_match_hopcroft(minimize(canonical))
 
 
 def assert_predecessor_chains_hold_every_move(auto):

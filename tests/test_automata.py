@@ -15,7 +15,9 @@ from conftest import (AFFINE_CATALOG, BLOCKING_GROUPS, BLOCKING_RANK_THREE,
                       assert_blocking_classes_match_hopcroft,
                       assert_numbered_by_first_state,
                       assert_predecessor_chains_hold_every_move,
+                      assert_shadow_and_minimal_classes_match_hopcroft,
                       byte_slice_shadow_automaton, canonical_witnesses,
+                      first_state_numbering, hopcroft_minimize,
                       per_bit_canonical_automaton, projection_state_map,
                       shortest_words, small_columns, universe_missing)
 from coxauto import automata, garside, parse_coxeter_system, smallroots
@@ -312,33 +314,45 @@ def partial_dfas(draw):
     return Automaton(labels, [None] * n, draw(st.integers(0, n - 1)), delta)
 
 
-def _assert_minimal_form(auto):
-    got = minimize(auto)
+def _assert_moore_quotient(auto, got):
     ref = _moore_minimize(auto)
     assert got.delta == ref.delta
     assert got.state_map == ref.state_map
-    assert nerode_classes(auto) == list(ref.state_map)
-    assert isomorphic(minimize(got), got)
     assert got.counts_by_length(8) == auto.counts_by_length(8)
+    return ref
+
+
+def _assert_minimal_form(auto):
+    got = minimize(auto)
+    ref = _assert_moore_quotient(auto, got)
+    assert nerode_classes(auto) == first_state_numbering(ref.state_map)
+    assert isomorphic(minimize(got), got)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(partial_dfas())
 def test_minimize_matches_moore_reference(auto):
-    _assert_minimal_form(auto)
+    # a hand-made automaton has no small-root table: its Hopcroft classes,
+    # renumbered by the BFS of minimize, give its quotient
+    got = hopcroft_minimize(auto)
+    _assert_moore_quotient(auto, got)
+    assert isomorphic(hopcroft_minimize(got), got)
 
 
 @pytest.mark.parametrize("group, kind", [
     ("~C4", "canonical"), ("~B4", "canonical"),
     ("~A2", "shadow"), ("~C2", "shadow"), ("~G2", "shadow"),
     ("A3", "shadow"), ("B3", "shadow"), ("H3", "shadow"),
+    ("~C2", "low"),
 ])
 def test_minimize_matches_moore_reference_on_groups(group, kind):
     sys = parse_coxeter_system(group)
     if kind == "canonical":
         auto, _ = build_canonical_automaton(sys, 0)
-    else:
+    elif kind == "shadow":
         auto = build_shadow_automaton(garside_closure(sys))
+    else:  # A_B of L_0, whose 25 states fall into 24 classes on ~C2
+        auto = build_shadow_automaton(low_universe(sys, 0))
     _assert_minimal_form(auto)
 
 
@@ -348,6 +362,14 @@ def test_minimize_matches_moore_reference_on_groups(group, kind):
 def test_blocking_classes_match_hopcroft(name, level):
     auto, _ = build_canonical_automaton(parse_coxeter_system(name), level)
     assert_blocking_classes_match_hopcroft(auto)
+
+
+@pytest.mark.parametrize("name, level", [
+    (name, level) for level in (0, 1) for name in BLOCKING_GROUPS])
+def test_blocking_classes_of_shadow_and_minimal_automata_match_hopcroft(
+        name, level):
+    assert_shadow_and_minimal_classes_match_hopcroft(
+        parse_coxeter_system(name), level)
 
 
 @pytest.mark.parametrize("name", BLOCKING_GROUPS)
@@ -437,17 +459,22 @@ def test_canonical_classes_are_numbered_by_first_state(name, level):
     assert_bfs_numbered(minimal)
 
 
-def test_minimize_reads_canonical_classes_without_refinement(monkeypatch,
-                                                            aff_c2):
-    def refuse(delta, k):
-        raise AssertionError("Hopcroft refinement ran")
-
-    monkeypatch.setattr(automata, "_hopcroft_classes", refuse)
+def test_minimize_needs_a_small_root_table(aff_c2):
+    # the builders set the table whose letter action the states follow,
+    # and minimize keeps it; an automaton without one has no classes
     auto, _ = build_canonical_automaton(aff_c2, 0)
-    assert minimize(auto).num_states == 24
-    # the same automaton without its masks is refined
-    with pytest.raises(AssertionError, match="Hopcroft refinement ran"):
-        minimize(restrict_letters(auto, range(3), trim=False))
+    assert auto.table is build_small_roots(aff_c2, 0)
+    shadow = low_universe(aff_c2, 0)
+    assert build_shadow_automaton(shadow).table is shadow._small_table()
+    minimal = minimize(auto)
+    assert minimal.num_states == 24 and minimal.table is auto.table
+    hand_made = Automaton(auto.letter_labels, list(auto.payloads),
+                          auto.initial, auto.delta, auto.kind)
+    for other in (hand_made, restrict_letters(auto, range(3), trim=False)):
+        assert other.table is None
+        for classes in (minimize, nerode_classes):
+            with pytest.raises(ValueError, match="has no small-root table"):
+                classes(other)
 
 
 def test_canonical_build_classifies_the_system_once(monkeypatch):
@@ -467,9 +494,10 @@ def test_canonical_build_classifies_the_system_once(monkeypatch):
 
 
 def test_minimize_maps_unreachable_inequivalent_state_to_minus_one():
-    # state 1 is unreachable and reads "1", which the initial state cannot
+    # state 1 is unreachable and reads "1", which the initial state cannot;
+    # the BFS of minimize finds no class for it
     auto = Automaton(("1", "2"), [None, None], 0, [(-1, -1), (1, -1)])
-    result = minimize(auto)
+    result = hopcroft_minimize(auto)
     assert result.delta == [(-1, -1)]
     assert result.state_map == (0, -1)
 

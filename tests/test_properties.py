@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import (BLOCKING_GROUPS, assert_blocking_classes_match_hopcroft,
                       assert_predecessor_chains_hold_every_move,
+                      assert_shadow_and_minimal_classes_match_hopcroft,
                       byte_slice_shadow_automaton, coxeter_systems,
                       per_bit_canonical_automaton, recompute_inversions,
                       reference_merged_state_witness)
@@ -124,6 +125,13 @@ def test_spherical_flags_match_classify_type(sys):
 def test_blocking_classes_match_hopcroft(sys, level):
     auto, _ = build_canonical_automaton(sys, level)
     assert_blocking_classes_match_hopcroft(auto)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coxeter_systems(), st.integers(0, 1))
+def test_blocking_classes_of_shadow_and_minimal_automata_match_hopcroft(
+        sys, level):
+    assert_shadow_and_minimal_classes_match_hopcroft(sys, level)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
