@@ -13,13 +13,14 @@ action of its small-root table, ``Automaton.table``; an automaton without
 one, made by hand or by ``restrict_letters``, cannot be minimized.  Only
 ``minimize`` builds the quotient automaton, its classes numbered by a BFS.
 
-Every automaton keeps its transitions in one flat ``array('i')``, ``k``
+An automaton is its payloads and one flat ``array('i')`` of moves, ``k``
 entries per state for ``k`` letters, -1 for a missing move: the move from
-p by letter s is entry p * k + s, its code.  ``Automaton.delta`` is a
-read-only view of the rows as tuples, for callers outside this package;
-the readers here index the flat array by code.  The blocking-set
-fixpoint reads the moves into each state from linked chains over the
-codes (:func:`_predecessor_lists`), built in one pass with no sort.
+p by letter s is entry p * k + s, its code.  A canonical automaton's
+payloads are its states' int masks over the node ids of its small-root
+table, a shadow automaton's are the shadow, and a quotient's are None.
+The blocking-set fixpoint reads the moves into each state from linked
+chains over the codes (:func:`_predecessor_lists`), built in one pass
+with no sort.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from __future__ import annotations
 import enum
 from array import array
 from collections import deque
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
-from .elements import Element, _mask_bits
+from .elements import _mask_bits
 from . import garside
 from .errors import BudgetExceeded, ShadowViolation
 from .garside import Shadow, VerdictStatus, check_state_budget, verify_shadow
@@ -62,23 +62,18 @@ class Automaton:
     """Trim deterministic partial automaton; every state is accepting."""
 
     def __init__(self, letter_labels: tuple[str, ...], payloads: Sequence,
-                 initial: int, delta: Sequence[Sequence[int]],
-                 kind: str = "automaton",
+                 initial: int, moves: array, kind: str = "automaton",
                  state_map: tuple[int, ...] | None = None,
                  table: SmallRootTable | None = None):
-        # row q of delta holds the target of each letter, -1 for none;
-        # rows made by hand are laid end to end in a _Rows view
-        k = len(letter_labels)
-        if not isinstance(delta, _Rows):
-            if any(len(row) != k for row in delta):
-                raise ValueError(f"a row of an automaton over {k} letters "
-                                 f"has another length")
-            delta = _Rows(array("i", chain.from_iterable(delta)), k,
-                          len(delta))
+        # entry q * k + s of moves is the target of state q by letter s, -1
+        # for none; state q carries payloads[q]
+        if len(moves) != len(payloads) * len(letter_labels):
+            raise ValueError(f"{len(moves)} moves do not fill {len(payloads)} "
+                             f"states over {len(letter_labels)} letters")
         self.letter_labels = letter_labels
         self.payloads = payloads
         self.initial = initial
-        self.delta = delta
+        self.moves = moves
         self.kind = kind
         self.state_map = state_map  # set by minimize()
         # the small-root table whose letter action the states follow, set
@@ -91,25 +86,24 @@ class Automaton:
 
     @property
     def num_states(self) -> int:
-        return len(self.delta)
+        return len(self.payloads)
 
     def transitions(self):
         k = self.alphabet_size
-        for code, q2 in enumerate(self.delta._flat):
+        for code, q2 in enumerate(self.moves):
             if q2 >= 0:
                 q, a = divmod(code, k)
                 yield q, a, q2
 
     def num_transitions(self) -> int:
-        flat = self.delta._flat
-        return len(flat) - flat.count(-1)
+        return len(self.moves) - self.moves.count(-1)
 
     def read(self, word: Iterable[int]) -> int | None:
-        q, k, flat = self.initial, self.alphabet_size, self.delta._flat
+        q, k, moves = self.initial, self.alphabet_size, self.moves
         for a in word:
             if not 0 <= a < k:
                 raise IndexError(f"letter {a} is not below {k}")
-            q = flat[q * k + a]
+            q = moves[q * k + a]
             if q < 0:
                 return None
         return q
@@ -128,8 +122,8 @@ class Automaton:
                 f"counting to length {max_length:,} takes {work:,} transition "
                 f"steps, over the counting work budget of "
                 f"{COUNT_WORK_BUDGET:,}")
-        n, k, flat = self.num_states, self.alphabet_size, self.delta._flat
-        targets = [[t for t in flat[p * k:p * k + k] if t >= 0]
+        n, k, moves = self.num_states, self.alphabet_size, self.moves
+        targets = [[t for t in moves[p * k:p * k + k] if t >= 0]
                    for p in range(n)]
         counts = [0] * n
         counts[self.initial] = 1
@@ -145,17 +139,17 @@ class Automaton:
         return out
 
     def payload_label(self, q: int) -> str:
+        """The DOT label of state q: q<q> for no payload, {i,j,...} for a
+        mask of node ids, and else the payload as a string."""
         p = self.payloads[q]
         if p is None:
             return f"q{q}"
-        if isinstance(p, Element):
-            return str(p)
-        if isinstance(p, tuple):
-            return "{" + ",".join(str(i) for i in p) + "}"
+        if isinstance(p, int):
+            return "{" + ",".join(map(str, _mask_bits(p))) + "}"
         return str(p)
 
-    def to_dot(self, name: str = "automaton") -> str:
-        lines = [f"digraph {name} {{", "  rankdir=LR;",
+    def to_dot(self) -> str:
+        lines = ["digraph automaton {", "  rankdir=LR;",
                  '  __start [shape=none, label=""];']
         for q in range(self.num_states):
             lines.append(f'  q{q} [shape=circle, label="{self.payload_label(q)}"];')
@@ -198,23 +192,23 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
     where = universe._pos
     table = shadow._small_table()
     k = shadow.system.rank
-    flat = array("i", [-1]) * (len(small) * k)
+    moves = array("i", [-1]) * (len(small) * k)
     for p, mask in enumerate(small):
         for s, image in enumerate(table.images(mask)):
             if not mask >> s & 1:
                 target = 1 << s | image
                 x = where.get(target)
-                flat[p * k + s] = (shadow._below(target)[-1]
-                                   if x is None else projections[x])
+                moves[p * k + s] = (shadow._below(target)[-1]
+                                    if x is None else projections[x])
     return Automaton(letter_labels=_default_labels(shadow.system),
-                     payloads=shadow, initial=shadow._pos[0],
-                     delta=_Rows(flat, k, len(small)), kind="shadow",
-                     table=table)
+                     payloads=shadow, initial=shadow._pos[0], moves=moves,
+                     kind="shadow", table=table)
 
 
 def build_canonical_automaton(sys: CoxeterSystem, level: int
                               ) -> tuple[Automaton, list[int]]:
-    """The n-canonical automaton and the mask of each of its states.
+    """The n-canonical automaton and the mask of each of its states, which
+    is also the state's payload.
 
     States are the reachable n-small inversion sets.  Transition by s is
     defined iff a_s is not in the state, and sends A to {a_s} union (s(A)
@@ -227,69 +221,11 @@ def build_canonical_automaton(sys: CoxeterSystem, level: int
     """
     table = build_small_roots(sys, level)
     check_state_budget(sys, table, level)
-    masks, flat = table.canonical_walk(garside.STATE_BUDGET)
+    masks, moves = table.canonical_walk(garside.STATE_BUDGET)
     auto = Automaton(letter_labels=_default_labels(sys),
-                     payloads=_MaskPayloads(masks), initial=0,
-                     delta=_Rows(flat, sys.rank, len(masks)),
+                     payloads=masks, initial=0, moves=moves,
                      kind=f"canonical-{level}", table=table)
     return auto, masks
-
-
-class _Rows(Sequence):
-    """Read-only rows of an automaton over one flat ``array('i')``: row q is
-    ``flat[q * k:q * k + k]``, read as a tuple, k the alphabet size.
-
-    The rows compare equal to any sequence of equal rows.
-    """
-
-    __slots__ = ("_flat", "_k", "_n")
-
-    def __init__(self, flat: array, k: int, n: int):
-        self._flat = flat
-        self._k = k
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, q: int) -> tuple[int, ...]:
-        if q < 0:
-            q += self._n
-        if not 0 <= q < self._n:
-            raise IndexError("row index out of range")
-        k = self._k
-        return tuple(self._flat[q * k:q * k + k])
-
-    def __iter__(self):
-        flat, k = self._flat, self._k
-        for q in range(self._n):
-            yield tuple(flat[q * k:q * k + k])
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(other) == self._n and all(
-            row == tuple(other_row) for row, other_row in zip(self, other))
-
-
-class _MaskPayloads(Sequence):
-    """Read-only payloads over int state masks: item q is the tuple of the
-    set bits of mask q, the node ids of the automaton's small-root table,
-    decoded when it is read.
-    """
-
-    __slots__ = ("_masks",)
-
-    def __init__(self, masks: list[int]):
-        self._masks = masks
-
-    def __len__(self) -> int:
-        return len(self._masks)
-
-    def __getitem__(self, q):
-        if isinstance(q, slice):
-            return [tuple(_mask_bits(mask)) for mask in self._masks[q]]
-        return tuple(_mask_bits(self._masks[q]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +246,7 @@ def nerode_classes(auto: Automaton) -> list[int]:
                          "canonical or shadow automaton, or a quotient of "
                          "one, has its Nerode classes read")
     bad = auto.table.blocking_sets(
-        *_predecessor_lists(auto.delta._flat, auto.num_states))
+        *_predecessor_lists(auto.moves, auto.num_states))
     first: dict[int, int] = {}
     number = first.setdefault
     return [number(b, len(first)) for b in bad]
@@ -335,39 +271,39 @@ def _quotient(auto: Automaton, classes: list[int]) -> Automaton:
     """The quotient by a congruence, ``classes[q]`` the class of state q,
     renumbered by a BFS over the classes; those it does not reach go to -1.
     """
-    k, flat = auto.alphabet_size, auto.delta._flat
+    k, moves = auto.alphabet_size, auto.moves
     # the BFS reads the row of a class off the state that found it
     order = [-1] * (max(classes) + 1)
     order[classes[auto.initial]] = 0
     reps = [auto.initial]
     for q in reps:
-        for t in flat[q * k:q * k + k]:
+        for t in moves[q * k:q * k + k]:
             if t >= 0 and order[classes[t]] < 0:
                 order[classes[t]] = len(reps)
                 reps.append(t)
     state_map = [order[c] for c in classes]
     state_map.append(-1)  # read at index -1: a missing move stays -1
-    new_flat = array("i", [state_map[t] for q in reps
-                           for t in flat[q * k:q * k + k]])
+    new_moves = array("i", [state_map[t] for q in reps
+                            for t in moves[q * k:q * k + k]])
     state_map.pop()
     return Automaton(letter_labels=auto.letter_labels,
                      payloads=[None] * len(reps), initial=0,
-                     delta=_Rows(new_flat, k, len(reps)), kind="minimal",
+                     moves=new_moves, kind="minimal",
                      state_map=tuple(state_map), table=auto.table)
 
 
-def _predecessor_lists(flat: array, n: int) -> tuple[array, array]:
+def _predecessor_lists(moves: array, n: int) -> tuple[array, array]:
     """The moves into each of n states, as linked chains over their codes.
 
-    ``flat`` holds the rows of an automaton end to end, so the move from p
-    by letter s has code p * k + s, its index in ``flat``.  The moves into
+    ``moves`` holds the rows of an automaton end to end, so the move from p
+    by letter s has code p * k + s, its index in ``moves``.  The moves into
     t are the chain ``head[t], after[head[t]], ...`` up to -1, built in one
     pass with no sort.  Codes are below ``garside.STATE_BUDGET`` times
     ``system.RANK_BUDGET``, 6e7 < 2**31, so they fit in ``'i'``.
     """
     head = array("i", [-1]) * n
-    after = array("i", [-1]) * len(flat)
-    for code, t in enumerate(flat):
+    after = array("i", [-1]) * len(moves)
+    for code, t in enumerate(moves):
         if t >= 0:
             after[code] = head[t]
             head[t] = code
@@ -404,7 +340,7 @@ def check_morphism(f: Sequence[int], source: Automaton,
         return MorphismReport(MorphismVerdict.NOT_MORPHISM,
                               ("initial", f[source.initial]))
     k = source.alphabet_size
-    moves, images = source.delta._flat, target.delta._flat
+    moves, images = source.moves, target.moves
     for q, a, q2 in source.transitions():
         img = images[f[q] * k + a]
         if img < 0 or img != f[q2]:
@@ -426,7 +362,7 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
     one candidate map, found by parallel BFS from the initial states."""
     if a.num_states != b.num_states or a.alphabet_size != b.alphabet_size:
         return False
-    k, fa, fb = a.alphabet_size, a.delta._flat, b.delta._flat
+    k, fa, fb = a.alphabet_size, a.moves, b.moves
     mapping = {a.initial: b.initial}
     queue = deque([(a.initial, b.initial)])
     while queue:
@@ -460,26 +396,24 @@ def restrict_letters(auto: Automaton, letters: Sequence[int], *,
     """
     letters = sorted(letters)
     labels = tuple(auto.letter_labels[a] for a in letters)
-    k, flat = auto.alphabet_size, auto.delta._flat
+    k, moves = auto.alphabet_size, auto.moves
     if trim:
         # states in the order a BFS over the kept letters finds them
         keep = [auto.initial]
         renum = {auto.initial: 0}
         for q in keep:
             for a in letters:
-                t = flat[q * k + a]
+                t = moves[q * k + a]
                 if t >= 0 and t not in renum:
                     renum[t] = len(keep)
                     keep.append(t)
-        rows = array("i", [renum.get(flat[q * k + a], -1)
+        kept = array("i", [renum.get(moves[q * k + a], -1)
                            for q in keep for a in letters])
         payloads = [auto.payloads[q] for q in keep]
-        return Automaton(letter_labels=labels, payloads=payloads,
-                         initial=0, delta=_Rows(rows, len(letters), len(keep)),
-                         kind=auto.kind + "-restricted")
-    rows = array("i", [flat[q * k + a] for q in range(auto.num_states)
+        return Automaton(letter_labels=labels, payloads=payloads, initial=0,
+                         moves=kept, kind=auto.kind + "-restricted")
+    kept = array("i", [moves[q * k + a] for q in range(auto.num_states)
                        for a in letters])
     return Automaton(letter_labels=labels, payloads=list(auto.payloads),
-                     initial=auto.initial,
-                     delta=_Rows(rows, len(letters), auto.num_states),
+                     initial=auto.initial, moves=kept,
                      kind=auto.kind + "-letters")

@@ -130,7 +130,7 @@ def _shortest_words_to(auto: Automaton, targets: Sequence[int]
     is found; the order in which a BFS tree finds states does not depend on
     when it stops.
     """
-    start, k, flat = auto.initial, auto.alphabet_size, auto.delta._flat
+    start, k, moves = auto.initial, auto.alphabet_size, auto.moves
     # via[t] = q * k + a, the code of the move from q by letter a that
     # found t; the start is marked found, and is never read as a move
     via = [-1] * auto.num_states
@@ -139,7 +139,7 @@ def _shortest_words_to(auto: Automaton, targets: Sequence[int]
     queue = deque([start])
     while missing and queue:
         code = queue.popleft() * k
-        for t in flat[code:code + k]:
+        for t in moves[code:code + k]:
             if t >= 0 and via[t] < 0:
                 via[t] = code
                 missing.discard(t)

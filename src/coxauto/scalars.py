@@ -38,7 +38,6 @@ RationalLike = Union[int, Fraction]
 
 _INITIAL_BITS = 64
 _MIN_NORMAL = 2.0 ** -1022     # smallest positive normal double
-_INVERSE_CACHE_MAX = 4096      # memoized inverses of irrational values per field
 # Largest field degree phi(2N)/2 accepted.  The largest among the presets
 # and tested groups is 48, for triangle(5,6,7).  Building the minimal
 # polynomial takes about 0.06 s at degree 64, 0.3 s at 128 and 2 s at 256
@@ -156,8 +155,8 @@ class FieldContext:
     """The real cyclotomic field Q(2cos(pi/N)) with decidable sign.
 
     Construct through :func:`make_field_context`.  Fixed at construction
-    except for three lazily grown caches: the interval ladder (appended
-    to), cos(pi/m) values, and inverses of irrational values.
+    except for two lazily grown caches: the interval ladder (appended
+    to) and cos(pi/m) values.
     """
 
     def __init__(self, n: int):
@@ -183,7 +182,6 @@ class FieldContext:
         self._power_table = self._build_power_table()
         self._ladder: list[tuple[Fraction, Fraction]] = [self._initial_interval()]
         self._cos_cache: dict[int, Scalar] = {}
-        self._inverses: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
         self._c_float = float(sum(self._ladder[0]) / 2)  # see generator_float
         # the float filter's constants; see sign()
         self._filter_scale = (4 * d + 4) * 2.0 ** -53
@@ -369,23 +367,17 @@ class FieldContext:
             if n0 == 0:
                 raise ZeroDivisionError("scalar division by zero")
             return (den if n0 > 0 else -den,) + num[1:], abs(n0)
-        key = (num, den)
-        hit = self._inverses.get(key)
-        if hit is None:
-            # column j of the matrix of multiplication by num is num * c^j;
-            # its solution x for the right-hand side 1 is 1 / num
-            d = self.degree
-            cols = [self._reduce([0] * j + list(num)) for j in range(d)]
-            rows = [[cols[j][i] for j in range(d)] + [int(i == 0)]
-                    for i in range(d)]
-            y, t = _solve_fraction_free(rows)
-            if t < 0:
-                y, t = [-v for v in y], -t
-            inv = _normalized(self, [v * den for v in y], t)
-            hit = (inv.num, inv.den)
-            if len(self._inverses) < _INVERSE_CACHE_MAX:
-                self._inverses[key] = hit
-        return hit
+        # column j of the matrix of multiplication by num is num * c^j; its
+        # solution x for the right-hand side 1 is 1 / num
+        d = self.degree
+        cols = [self._reduce([0] * j + list(num)) for j in range(d)]
+        rows = [[cols[j][i] for j in range(d)] + [int(i == 0)]
+                for i in range(d)]
+        y, t = _solve_fraction_free(rows)
+        if t < 0:
+            y, t = [-v for v in y], -t
+        inv = _normalized(self, [v * den for v in y], t)
+        return inv.num, inv.den
 
     # -- sign determination ----------------------------------------------
 

@@ -359,8 +359,6 @@ def build_small_roots(sys: CoxeterSystem, level: int) -> SmallRootTable:
         rid = rids[i]
         coords = sys.root_coords(rid)
         for s in range(rank):
-            if thetas[i][s] is not None:
-                continue
             if rid == s:
                 thetas[i][s] = NEGATIVE
                 continue

@@ -42,6 +42,23 @@ BLOCKING_RANK_THREE = ["~A2", "~C2", "~G2", "~C3", "H3", "triangle(2,3,7)",
                        "triangle(4,4,4)"]
 
 
+def flat_moves(delta) -> array:
+    """The moves of an automaton from its rows: entry q * k + s is the
+    target of state q by letter s, -1 for none."""
+    return array("i", [t for targets in delta for t in targets])
+
+
+def moves_from(auto: Automaton, q: int) -> tuple[int, ...]:
+    """The targets of state q by each letter, -1 for none."""
+    k = auto.alphabet_size
+    return tuple(auto.moves[q * k:q * k + k])
+
+
+def rows(auto: Automaton) -> list[tuple[int, ...]]:
+    """The row of each state, in order."""
+    return [moves_from(auto, q) for q in range(auto.num_states)]
+
+
 def hopcroft_classes(auto: Automaton) -> list[int]:
     """The Nerode classes of any partial automaton, by Hopcroft partition
     refinement with an implicit sink: the reference for the blocking sets
@@ -49,13 +66,13 @@ def hopcroft_classes(auto: Automaton) -> list[int]:
 
     A missing transition counts as a move to a non-accepting sink, so the
     first splitter, the block of all states, separates states by the
-    letters they can read, and no completed copy of ``delta`` is built.
+    letters they can read, and no completed copy of the moves is built.
     Each split puts its smaller half on the worklist (Hopcroft 1971; the
     partial-DFA form of Valmari & Lehtinen 2008).  Item q of the result is
     the block of state q.
     """
     n, k = auto.num_states, auto.alphabet_size
-    head, after = _predecessor_lists(auto.delta._flat, n)
+    head, after = _predecessor_lists(auto.moves, n)
     # Refinable partition: block b is elems[first[b]:end[b]], and the states
     # of b marked by the current letter are elems[first[b]:mid[b]].
     elems = list(range(n))
@@ -143,7 +160,7 @@ def assert_blocking_classes_match_hopcroft(auto):
     classes = nerode_classes(auto)
     assert classes == first_state_numbering(hopcroft_classes(auto))
     got, ref = minimize(auto), hopcroft_minimize(auto)
-    assert got.delta == ref.delta
+    assert got.moves == ref.moves
     assert got.state_map == ref.state_map
 
 
@@ -162,19 +179,19 @@ def assert_shadow_and_minimal_classes_match_hopcroft(sys, level):
 def assert_predecessor_chains_hold_every_move(auto):
     # the chains of _predecessor_lists, walked state by state, hold each
     # move (p, s, t) of the automaton exactly once, coded p * k + s
-    flat, k = auto.delta._flat, auto.alphabet_size
-    head, after = _predecessor_lists(flat, auto.num_states)
+    moves, k = auto.moves, auto.alphabet_size
+    head, after = _predecessor_lists(moves, auto.num_states)
     found = []
     for t in range(auto.num_states):
         code = head[t]
         while code >= 0:
-            assert len(found) < len(flat)  # no cycle
+            assert len(found) < len(moves)  # no cycle
             found.append((*divmod(code, k), t))
             code = after[code]
     assert len(found) == len(set(found))
     assert set(found) == {(p, s, t)
-                          for p, row in enumerate(auto.delta)
-                          for s, t in enumerate(row) if t >= 0}
+                          for p, targets in enumerate(rows(auto))
+                          for s, t in enumerate(targets) if t >= 0}
 
 
 def assert_numbered_by_first_state(classes):
@@ -190,7 +207,7 @@ def assert_bfs_numbered(auto):
     found = [0]
     seen = {0}
     for q in found:
-        for t in auto.delta[q]:
+        for t in moves_from(auto, q):
             if t >= 0 and t not in seen:
                 seen.add(t)
                 found.append(t)
@@ -260,7 +277,7 @@ def accepted_words(auto: Automaton, max_length: int) -> set[tuple[int, ...]]:
     out = {()}
     for _ in range(max_length):
         frontier = [(word + (a,), t) for word, q in frontier
-                    for a, t in enumerate(auto.delta[q]) if t >= 0]
+                    for a, t in enumerate(moves_from(auto, q)) if t >= 0]
         out.update(word for word, _ in frontier)
     return out
 
@@ -828,12 +845,14 @@ class FullColumnIndex:
 
 
 # ---------------------------------------------------------------------------
-# The canonical automaton by one OR per member bit and letter, with a payload
-# tuple per state: the reference that SmallRootTable.images and
-# automata.build_canonical_automaton are checked against.
+# The canonical automaton by one OR per member bit and letter, with the
+# mask of each state as its payload: the reference that
+# SmallRootTable.images and automata.build_canonical_automaton are checked
+# against.
 
 def per_bit_canonical_automaton(sys: CoxeterSystem, level: int):
-    """States are reachable n-small inversion sets, as tuples of node ids."""
+    """States are reachable n-small inversion sets, as int masks of node
+    ids."""
     table = build_small_roots(sys, level)
     rank = sys.rank
     # images[s][nid]: the bit of s(node nid) in the table, or 0 when it exits
@@ -841,11 +860,9 @@ def per_bit_canonical_automaton(sys: CoxeterSystem, level: int):
                for node in table.nodes] for s in range(rank)]
     state_ids: dict[int, int] = {0: 0}
     masks: list[int] = [0]
-    payloads: list[tuple[int, ...]] = []
-    delta: list[tuple[int, ...]] = []
+    delta: list[list[int]] = []
     for mask in masks:
         members = _mask_bits(mask)
-        payloads.append(tuple(members))
         row = [-1] * rank
         for s in range(rank):
             if mask >> s & 1:
@@ -860,9 +877,9 @@ def per_bit_canonical_automaton(sys: CoxeterSystem, level: int):
                 state_ids[new_mask] = target
                 masks.append(new_mask)
             row[s] = target
-        delta.append(tuple(row))
+        delta.append(row)
     return Automaton(letter_labels=tuple(str(s + 1) for s in range(rank)),
-                     payloads=payloads, initial=0, delta=delta,
+                     payloads=masks, initial=0, moves=flat_moves(delta),
                      kind=f"canonical-{level}")
 
 
@@ -875,8 +892,8 @@ def canonical_witnesses(auto: Automaton, sys: CoxeterSystem) -> list[Element]:
     """
     witnesses: list[Element | None] = [None] * auto.num_states
     witnesses[auto.initial] = identity(sys)
-    for q, row in enumerate(auto.delta):
-        for s, t in enumerate(row):
+    for q, targets in enumerate(rows(auto)):
+        for s, t in enumerate(targets):
             if t >= 0 and witnesses[t] is None:
                 witnesses[t] = mult_left(s, witnesses[q])
     return witnesses  # type: ignore[return-value]
@@ -909,10 +926,10 @@ def byte_slice_shadow_automaton(shadow: Shadow) -> Automaton:
                 target = index.below(new_mask).bit_length() - 1
                 targets[new_mask] = target
             row[s] = target
-        delta.append(tuple(row))
+        delta.append(row)
     return Automaton(letter_labels=tuple(str(s + 1) for s in range(sys.rank)),
-                     payloads=list(shadow.elements),
-                     initial=shadow._pos[0], delta=delta, kind="shadow")
+                     payloads=list(shadow.elements), initial=shadow._pos[0],
+                     moves=flat_moves(delta), kind="shadow")
 
 
 def shortest_words(auto: Automaton) -> list[tuple[int, ...]]:
@@ -924,7 +941,7 @@ def shortest_words(auto: Automaton) -> list[tuple[int, ...]]:
     while queue:
         q = queue.popleft()
         for a in range(auto.alphabet_size):
-            t = auto.delta[q][a]
+            t = auto.moves[q * auto.alphabet_size + a]
             if t >= 0 and words[t] is None:
                 words[t] = words[q] + (a,)
                 queue.append(t)

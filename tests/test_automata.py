@@ -17,16 +17,16 @@ from conftest import (AFFINE_CATALOG, BLOCKING_GROUPS, BLOCKING_RANK_THREE,
                       assert_predecessor_chains_hold_every_move,
                       assert_shadow_and_minimal_classes_match_hopcroft,
                       byte_slice_shadow_automaton, canonical_witnesses,
-                      first_state_numbering, hopcroft_minimize,
+                      first_state_numbering, flat_moves, hopcroft_minimize,
                       per_bit_canonical_automaton, projection_state_map,
-                      shortest_words, small_columns, universe_missing)
+                      rows, shortest_words, small_columns, universe_missing)
 from coxauto import automata, garside, parse_coxeter_system, smallroots
 from coxauto.automata import (Automaton, MorphismVerdict,
                               build_canonical_automaton,
                               build_shadow_automaton, check_morphism,
                               isomorphic, minimize, nerode_classes,
                               restrict_letters)
-from coxauto.elements import _mask_bits, from_word, reduced_words
+from coxauto.elements import from_word, reduced_words
 from coxauto.errors import BudgetExceeded, ShadowViolation
 from coxauto.garside import (Shadow, garside_closure, intersect_parabolic,
                              low_universe, parabolic_image, project,
@@ -41,12 +41,13 @@ def test_shadow_automaton_infinite_dihedral(i2inf):
     assert auto.num_states == 3
     assert auto.num_transitions() == 4
     by_word = {str(el): i for i, el in enumerate(auto.payloads)}
+    delta = rows(auto)
     # e goes to s and t; s and t swap via the other letter
-    assert auto.delta[by_word["e"]][0] == by_word["1"]
-    assert auto.delta[by_word["e"]][1] == by_word["2"]
-    assert auto.delta[by_word["1"]][1] == by_word["2"]
-    assert auto.delta[by_word["2"]][0] == by_word["1"]
-    assert auto.delta[by_word["1"]][0] == -1
+    assert delta[by_word["e"]][0] == by_word["1"]
+    assert delta[by_word["e"]][1] == by_word["2"]
+    assert delta[by_word["1"]][1] == by_word["2"]
+    assert delta[by_word["2"]][0] == by_word["1"]
+    assert delta[by_word["1"]][0] == -1
 
 
 def test_shadow_automaton_finite_group_moves_by_left_multiplication(a2):
@@ -69,7 +70,7 @@ def _assert_matches_byte_slice_reference(shadow):
     auto = build_shadow_automaton(shadow)
     reference = byte_slice_shadow_automaton(shadow)
     assert auto.initial == reference.initial
-    assert auto.delta == reference.delta
+    assert auto.moves == reference.moves
     assert list(auto.payloads) == reference.payloads
 
 
@@ -177,7 +178,7 @@ def test_shadow_automaton_target_lookup_miss_falls_back_to_below(
             auto = build_shadow_automaton(shadow)
         assert calls and set(calls) == {universe._small[victim]}
         assert auto.initial == reference.initial
-        assert auto.delta == reference.delta
+        assert auto.moves == reference.moves
 
 
 def test_canonical_automaton_counts(aff_a2, aff_g2, i2inf):
@@ -187,7 +188,7 @@ def test_canonical_automaton_counts(aff_a2, aff_g2, i2inf):
     assert auto.num_states == 49
     auto, _ = build_canonical_automaton(i2inf, 0)
     assert auto.num_states == 3
-    assert sorted(auto.payloads) == [(), (0,), (1,)]
+    assert sorted(auto.payloads) == [0, 1 << 0, 1 << 1]  # {}, {0}, {1}
 
 
 @pytest.mark.parametrize("name, h, r", [
@@ -208,8 +209,8 @@ def test_canonical_automaton_matches_per_bit_reference(name, level):
     auto, _ = build_canonical_automaton(sys, level)
     reference = per_bit_canonical_automaton(sys, level)
     assert auto.num_states == reference.num_states
-    assert auto.delta == reference.delta
-    assert list(auto.payloads) == reference.payloads
+    assert auto.moves == reference.moves
+    assert auto.payloads == reference.payloads
 
 
 def test_canonical_state_budget(monkeypatch):
@@ -249,7 +250,8 @@ def _moore_minimize(auto):
     n = auto.num_states
     k = auto.alphabet_size
     sink = n
-    delta = [tuple(q2 if q2 >= 0 else sink for q2 in row) for row in auto.delta]
+    delta = [tuple(q2 if q2 >= 0 else sink for q2 in row)
+             for row in rows(auto)]
     delta.append(tuple(sink for _ in range(k)))
     cls = [0] * n + [1]
     num_classes = 2
@@ -280,7 +282,7 @@ def _moore_minimize(auto):
                                for t in class_delta[c])
     return Automaton(letter_labels=auto.letter_labels,
                      payloads=[None] * len(order), initial=0,
-                     delta=new_delta, kind="minimal",
+                     moves=flat_moves(new_delta), kind="minimal",
                      state_map=tuple(order.get(cls[q], -1) for q in range(n)))
 
 
@@ -311,12 +313,13 @@ def partial_dfas(draw):
                 row.append(members[c][picks[q * k + a] % len(members[c])])
         delta.append(tuple(row))
     labels = tuple(str(a + 1) for a in range(k))
-    return Automaton(labels, [None] * n, draw(st.integers(0, n - 1)), delta)
+    return Automaton(labels, [None] * n, draw(st.integers(0, n - 1)),
+                     flat_moves(delta))
 
 
 def _assert_moore_quotient(auto, got):
     ref = _moore_minimize(auto)
-    assert got.delta == ref.delta
+    assert got.moves == ref.moves
     assert got.state_map == ref.state_map
     assert got.counts_by_length(8) == auto.counts_by_length(8)
     return ref
@@ -392,33 +395,34 @@ def test_predecessor_chains_of_shadow_automata(name):
 def test_canonical_rows_are_one_flat_array(name, level):
     sys = parse_coxeter_system(name)
     auto, _ = build_canonical_automaton(sys, level)
-    flat = auto.delta._flat
-    assert isinstance(flat, array) and flat.typecode == "i"
-    assert len(flat) == sys.rank * auto.num_states
+    moves = auto.moves
+    assert isinstance(moves, array) and moves.typecode == "i"
+    assert len(moves) == sys.rank * auto.num_states
     reference = per_bit_canonical_automaton(sys, level)
-    assert list(flat) == [t for row in reference.delta for t in row]
+    assert moves == reference.moves
     assert auto.num_transitions() == len(list(reference.transitions()))
 
 
-def test_rows_read_as_tuples_and_compare_with_any_sequence():
-    auto = Automaton(("1", "2"), [None] * 3, 0, [(1, 2), (-1, 2), [-1, -1]])
-    rows = auto.delta
-    assert len(rows) == 3 and rows[0] == (1, 2) and rows[-1] == (-1, -1)
-    assert list(rows) == [rows[0], rows[1], rows[2]]
-    with pytest.raises(IndexError):
-        rows[3]
-    assert rows == [(1, 2), (-1, 2), (-1, -1)] == rows
-    assert rows != [(1, 2), (-1, 2)] and rows != [(1, 2), (-1, 2), (-1, 0)]
-    assert rows == Automaton(auto.letter_labels, [None] * 3, 0,
-                             [(1, 2), (-1, 2), (-1, -1)]).delta
-    with pytest.raises(ValueError, match="over 2 letters has another length"):
-        Automaton(("1", "2"), [None], 0, [(-1,)])
+def test_constructor_refuses_moves_of_the_wrong_length():
+    # k entries a state: 3 states over 2 letters take exactly 6 moves
+    auto = Automaton(("1", "2"), [None] * 3, 0,
+                     array("i", [1, 2, -1, 2, -1, -1]))
+    assert auto.num_states == 3 and auto.num_transitions() == 3
+    assert rows(auto) == [(1, 2), (-1, 2), (-1, -1)]
+    for moves in ([1, 2, -1, 2, -1], [1, 2, -1, 2, -1, -1, -1], []):
+        with pytest.raises(ValueError, match="^{} moves do not fill 3 states "
+                           "over 2 letters$".format(len(moves))):
+            Automaton(("1", "2"), [None] * 3, 0, array("i", moves))
+    with pytest.raises(ValueError, match="^1 moves do not fill 1 states "
+                       "over 2 letters$"):
+        Automaton(("1", "2"), [None], 0, array("i", [-1]))
 
 
 def test_read_refuses_a_letter_outside_the_alphabet():
-    # read indexes the flat rows by code, where letter 2 of row 0 would be
-    # letter 0 of row 1
-    auto = Automaton(("1", "2"), [None] * 3, 0, [(1, 2), (-1, 2), (-1, -1)])
+    # read indexes the moves by code, where letter 2 of state 0 would be
+    # letter 0 of state 1
+    auto = Automaton(("1", "2"), [None] * 3, 0,
+                     array("i", [1, 2, -1, 2, -1, -1]))
     assert auto.read((0, 1)) == 2 and auto.read((0, 0)) is None
     for word in ((2,), (0, -1)):
         with pytest.raises(IndexError, match="is not below 2"):
@@ -469,7 +473,7 @@ def test_minimize_needs_a_small_root_table(aff_c2):
     minimal = minimize(auto)
     assert minimal.num_states == 24 and minimal.table is auto.table
     hand_made = Automaton(auto.letter_labels, list(auto.payloads),
-                          auto.initial, auto.delta, auto.kind)
+                          auto.initial, auto.moves, auto.kind)
     for other in (hand_made, restrict_letters(auto, range(3), trim=False)):
         assert other.table is None
         for classes in (minimize, nerode_classes):
@@ -496,9 +500,9 @@ def test_canonical_build_classifies_the_system_once(monkeypatch):
 def test_minimize_maps_unreachable_inequivalent_state_to_minus_one():
     # state 1 is unreachable and reads "1", which the initial state cannot;
     # the BFS of minimize finds no class for it
-    auto = Automaton(("1", "2"), [None, None], 0, [(-1, -1), (1, -1)])
+    auto = Automaton(("1", "2"), [None, None], 0, array("i", [-1, -1, 1, -1]))
     result = hopcroft_minimize(auto)
-    assert result.delta == [(-1, -1)]
+    assert result.moves == array("i", [-1, -1])
     assert result.state_map == (0, -1)
 
 
@@ -588,8 +592,7 @@ def test_reading_ends_at_projection_of_reversed_word(aff_a2):
         state = auto.read(word)
         assert auto.payloads[state] == project(shadow, element)
         cstate = canonical.read(word)
-        expected = tuple(_mask_bits(
-            build_small_roots(aff_a2, 0).small_part(element.inv)))
+        expected = build_small_roots(aff_a2, 0).small_part(element.inv)
         assert canonical.payloads[cstate] == expected
 
 

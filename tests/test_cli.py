@@ -196,6 +196,49 @@ def test_render_and_dot_outputs(tmp_path, capsys):
     assert "states: 6" in capsys.readouterr().out
 
 
+A2_CANONICAL_DOT = """\
+digraph automaton {
+  rankdir=LR;
+  __start [shape=none, label=""];
+  q0 [shape=circle, label="{}"];
+  q1 [shape=circle, label="{0}"];
+  q2 [shape=circle, label="{1}"];
+  q3 [shape=circle, label="{1,2}"];
+  q4 [shape=circle, label="{0,2}"];
+  q5 [shape=circle, label="{0,1,2}"];
+  __start -> q0;
+  q0 -> q1 [label="1"];
+  q0 -> q2 [label="2"];
+  q1 -> q3 [label="2"];
+  q2 -> q4 [label="1"];
+  q3 -> q5 [label="1"];
+  q4 -> q5 [label="2"];
+}
+"""
+
+
+def _state_labels(dot: str) -> list[str]:
+    return [line.split('label="')[1][:-3] for line in dot.splitlines()
+            if "[shape=circle" in line]
+
+
+def test_automaton_dot_is_pinned(tmp_path, capsys):
+    # A_0 of A2 labels each state by the node ids of its 0-small inversion
+    # set, A_B of Gar(S) by its element's word, and a quotient by q<state>
+    dot = tmp_path / "auto.dot"
+    assert main(["automaton", "--group", "A2", "--dot", str(dot)]) == 0
+    assert dot.read_text() == A2_CANONICAL_DOT
+    assert len(A2_CANONICAL_DOT.splitlines()) == 17
+    assert main(["automaton", "--group", "A2", "--kind", "shadow:smallest",
+                 "--dot", str(dot)]) == 0
+    assert _state_labels(dot.read_text()) == ["e", "1", "2", "12", "21",
+                                              "121"]
+    assert main(["automaton", "--group", "A2", "--kind", "shadow:smallest",
+                 "--minimize", "--dot", str(dot)]) == 0
+    assert _state_labels(dot.read_text()) == [f"q{q}" for q in range(6)]
+    assert capsys.readouterr().out == ""  # --dot alone prints no stats
+
+
 def test_automaton_out_file_holds_the_stats(tmp_path, capsys):
     out = tmp_path / "stats.txt"
     assert main(["automaton", "--group", "~A2", "--out", str(out)]) == 0

@@ -104,7 +104,7 @@ def test_shadow_automaton_projections_match_scan(spec, kind, request):
         for s in range(sys.rank):
             if not el.inv >> s & 1:
                 expected = _project_by_scan(shadow, mult_left(s, el))
-                assert auto.payloads[auto.delta[q][s]] is expected
+                assert auto.payloads[auto.moves[q * sys.rank + s]] is expected
 
 
 def test_project_rejects_non_join_closed_set(a2):
@@ -334,7 +334,8 @@ def _assert_small_columns_match_full(sys, seeds=()):
         for s in range(sys.rank):
             if not x.inv >> s & 1:
                 below = reference.below(mult_left(s, x).inv)
-                assert auto.delta[q][s] == below.bit_length() - 1
+                assert (auto.moves[q * sys.rank + s]
+                        == below.bit_length() - 1)
 
 
 @pytest.mark.parametrize("spec", [

@@ -57,7 +57,7 @@ def test_automata_count_reduced_words(sys):
     for auto in (canonical, shadow):
         once = minimize(auto)
         twice = minimize(once)
-        assert twice.delta == once.delta
+        assert twice.moves == once.moves
         assert twice.state_map == tuple(range(once.num_states))
 
 
@@ -98,8 +98,8 @@ def test_canonical_automaton_matches_per_bit_reference(sys):
     auto, _ = build_canonical_automaton(sys, 0)
     reference = per_bit_canonical_automaton(sys, 0)
     assert auto.num_states == reference.num_states
-    assert auto.delta == reference.delta
-    assert list(auto.payloads) == reference.payloads
+    assert auto.moves == reference.moves
+    assert auto.payloads == reference.payloads
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -109,7 +109,7 @@ def test_shadow_automaton_matches_byte_slice_reference(sys):
     auto = build_shadow_automaton(shadow)
     reference = byte_slice_shadow_automaton(shadow)
     assert auto.initial == reference.initial
-    assert auto.delta == reference.delta
+    assert auto.moves == reference.moves
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

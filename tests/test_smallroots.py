@@ -199,8 +199,8 @@ def test_image_slices_give_small_part_of_ascent(name, level):
                     == table.small_part(mult_left(s, x).inv))
     # on every canonical state and letter: the OR of 1 << theta[s] per
     # member
-    for members in per_bit_canonical_automaton(sys, level).payloads:
-        mask = sum(1 << nid for nid in members)
+    for mask in per_bit_canonical_automaton(sys, level).payloads:
+        members = _mask_bits(mask)
         images = table.images(mask)
         for s in range(sys.rank):
             thetas = {table.nodes[nid].theta[s] for nid in members}
