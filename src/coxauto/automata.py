@@ -10,8 +10,9 @@ words iff they have the same blocking set, the roots that some word read
 from the state carries onto the root of a letter read next.  The sets are
 one worklist fixpoint over the automaton's own moves and the letter
 action of its small-root table, ``Automaton.table``; an automaton without
-one, made by hand or by ``restrict_letters``, cannot be minimized.  Only
-``minimize`` builds the quotient automaton, its classes numbered by a BFS.
+one, made by hand or by ``restrict_letters``, cannot be minimized.  The
+sets are the classes' keys, counted as distinct values; only ``minimize``
+numbers the classes, by a BFS, and builds the quotient automaton.
 
 An automaton is its payloads and one flat ``array('i')`` of moves, ``k``
 entries per state for ``k`` letters, -1 for a missing move: the move from
@@ -232,24 +233,20 @@ def build_canonical_automaton(sys: CoxeterSystem, level: int
 # Minimization
 
 def nerode_classes(auto: Automaton) -> list[int]:
-    """The Nerode class of each state, with an implicit sink, numbered by
-    their first states: equal blocking sets of the automaton's own moves
-    (:meth:`SmallRootTable.blocking_sets` of ``auto.table``).
+    """The Nerode class key of each state, with an implicit sink: its
+    blocking set (:meth:`SmallRootTable.blocking_sets` of ``auto.table``),
+    so two states are equivalent iff their keys are equal.
 
-    A canonical automaton is trim and BFS-numbered, so its states are in
-    the shortlex order of their least reading words, and so are its
-    classes: the BFS order of :func:`minimize`.  An automaton with no
-    small-root table raises ``ValueError``.
+    The keys are not numbered: ``len(set(keys))`` counts the classes, and
+    only :func:`minimize` numbers them.  An automaton with no small-root
+    table raises ``ValueError``.
     """
     if auto.table is None:
         raise ValueError("the automaton has no small-root table: only a "
                          "canonical or shadow automaton, or a quotient of "
                          "one, has its Nerode classes read")
-    bad = auto.table.blocking_sets(
+    return auto.table.blocking_sets(
         *_predecessor_lists(auto.moves, auto.num_states))
-    first: dict[int, int] = {}
-    number = first.setdefault
-    return [number(b, len(first)) for b in bad]
 
 
 def minimize(auto: Automaton) -> Automaton:
@@ -258,30 +255,32 @@ def minimize(auto: Automaton) -> Automaton:
 
     Only an automaton the package built, which has a small-root table,
     can be minimized.  The states are the classes, numbered by a BFS from
-    the initial class, letters in order.  ``state_map`` sends each state
-    to its class, or to -1 when it is equivalent to no state reachable
-    from the initial one, which no automaton the package builds has.
-    Callers that only count classes or look for merged states read
-    :func:`nerode_classes` and build no quotient.
+    the initial class, letters in order; no other code numbers them.
+    ``state_map`` sends each state to its class, or to -1 when it is
+    equivalent to no state reachable from the initial one, which no
+    automaton the package builds has.  Callers that only count classes
+    or look for merged states read the keys of :func:`nerode_classes`
+    and build no quotient.
     """
     return _quotient(auto, nerode_classes(auto))
 
 
-def _quotient(auto: Automaton, classes: list[int]) -> Automaton:
-    """The quotient by a congruence, ``classes[q]`` the class of state q,
-    renumbered by a BFS over the classes; those it does not reach go to -1.
+def _quotient(auto: Automaton, keys: Sequence) -> Automaton:
+    """The quotient by a congruence whose classes are the states of equal
+    ``keys``, numbered by a BFS over the classes; the states of those it
+    does not reach go to -1.
     """
     k, moves = auto.alphabet_size, auto.moves
-    # the BFS reads the row of a class off the state that found it
-    order = [-1] * (max(classes) + 1)
-    order[classes[auto.initial]] = 0
+    # the BFS numbers each class by its key, and reads its row off the
+    # state that found it
+    order = {keys[auto.initial]: 0}
     reps = [auto.initial]
     for q in reps:
         for t in moves[q * k:q * k + k]:
-            if t >= 0 and order[classes[t]] < 0:
-                order[classes[t]] = len(reps)
+            if t >= 0 and keys[t] not in order:
+                order[keys[t]] = len(reps)
                 reps.append(t)
-    state_map = [order[c] for c in classes]
+    state_map = [order.get(key, -1) for key in keys]
     state_map.append(-1)  # read at index -1: a missing move stays -1
     new_moves = array("i", [state_map[t] for q in reps
                             for t in moves[q * k:q * k + k]])

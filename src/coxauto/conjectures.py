@@ -55,7 +55,7 @@ def stats_row(sys: CoxeterSystem, group_name: str | None = None) -> StatsRow:
     return StatsRow(group=name,
                     canonical_states=canonical.num_states,
                     shadow_states=len(garside_closure(sys)),
-                    minimal_states=max(nerode_classes(canonical)) + 1,
+                    minimal_states=len(set(nerode_classes(canonical))),
                     small_roots=len(table),
                     spherical_small_roots=len(sph))
 
@@ -94,10 +94,10 @@ class ConjectureReport(NamedTuple):
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _merged_state_witness(auto: Automaton, state_map: Sequence[int],
+def _merged_state_witness(auto: Automaton, keys: Sequence[int],
                           sys: CoxeterSystem) -> tuple[tuple[str, ...], ...]:
     """Reading words for a pair of distinct states in one Nerode class,
-    the class of state q being ``state_map[q]``.
+    states q and q' being equivalent iff ``keys[q] == keys[q']``.
 
     In rank 3 the recipe of the non-minimality construction is tried first:
     with m(s,u) = 2, the states reached by reading su and tsu merge.
@@ -109,15 +109,15 @@ def _merged_state_witness(auto: Automaton, state_map: Sequence[int],
             q1 = auto.read((s, u))
             q2 = auto.read((t, s, u))
             if (q1 is not None and q2 is not None and q1 != q2
-                    and state_map[q1] == state_map[q2]):
+                    and keys[q1] == keys[q2]):
                 words = ((s, u), (t, s, u))
                 return (tuple(sys.word_to_string(w) for w in words),)
     seen: dict[int, int] = {}
-    for q, cls in enumerate(state_map):
-        if cls in seen:
-            pair = _shortest_words_to(auto, (seen[cls], q))
+    for q, key in enumerate(keys):
+        if key in seen:
+            pair = _shortest_words_to(auto, (seen[key], q))
             return (tuple(sys.word_to_string(w) for w in pair),)
-        seen[cls] = q
+        seen[key] = q
     return ()
 
 
@@ -176,7 +176,7 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
     if which == "conj1":
         shadow = garside_closure(sys)
         canonical, _ = build_canonical_automaton(sys, 0)
-        a_min = max(nerode_classes(canonical)) + 1
+        a_min = len(set(nerode_classes(canonical)))
         numbers = {"a_shadow": len(shadow), "a_min": a_min,
                    "shadow_size": len(shadow)}
         if a_min == len(shadow):
@@ -189,8 +189,8 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
         table = build_small_roots(sys, 0)
         _, sigma_eq_sph = spherical_analysis(table)
         auto, _ = build_canonical_automaton(sys, 0)
-        classes = nerode_classes(auto)
-        a_min = max(classes) + 1
+        keys = nerode_classes(auto)
+        a_min = len(set(keys))
         is_minimal = a_min == auto.num_states
         numbers = {"a0": auto.num_states, "a_min": a_min,
                    "sigma": len(table), "minimal": is_minimal,
@@ -198,7 +198,7 @@ def check_conjecture(sys: CoxeterSystem, which: str, level: int = 0,
         verdict = Verdict.HOLDS if is_minimal == sigma_eq_sph else Verdict.FAILS
         return ConjectureReport(
             name, which, verdict, numbers,
-            witnesses=() if is_minimal else _merged_state_witness(auto, classes, sys))
+            witnesses=() if is_minimal else _merged_state_witness(auto, keys, sys))
     if which == "dyho1":
         low = low_elements(sys, level)
         failure = check_generated_and_suffix_closed(low)

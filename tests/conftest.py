@@ -155,10 +155,10 @@ def first_state_numbering(classes):
 
 
 def assert_blocking_classes_match_hopcroft(auto):
-    # the blocking sets number the classes by their first state, and
-    # minimize renumbers them by a BFS over them
-    classes = nerode_classes(auto)
-    assert classes == first_state_numbering(hopcroft_classes(auto))
+    # the blocking sets are the class keys, so they partition the states
+    # as Hopcroft does, and minimize numbers that partition by a BFS
+    assert (first_state_numbering(nerode_classes(auto))
+            == first_state_numbering(hopcroft_classes(auto)))
     got, ref = minimize(auto), hopcroft_minimize(auto)
     assert got.moves == ref.moves
     assert got.state_map == ref.state_map

@@ -328,7 +328,8 @@ def _assert_moore_quotient(auto, got):
 def _assert_minimal_form(auto):
     got = minimize(auto)
     ref = _assert_moore_quotient(auto, got)
-    assert nerode_classes(auto) == first_state_numbering(ref.state_map)
+    assert (first_state_numbering(nerode_classes(auto))
+            == first_state_numbering(ref.state_map))
     assert isomorphic(minimize(got), got)
 
 
@@ -429,22 +430,38 @@ def test_read_refuses_a_letter_outside_the_alphabet():
             auto.read(word)
 
 
+def _canonical_peak(name):
+    """The traced peak of A_0 and its class count, the count and A_0."""
+    sys = parse_coxeter_system(name)
+    build_small_roots(sys, 0).images(0)  # the table and its action table
+    tracemalloc.start()
+    try:
+        auto, _ = build_canonical_automaton(sys, 0)
+        count = len(set(nerode_classes(auto)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, count, auto
+
+
 def test_canonical_walk_and_classes_peak_per_state():
     # the rows take 4 bytes a move and the predecessor chains 4 more, so
     # the traced peak of A_0 of ~C4 and its classes is mostly the masks,
     # the state index and the blocking sets (about 200 B a state; 330 with
     # a tuple per row and a sorted predecessor index)
-    sys = parse_coxeter_system("~C4")
-    build_small_roots(sys, 0).images(0)  # the table and its action table
-    tracemalloc.start()
-    try:
-        auto, _ = build_canonical_automaton(sys, 0)
-        classes = nerode_classes(auto)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (auto.num_states, max(classes) + 1) == (6561, 5860)
+    peak, count, auto = _canonical_peak("~C4")
+    assert (auto.num_states, count) == (6561, 5860)
     assert peak <= 250 * auto.num_states
+
+
+@pytest.mark.slow
+def test_class_count_peak_per_state_on_d5():
+    # on ~D5 the peak comes after the walk, while the classes are counted:
+    # the blocking sets and the set of them, with no class number per state
+    # (about 150 B a state; 198 with the classes numbered by first state)
+    peak, count, auto = _canonical_peak("~D5")
+    assert (auto.num_states, count) == (59049, 58965)
+    assert peak <= 165 * auto.num_states
 
 
 # ~C4 and ~B4 pass the state budget at level 2
@@ -452,13 +469,13 @@ def test_canonical_walk_and_classes_peak_per_state():
     (name, level) for level in (0, 1, 2) for name in BLOCKING_GROUPS
     if level < 2 or name not in ("~C4", "~B4")])
 def test_canonical_classes_are_numbered_by_first_state(name, level):
-    # A_n is trim and BFS-numbered, so numbering its classes by their first
-    # state gives the quotient's BFS numbering, with no renumbering pass
+    # A_n is trim and BFS-numbered, so the BFS of minimize numbers the
+    # classes by their first states
     auto, _ = build_canonical_automaton(parse_coxeter_system(name), level)
-    classes = nerode_classes(auto)
     minimal = minimize(auto)
-    assert classes == list(minimal.state_map)
-    assert_numbered_by_first_state(classes)
+    assert (first_state_numbering(nerode_classes(auto))
+            == list(minimal.state_map))
+    assert_numbered_by_first_state(minimal.state_map)
     assert_bfs_numbered(auto)
     assert_bfs_numbered(minimal)
 
