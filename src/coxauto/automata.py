@@ -186,7 +186,7 @@ def build_shadow_automaton(shadow: Shadow) -> Automaton:
     verdict = verify_shadow(shadow)
     if verdict.status is VerdictStatus.NOT_SHADOW:
         raise ShadowViolation(f"not a Garside shadow: {verdict.reason}")
-    small = shadow._small_parts()
+    small = shadow._small
     universe = garside.low_universe(shadow.system, shadow.level)
     projections = garside._projections(
         universe, {mask: i for i, mask in enumerate(small)})

@@ -10,6 +10,7 @@ that are not a Garside shadow, 3 internal invariant violation (including an
 from __future__ import annotations
 
 import argparse
+import re
 import sys as _sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from . import __version__
 from .automata import (build_canonical_automaton, build_shadow_automaton,
                        check_count_length, minimize)
 from .conjectures import check_conjecture, stats_csv, stats_row
-from .elements import Element, identity, mult_right, reduced_word_counts
+from .elements import reduced_word_counts
 from .errors import CoxAutoError, InternalInvariant
 from .garside import (Shadow, garside_closure, low_elements, low_universe,
                       verify_shadow)
@@ -114,38 +115,11 @@ def _cmd_roots(args) -> int:
     return 0
 
 
-def _elements(system: CoxeterSystem, words: list[tuple[int, ...]]
-              ) -> list[Element]:
-    """``from_word`` of each word, by the same ``mult_right`` steps, each
-    run once per distinct prefix: el(w) = mult_right(el(w[:-1]), w[-1]).
-
-    The words are taken in sorted order, so the words with a given prefix
-    come together, and a stack holds the products of the prefixes of the
-    last word.
-    """
-    out: list[Element] = [None] * len(words)
-    stack = [identity(system)]
-    last: tuple[int, ...] = ()
-    for i in sorted(range(len(words)), key=words.__getitem__):
-        word = words[i]
-        shared = 0
-        for a, b in zip(last, word):
-            if a != b:
-                break
-            shared += 1
-        del stack[shared + 1:]
-        for s in word[shared:]:
-            stack.append(mult_right(stack[-1], s))
-        out[i], last = stack[-1], word
-    return out
-
-
 def _cmd_shadow(args) -> int:
     system = _load_system(args.group)
     if args.verify is not None:
-        words = [system.word_from_string(w)
-                 for w in args.verify.split(",") if w.strip()]
-        shadow = Shadow(system, _elements(system, words))
+        shadow = Shadow(system, [system.word_from_string(w)
+                                 for w in args.verify.split(",") if w.strip()])
         verdict = verify_shadow(shadow)
         lines = [f"verdict: {verdict.status.value}"]
         if verdict.reason:
@@ -217,7 +191,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_table(args) -> int:
     rows = []
-    for spec in args.groups.split(","):
+    # a comma inside parentheses, as in triangle(2,3,7), is part of a spec
+    for spec in re.split(r",(?![^(]*\))", args.groups):
         spec = spec.strip()
         if spec:
             rows.append(stats_row(_load_system(spec), group_name=spec))

@@ -8,6 +8,7 @@ groups*, Adv. Math. 2016).  An inversion set is closed under positive
 combinations, so c <= w iff Sigma_n(c) lies inside N(w) iff it lies inside
 Sigma_n(w): one AND of two masks.  The prefixes of w in B are the members
 whose Sigma_n lies inside Sigma_n(w), found by one scan of B's masks.
+A set given by words is read into its smallest L_n when it is made.
 
 Every join is decided in the n-low elements L_n.  Every element is n-low
 for some n, and L_n is finite and closed under joins (Dyer & Hohlweg
@@ -23,8 +24,8 @@ L_n in (length, word) order that reads the lower covers of each element
 (:func:`_lower_covers`, one lookup of a Sigma_n mask each): the closure of
 X admits the x it yields, and :func:`verify_shadow` runs it after S and e
 membership and suffix closure (:func:`check_generated_and_suffix_closed`,
-all that L_n needs).  The
-shadow automaton reads its projections off the same lower covers
+all that L_n needs, which reads the suffixes L_n recorded).  The shadow
+automaton reads its projections off the same lower covers
 (:func:`_projections`).  A closure and an L_n carry the verdict SHADOW.
 
 An element is n-low iff its right-descent roots N^1 are n-small, so the
@@ -40,8 +41,8 @@ from array import array
 from itertools import accumulate, compress, count
 from typing import Iterable, Iterator, NamedTuple
 
-from .elements import (Element, coset_split, from_word, generator, identity,
-                       mult_left, support)
+from .elements import (Element, coset_split, from_word, identity, mult_left,
+                       support)
 from .errors import (BudgetExceeded, InternalInvariant, LowElementsNotShadow,
                      ShadowViolation)
 from .smallroots import (Classification, SmallRootTable, build_small_roots,
@@ -59,60 +60,93 @@ STATE_BUDGET = 200_000
 class Shadow:
     """A finite set of elements, deduplicated and sorted by (length, word).
 
-    ``level`` is an n with the set inside L_n, and each element is known by
-    its Sigma_n, a mask over the n-small roots.  It is set once: to n for
-    L_n, and otherwise to the smallest such n, which a closure and a
-    verified set record and any other set finds through
-    :func:`smallest_low_universe` on first use.
-
-    A set from :func:`low_elements`, or a closure read off one, holds the
-    words and Sigma_n of its members, is keyed by Sigma_n, and builds
-    ``elements`` on first read, by one ``mult_left`` each on its parent.
+    The set lies in L_n for n its ``level``, and each member is known by its
+    Sigma_n, a mask over the n-small roots: ``_small`` holds them in order,
+    and ``_pos`` maps each to its position.  ``elements`` is built on first
+    read.  ``Shadow(system, words)`` reads the words into the smallest L_n
+    holding them all (:meth:`_read`), and keeps the first word given for
+    each element, reduced by ``from_word`` if it is not;
+    :func:`low_elements` and :func:`garside_closure` give the words and
+    masks of their members directly (:meth:`_of_words`).
     """
 
-    def __init__(self, system: CoxeterSystem, elements: Iterable[Element],
-                 provenance: str = "explicit", level: int | None = None):
-        dedup: dict[int, Element] = {}
-        for el in elements:
-            if el.system is not system:
-                raise ValueError("element from a different system")
-            dedup.setdefault(el.inv, el)
-        self.system = system
-        self._elements: tuple[Element, ...] | None = tuple(
-            sorted(dedup.values(), key=lambda e: (e.length, e.word)))
-        self._words = [el.word for el in self._elements]
-        self._by_small = False  # whether _pos is keyed by Sigma_n, not N(w)
-        self._pos = {el.inv: i for i, el in enumerate(self._elements)}
-        self.provenance = provenance
-        self.level = level
-        self._small: list[int] | None = None  # see _small_parts
-        self._n1: list[int] | None = None  # N^1 of each, from low_elements
-        # the positions of each element's one-step suffixes, in CSR form:
-        # those of element i are targets[offsets[i]:offsets[i + 1]]; recorded
-        # by low_elements, read by _close_in_universe
-        self._suffixes: tuple[array, array] | None = None
-        # SHADOW for a closure or an L_n; returned by verify_shadow
-        self.verdict: ShadowVerdict | None = None
+    def __init__(self, system: CoxeterSystem,
+                 words: Iterable[Iterable[int]], provenance: str = "explicit"):
+        words = [tuple(word) for word in words]
+        for level in count():  # every element is n-low for some n
+            universe = low_universe(system, level)
+            first: dict[int, tuple[int, ...]] = {}  # universe position -> word
+            for word in words:
+                i, word = universe._read(word)
+                if i is None:
+                    break
+                first.setdefault(i, word)
+            else:
+                break
+        order = sorted(first, key=lambda i: (len(first[i]), first[i]))
+        self._set(system, [first[i] for i in order],
+                  [universe._small[i] for i in order], provenance, level)
 
     @classmethod
     def _of_words(cls, system: CoxeterSystem, words: list[tuple[int, ...]],
                   small: list[int], provenance: str, level: int) -> Shadow:
-        """A suffix-closed subset of L_n from the words and Sigma_n masks of
-        its members, in (length, word) order."""
-        shadow = cls(system, (), provenance, level)
-        shadow._elements, shadow._words, shadow._small = None, words, small
-        shadow._by_small, shadow._pos = True, dict(zip(small, count()))
-        if len(shadow._pos) != len(small):
+        """A subset of L_n from the words and Sigma_n masks of its members,
+        in (length, word) order."""
+        shadow = cls.__new__(cls)
+        shadow._set(system, words, small, provenance, level)
+        return shadow
+
+    def _set(self, system: CoxeterSystem, words: list[tuple[int, ...]],
+             small: list[int], provenance: str, level: int) -> None:
+        self.system = system
+        self._words, self._small = words, small
+        self._pos = dict(zip(small, count()))
+        if len(self._pos) != len(small):
             raise InternalInvariant(
                 "small inversion sets are not injective on low elements")
-        return shadow
+        self.provenance = provenance
+        self.level = level
+        self._elements: tuple[Element, ...] | None = None
+        self._n1: list[int] | None = None  # N^1 of each, from low_elements
+        # the positions of each element's one-step suffixes, in CSR form:
+        # those of element i are targets[offsets[i]:offsets[i + 1]]; recorded
+        # by low_elements, read by _close_in_universe and the suffix check
+        self._suffixes: tuple[array, array] | None = None
+        # SHADOW for a closure or an L_n; returned by verify_shadow
+        self.verdict: ShadowVerdict | None = None
+
+    def _read(self, word: tuple[int, ...]
+              ) -> tuple[int | None, tuple[int, ...]]:
+        """The position in this L_n of the element w a word spells, or None,
+        and a reduced word of w.
+
+        Right to left, one ``images`` call per letter: Sigma_n(s x) is {a_s}
+        union s(Sigma_n(x)) for an ascent s of x, and s is a left descent of
+        x iff a_s, bit s, is in Sigma_n(x).  So a word that is not reduced is
+        caught exactly, and read again as ``from_word`` reduces it.
+        Membership is then :meth:`_index`'s.
+        """
+        images = self._small_table().images
+        small = 0
+        for s in reversed(word):
+            if small >> s & 1:
+                return self._read(from_word(self.system, word).word)
+            small = 1 << s | images(small)[s]
+        i = self._pos.get(small)
+        if i is not None and len(self._words[i]) != len(word):
+            i = None
+        return i, word
 
     @property
     def elements(self) -> tuple[Element, ...]:
+        """The members, each built by one ``mult_left`` on its suffix by
+        its first letter if that is a member, else from its word."""
         if self._elements is None:
-            built = {(): identity(self.system)}
-            for word in self._words[1:]:
-                built[word] = mult_left(word[0], built[word[1:]])
+            built = {}
+            for word in self._words:
+                tail = built.get(word[1:])
+                built[word] = (from_word(self.system, word) if tail is None
+                               else mult_left(word[0], tail))
             self._elements = tuple(built.values())
         return self._elements
 
@@ -123,11 +157,10 @@ class Shadow:
         return self._elements[i]
 
     def _index(self, el: Element) -> int | None:
-        """The position of el, or None.  Keyed by Sigma_n, el is a member iff
-        a member m of its length has Sigma_n(el): N(m), the positive roots in
-        the cone over Sigma_n(m), lies inside N(el), so m <= el and m = el."""
-        i = self._pos.get(self._small_table().small_part(el.inv)
-                          if self._by_small else el.inv)
+        """The position of el, or None.  el is a member iff a member m of its
+        length has Sigma_n(el): N(m), the positive roots in the cone over
+        Sigma_n(m), lies inside N(el), so m <= el and m = el."""
+        i = self._pos.get(self._small_table().small_part(el.inv))
         return None if i is None or len(self._words[i]) != el.length else i
 
     def __len__(self) -> int:
@@ -143,26 +176,12 @@ class Shadow:
         return self._index(el) is not None
 
     def _small_table(self) -> SmallRootTable:
-        """The n-small roots for n the shadow's level, found if unknown."""
-        if self.level is None:
-            self.level = smallest_low_universe(self.system, self).level
+        """The n-small roots for n the shadow's level."""
         return build_small_roots(self.system, self.level)
-
-    def _small_parts(self) -> list[int]:
-        """The node mask Sigma_n(x) of each element x.
-
-        :func:`low_elements` supplies them from its search, and
-        :func:`garside_closure` from its universe; any other set reads them
-        off the inversion sets, on first use.
-        """
-        if self._small is None:
-            table = self._small_table()
-            self._small = [table.small_part(el.inv) for el in self.elements]
-        return self._small
 
     def _below(self, small: int) -> list[int]:
         """The positions, in order, of the elements c with Sigma_n(c) inside
-        the node mask ``small``: one scan of :meth:`_small_parts`.
+        the node mask ``small``: one scan of ``_small``.
 
         For small = Sigma_n(w) they are the elements below w: an n-low c has
         N(c) equal to the positive roots in the cone over Sigma_n(c) (Dyer &
@@ -170,8 +189,7 @@ class Shadow:
         c <= w iff Sigma_n(c) lies inside N(w).
         """
         outside = ~small
-        return [i for i, mask in enumerate(self._small_parts())
-                if not mask & outside]
+        return [i for i, mask in enumerate(self._small) if not mask & outside]
 
     def words(self) -> list[str]:
         return list(map(self.system.word_to_string, self._words))
@@ -200,39 +218,25 @@ def low_universe(sys: CoxeterSystem, level: int = 0) -> Shadow:
     return low
 
 
-def smallest_low_universe(sys: CoxeterSystem,
-                          elements: Iterable[Element]) -> Shadow:
-    """The smallest L_n holding every given element.
-
-    Every element is n-low for some n, and L_n grows with n, so the ladder
-    ends; a rung over ``STATE_BUDGET`` raises ``BudgetExceeded``.
-    """
-    elements = list(elements)
-    if any(el.system is not sys for el in elements):
-        raise ValueError("element from a different system")
-    level = 0
-    while True:
-        universe = low_universe(sys, level)
-        if all(el in universe for el in elements):
-            return universe
-        level += 1
-
-
 def join(u: Element, v: Element) -> Element | None:
     """The join of u and v in right weak order, or None when there is none.
 
-    Decided exactly in the smallest L_n holding both: the join is the first
-    element of L_n whose Sigma_n holds Sigma_n(u) | Sigma_n(v).  An upper
-    bound of u before u in (length, word) order would be no longer than u,
-    so u itself; the scan starts at the later of the two, and reads each
-    later element's mask once: 0.2-0.3 ms a call on random pairs of the
-    6,561 elements of L_0 of ~C4.  Only the join is built.
+    Decided exactly in the smallest L_n holding both, found by reading
+    their words into a ``Shadow``: the join is the first element of L_n
+    whose Sigma_n holds Sigma_n(u) | Sigma_n(v).  An upper bound of u before
+    u in (length, word) order would be no longer than u, so u itself; the
+    scan starts at the later of the two, and reads each later element's
+    mask once: about 0.33 ms a call on random pairs of the 6,561 elements
+    of L_0 of ~C4.  Only the join is built.
     """
-    universe = smallest_low_universe(u.system, (u, v))
-    small = universe._small_parts()
-    i, j = universe._index(u), universe._index(v)
-    both = small[i] | small[j]
-    for k in range(max(i, j), len(small)):
+    if u.system is not v.system:
+        raise ValueError("element from a different system")
+    pair = Shadow(u.system, (u.word, v.word))
+    universe = low_universe(u.system, pair.level)
+    small = universe._small
+    both = pair._small[0] | pair._small[-1]
+    for k in range(max(map(universe._pos.__getitem__, pair._small)),
+                   len(small)):
         if not both & ~small[k]:
             return universe._element(k)
     return None
@@ -249,8 +253,7 @@ def project(shadow: Shadow, w: Element) -> Element:
     Sigma_n(w), the n-small roots of N(w) (Dyer & Hohlweg 2016; see
     ``Shadow._below``).  So only the small part of N(w) is read, and one
     scan of B's masks gives the prefixes in order, the longest last: about
-    0.5 ms a call on the 5,860 members of Gar(S) of ~C4.  A set that lies
-    in no L_n within the state budget raises ``BudgetExceeded``.
+    0.5 ms a call on the 5,860 members of Gar(S) of ~C4.
     """
     if w.system is not shadow.system:
         raise ValueError("element from a different system")
@@ -282,27 +285,46 @@ class ShadowVerdict(NamedTuple):
         return self.status is VerdictStatus.SHADOW
 
 
-def check_generated_and_suffix_closed(shadow: Shadow) -> ShadowVerdict | None:
+def _membership(shadow: Shadow) -> tuple[Shadow, bytearray]:
+    """An L_n with recorded suffixes that holds the shadow, and a byte per
+    element of it, 1 iff it is a member: a set from :func:`low_elements` is
+    its own, and any other is read in ``low_universe(sys, level)``."""
+    if shadow._suffixes is not None:
+        return shadow, bytearray(b"\x01") * len(shadow)
+    universe = low_universe(shadow.system, shadow.level)
+    inside = bytearray(len(universe))
+    for mask in shadow._small:
+        inside[universe._pos[mask]] = 1
+    return universe, inside
+
+
+def check_generated_and_suffix_closed(
+        shadow: Shadow, membership: tuple[Shadow, bytearray] | None = None
+        ) -> ShadowVerdict | None:
     """The first failure among S and e membership and suffix closure.
 
-    None when the set holds S and e and is closed under suffixes.  In a set
-    from :func:`low_elements`, only an element that recorded fewer suffixes
-    than it has left descents (the low ``rank`` bits of Sigma_n) is built.
+    None when the set holds S and e and is closed under suffixes.  A member
+    passes iff it recorded, in the L_n of ``membership`` (by default
+    :func:`_membership`), one suffix per left descent (the low ``rank`` bits
+    of Sigma_n) and each is a member.  Only the first that fails is built,
+    and multiplied by its left descents for the witness.
     """
     sys = shadow.system
     for s in range(sys.rank):
-        if generator(sys, s) not in shadow:
+        if 1 << s not in shadow._pos:
             return ShadowVerdict(VerdictStatus.NOT_SHADOW,
                                  reason=f"missing generator {s + 1}")
-    if identity(sys) not in shadow:
+    if 0 not in shadow._pos:
         return ShadowVerdict(VerdictStatus.NOT_SHADOW, reason="missing identity")
-    suspects: Iterable[int] = range(len(shadow))
-    if shadow._suffixes is not None:
-        offsets, _ = shadow._suffixes
-        suspects = compress(suspects, (
-            hi - lo != (small & (1 << sys.rank) - 1).bit_count()
-            for small, lo, hi in zip(shadow._small, offsets, offsets[1:])))
-    for i in suspects:
+    universe, inside = membership or _membership(shadow)
+    offsets, targets = universe._suffixes
+    pos, descents = universe._pos, (1 << sys.rank) - 1
+    for i, small in enumerate(shadow._small):
+        p = pos[small]
+        lo, hi = offsets[p], offsets[p + 1]
+        if (hi - lo == (small & descents).bit_count()
+                and all(map(inside.__getitem__, targets[lo:hi]))):
+            continue
         b = shadow._element(i)
         for s in b.descents_left:
             suffix = mult_left(s, b)
@@ -310,6 +332,7 @@ def check_generated_and_suffix_closed(shadow: Shadow) -> ShadowVerdict | None:
                 return ShadowVerdict(
                     VerdictStatus.NOT_SHADOW, reason="not closed under suffixes",
                     witness=(str(b), str(suffix)))
+        raise InternalInvariant("recorded suffixes disagree with mult_left")
     return None
 
 
@@ -317,25 +340,20 @@ def verify_shadow(shadow: Shadow) -> ShadowVerdict:
     """Check S and e membership, suffix closure, and join closure.
 
     A verdict recorded on the shadow is returned as it is.  Otherwise B is
-    join-closed iff :func:`_join_pass` over U, the smallest L_n holding B,
-    with B's elements as the members, yields no x.  For the first x it
-    yields, the joins of the members below x, folded in U's order, first
-    leave B at x.
+    join-closed iff :func:`_join_pass` over U, the L_n of its suffix check
+    (:func:`_membership`), with B's elements as the members, yields no x.
+    For the first x it yields, the joins of the members below x, folded in
+    U's order, first leave B at x.
     """
     if shadow.verdict is not None:
         return shadow.verdict
-    failure = check_generated_and_suffix_closed(shadow)
+    membership = _membership(shadow)
+    failure = check_generated_and_suffix_closed(shadow, membership)
     if failure is not None:
         return failure
-    universe = smallest_low_universe(shadow.system, shadow)
-    if shadow.level is None:
-        shadow.level = universe.level
-    positions = {universe._index(el) for el in shadow}
-    if len(positions) == len(universe):  # no x of U lies outside B
+    universe, inside = membership
+    if len(shadow) == len(universe):  # no x of U lies outside B
         return ShadowVerdict(VerdictStatus.SHADOW)
-    inside = bytearray(len(universe))
-    for i in positions:
-        inside[i] = 1
     for x in _join_pass(universe, _lower_covers(universe), inside):
         u = identity(shadow.system)  # the first member below x
         for i in universe._below(universe._small[x]):
@@ -451,9 +469,12 @@ def garside_closure(sys: CoxeterSystem,
     Garside shadow, and is read off U by :func:`_close_in_universe` with no
     join decisions.  The members keep U's order, words and small parts.
     """
-    start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
-             *seeds]
-    universe = smallest_low_universe(sys, start)
+    seeds = list(seeds)
+    if any(el.system is not sys for el in seeds):
+        raise ValueError("element from a different system")
+    start = Shadow(sys, [(), *((s,) for s in range(sys.rank)),
+                         *(el.word for el in seeds)])
+    universe = low_universe(sys, start.level)
     inside = _close_in_universe(universe, start)
     closure = Shadow._of_words(
         sys, list(compress(universe._words, inside)),
@@ -463,10 +484,9 @@ def garside_closure(sys: CoxeterSystem,
     return closure
 
 
-def _close_in_universe(universe: Shadow,
-                       seeds: Iterable[Element]) -> bytearray:
-    """The closure of the seeds under joins and suffixes in an L_n from
-    :func:`low_elements`: byte i is 1 iff element i is a member.
+def _close_in_universe(universe: Shadow, seeds: Shadow) -> bytearray:
+    """The closure of a set's members under joins and suffixes in an L_n
+    from :func:`low_elements` at its level: byte i is 1 iff element i is.
 
     Suffix passes read the recorded suffix positions, and join passes admit
     each x that :func:`_join_pass` yields, until a suffix pass after a join
@@ -479,7 +499,7 @@ def _close_in_universe(universe: Shadow,
     offsets, targets = universe._suffixes
     covers = _lower_covers(universe)
     inside = bytearray(len(universe))
-    todo = list({universe._index(el) for el in seeds})
+    todo = list(map(universe._pos.__getitem__, seeds._small))
     for i in todo:
         inside[i] = 1
     joined = False  # whether a join pass has run
@@ -582,7 +602,7 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
     words: list[tuple[int, ...]] = [()]  # in the order found
     sigma, n1s = [0], [0]  # Sigma_n and N^1 of each
     # edge k: element longer[k] is s times element shorter[k], s a left descent
-    longer, shorter = array("l"), array("l")
+    longer, shorter = array("i"), array("i")
     order = [0]  # the indices in (length, word) order
     frontier = [0]
     while frontier:
@@ -618,12 +638,12 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
     low._n1 = [n1s[i] for i in order]
     # the suffix positions in CSR form, by position
     where = [low._pos[mask] for mask in sigma]
-    offsets = array("l", [0]) * (len(words) + 1)
+    offsets = array("i", [0]) * (len(words) + 1)
     for j in longer:
         offsets[where[j] + 1] += 1
-    offsets = array("l", accumulate(offsets))
+    offsets = array("i", accumulate(offsets))
     fill = offsets[:-1]
-    targets = array("l", [0]) * len(longer)
+    targets = array("i", [0]) * len(longer)
     for j, i in zip(longer, shorter):
         p = where[j]
         targets[fill[p]] = where[i]
@@ -638,14 +658,14 @@ def low_elements(sys: CoxeterSystem, level: int) -> Shadow:
 def parabolic_image(shadow: Shadow, subset: Iterable[int]) -> Shadow:
     """p_I(B) = {p_I(b) : b in B}; a Garside shadow of (W_I, I)."""
     members = sorted(set(subset))
-    out = [coset_split(b, members)[0] for b in shadow]
+    out = [coset_split(b, members)[0].word for b in shadow]
     return Shadow(shadow.system, out, provenance="parabolic-image")
 
 
 def intersect_parabolic(shadow: Shadow, subset: Iterable[int]) -> Shadow:
     """B intersected with W_I, by support of the (reduced) stored words."""
     members = set(subset)
-    out = [b for b in shadow if support(b) <= members]
+    out = [b.word for b in shadow if support(b) <= members]
     return Shadow(shadow.system, out, provenance="parabolic-intersection")
 
 
@@ -671,5 +691,5 @@ def shadow_in_subsystem(shadow: Shadow, subset: Iterable[int]) -> Shadow:
     for b in shadow:
         if not support(b) <= set(members):
             raise ValueError(f"element {b} is not in the parabolic subgroup")
-        out.append(from_word(sub, (letter_map[s] for s in b.word)))
+        out.append([letter_map[s] for s in b.word])
     return Shadow(sub, out, provenance=shadow.provenance)

@@ -20,8 +20,7 @@ from coxauto.elements import (Element, _mask_bits, generator, identity,
 from coxauto.errors import InternalInvariant
 from coxauto.garside import (Shadow, ShadowVerdict, VerdictStatus,
                              check_generated_and_suffix_closed,
-                             garside_closure, join, low_universe, project,
-                             smallest_low_universe)
+                             garside_closure, join, low_universe, project)
 from coxauto.scalars import FieldContext, Scalar, _normalized
 from coxauto.smallroots import build_small_roots
 from coxauto.system import CoxeterMatrix, CoxeterSystem
@@ -573,7 +572,7 @@ class SmallColumns:
     """The columns of a shadow over the n-small roots of its level."""
 
     def __init__(self, shadow: Shadow):
-        self.small = shadow._small_parts()
+        self.small = shadow._small
         self.full = (1 << len(self.small)) - 1
         size = (len(self.small) + 7) >> 3
         rows = [bytearray(size) for _ in range(len(shadow._small_table()))]
@@ -631,7 +630,7 @@ def pairwise_closure(sys: CoxeterSystem, seeds=()):
     """
     start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
              *seeds]
-    universe = smallest_low_universe(sys, start)
+    universe = low_universe(sys, Shadow(sys, [el.word for el in start]).level)
     order: list = []
     invs: set[int] = set()
 
@@ -653,7 +652,7 @@ def pairwise_closure(sys: CoxeterSystem, seeds=()):
             if common:
                 add(universe.elements[(common & -common).bit_length() - 1])
         ups.append(up_x)
-    return Shadow(sys, order, provenance="closure-of-S")
+    return Shadow(sys, [el.word for el in order], provenance="closure-of-S")
 
 
 def pairwise_verify_shadow(shadow: Shadow) -> ShadowVerdict:
@@ -662,7 +661,8 @@ def pairwise_verify_shadow(shadow: Shadow) -> ShadowVerdict:
     failure = check_generated_and_suffix_closed(shadow)
     if failure is not None:
         return failure
-    universe = smallest_low_universe(shadow.system, shadow)
+    universe = low_universe(shadow.system,
+                            Shadow(shadow.system, shadow._words).level)
     els = shadow.elements
     ups = [up_set(universe, universe._index(el)) for el in els]
     for i in range(len(els)):
@@ -749,7 +749,7 @@ def n1_closure_in_universe(universe: Shadow, seeds) -> bytearray:
     passes that admit, as they go, each x that n1_is_join_of_members
     passes, until neither grows."""
     offsets, targets = universe._suffixes
-    small = universe._small_parts()
+    small = universe._small
     members = covered = 0
     inside = bytearray(len(small))
     todo: list[int] = []
@@ -787,7 +787,8 @@ def n1_verify_shadow(shadow: Shadow) -> ShadowVerdict:
     failure = check_generated_and_suffix_closed(shadow)
     if failure is not None:
         return failure
-    universe = smallest_low_universe(shadow.system, shadow)
+    universe = low_universe(shadow.system,
+                            Shadow(shadow.system, shadow._words).level)
     index = small_columns(universe)
     small = index.small
     inside = {universe._index(el) for el in shadow}
@@ -815,7 +816,7 @@ def below_projections(shadow: Shadow, universe: Shadow) -> list[int]:
     """pi_B of each element of an L_n holding a shadow B, as a position in
     B: the highest set bit of B's columns below its Sigma_n."""
     below = small_columns(shadow).below
-    return [below(mask).bit_length() - 1 for mask in universe._small_parts()]
+    return [below(mask).bit_length() - 1 for mask in universe._small]
 
 
 # ---------------------------------------------------------------------------
@@ -1014,8 +1015,8 @@ def reference_low_search(sys: CoxeterSystem, level: int):
     suffixes = [[] for _ in order]
     for j, i in edges:
         suffixes[where[j]].append(where[i])
-    offsets = array("l", itertools.accumulate(map(len, suffixes), initial=0))
-    targets = array("l", itertools.chain.from_iterable(suffixes))
+    offsets = array("i", itertools.accumulate(map(len, suffixes), initial=0))
+    targets = array("i", itertools.chain.from_iterable(suffixes))
     return ([found[i].word for i in order], [sigma[i] for i in order],
             [n1s[i] for i in order], (offsets, targets))
 
@@ -1047,15 +1048,15 @@ def low_without(low: Shadow, victim: Element) -> Shadow:
     """
     keep = [i for i, el in enumerate(low.elements) if el != victim]
     new_pos = {old: new for new, old in enumerate(keep)}
-    out = Shadow(low.system, [low.elements[i] for i in keep],
-                 provenance=low.provenance, level=low.level)
+    out = Shadow._of_words(low.system, [low._words[i] for i in keep],
+                           [low._small[i] for i in keep], low.provenance,
+                           low.level)
     offsets, targets = low._suffixes
-    new_offsets, new_targets = array("l", [0]), array("l")
+    new_offsets, new_targets = array("i", [0]), array("i")
     for i in keep:
         new_targets.extend(new_pos[j] for j in targets[offsets[i]:offsets[i + 1]]
                            if j in new_pos)
         new_offsets.append(len(new_targets))
-    out._small = [low._small[i] for i in keep]
     out._suffixes = (new_offsets, new_targets)
     return out
 

@@ -201,8 +201,7 @@ def test_criterion_5_language_correctness(bundles):
 def test_criterion_6_morphisms(bundles):
     # explicit shadow inclusion in the infinite dihedral group
     i2 = bundles("I2(inf)")
-    big = Shadow(i2.system, [from_word(i2.system, w)
-                             for w in [(), (0,), (1,), (0, 1), (1, 0)]])
+    big = Shadow(i2.system, [(), (0,), (1,), (0, 1), (1, 0)])
     assert verify_shadow(big).status is VerdictStatus.SHADOW
     a_big = build_shadow_automaton(big)
     f = projection_state_map(a_big.payloads, i2.smallest, i2.auto_smallest)
@@ -232,9 +231,8 @@ def test_criterion_6_morphisms(bundles):
     # intersection with W_I agree; the commuting-pair shadow with I = {s,t}
     # is a genuine counterexample otherwise, pinned in the garside tests.
     gp = bundles("triangle(inf,2,inf)")
-    paper_shadow = Shadow(gp.system, [from_word(gp.system, w) for w in
-                                      [(), (0,), (1,), (2,), (0, 2), (1, 2),
-                                       (0, 1, 2)]])
+    paper_shadow = Shadow(gp.system, [(), (0,), (1,), (2,), (0, 2), (1, 2),
+                                      (0, 1, 2)])
     known_failures = {("triangle(inf,2,inf)", "explicit", (0, 1))}
     for spec, shadows in (("A3", None), ("~A2", None), ("I2(inf)", None),
                           ("triangle(inf,2,inf)", [paper_shadow])):
@@ -278,19 +276,17 @@ def test_criterion_7_projection_identities(bundles):
     i2 = bundles("I2(inf)")
     gp = bundles("triangle(inf,2,inf)")
     extra = {
-        "I2(inf)": [Shadow(i2.system, [from_word(i2.system, w)
-                                       for w in [(), (0,), (1,), (0, 1), (1, 0)]])],
+        "I2(inf)": [Shadow(i2.system, [(), (0,), (1,), (0, 1), (1, 0)])],
         "triangle(inf,2,inf)": [Shadow(gp.system,
-                                       [from_word(gp.system, w)
-                                        for w in [(), (0,), (1,), (2,), (0, 2),
-                                                  (1, 2), (0, 1, 2)]])],
+                                       [(), (0,), (1,), (2,), (0, 2), (1, 2),
+                                        (0, 1, 2)])],
     }
     for spec in LANGUAGE_SYSTEMS:
         b = bundles(spec)
         sys = b.system
         shadows = [b.smallest, b.low0] + extra.get(spec, [])
         for shadow in shadows:  # explicit copies: no recorded verdict
-            copy = Shadow(sys, shadow.elements)
+            copy = Shadow(sys, [el.word for el in shadow.elements])
             assert verify_shadow(copy).status is VerdictStatus.SHADOW, spec
         elements = ball(sys, 6)
         for shadow in shadows:

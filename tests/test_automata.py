@@ -36,8 +36,8 @@ from coxauto.smallroots import SmallRootTable, build_small_roots
 
 def test_shadow_automaton_infinite_dihedral(i2inf):
     # an explicit copy of the closure, so the automaton verifies it in full
-    auto = build_shadow_automaton(Shadow(i2inf,
-                                         garside_closure(i2inf).elements))
+    auto = build_shadow_automaton(Shadow(i2inf, [
+        el.word for el in garside_closure(i2inf).elements]))
     assert auto.num_states == 3
     assert auto.num_transitions() == 4
     by_word = {str(el): i for i, el in enumerate(auto.payloads)}
@@ -61,7 +61,7 @@ def test_shadow_automaton_finite_group_moves_by_left_multiplication(a2):
 
 
 def test_shadow_automaton_requires_shadow(a2):
-    bad = Shadow(a2, [from_word(a2, w) for w in [(), (0,), (1,)]])
+    bad = Shadow(a2, [(), (0,), (1,)])
     with pytest.raises(ShadowViolation):
         build_shadow_automaton(bad)
 
@@ -100,10 +100,11 @@ def test_seeded_closures_and_verified_copies_match_byte_slice_reference(name):
     for seed in (outside[0], outside[-1]):
         closure = garside_closure(sys, [seed])
         assert closure.level == 1
-        for shadow in (closure, Shadow(sys, closure.elements)):
+        for shadow in (closure,
+                       Shadow(sys, [el.word for el in closure.elements])):
             _assert_matches_byte_slice_reference(shadow)
     _assert_matches_byte_slice_reference(
-        Shadow(sys, garside_closure(sys).elements))
+        Shadow(sys, [el.word for el in garside_closure(sys).elements]))
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -530,8 +531,7 @@ def test_identity_map_is_totally_surjective(a2):
 
 
 def test_shadow_inclusion_induces_total_surjection(i2inf):
-    big = Shadow(i2inf, [from_word(i2inf, w)
-                         for w in [(), (0,), (1,), (0, 1), (1, 0)]])
+    big = Shadow(i2inf, [(), (0,), (1,), (0, 1), (1, 0)])
     small = garside_closure(i2inf)
     a_big = build_shadow_automaton(big)
     a_small = build_shadow_automaton(small)
@@ -616,8 +616,7 @@ def test_reading_ends_at_projection_of_reversed_word(aff_a2):
 def test_restrict_to_parabolic(right_angled, gprime_words=((), (0,), (1,), (2,),
                                                            (0, 2), (1, 2),
                                                            (0, 1, 2))):
-    shadow = Shadow(right_angled,
-                    [from_word(right_angled, w) for w in gprime_words])
+    shadow = Shadow(right_angled, gprime_words)
     auto = build_shadow_automaton(shadow)
     whole = restrict_letters(auto, (0, 1, 2))
     assert isomorphic(whole, auto)

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from coxauto import parse_coxeter_system
-from coxauto.cli import _elements, main
+from coxauto.cli import main
 from coxauto.elements import from_word
-from coxauto.garside import garside_closure
+from coxauto.garside import Shadow, garside_closure
 
 
 def test_automaton_stats_matches_table(capsys):
@@ -44,6 +44,14 @@ def test_table_csv(capsys):
     assert lines[0] == "group,a0,a_shadow,a_min,sigma,sigma_sph,cap_stable"
     assert lines[1] == "~A2,16,16,16,6,6,True"
     assert lines[2] == "~C2,25,24,24,8,7,True"
+
+
+def test_table_groups_keep_commas_inside_parentheses(capsys):
+    assert main(["table", "--groups", "triangle(2,3,7),~A2"]) == 0
+    assert capsys.readouterr() == (
+        "group,a0,a_shadow,a_min,sigma,sigma_sph,cap_stable\n"
+        '"triangle(2,3,7)",40,35,35,12,9,True\n'
+        "~A2,16,16,16,6,6,True\n", "")
 
 
 def test_table_row_of_d4(capsys):
@@ -169,14 +177,20 @@ def test_verify_empty_list(capsys, words):
 
 
 def test_verify_parses_words_as_from_word():
-    # shared prefixes are multiplied once; the elements are those of
-    # from_word, also for repeated, unsorted and unreduced words
+    # the set read from reversed, repeated and unreduced words holds the
+    # elements of from_word, each with the from_word word of the first word
+    # given for it, in (length, word) order
     sys = parse_coxeter_system("~B3")
     words = [sys.word_from_string(w) for w in garside_closure(sys).words()]
     words = words[::-1] + [(), (0, 0, 1), (2, 1, 2, 1), words[7]]
-    got = _elements(sys, words)
-    assert [(w.word, w.inv) for w in got] == [
-        (w.word, w.inv) for w in (from_word(sys, word) for word in words)]
+    first = {}
+    for el in (from_word(sys, word) for word in words):
+        first.setdefault(el.inv, el)
+    expected = sorted(first.values(), key=lambda el: (el.length, el.word))
+    shadow = Shadow(sys, words)
+    assert len(shadow) < len(words) and shadow.level == 0
+    assert [(el.word, el.inv) for el in shadow] == [
+        (el.word, el.inv) for el in expected]
 
 
 def test_low_listing(capsys):
@@ -654,6 +668,17 @@ def test_low_universe_over_budget_exits_one(monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err == ("error: 1-low elements outgrew the state budget "
                             "of 100\n")
+
+
+def test_verify_reads_the_set_into_l_n_before_checking_it(monkeypatch,
+                                                          capsys):
+    # 123 is not 0-low, so the set is read into L_1, which outgrows the
+    # budget before S is checked; the missing generator 2 is not reported
+    from coxauto import garside
+    monkeypatch.setattr(garside, "STATE_BUDGET", 30)
+    assert main(["shadow", "--group", "~C2", "--verify", "e,1,123"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: 1-low elements outgrew the state budget of 30\n")
 
 
 def test_low_universe_not_suffix_closed_exits_one(

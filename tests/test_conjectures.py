@@ -220,9 +220,9 @@ def test_dyho1_reports_the_failure_of_verify_shadow(monkeypatch, aff_c2, drop,
     monkeypatch.setattr(conjectures, "low_elements",
                         lambda *args, **kwargs: broken)
     report = check_conjecture(aff_c2, "dyho1", level=level)
-    # an explicit copy has no recorded suffixes, so it is checked by
-    # multiplying out every one-step suffix
-    expected = verify_shadow(Shadow(aff_c2, broken.elements))
+    # an explicit copy has no recorded suffixes, so it is checked against
+    # those of the L_n it is read into
+    expected = verify_shadow(Shadow(aff_c2, [el.word for el in broken]))
     assert expected.status is VerdictStatus.NOT_SHADOW
     assert expected.reason == reason
     assert report.verdict is Verdict.FAILS

@@ -24,8 +24,7 @@ from coxauto.garside import (Shadow, ShadowVerdict, VerdictStatus,
                              garside_closure, join,
                              low_elements, low_universe, intersect_parabolic,
                              parabolic_image, project,
-                             restriction_compatibility_check,
-                             smallest_low_universe, verify_shadow)
+                             restriction_compatibility_check, verify_shadow)
 from coxauto.smallroots import EXIT, build_small_roots
 
 
@@ -64,8 +63,7 @@ def test_join_result_is_least_upper_bound(aff_a2):
 @pytest.fixture(scope="module")
 def gprime_shadow(right_angled):
     words = [(), (0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)]
-    return Shadow(right_angled,
-                  [from_word(right_angled, w) for w in words])
+    return Shadow(right_angled, words)
 
 
 def test_project_examples(right_angled, gprime_shadow):
@@ -109,14 +107,14 @@ def test_shadow_automaton_projections_match_scan(spec, kind, request):
 
 def test_project_rejects_non_join_closed_set(a2):
     # both s and t are longest prefixes of sts inside {e, s, t}
-    bad = Shadow(a2, [from_word(a2, w) for w in [(), (0,), (1,)]])
+    bad = Shadow(a2, [(), (0,), (1,)])
     with pytest.raises(ShadowViolation, match="not unique"):
         project(bad, from_word(a2, (0, 1, 0)))
 
 
 def test_project_rejects_set_without_a_prefix(a2):
     # {s, t} lacks e, the one prefix of e
-    bad = Shadow(a2, [from_word(a2, (0,)), from_word(a2, (1,))])
+    bad = Shadow(a2, [(0,), (1,)])
     with pytest.raises(ShadowViolation, match="contains no prefix"):
         project(bad, identity(a2))
     assert project(bad, from_word(a2, (0, 1))) == from_word(a2, (0,))
@@ -124,11 +122,11 @@ def test_project_rejects_set_without_a_prefix(a2):
 
 def test_verify_shadow_examples(right_angled, gprime_shadow, i2inf, a2):
     assert verify_shadow(gprime_shadow).status is VerdictStatus.SHADOW
-    missing = Shadow(i2inf, [identity(i2inf), from_word(i2inf, (0,))])
+    missing = Shadow(i2inf, [(), (0,)])
     verdict = verify_shadow(missing)
     assert verdict.status is VerdictStatus.NOT_SHADOW
     assert "generator" in verdict.reason
-    whole = Shadow(a2, ball(a2, 3))
+    whole = Shadow(a2, [el.word for el in ball(a2, 3)])
     assert verify_shadow(whole).status is VerdictStatus.SHADOW
 
 
@@ -141,7 +139,7 @@ def test_a_verdict_is_true_only_for_a_shadow():
 
 def test_verify_shadow_catches_missing_suffix(a2):
     # {e, s, t, st} lacks the suffix t of st? no: suffixes(st)={e,t,st}; use sts
-    bad = Shadow(a2, [from_word(a2, w) for w in [(), (0,), (1,), (0, 1, 0)]])
+    bad = Shadow(a2, [(), (0,), (1,), (0, 1, 0)])
     verdict = verify_shadow(bad)
     assert verdict.status is VerdictStatus.NOT_SHADOW
     assert "suffix" in verdict.reason
@@ -150,7 +148,7 @@ def test_verify_shadow_catches_missing_suffix(a2):
 def test_verify_shadow_catches_missing_join(a2):
     # drop the top element sts = join(s, t) from the full group
     words = [(), (0,), (1,), (0, 1), (1, 0)]
-    bad = Shadow(a2, [from_word(a2, w) for w in words])
+    bad = Shadow(a2, words)
     verdict = verify_shadow(bad)
     assert verdict.status is VerdictStatus.NOT_SHADOW
     assert "join" in verdict.reason
@@ -177,7 +175,7 @@ def test_closure_contains_seeds_and_reports_shadow(aff_a2):
     assert seed in closure
     assert verify_shadow(closure).status is VerdictStatus.SHADOW
     # the recorded verdict is not evidence: check an explicit copy in full
-    copy = Shadow(aff_a2, closure.elements)
+    copy = Shadow(aff_a2, [el.word for el in closure.elements])
     assert verify_shadow(copy).status is VerdictStatus.SHADOW
 
 
@@ -271,10 +269,11 @@ def test_seeded_closure_in_smallest_low_universe(spec, word, level, size):
     sys = parse_coxeter_system(spec)
     seed = from_word(sys, word)
     assert seed not in low_universe(sys, level - 1)
-    assert smallest_low_universe(sys, [seed]) is low_universe(sys, level)
+    assert low_universe(sys, Shadow(sys, [word]).level) is low_universe(
+        sys, level)
     closure = garside_closure(sys, seeds=[seed])
     assert seed in closure and len(closure) == size
-    copy = Shadow(sys, closure.elements)
+    copy = Shadow(sys, [el.word for el in closure.elements])
     assert verify_shadow(copy).status is VerdictStatus.SHADOW
 
 
@@ -284,9 +283,9 @@ def _assert_closure_matches_pairwise(sys, seeds=()):
     assert closure.words() == reference.words()
     # the lower-cover pass admits exactly what the lowest-bit passes and
     # the N^1 test on the columns admit
-    start = [identity(sys), *(generator(sys, s) for s in range(sys.rank)),
-             *seeds]
-    universe = smallest_low_universe(sys, start)
+    start = Shadow(sys, [(), *((s,) for s in range(sys.rank)),
+                         *(el.word for el in seeds)])
+    universe = low_universe(sys, start.level)
     inside = garside._close_in_universe(universe, start)
     assert inside == lowest_bit_closure_in_universe(universe, start)
     assert inside == n1_closure_in_universe(universe, start)
@@ -323,11 +322,10 @@ def _assert_small_columns_match_full(sys, seeds=()):
         auto = build_shadow_automaton(closure)
     assert calls == []
     table = build_small_roots(sys, closure.level)
-    assert closure._small_parts() == [table.small_part(el.inv)
-                                      for el in closure]
-    universe = smallest_low_universe(sys, closure)
+    assert closure._small == [table.small_part(el.inv) for el in closure]
+    universe = low_universe(sys, Shadow(sys, closure._words).level)
     reference = FullColumnIndex(universe)
-    for x, small in zip(universe.elements, universe._small_parts()):
+    for x, small in zip(universe.elements, universe._small):
         assert universe._below(small) == _mask_bits(reference.below(x.inv))
     reference = FullColumnIndex(closure)
     for q, x in enumerate(closure.elements):
@@ -403,7 +401,7 @@ def test_projections_match_below_reference(monkeypatch, name, level):
     shadows = [universe, *(c for c in closures if c.level == level)]
     calls = _shadow_calls(monkeypatch, "_below")
     projections = [garside._projections(
-        universe, {mask: i for i, mask in enumerate(shadow._small_parts())})
+        universe, {mask: i for i, mask in enumerate(shadow._small)})
         for shadow in shadows]
     assert calls == []  # every lower cover is found by its Sigma_n
     for shadow, got in zip(shadows, projections):
@@ -423,11 +421,11 @@ def test_lower_cover_lookup_miss_falls_back_to_below(monkeypatch, spec):
     calls = _shadow_calls(monkeypatch, "_below")
     assert garside._lower_covers(copy) == garside._lower_covers(universe)
     assert calls and set(calls) == {(universe._small[victim],)}
-    start = [identity(sys), *(generator(sys, s) for s in range(sys.rank))]
+    start = Shadow(sys, [(), *((s,) for s in range(sys.rank))])
     assert (garside._close_in_universe(copy, start)
             == garside._close_in_universe(universe, start)
             == n1_closure_in_universe(universe, start))
-    member = {mask: i for i, mask in enumerate(closure._small_parts())}
+    member = {mask: i for i, mask in enumerate(closure._small)}
     assert (garside._projections(copy, member)
             == garside._projections(universe, member))
 
@@ -457,7 +455,8 @@ def test_stats_row_reads_no_columns(monkeypatch):
 def _assert_first_join_witness(shadow, witness):
     """u and v of the witness lie in the set and u v-join does not, and no
     join of two members outside the set comes earlier in U's order."""
-    universe = smallest_low_universe(shadow.system, shadow)
+    universe = low_universe(shadow.system,
+                            Shadow(shadow.system, shadow._words).level)
     by_name = {str(el): el for el in universe}
     u, v, w = (by_name[name] for name in witness)
     assert u in shadow and v in shadow and w not in shadow
@@ -497,7 +496,7 @@ def test_verify_shadow_matches_pairwise_reference_on_closures(spec, level):
     seeds = [low_universe(sys, 1).elements[-1]] if level else []
     closure = garside_closure(sys, seeds=seeds)
     assert closure.level == level
-    elements = closure.elements
+    elements = [el.word for el in closure.elements]
     assert _assert_verdict_matches_pairwise(Shadow(sys, elements))
     step = max(1, len(elements) // 12)
     reasons = set()
@@ -511,7 +510,7 @@ def test_join_witness_is_the_first_join_outside_the_set(aff_c2):
     # ~C2 without the top of its closure of S: the witness is the first
     # element of L_0 that is the join of two members and not a member
     closure = garside_closure(aff_c2)
-    bad = Shadow(aff_c2, closure.elements[:-1])
+    bad = Shadow(aff_c2, [el.word for el in closure.elements[:-1]])
     verdict = verify_shadow(bad)
     assert verdict.reason == "not closed under joins"
     _assert_first_join_witness(bad, verdict.witness)
@@ -534,7 +533,7 @@ def test_verify_shadow_matches_pairwise_reference(sys, data):
             if suffix not in members:
                 members.append(suffix)
                 todo.append(suffix)
-    _assert_verdict_matches_pairwise(Shadow(sys, members))
+    _assert_verdict_matches_pairwise(Shadow(sys, [el.word for el in members]))
 
 
 def test_low_elements_examples(i2inf, aff_a2, a2):
@@ -615,7 +614,7 @@ def _assert_search_data_matches(sys, level):
     those read off the inversion sets and found by ``mult_left``."""
     low = low_elements(sys, level)
     table = build_small_roots(sys, level)
-    assert low._small_parts() == [table.small_part(el.inv) for el in low]
+    assert low._small == [table.small_part(el.inv) for el in low]
     offsets, targets = low._suffixes
     for i, x in enumerate(low):
         suffixes = [mult_left(s, x) for s in x.descents_left]
@@ -638,6 +637,7 @@ def _assert_search_matches_reference(sys, level):
     words, small, n1, suffixes = reference_low_search(sys, level)
     assert low._words == words
     assert (low._small, low._n1, low._suffixes) == (small, n1, suffixes)
+    assert {part.typecode for part in low._suffixes} == {"i"}  # 4 bytes
     assert low._element(len(low) - 1).word == words[-1]
     assert [el.word for el in low.elements] == words
 
@@ -674,18 +674,31 @@ def test_low_elements_and_closures_multiply_nothing(mult_left_calls, spec):
     assert mult_left_calls == []
 
 
+def test_verifying_an_explicit_copy_multiplies_nothing(mult_left_calls):
+    # the suffix check reads the suffixes that L_0 recorded, and the join
+    # pass finds no x: no member of the copy is built
+    sys = parse_coxeter_system("~C4")
+    closure = garside_closure(sys)
+    copy = Shadow(sys, closure._words)
+    assert len(copy) == 5860 and copy.verdict is None
+    assert verify_shadow(copy).status is VerdictStatus.SHADOW
+    assert mult_left_calls == []
+
+
 @pytest.mark.parametrize("spec, level, radius", [
     ("~A2", 0, 6), ("~C2", 0, 6), ("~G2", 0, 8), ("~C2", 1, 10),
     ("~G2", 1, 14), ("triangle(2,3,7)", 0, 7), ("triangle(4,4,4)", 1, 6)])
 def test_membership_reads_the_length(spec, level, radius):
     # a non-member w with the Sigma_n of its projection, a member, is not
-    # in L_n: membership by Sigma_n alone would take it for the projection
+    # in L_n: membership by Sigma_n alone would take it for the projection;
+    # reading w's word gives its Sigma_n, and the same answer
     sys = parse_coxeter_system(spec)
     low = low_universe(sys, level)
     table = build_small_roots(sys, level)
     invs = {el.inv for el in low}
     outside = 0
     for w in ball(sys, radius):
+        assert low._read(w.word) == (low._index(w), w.word)
         if w.inv in invs:
             assert w in low and low._element(low._index(w)) == w
             continue
@@ -697,7 +710,7 @@ def test_membership_reads_the_length(spec, level, radius):
 
 
 def test_closure_needs_recorded_suffixes(aff_c2):
-    universe = Shadow(aff_c2, low_universe(aff_c2).elements, level=0)
+    universe = Shadow(aff_c2, [el.word for el in low_universe(aff_c2)])
     with pytest.raises(InternalInvariant, match="no recorded suffixes"):
         garside._close_in_universe(universe, [identity(aff_c2)])
 
@@ -749,9 +762,9 @@ def test_recorded_verdict_decides_no_join(monkeypatch, spec):
     checked = []
     real_check = garside.check_generated_and_suffix_closed
 
-    def spy(shadow):
+    def spy(shadow, *args):
         checked.append(shadow)
-        return real_check(shadow)
+        return real_check(shadow, *args)
 
     monkeypatch.setattr(garside, "check_generated_and_suffix_closed", spy)
     for shadow in (closure, low0, low1):
@@ -759,10 +772,10 @@ def test_recorded_verdict_decides_no_join(monkeypatch, spec):
         assert build_shadow_automaton(shadow).num_states == len(shadow)
     assert checked == []
     with pytest.raises(_JoinDecided):
-        verify_shadow(Shadow(sys, closure.elements))
+        verify_shadow(Shadow(sys, [el.word for el in closure.elements]))
     # a copy of L_0 is checked in full, but no element of L_0 lies outside
     # it, so it has no join to test
-    copy = Shadow(sys, low0.elements)
+    copy = Shadow(sys, [el.word for el in low0.elements])
     assert build_shadow_automaton(copy).num_states == len(low0)
     assert checked[-1] is copy
 
@@ -883,8 +896,7 @@ def test_projection_folds_over_reduced_products(group, request):
 
 def test_projection_composes_through_nested_shadows(i2inf, aff_c2):
     # pi_C o pi_B = pi_C for C inside B
-    big_i2 = Shadow(i2inf, [from_word(i2inf, w)
-                            for w in [(), (0,), (1,), (0, 1), (1, 0)]])
+    big_i2 = Shadow(i2inf, [(), (0,), (1,), (0, 1), (1, 0)])
     small_i2 = garside_closure(i2inf)
     assert verify_shadow(big_i2).status is VerdictStatus.SHADOW
     for w in ball(i2inf, 6):

@@ -184,7 +184,7 @@ def test_image_slices_give_small_part_of_ascent(name, level):
     sys = parse_coxeter_system(name)
     table = build_small_roots(sys, level)
     low = low_elements(sys, level)
-    small = low._small_parts()
+    small = low._small
     offsets, targets = low._suffixes
     for i, x in enumerate(low):
         assert small[i] == table.small_part(x.inv)
